@@ -15,7 +15,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from .gf2 import Coset, GFVector, Subspace, coset_decompose, enumerate_subspaces
+from .gf2 import Coset, Subspace, coset_decompose, enumerate_subspaces
 
 WHT_MAX_N = 24
 REGULARITY_MAX_N = 8
@@ -63,11 +63,6 @@ class BooleanFunction:
     def value(self, x: int) -> int:
         return int(self.table[x])
 
-    def value_at(self, v: GFVector) -> int:
-        if v.dim != self.n:
-            raise DimensionMismatchError(f"dim {v.dim} vs {self.n}")
-        return int(self.table[v.bits])
-
     def ones(self) -> list[int]:
         return [int(x) for x in np.flatnonzero(self.table)]
 
@@ -113,9 +108,6 @@ class FourierSpectrum:
 
     def coeff(self, alpha: int) -> int:
         return int(self.coeffs[alpha])
-
-    def coeff_fraction(self, alpha: int) -> Fraction:
-        return Fraction(int(self.coeffs[alpha]), 1 << self.n)
 
     def max_abs_nonzero(self) -> int:
         """max_{a != 0} |coeffs[a]| (0 when n = 0)."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -21,8 +20,7 @@ import numpy as np
 
 from . import __version__
 from .boolfn import BooleanFunction, random_function, regularity_decompose, wht
-from .errors import (BudgetExceededError, FormatError, InvalidInputError,
-                     MatroidLabError)
+from .errors import BudgetExceededError, InvalidInputError, MatroidLabError
 from .families import verify_characterization
 from .fileio import (load_function, load_graph, load_matroid, save_function,
                      save_matroid)
@@ -94,19 +92,6 @@ def exact(v) -> dict:
 
 def sampled(v) -> dict:
     return {"exact": False, "value": _plain(v)}
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("MATROIDLAB_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise InvalidInputError(f"MATROIDLAB_WORKERS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise InvalidInputError(f"MATROIDLAB_WORKERS must be positive, got {workers}")
-    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +286,11 @@ def _exp_regularity(cfg: ExperimentConfig):
         n = cfg.params.get("n", 4)
         rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0)))
         f = random_function(n, rng)
-    eps = Fraction(cfg.params.get("eps", "1/4"))
+    raw_eps = cfg.params.get("eps", "1/4")
+    try:
+        eps = Fraction(raw_eps)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInputError(f"eps is not a fraction: {raw_eps!r}") from None
     max_codim = cfg.params.get("max_codim")
     sub, frac = regularity_decompose(f, eps, max_codim)
     return ({"eps": str(eps), "n": f.n},
@@ -392,7 +381,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     """Execute a named pipeline and assemble its report."""
     if cfg.experiment not in _PIPELINES:
         raise InvalidInputError(f"unknown experiment {cfg.experiment!r}")
-    _workers_from_env()
     start = time.monotonic()
     params, results = _PIPELINES[cfg.experiment](cfg)
     runtime_ms = int((time.monotonic() - start) * 1000)
@@ -647,7 +635,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
-    except (FormatError, InvalidInputError, OSError) as exc:
+    except (MatroidLabError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_MALFORMED
 

@@ -148,9 +148,16 @@ def parse_graph(text: str) -> Graph:
         raise FormatError(f"not a simple graph: {exc}", line=lineno) from None
 
 
-def load_function(path: str) -> BooleanFunction:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_function(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"non-ASCII byte 0x{exc.object[exc.start]:02x}") from None
+
+
+def load_function(path: str) -> BooleanFunction:
+    return parse_function(_read_text(path))
 
 
 def save_function(path: str, f: BooleanFunction) -> None:
@@ -159,8 +166,7 @@ def save_function(path: str, f: BooleanFunction) -> None:
 
 
 def load_matroid(path: str) -> BinaryMatroid:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_matroid(fh.read())
+    return parse_matroid(_read_text(path))
 
 
 def save_matroid(path: str, m: BinaryMatroid) -> None:
@@ -169,8 +175,7 @@ def save_matroid(path: str, m: BinaryMatroid) -> None:
 
 
 def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path))
 
 
 def save_graph(path: str, g: Graph) -> None:

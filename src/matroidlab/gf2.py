@@ -314,10 +314,6 @@ class LinearMap:
         return GFVector(self.codomain_dim, bits)
 
 
-def apply_map(m: LinearMap, x: GFVector) -> GFVector:
-    return m.apply(x)
-
-
 def identity_map(n: int) -> LinearMap:
     return LinearMap(n, tuple(unit_vector(n, j) for j in range(n)))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .boolfn import BooleanFunction
+from .boolfn import WHT_MAX_N, BooleanFunction
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from .gf2 import GFVector, LinearMap, Subspace, rank_and_basis
 
@@ -60,7 +60,10 @@ class Graph:
         return Graph(self.V, tuple(x for x in self.edges if x != e))
 
 
-def _connected_with_edges(V: int, edges: Sequence[tuple[int, int]]) -> bool:
+def _union_find(V: int, edges: Sequence[tuple[int, int]]):
+    """Union-find over vertices 0..V-1 fed `edges` in order. Returns the
+    final find function and the indices of the edges that merged two
+    components (a spanning forest; every other edge closes a cycle)."""
     parent = list(range(V))
 
     def find(x):
@@ -69,13 +72,17 @@ def _connected_with_edges(V: int, edges: Sequence[tuple[int, int]]) -> bool:
             x = parent[x]
         return x
 
-    parts = V
-    for u, v in edges:
+    forest = []
+    for idx, (u, v) in enumerate(edges):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-            parts -= 1
-    return parts == 1
+            forest.append(idx)
+    return find, forest
+
+
+def _connected_with_edges(V: int, edges: Sequence[tuple[int, int]]) -> bool:
+    return len(_union_find(V, edges)[1]) == V - 1
 
 
 def cycle_graph(k: int) -> Graph:
@@ -212,29 +219,10 @@ def graphic_from_graph(g: Graph) -> BinaryMatroid:
     return BinaryMatroid(vectors, label=f"graphic(V={g.V},E={len(g.edges)})")
 
 
-def _spanning_tree_and_chords(g: Graph) -> tuple[list[int], list[int]]:
-    parent = list(range(g.V))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree, chords = [], []
-    for idx, (u, v) in enumerate(g.edges):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            chords.append(idx)
-        else:
-            parent[ru] = rv
-            tree.append(idx)
-    return tree, chords
-
-
 def _fundamental_cycles(g: Graph) -> list[int]:
     """One edge-set bitmask per chord: the chord plus its tree path."""
-    tree, chords = _spanning_tree_and_chords(g)
+    tree = _union_find(g.V, g.edges)[1]
+    chords = sorted(set(range(len(g.edges))) - set(tree))
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.V)}
     for idx in tree:
         u, v = g.edges[idx]
@@ -451,35 +439,40 @@ def has_complexity_one(m: BinaryMatroid) -> bool:
     return complexity(m, cap=1) is not None
 
 
-def cog_partition_criterion(g: Graph, e: tuple[int, int]) -> bool:
-    """True iff the edges other than e split into two parts that each
-    span a connected subgraph on all of V(G). Exhaustive over partitions
-    with edge-count and symmetry pruning.
-
-    Holding at every edge is sufficient but not necessary for complexity
-    1 of M*(G): K_4 and K_3,3 fail it at every edge yet have complexity
-    1. The exact per-edge condition is `cog_endpoint_partition_criterion`."""
+def _edge_split_exists(g: Graph, e: tuple[int, int], min_side: int, side_ok) -> bool:
+    """True iff E \\ {e} splits into A, B of at least min_side edges each
+    with side_ok(A) and side_ok(B). Exhaustive over the splits, with the
+    first remaining edge pinned to A (splits are unordered)."""
     if not g.is_connected():
         raise InvalidInputError("criterion defined for connected graphs")
     e = tuple(sorted(e))
     if e not in g.edges:
         raise InvalidInputError(f"edge {e} not in graph")
     rest = [x for x in g.edges if x != e]
-    need = g.V - 1
-    if len(rest) < 2 * need:
+    if len(rest) < 2 * min_side:
         return False
     free = rest[1:]
-    nfree = len(free)
-    for a in range(1 << nfree):
+    for a in range(1 << len(free)):
         side_a = [rest[0]]
         side_b = []
-        for idx in range(nfree):
-            (side_a if a >> idx & 1 else side_b).append(free[idx])
-        if len(side_a) < need or len(side_b) < need:
+        for idx, x in enumerate(free):
+            (side_a if a >> idx & 1 else side_b).append(x)
+        if len(side_a) < min_side or len(side_b) < min_side:
             continue
-        if _connected_with_edges(g.V, side_a) and _connected_with_edges(g.V, side_b):
+        if side_ok(side_a) and side_ok(side_b):
             return True
     return False
+
+
+def cog_partition_criterion(g: Graph, e: tuple[int, int]) -> bool:
+    """True iff the edges other than e split into two parts that each
+    span a connected subgraph on all of V(G). Exhaustive over partitions
+    with edge-count (each part needs V - 1 edges) and symmetry pruning.
+
+    Holding at every edge is sufficient but not necessary for complexity
+    1 of M*(G): K_4 and K_3,3 fail it at every edge yet have complexity
+    1. The exact per-edge condition is `cog_endpoint_partition_criterion`."""
+    return _edge_split_exists(g, e, g.V - 1, lambda side: _connected_with_edges(g.V, side))
 
 
 def cog_endpoint_partition_criterion(g: Graph, e: tuple[int, int]) -> bool:
@@ -487,40 +480,11 @@ def cog_endpoint_partition_criterion(g: Graph, e: tuple[int, int]) -> bool:
     of e. This, not the global-connectivity criterion above, is exactly
     complexity-1 of M*(G) at e: v_e lies in span(A) iff e bridges
     B + e, i.e. iff B fails to join e's endpoints."""
-    if not g.is_connected():
-        raise InvalidInputError("criterion defined for connected graphs")
-    e = tuple(sorted(e))
-    if e not in g.edges:
-        raise InvalidInputError(f"edge {e} not in graph")
-    u, v = e
-    rest = [x for x in g.edges if x != e]
-    if not rest:
-        return False
-    nfree = len(rest) - 1
-    for a in range(1 << nfree):
-        side_a = [rest[0]]
-        side_b = []
-        for idx in range(nfree):
-            (side_a if a >> idx & 1 else side_b).append(rest[idx + 1])
-        if _joins(g.V, side_a, u, v) and _joins(g.V, side_b, u, v):
-            return True
-    return False
+    def joins(side):
+        find = _union_find(g.V, side)[0]
+        return find(e[0]) == find(e[1])
 
-
-def _joins(V: int, edges: Sequence[tuple[int, int]], u: int, v: int) -> bool:
-    parent = list(range(V))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return find(u) == find(v)
+    return _edge_split_exists(g, e, 1, joins)
 
 
 @dataclass(frozen=True)
@@ -592,6 +556,8 @@ def canonical_function(m: BinaryMatroid, n: int) -> BooleanFunction:
     low-m part x is a ground vector."""
     if n < m.m:
         raise InvalidInputError(f"n={n} must be at least ambient dimension {m.m}")
+    if n > WHT_MAX_N:
+        raise InvalidInputError(f"n={n} exceeds the truth-table cap {WHT_MAX_N}")
     if any(v == 0 for v in m.ints):
         raise InvalidInputError("canonical function requires nonzero ground vectors")
     distinct = sorted(set(m.ints))

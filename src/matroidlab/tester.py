@@ -14,6 +14,11 @@ vectors; assignment index t in [0, 2^(n*r)) gives basis image
 u_j = bits [j*n, (j+1)*n) of t, where basis[j] is the j-th vector of the
 matroid's canonical span basis. The first violation reported is the one
 with the smallest t.
+
+One kernel, `_match`, evaluates f at L(v_1), ..., L(v_k) for a batch of
+maps L and compares with Sigma. The exhaustive scan feeds it the basis
+images decoded from a chunk of assignment indices; run_tester feeds it
+random images of the presentation basis.
 """
 
 from __future__ import annotations
@@ -144,40 +149,65 @@ def _check_pattern_args(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec
             f"n*rank = {f.n * m.rank} exceeds exhaustive budget {budget_bits}")
 
 
+def _match(tables: Sequence[np.ndarray], sigma: Sequence[int], coords: Sequence[int],
+           column, size: int) -> np.ndarray:
+    """The evaluation kernel: for a batch of `size` linear maps, which
+    ones send every ground vector i to a point where tables[i] equals
+    sigma[i].
+
+    coords[i] is ground vector i as a mask over basis vectors; column(j)
+    is the array of images of basis vector j across the batch, fetched
+    lazily and at most once. A zero ground vector sees point 0 under
+    every map. Stops early once no map in the batch can match.
+    """
+    cols = {}
+    match = None
+    for i, cmask in enumerate(coords):
+        pts = None
+        j = 0
+        cm = cmask
+        while cm:
+            if cm & 1:
+                if j not in cols:
+                    cols[j] = column(j)
+                pts = cols[j] if pts is None else pts ^ cols[j]
+            cm >>= 1
+            j += 1
+        if pts is None:
+            pts = np.zeros(size, dtype=np.int64)
+        good = tables[i][pts] == sigma[i]
+        match = good if match is None else (match & good)
+        if not match.any():
+            break
+    return match
+
+
 def _scan_chunks(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
                  sigma: Sequence[int], r: int):
     """Yield (start, match_bool_array) over assignment indices, in order.
 
     tables[i] is the truth table evaluated at point i; coords[i] is the
-    basis mask of ground vector i.
+    basis mask of ground vector i. The total is a power of two, so all
+    chunks have one length and share one index buffer and one buffer per
+    basis column: 8 MB arrays allocated afresh per chunk were handed back
+    to the OS and faulted in again on the next chunk.
     """
     total = 1 << (n * r)
     mask = (1 << n) - 1
+    ts = np.arange(min(total, _CHUNK), dtype=np.int64)
+    cols = {}
+
+    def column(j):
+        col = cols.get(j)
+        if col is None:
+            col = cols[j] = np.empty_like(ts)
+        np.right_shift(ts, j * n, out=col)
+        col &= mask
+        return col
+
     for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        ts = np.arange(start, stop, dtype=np.int64)
-        us = {}
-        match = None
-        for i, cmask in enumerate(coords):
-            pts = None
-            j = 0
-            cm = cmask
-            while cm:
-                if cm & 1:
-                    if j not in us:
-                        us[j] = (ts >> (j * n)) & mask
-                    pts = us[j] if pts is None else pts ^ us[j]
-                cm >>= 1
-                j += 1
-            if pts is None:
-                vals = np.full(ts.shape, int(tables[i][0]), dtype=np.uint8)
-            else:
-                vals = tables[i][pts]
-            good = vals == sigma[i]
-            match = good if match is None else (match & good)
-            if not match.any():
-                break
-        yield start, match
+        yield start, _match(tables, sigma, coords, column, len(ts))
+        ts += len(ts)
 
 
 def find_pattern(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
@@ -264,23 +294,13 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
     if samples < 1:
         raise InvalidInputError("samples must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
-    n = f.n
+    tables = [f.table] * m.k
     rejections = 0
     remaining = samples
     while remaining:
         batch = min(remaining, _CHUNK)
-        images = rng.integers(0, 1 << n, size=(batch, m.m), dtype=np.int64)
-        match = np.ones(batch, dtype=bool)
-        for i, vec in enumerate(m.ints):
-            pts = np.zeros(batch, dtype=np.int64)
-            j = 0
-            v = vec
-            while v:
-                if v & 1:
-                    pts ^= images[:, j]
-                v >>= 1
-                j += 1
-            match &= f.table[pts] == sigma.sigma[i]
+        images = rng.integers(0, 1 << f.n, size=(batch, m.m), dtype=np.int64)
+        match = _match(tables, sigma.sigma, m.ints, lambda j: images[:, j], batch)
         rejections += int(match.sum())
         remaining -= batch
     return rejections, Fraction(rejections, samples)

@@ -1,12 +1,11 @@
 import json
-import os
 import re
 import subprocess
 import sys
 
 import pytest
 
-from matroidlab.cli import (ExperimentConfig, Report, emit_plot_data,
+from matroidlab.cli import (ExperimentConfig, Report, emit_plot_data, main,
                             run_experiment)
 from matroidlab.errors import InvalidInputError
 from matroidlab.fileio import save_function, save_graph, save_matroid
@@ -14,12 +13,11 @@ from matroidlab.matroid import (canonical_function, cycle_graph, graphic_from_gr
                                 named_graph)
 
 
-def run_cli(*args, env=None, **kwargs):
-    """Run the CLI in a child process; `env` holds overrides merged onto
-    the parent environment, so PYTHONPATH and the like carry over."""
+def run_cli(*args, **kwargs):
+    """Run the CLI in a child process that inherits this environment, so
+    PYTHONPATH and the like carry over."""
     return subprocess.run([sys.executable, "-m", "matroidlab", *args],
-                          capture_output=True, text=True,
-                          env={**os.environ, **(env or {})}, **kwargs)
+                          capture_output=True, text=True, **kwargs)
 
 
 @pytest.fixture
@@ -82,6 +80,20 @@ def test_malformed_input_exit_code(workdir):
     assert r.returncode == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--function", "{d}/canon.boolfn", "--matroid", "{d}/k3.matroid",
+     "--sigma", "11"],
+    ["fourier", "--function", "{d}/latin1.boolfn"],
+    ["regularity", "-n", "3", "--eps", "abc"],
+    ["canonical", "--matroid", "{d}/k3.matroid", "-n", "30", "--out", "{d}/big.boolfn"],
+])
+def test_malformed_input_one_line_exit_4(workdir, capsys, argv):
+    (workdir / "latin1.boolfn").write_bytes(b"boolfn v1\nn=2\ntable=0\xe6\n")
+    assert main([a.format(d=workdir) for a in argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_report_determinism(workdir):
     args = ("test", "--calibrate", "-n", "6", "--samples", "2000",
             "--buckets", "3", "--seed", "42")
@@ -104,13 +116,6 @@ def test_report_shape_and_sorted_keys(workdir):
     assert doc["results"]["span_count"]["exact"] is True
     # serialized with sorted keys
     assert r.stdout == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def test_workers_env_validation(workdir):
-    r = run_cli("complexity", "--sweep", "--graphs", "c3",
-                env={"MATROIDLAB_WORKERS": "0"})
-    assert r.returncode == 4
-    assert "MATROIDLAB_WORKERS" in r.stderr
 
 
 def test_plot_data(workdir):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from matroidlab.gf2 import (Coset, GFVector, LinearMap, Subspace, apply_map,
+from matroidlab.gf2 import (Coset, GFVector, LinearMap, Subspace,
                             coset_decompose, enumerate_span, enumerate_subspaces,
                             gaussian_binomial, identity_map, in_span,
                             random_nonsingular_map, rank_and_basis, unit_vector,

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -248,6 +249,18 @@ def test_canonical_function_examples():
     zero_elem = BinaryMatroid([GFVector(2, 0), GFVector(2, 1)])
     with pytest.raises(InvalidInputError):
         canonical_function(zero_elem, 3)
+
+
+def test_canonical_function_size_cap_before_allocation():
+    c3 = graphic_from_graph(cycle_graph(3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError):
+            canonical_function(c3, 25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_canonical_function_contains_matroid_at_embedding():

@@ -145,6 +145,35 @@ def test_run_tester_deterministic():
     assert a != c  # overwhelmingly likely: different seed, different draws
 
 
+EVEN3 = BooleanFunction.from_ones(3, [0, 3, 5, 6])
+ODD3 = EVEN3.complement()
+RANK0 = BinaryMatroid([GFVector(2, 0), GFVector(2, 0)])
+ZERO_PARALLEL = BinaryMatroid([GFVector(2, 0), GFVector(2, 1), GFVector(2, 1)])
+
+
+@pytest.mark.parametrize("m, f, sigma, images, points, count, rejections", [
+    (RANK0, EVEN3, "11", [], ["000", "000"], 1, 1000),
+    (RANK0, EVEN3, "10", None, None, 0, 0),
+    (RANK0, ODD3, "00", [], ["000", "000"], 1, 1000),
+    (ZERO_PARALLEL, EVEN3, "111", ["000"], ["000", "000", "000"], 4, 496),
+    (ZERO_PARALLEL, EVEN3, "100", ["100"], ["000", "100", "100"], 4, 504),
+    (ZERO_PARALLEL, ODD3, "011", ["100"], ["000", "100", "100"], 4, 504),
+    (ZERO_PARALLEL, ODD3, "111", None, None, 0, 0),
+])
+def test_zero_ground_vector(m, f, sigma, images, points, count, rejections):
+    """A zero ground vector is evaluated at point 0 under every map, in
+    the exhaustive scan and in the sampled tester alike."""
+    sigma = PatternSpec.from_string(sigma)
+    inst = find_pattern(f, m, sigma)
+    if images is None:
+        assert inst is None
+    else:
+        assert [u.to_bits() for u in inst.map.images] == images
+        assert [p.to_bits() for p in inst.points] == points
+    assert count_patterns(f, m, sigma).span_count == count
+    assert run_tester(f, m, sigma, 1000, seed=5)[0] == rejections
+
+
 def test_run_tester_rate_tracks_density():
     f = canonical_function(C3, 6)
     p = count_patterns(f, C3, S111).density
