@@ -13,11 +13,11 @@ from matroidlab.matroid import (canonical_function, cycle_graph, graphic_from_gr
                                 named_graph)
 
 
-def run_cli(*args, **kwargs):
+def run_cli(*args):
     """Run the CLI in a child process that inherits this environment, so
     PYTHONPATH and the like carry over."""
     return subprocess.run([sys.executable, "-m", "matroidlab", *args],
-                          capture_output=True, text=True, **kwargs)
+                          capture_output=True, text=True)
 
 
 @pytest.fixture
