@@ -86,6 +86,12 @@ def test_malformed_input_exit_code(workdir):
     ["fourier", "--function", "{d}/latin1.boolfn"],
     ["regularity", "-n", "3", "--eps", "abc"],
     ["canonical", "--matroid", "{d}/k3.matroid", "-n", "30", "--out", "{d}/big.boolfn"],
+    ["test", "--function", "{d}/canon.boolfn", "--sigma", "111"],
+    ["fourier", "--cycle-count", "3"],
+    ["fourier"],
+    ["complexity"],
+    ["graphic", "--graph", "{d}/k3.graph"],
+    ["canonical", "--matroid", "{d}/k3.matroid", "-n", "4"],
 ])
 def test_malformed_input_one_line_exit_4(workdir, capsys, argv):
     (workdir / "latin1.boolfn").write_bytes(b"boolfn v1\nn=2\ntable=0\xe6\n")

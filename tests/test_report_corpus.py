@@ -67,6 +67,17 @@ COMMANDS = [
     "characterize -k 3 -n 2",
     "hierarchy --kind cycles -k 3 -n 6",
     "hierarchy --kind cliques -a 3 -b 4 -n 4",
+    "test --calibrate --function {d}/r4.boolfn --matroid {d}/c3.matroid --sigma 110 --samples 2000 --buckets 2 --seed 4",
+    "test --calibrate --samples 500 --seed 6",
+    "test --function {d}/r4.boolfn --matroid {d}/c3.matroid --sigma 101",
+    "regularity --function {d}/r4.boolfn --eps 1/2 --max-codim 1",
+    "regularity --seed 5",
+    "fourier --function {d}/r11.boolfn --cycle-count 4",
+    "complexity --matroid {d}/c5.matroid",
+    "hierarchy -n 6",
+    "characterize",
+    "fourier --check-von-neumann --trials 3",
+    "complexity --sweep",
 ]
 
 
