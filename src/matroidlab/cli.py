@@ -2,8 +2,11 @@
 orchestration, and structured report emission.
 
 Reports are JSON documents with sorted keys; every numeric result is
-wrapped as {"value": ..., "exact": true|false}. Identical configs and
+wrapped as {"value": ..., "exact": true|false}. Identical arguments and
 seeds produce byte-identical reports except for the runtime_ms field.
+
+`main(argv)` is the Python entry point: it takes the command-line
+arguments as a list and returns the exit code.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from functools import partial
 
 import numpy as np
 
@@ -25,11 +28,11 @@ from .families import verify_characterization
 from .fileio import (load_function, load_graph, load_matroid, save_function,
                      save_matroid)
 from .gf2 import GFVector
-from .matroid import (BinaryMatroid, canonical_function, circuits, cographic_from_graph,
-                      complexity, cycle_space_basis, find_homomorphism,
-                      graphic_from_graph, named_graph, odd_girth)
-from .tester import (PatternSpec, brute_force_cycle_count, count_patterns,
-                     cycle_count_fourier, derive_seed, find_pattern,
+from .matroid import (canonical_function, circuits, cographic_from_graph, complexity,
+                      cycle_space_basis, find_homomorphism, graphic_from_graph,
+                      named_graph, odd_girth)
+from .tester import (PATTERN_BUDGET_BITS, PatternSpec, brute_force_cycle_count,
+                     count_patterns, cycle_count_fourier, derive_seed, find_pattern,
                      min_repair_distance, pattern_hitting_number, run_tester,
                      von_neumann_gap)
 
@@ -43,16 +46,6 @@ SWEEP_CORPUS = ("c3", "c4", "c5", "c6", "c7", "c8", "k4", "k5", "k5e", "petersen
 
 class PropertyViolation(MatroidLabError):
     """An assertion-style check found a violating pattern."""
-
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    inputs: dict[str, str] = field(default_factory=dict)
-    params: dict[str, Any] = field(default_factory=dict)
-    seed: int = 0
-    budget: Optional[int] = None
-    out: Optional[str] = None
 
 
 @dataclass
@@ -95,11 +88,12 @@ def sampled(v) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# experiment pipelines
+# experiment pipelines: each reads the parsed arguments and returns
+# (params, results)
 
 
-def _exp_complexity_sweep(cfg: ExperimentConfig):
-    names = cfg.params.get("graphs") or list(SWEEP_CORPUS)
+def _exp_complexity_sweep(args):
+    names = args.graphs or list(SWEEP_CORPUS)
     results = {}
     for name in names:
         m = graphic_from_graph(named_graph(name))
@@ -108,16 +102,15 @@ def _exp_complexity_sweep(cfg: ExperimentConfig):
     return {"graphs": list(names)}, results
 
 
-def _exp_complexity_single(cfg: ExperimentConfig):
-    m = load_matroid(cfg.inputs["matroid"])
-    cap = cfg.params.get("cap", 1)
-    c = complexity(m, cap=cap)
-    return ({"cap": cap, "k": m.k, "m": m.m},
+def _exp_complexity_single(args):
+    m = load_matroid(args.matroid)
+    c = complexity(m, cap=args.cap)
+    return ({"cap": args.cap, "k": m.k, "m": m.m},
             {"complexity": exact(c if c is not None else "exceeds cap")})
 
 
-def _exp_circuits(cfg: ExperimentConfig):
-    m = load_matroid(cfg.inputs["matroid"])
+def _exp_circuits(args):
+    m = load_matroid(args.matroid)
     subsets = circuits(m)
     return ({"k": m.k, "m": m.m},
             {"circuit_count": exact(len(subsets)),
@@ -125,19 +118,17 @@ def _exp_circuits(cfg: ExperimentConfig):
              "cycle_space_basis": [list(c) for c in cycle_space_basis(m)]})
 
 
-def _exp_oddgirth(cfg: ExperimentConfig):
-    m = load_matroid(cfg.inputs["matroid"])
+def _exp_oddgirth(args):
+    m = load_matroid(args.matroid)
     og = odd_girth(m)
     return ({"k": m.k, "m": m.m},
             {"odd_girth": exact(og if og is not None else "none")})
 
 
-def _exp_hom(cfg: ExperimentConfig):
-    source = load_matroid(cfg.inputs["source"])
-    target = load_matroid(cfg.inputs["target"])
-    kwargs = {}
-    if cfg.budget is not None:
-        kwargs["node_budget"] = cfg.budget
+def _exp_hom(args):
+    source = load_matroid(args.source)
+    target = load_matroid(args.target)
+    kwargs = {"node_budget": args.budget} if args.budget is not None else {}
     phi = find_homomorphism(source, target, **kwargs)
     found = phi is not None
     return ({"source_k": source.k, "target_k": target.k},
@@ -145,17 +136,20 @@ def _exp_hom(cfg: ExperimentConfig):
              "assignment": list(phi.assignment) if found else "none"})
 
 
-def _freeness_args(cfg: ExperimentConfig):
-    f = load_function(cfg.inputs["function"])
-    m = load_matroid(cfg.inputs["matroid"])
-    sigma = PatternSpec.from_string(cfg.params["sigma"])
+def _freeness_args(args):
+    f = load_function(args.function)
+    m = load_matroid(args.matroid)
+    sigma = PatternSpec.from_string(args.sigma)
     return f, m, sigma
 
 
-def _exp_free(cfg: ExperimentConfig):
-    f, m, sigma = _freeness_args(cfg)
-    kwargs = {"budget_bits": cfg.budget} if cfg.budget is not None else {}
-    inst = find_pattern(f, m, sigma, **kwargs)
+def _budget_bits(args) -> int:
+    return args.budget if args.budget is not None else PATTERN_BUDGET_BITS
+
+
+def _exp_free(args):
+    f, m, sigma = _freeness_args(args)
+    inst = find_pattern(f, m, sigma, budget_bits=_budget_bits(args))
     results = {"free": inst is None, "sigma": str(sigma)}
     if inst is not None:
         results["witness_points"] = [p.to_bits() for p in inst.points]
@@ -163,10 +157,9 @@ def _exp_free(cfg: ExperimentConfig):
     return {"n": f.n, "k": m.k, "sigma": str(sigma)}, results
 
 
-def _exp_count(cfg: ExperimentConfig):
-    f, m, sigma = _freeness_args(cfg)
-    kwargs = {"budget_bits": cfg.budget} if cfg.budget is not None else {}
-    rep = count_patterns(f, m, sigma, **kwargs)
+def _exp_count(args):
+    f, m, sigma = _freeness_args(args)
+    rep = count_patterns(f, m, sigma, budget_bits=_budget_bits(args))
     return ({"n": f.n, "k": m.k, "rank": rep.rank, "sigma": str(sigma)},
             {"span_count": exact(rep.span_count),
              "span_total": exact(rep.span_total),
@@ -178,49 +171,47 @@ def _exp_count(cfg: ExperimentConfig):
                  "presentation space {0,1}^m"})
 
 
-def _exp_test(cfg: ExperimentConfig):
-    f, m, sigma = _freeness_args(cfg)
-    samples = cfg.params.get("samples", 100000)
-    rejections, rate = run_tester(f, m, sigma, samples, cfg.seed)
+def _exp_test(args):
+    f, m, sigma = _freeness_args(args)
+    rejections, rate = run_tester(f, m, sigma, args.samples, args.seed)
     results = {
-        "samples": exact(samples),
+        "samples": exact(args.samples),
         "rejections": sampled(rejections),
         "empirical_rate": sampled(str(rate)),
     }
-    if f.n * m.rank <= (cfg.budget if cfg.budget is not None else 30):
-        results["exact_density"] = exact(count_patterns(f, m, sigma).density)
-    return {"n": f.n, "k": m.k, "samples": samples, "sigma": str(sigma)}, results
+    budget = _budget_bits(args)
+    if f.n * m.rank <= budget:
+        results["exact_density"] = exact(
+            count_patterns(f, m, sigma, budget_bits=budget).density)
+    return {"n": f.n, "k": m.k, "samples": args.samples, "sigma": str(sigma)}, results
 
 
-def _exp_tester_calibration(cfg: ExperimentConfig):
-    n = cfg.params.get("n", 10)
-    samples = cfg.params.get("samples", 100000)
-    buckets = cfg.params.get("buckets", 5)
-    if "function" in cfg.inputs:
-        base = load_function(cfg.inputs["function"])
-        n = base.n
+def _exp_tester_calibration(args):
+    if args.function:
+        base = load_function(args.function)
     else:
-        base = canonical_function(graphic_from_graph(named_graph("c3")), n)
-    if "matroid" in cfg.inputs:
-        m = load_matroid(cfg.inputs["matroid"])
+        base = canonical_function(graphic_from_graph(named_graph("c3")), args.n)
+    if args.matroid:
+        m = load_matroid(args.matroid)
     else:
         m = graphic_from_graph(named_graph("c3"))
-    sigma = PatternSpec.from_string(cfg.params.get("sigma", "1" * m.k))
+    sigma = PatternSpec.from_string(args.sigma or "1" * m.k)
     ones = base.ones()
     rows = []
     size = 1 << base.n
-    for i in range(buckets):
-        prune_rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 1, i)))
-        remove = round(len(ones) * i / max(buckets - 1, 1))
+    for i in range(args.buckets):
+        prune_rng = np.random.Generator(np.random.PCG64(derive_seed(args.seed, 1, i)))
+        remove = round(len(ones) * i / max(args.buckets - 1, 1))
         removed = prune_rng.choice(len(ones), size=remove, replace=False) if remove else []
         table = base.table.copy()
         for idx in removed:
             table[ones[int(idx)]] = 0
         variant = BooleanFunction(base.n, table)
         exact_density = count_patterns(variant, m, sigma).density
-        _, rate = run_tester(variant, m, sigma, samples, derive_seed(cfg.seed, 2, i))
+        _, rate = run_tester(variant, m, sigma, args.samples, derive_seed(args.seed, 2, i))
         rows.append([str(Fraction(remove, size)), str(rate), str(exact_density)])
-    return ({"buckets": buckets, "n": n, "samples": samples, "sigma": str(sigma)},
+    return ({"buckets": args.buckets, "n": base.n, "samples": args.samples,
+             "sigma": str(sigma)},
             {"series": {
                 "columns": ["distance_bucket", "empirical_rate", "exact_density"],
                 "exact_columns": [True, False, True],
@@ -228,8 +219,8 @@ def _exp_tester_calibration(cfg: ExperimentConfig):
             }})
 
 
-def _exp_distance(cfg: ExperimentConfig):
-    f, m, sigma = _freeness_args(cfg)
+def _exp_distance(args):
+    f, m, sigma = _freeness_args(args)
     rep = min_repair_distance(f, m, sigma)
     results = {
         "flips": exact(rep.flips),
@@ -242,10 +233,11 @@ def _exp_distance(cfg: ExperimentConfig):
     return {"n": f.n, "k": m.k, "sigma": str(sigma)}, results
 
 
-def _exp_fourier(cfg: ExperimentConfig):
-    f = load_function(cfg.inputs["function"])
+def _exp_fourier(args):
+    f = load_function(args.function)
     spectrum = wht(f)
-    top = sorted(range(1 << f.n), key=lambda a: (-abs(spectrum.coeff(a)), a))[:16]
+    # a stable sort keeps equal magnitudes in increasing alpha order
+    top = np.argsort(-np.abs(spectrum.coeffs), kind="stable")[:16].tolist()
     return ({"n": f.n},
             {"ones_count": exact(f.ones_count()),
              "parseval_power_sum": exact(spectrum.power_sum(2)),
@@ -256,63 +248,52 @@ def _exp_fourier(cfg: ExperimentConfig):
                  for a in top]})
 
 
-def _exp_von_neumann(cfg: ExperimentConfig):
-    n = cfg.params.get("n", 6)
-    trials = cfg.params.get("trials", 100)
-    if "matroid" in cfg.inputs:
-        m = load_matroid(cfg.inputs["matroid"])
-    else:
-        m = graphic_from_graph(named_graph(cfg.params.get("graph", "c3")))
+def _exp_von_neumann(args):
+    m = graphic_from_graph(named_graph(args.graph))
     violations = 0
     min_margin = None
-    for t in range(trials):
-        rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, t)))
-        fs = [random_function(n, rng) for _ in range(m.k)]
+    for t in range(args.trials):
+        rng = np.random.Generator(np.random.PCG64(derive_seed(args.seed, t)))
+        fs = [random_function(args.n, rng) for _ in range(m.k)]
         rep = von_neumann_gap(fs, m)
         if not rep.holds:
             violations += 1
         margin = rep.rhs_fourth_power - rep.lhs ** 4
         if min_margin is None or margin < min_margin:
             min_margin = margin
-    return ({"n": n, "trials": trials, "k": m.k},
+    return ({"n": args.n, "trials": args.trials, "k": m.k},
             {"violations": exact(violations),
              "min_margin_fourth_power": exact(min_margin)})
 
 
-def _exp_regularity(cfg: ExperimentConfig):
-    if "function" in cfg.inputs:
-        f = load_function(cfg.inputs["function"])
+def _exp_regularity(args):
+    if args.function:
+        f = load_function(args.function)
     else:
-        n = cfg.params.get("n", 4)
-        rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0)))
-        f = random_function(n, rng)
-    raw_eps = cfg.params.get("eps", "1/4")
+        rng = np.random.Generator(np.random.PCG64(derive_seed(args.seed, 0)))
+        f = random_function(args.n, rng)
     try:
-        eps = Fraction(raw_eps)
+        eps = Fraction(args.eps)
     except (ValueError, ZeroDivisionError):
-        raise InvalidInputError(f"eps is not a fraction: {raw_eps!r}") from None
-    max_codim = cfg.params.get("max_codim")
-    sub, frac = regularity_decompose(f, eps, max_codim)
+        raise InvalidInputError(f"eps is not a fraction: {args.eps!r}") from None
+    sub, frac = regularity_decompose(f, eps, args.max_codim)
     return ({"eps": str(eps), "n": f.n},
             {"codim": exact(sub.codim),
              "uniform_fraction": exact(frac),
              "subspace_basis": [b.to_bits() for b in sub.basis]})
 
 
-def _exp_characterize(cfg: ExperimentConfig):
-    k = cfg.params.get("k", 4)
-    n = cfg.params.get("n", 3)
-    rep = verify_characterization(n, k)
+def _exp_characterize(args):
+    rep = verify_characterization(args.n, args.k)
     doc = rep.to_dict()
-    return ({"k": k, "n": n},
+    return ({"k": args.k, "n": args.n},
             {"mismatches": exact(doc["mismatches"]),
              "containment_failures": doc["containment_failures"],
              "sigma_verdicts": doc["sigma_verdicts"]})
 
 
-def _exp_hierarchy_cycles(cfg: ExperimentConfig):
-    k = cfg.params.get("k", 3)
-    n = cfg.params.get("n", 7)
+def _exp_hierarchy_cycles(args):
+    k, n = args.k, args.n
     if k % 2 == 0 or k < 3:
         raise InvalidInputError("cycle hierarchy needs odd k >= 3")
     big = k + 2
@@ -329,13 +310,11 @@ def _exp_hierarchy_cycles(cfg: ExperimentConfig):
              "farness_lower_bound_flips": exact(1 << (n - big))})
 
 
-def _exp_hierarchy_cliques(cfg: ExperimentConfig):
-    a = cfg.params.get("a", 3)
-    b = cfg.params.get("b", 5)
-    n = cfg.params.get("n", 5)
+def _exp_hierarchy_cliques(args):
+    a, b, n = args.a, args.b, args.n
     m_a = graphic_from_graph(named_graph(f"k{a}"))
     m_b = graphic_from_graph(named_graph(f"k{b}"))
-    kwargs = {"node_budget": cfg.budget} if cfg.budget is not None else {}
+    kwargs = {"node_budget": args.budget} if args.budget is not None else {}
     phi = find_homomorphism(m_b, m_a, **kwargs)
     f = canonical_function(m_a, n)
     free = find_pattern(f, m_b, PatternSpec.all_ones(m_b.k)) is None
@@ -344,9 +323,9 @@ def _exp_hierarchy_cliques(cfg: ExperimentConfig):
              f"canonical_k{a}_is_k{b}_free": free})
 
 
-def _exp_fourier_count(cfg: ExperimentConfig):
-    f = load_function(cfg.inputs["function"])
-    k = cfg.params.get("k", 3)
+def _exp_fourier_count(args):
+    f = load_function(args.function)
+    k = args.cycle_count
     fast = cycle_count_fourier(f, k)
     results = {"cycle_count": exact(fast)}
     if f.n * (k - 1) <= 24:
@@ -354,38 +333,6 @@ def _exp_fourier_count(cfg: ExperimentConfig):
         results["brute_force_count"] = exact(brute)
         results["oracle_match"] = brute == fast
     return {"k": k, "n": f.n}, results
-
-
-_PIPELINES = {
-    "complexity-sweep": _exp_complexity_sweep,
-    "complexity": _exp_complexity_single,
-    "circuits": _exp_circuits,
-    "oddgirth": _exp_oddgirth,
-    "hom": _exp_hom,
-    "free": _exp_free,
-    "count": _exp_count,
-    "test": _exp_test,
-    "tester-calibration": _exp_tester_calibration,
-    "distance": _exp_distance,
-    "fourier": _exp_fourier,
-    "cycle-count": _exp_fourier_count,
-    "von-neumann": _exp_von_neumann,
-    "regularity-search": _exp_regularity,
-    "characterize": _exp_characterize,
-    "hierarchy-cycles": _exp_hierarchy_cycles,
-    "hierarchy-cliques": _exp_hierarchy_cliques,
-}
-
-
-def run_experiment(cfg: ExperimentConfig) -> Report:
-    """Execute a named pipeline and assemble its report."""
-    if cfg.experiment not in _PIPELINES:
-        raise InvalidInputError(f"unknown experiment {cfg.experiment!r}")
-    start = time.monotonic()
-    params, results = _PIPELINES[cfg.experiment](cfg)
-    runtime_ms = int((time.monotonic() - start) * 1000)
-    return Report(experiment=cfg.experiment, params=params, results=results,
-                  seed=cfg.seed, runtime_ms=runtime_ms, version=__version__)
 
 
 def emit_plot_data(report: Report) -> str:
@@ -400,8 +347,88 @@ def emit_plot_data(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report(experiment: str, pipeline, args) -> int:
+    """Run one pipeline, write its report, then apply --plot-out and
+    --assert-free where the subcommand has them."""
+    start = time.monotonic()
+    params, results = pipeline(args)
+    runtime_ms = int((time.monotonic() - start) * 1000)
+    report = Report(experiment=experiment, params=params, results=results,
+                    seed=args.seed, runtime_ms=runtime_ms, version=__version__)
+    text = report.to_json()
+    if args.out:
+        with open(args.out, "w", encoding="ascii") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    if getattr(args, "plot_out", None):
+        with open(args.plot_out, "w", encoding="ascii") as fh:
+            fh.write(emit_plot_data(report))
+    if getattr(args, "assert_free", False) and not results.get("free", True):
+        raise PropertyViolation("function contains the forbidden pattern")
+    return EXIT_OK
+
+
+# subcommands with a mode pick their experiment here
+
+
+def _run_complexity(args) -> int:
+    if args.sweep:
+        return _report("complexity-sweep", _exp_complexity_sweep, args)
+    if not args.matroid:
+        raise InvalidInputError("complexity needs --matroid or --sweep")
+    return _report("complexity", _exp_complexity_single, args)
+
+
+def _run_test(args) -> int:
+    if args.calibrate:
+        return _report("tester-calibration", _exp_tester_calibration, args)
+    if not (args.function and args.matroid and args.sigma):
+        raise InvalidInputError("test needs --function, --matroid and --sigma")
+    return _report("test", _exp_test, args)
+
+
+def _run_fourier(args) -> int:
+    if args.check_von_neumann:
+        return _report("von-neumann", _exp_von_neumann, args)
+    if args.cycle_count is not None:
+        if not args.function:
+            raise InvalidInputError("fourier --cycle-count needs --function")
+        return _report("cycle-count", _exp_fourier_count, args)
+    if not args.function:
+        raise InvalidInputError("fourier needs --function")
+    return _report("fourier", _exp_fourier, args)
+
+
+def _run_hierarchy(args) -> int:
+    if args.kind == "cycles":
+        return _report("hierarchy-cycles", _exp_hierarchy_cycles, args)
+    return _report("hierarchy-cliques", _exp_hierarchy_cliques, args)
+
+
+# file writers check --out before any work
+
+
+def _write_matroid(build, args) -> int:
+    if not args.out:
+        raise InvalidInputError(f"{args.command} needs --out for the matroid file")
+    m = build(load_graph(args.graph))
+    save_matroid(args.out, m)
+    sys.stdout.write(f"wrote {args.command} matroid: k={m.k} m={m.m} rank={m.rank}\n")
+    return EXIT_OK
+
+
+def _write_canonical(args) -> int:
+    if not args.out:
+        raise InvalidInputError("canonical needs --out for the function file")
+    f = canonical_function(load_matroid(args.matroid), args.n)
+    save_function(args.out, f)
+    sys.stdout.write(f"wrote canonical function: n={f.n} ones={f.ones_count()}\n")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: each subcommand carries the code it runs as `run`
 
 
 class _Parser(argparse.ArgumentParser):
@@ -410,66 +437,62 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_MALFORMED, f"{self.prog}: error: {message}\n")
 
 
-def _write_report(report: Report, out: Optional[str]) -> None:
-    text = report.to_json()
-    if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="matroidlab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--out", default=None)
         return p
 
-    p = add("graphic", help="graph file -> graphic matroid file")
+    p = add("graphic", partial(_write_matroid, graphic_from_graph),
+            "graph file -> graphic matroid file")
     p.add_argument("--graph", required=True)
 
-    p = add("cographic", help="graph file -> cographic matroid file")
+    p = add("cographic", partial(_write_matroid, cographic_from_graph),
+            "graph file -> cographic matroid file")
     p.add_argument("--graph", required=True)
 
-    p = add("circuits", help="all circuits of a matroid")
+    p = add("circuits", partial(_report, "circuits", _exp_circuits),
+            "all circuits of a matroid")
     p.add_argument("--matroid", required=True)
 
-    p = add("oddgirth", help="odd girth of a matroid")
+    p = add("oddgirth", partial(_report, "oddgirth", _exp_oddgirth),
+            "odd girth of a matroid")
     p.add_argument("--matroid", required=True)
 
-    p = add("complexity", help="partition complexity of a matroid")
+    p = add("complexity", _run_complexity, "partition complexity of a matroid")
     p.add_argument("--matroid")
     p.add_argument("--cap", type=int, default=1)
     p.add_argument("--sweep", action="store_true",
                    help="run the named graphic-matroid corpus instead")
     p.add_argument("--graphs", nargs="*", default=None)
 
-    p = add("hom", help="search for a matroid homomorphism")
+    p = add("hom", partial(_report, "hom", _exp_hom), "search for a matroid homomorphism")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
 
-    p = add("canonical", help="canonical indicator function of a matroid")
+    p = add("canonical", _write_canonical, "canonical indicator function of a matroid")
     p.add_argument("--matroid", required=True)
     p.add_argument("-n", type=int, required=True)
 
-    p = add("free", help="exhaustive freeness check")
+    p = add("free", partial(_report, "free", _exp_free), "exhaustive freeness check")
     p.add_argument("--function", required=True)
     p.add_argument("--matroid", required=True)
     p.add_argument("--sigma", required=True)
     p.add_argument("--assert-free", action="store_true")
 
-    p = add("count", help="exact violation count")
+    p = add("count", partial(_report, "count", _exp_count), "exact violation count")
     p.add_argument("--function", required=True)
     p.add_argument("--matroid", required=True)
     p.add_argument("--sigma", required=True)
 
-    p = add("test", help="randomized k-query tester")
+    p = add("test", _run_test, "randomized k-query tester")
     p.add_argument("--function")
     p.add_argument("--matroid")
     p.add_argument("--sigma")
@@ -480,12 +503,13 @@ def build_parser() -> _Parser:
     p.add_argument("-n", type=int, default=10)
     p.add_argument("--plot-out", default=None)
 
-    p = add("distance", help="exact minimum repair distance")
+    p = add("distance", partial(_report, "distance", _exp_distance),
+            "exact minimum repair distance")
     p.add_argument("--function", required=True)
     p.add_argument("--matroid", required=True)
     p.add_argument("--sigma", required=True)
 
-    p = add("fourier", help="spectrum summary / counting / von Neumann")
+    p = add("fourier", _run_fourier, "spectrum summary / counting / von Neumann")
     p.add_argument("--function")
     p.add_argument("--cycle-count", type=int, default=None, metavar="K",
                    help="exact zero-sum k-tuple count via the spectrum")
@@ -495,17 +519,19 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("-n", type=int, default=6)
 
-    p = add("regularity", help="toy-scale regularity decomposition")
+    p = add("regularity", partial(_report, "regularity-search", _exp_regularity),
+            "toy-scale regularity decomposition")
     p.add_argument("--function")
     p.add_argument("--eps", default="1/4")
     p.add_argument("--max-codim", type=int, default=None)
     p.add_argument("-n", type=int, default=4)
 
-    p = add("characterize", help="verify the cycle characterization")
+    p = add("characterize", partial(_report, "characterize", _exp_characterize),
+            "verify the cycle characterization")
     p.add_argument("-k", type=int, default=4)
     p.add_argument("-n", type=int, default=3)
 
-    p = add("hierarchy", help="cycle/clique separation experiments")
+    p = add("hierarchy", _run_hierarchy, "cycle/clique separation experiments")
     p.add_argument("--kind", choices=("cycles", "cliques"), default="cycles")
     p.add_argument("-k", type=int, default=3)
     p.add_argument("-a", type=int, default=3)
@@ -515,120 +541,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _dispatch(args) -> int:
-    common = dict(seed=args.seed, budget=args.budget)
-    if args.command == "graphic" or args.command == "cographic":
-        g = load_graph(args.graph)
-        m = graphic_from_graph(g) if args.command == "graphic" else cographic_from_graph(g)
-        if not args.out:
-            raise InvalidInputError(f"{args.command} needs --out for the matroid file")
-        save_matroid(args.out, m)
-        sys.stdout.write(f"wrote {args.command} matroid: k={m.k} m={m.m} rank={m.rank}\n")
-        return EXIT_OK
-
-    if args.command == "canonical":
-        m = load_matroid(args.matroid)
-        f = canonical_function(m, args.n)
-        if not args.out:
-            raise InvalidInputError("canonical needs --out for the function file")
-        save_function(args.out, f)
-        sys.stdout.write(f"wrote canonical function: n={f.n} ones={f.ones_count()}\n")
-        return EXIT_OK
-
-    if args.command == "complexity":
-        if args.sweep:
-            cfg = ExperimentConfig("complexity-sweep", params={"graphs": args.graphs},
-                                   out=args.out, **common)
-        else:
-            if not args.matroid:
-                raise InvalidInputError("complexity needs --matroid or --sweep")
-            cfg = ExperimentConfig("complexity", inputs={"matroid": args.matroid},
-                                   params={"cap": args.cap}, out=args.out, **common)
-    elif args.command == "circuits":
-        cfg = ExperimentConfig("circuits", inputs={"matroid": args.matroid},
-                               out=args.out, **common)
-    elif args.command == "oddgirth":
-        cfg = ExperimentConfig("oddgirth", inputs={"matroid": args.matroid},
-                               out=args.out, **common)
-    elif args.command == "hom":
-        cfg = ExperimentConfig("hom", inputs={"source": args.source, "target": args.target},
-                               out=args.out, **common)
-    elif args.command == "free":
-        cfg = ExperimentConfig("free",
-                               inputs={"function": args.function, "matroid": args.matroid},
-                               params={"sigma": args.sigma}, out=args.out, **common)
-    elif args.command == "count":
-        cfg = ExperimentConfig("count",
-                               inputs={"function": args.function, "matroid": args.matroid},
-                               params={"sigma": args.sigma}, out=args.out, **common)
-    elif args.command == "test":
-        inputs = {}
-        if args.function:
-            inputs["function"] = args.function
-        if args.matroid:
-            inputs["matroid"] = args.matroid
-        params = {"samples": args.samples, "n": args.n, "buckets": args.buckets}
-        if args.sigma:
-            params["sigma"] = args.sigma
-        name = "tester-calibration" if args.calibrate else "test"
-        if name == "test" and ("function" not in inputs or "matroid" not in inputs
-                               or "sigma" not in params):
-            raise InvalidInputError("test needs --function, --matroid and --sigma")
-        cfg = ExperimentConfig(name, inputs=inputs, params=params, out=args.out, **common)
-    elif args.command == "distance":
-        cfg = ExperimentConfig("distance",
-                               inputs={"function": args.function, "matroid": args.matroid},
-                               params={"sigma": args.sigma}, out=args.out, **common)
-    elif args.command == "fourier":
-        if args.check_von_neumann:
-            cfg = ExperimentConfig("von-neumann",
-                                   params={"n": args.n, "trials": args.trials,
-                                           "graph": args.graph},
-                                   out=args.out, **common)
-        elif args.cycle_count is not None:
-            if not args.function:
-                raise InvalidInputError("fourier --cycle-count needs --function")
-            cfg = ExperimentConfig("cycle-count", inputs={"function": args.function},
-                                   params={"k": args.cycle_count}, out=args.out, **common)
-        else:
-            if not args.function:
-                raise InvalidInputError("fourier needs --function")
-            cfg = ExperimentConfig("fourier", inputs={"function": args.function},
-                                   out=args.out, **common)
-    elif args.command == "regularity":
-        inputs = {"function": args.function} if args.function else {}
-        cfg = ExperimentConfig("regularity-search", inputs=inputs,
-                               params={"eps": args.eps, "max_codim": args.max_codim,
-                                       "n": args.n},
-                               out=args.out, **common)
-    elif args.command == "characterize":
-        cfg = ExperimentConfig("characterize", params={"k": args.k, "n": args.n},
-                               out=args.out, **common)
-    elif args.command == "hierarchy":
-        if args.kind == "cycles":
-            cfg = ExperimentConfig("hierarchy-cycles", params={"k": args.k, "n": args.n},
-                                   out=args.out, **common)
-        else:
-            cfg = ExperimentConfig("hierarchy-cliques",
-                                   params={"a": args.a, "b": args.b, "n": args.n},
-                                   out=args.out, **common)
-    else:
-        raise InvalidInputError(f"unknown command {args.command!r}")
-
-    report = run_experiment(cfg)
-    _write_report(report, cfg.out)
-    if getattr(args, "plot_out", None):
-        with open(args.plot_out, "w", encoding="ascii") as fh:
-            fh.write(emit_plot_data(report))
-    if getattr(args, "assert_free", False) and not report.results.get("free", True):
-        raise PropertyViolation("function contains the forbidden pattern")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except PropertyViolation as exc:
         sys.stderr.write(f"property violated: {exc}\n")
         return EXIT_PROPERTY_VIOLATED

@@ -18,6 +18,7 @@ import numpy as np
 
 from .boolfn import BooleanFunction
 from .errors import InvalidInputError
+from .gf2 import _rref_add
 from .tester import PatternSpec
 
 FREE_ENUM_MAX_N_SMALL_K = 4
@@ -64,17 +65,15 @@ def _is_linear_form(f: BooleanFunction) -> bool:
 
 def _ones_form_subspace(f: BooleanFunction) -> bool:
     ones = f.ones()
-    if not ones:
+    count = len(ones)
+    # a subspace has a power-of-two size; the guard skips the elimination
+    # for most functions
+    if count == 0 or count & (count - 1):
         return False
-    basis: list[int] = []
+    basis: dict[int, int] = {}
     for x in ones:
-        w = x
-        for b in basis:
-            w = min(w, w ^ b)
-        if w:
-            basis.append(w)
-            basis.sort(reverse=True)
-    return len(ones) == 1 << len(basis)
+        _rref_add(basis, x)
+    return count == 1 << len(basis)
 
 
 def _ones_form_affine_subspace(f: BooleanFunction) -> bool:

@@ -2,11 +2,12 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from matroidlab.cli import (ExperimentConfig, Report, emit_plot_data, main,
-                            run_experiment)
+import matroidlab.cli
+from matroidlab.cli import Report, emit_plot_data, main
 from matroidlab.errors import InvalidInputError
 from matroidlab.fileio import save_function, save_graph, save_matroid
 from matroidlab.matroid import (canonical_function, cycle_graph, graphic_from_graph,
@@ -124,12 +125,12 @@ def test_report_shape_and_sorted_keys(workdir):
     assert r.stdout == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def test_plot_data(workdir):
-    cfg = ExperimentConfig("tester-calibration",
-                           params={"n": 6, "samples": 1000, "buckets": 3}, seed=3)
-    report = run_experiment(cfg)
-    text = emit_plot_data(report)
-    lines = text.strip().split("\n")
+def test_plot_data(workdir, capsys):
+    plot = workdir / "cal.tsv"
+    assert main(["test", "--calibrate", "-n", "6", "--samples", "1000",
+                 "--buckets", "3", "--seed", "3", "--plot-out", str(plot)]) == 0
+    capsys.readouterr()
+    lines = plot.read_text().strip().split("\n")
     assert lines[0] == "distance_bucket\tempirical_rate\texact_density"
     assert len(lines) == 4
 
@@ -144,9 +145,32 @@ def test_plot_data_header_only_and_missing():
         emit_plot_data(bare)
 
 
-def test_run_experiment_unknown():
-    with pytest.raises(InvalidInputError):
-        run_experiment(ExperimentConfig("warp-drive"))
+def test_test_budget_reaches_exact_density(workdir, capsys, monkeypatch):
+    seen = []
+    count_patterns = matroidlab.cli.count_patterns
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("budget_bits"))
+        return count_patterns(*args, **kwargs)
+
+    monkeypatch.setattr(matroidlab.cli, "count_patterns", spy)
+    assert main(["test", "--function", str(workdir / "canon.boolfn"),
+                 "--matroid", str(workdir / "k3.matroid"), "--sigma", "111",
+                 "--samples", "100", "--budget", "12"]) == 0
+    assert "exact_density" in json.loads(capsys.readouterr().out)["results"]
+    assert seen == [12]
+
+
+def test_writer_rejects_missing_out_before_work(workdir, capsys):
+    tracemalloc.start()
+    try:
+        code = main(["canonical", "--matroid", str(workdir / "k3.matroid"), "-n", "22"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert capsys.readouterr().err == "error: canonical needs --out for the function file\n"
+    assert peak < 1 << 20
 
 
 def test_hierarchy_cycles_report_keys(workdir):

@@ -9,6 +9,7 @@ from matroidlab.families import (COMPLEMENT_PAIR, FamilyId, achieved_patterns,
                                  enumerate_free_functions, family_contains,
                                  family_members, is_cycle_free,
                                  verify_characterization)
+from matroidlab.gf2 import gaussian_binomial
 from matroidlab.matroid import cycle_graph, graphic_from_graph
 from matroidlab.tester import PatternSpec, find_pattern
 
@@ -56,6 +57,9 @@ def test_complement_pairing_invariant():
 
 def test_family_closure_invariants():
     for n in (2, 3):
+        # the empty set plus one indicator per subspace of {0,1}^n
+        assert len(family_members(n, FamilyId.FLIN)) == 1 + sum(
+            gaussian_binomial(n, d) for d in range(n + 1))
         for f in family_members(n, FamilyId.FLIN):
             ones = f.ones()
             assert all((x ^ y) in set(ones) for x in ones for y in ones)
