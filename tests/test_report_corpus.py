@@ -3,8 +3,10 @@ run in-process through `cli.main(argv)`, must reproduce the exit code,
 stdout and written files recorded in `report_corpus.json`, byte for byte
 apart from `runtime_ms`.
 
-The list covers all 17 pipelines, the graphic/cographic/canonical file
-writers, an exit-2 `--assert-free` run and an exit-3 budget run. A change
+The list covers all 17 pipelines, each subcommand run on its argparse
+defaults and through each of its mode branches, the
+graphic/cographic/canonical file writers, an exit-2 `--assert-free` run
+and an exit-3 budget run. A change
 that alters a report on purpose regenerates the golden file with
 
     PYTHONPATH=src python tests/test_report_corpus.py
