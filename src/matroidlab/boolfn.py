@@ -93,6 +93,8 @@ class BooleanFunction:
 
 
 def random_function(n: int, rng, density: float = 0.5) -> BooleanFunction:
+    if not 0 <= n <= WHT_MAX_N:
+        raise InvalidInputError(f"domain dimension {n} out of supported range")
     return BooleanFunction(n, (rng.random(1 << n) < density).astype(np.uint8))
 
 
@@ -116,13 +118,16 @@ class FourierSpectrum:
         return int(np.abs(self.coeffs[1:]).max())
 
     def power_sum(self, k: int) -> int:
-        """sum_a coeffs[a]^k in exact big-integer arithmetic."""
-        return sum(int(c) ** k for c in self.coeffs)
+        """sum_a coeffs[a]^k in exact big-integer arithmetic, taken over
+        the histogram of distinct coefficient values."""
+        values, counts = np.unique(self.coeffs, return_counts=True)
+        return sum(int(v) ** k * int(c) for v, c in zip(values, counts))
 
 
 def _butterfly(values: np.ndarray) -> np.ndarray:
-    """In-place unnormalized Walsh-Hadamard transform of a 2^n array."""
-    size = values.shape[0]
+    """In-place unnormalized Walsh-Hadamard transform of a 2^n array, or
+    of each row of a C-contiguous (batch, 2^n) array."""
+    size = values.shape[-1]
     h = 1
     while h < size:
         blocks = values.reshape(-1, 2 * h)

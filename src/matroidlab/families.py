@@ -155,6 +155,8 @@ def classify_sigma(sigma: PatternSpec) -> FamilyId:
 def _check_enum_budget(n: int, k: int) -> None:
     if k < 3:
         raise InvalidInputError("cycle patterns need k >= 3")
+    if n < 0:
+        raise InvalidInputError(f"domain dimension {n} must be nonnegative")
     cap = FREE_ENUM_MAX_N_SMALL_K if k <= 4 else FREE_ENUM_MAX_N_LARGE_K
     if n > cap:
         raise InvalidInputError(f"free-set enumeration capped at n <= {cap} for k = {k}")

@@ -8,12 +8,22 @@ including non-injective ones and the zero map, so any f with f(0) = 1
 already contains the all-ones pattern of every matroid. This surprises
 users but is what the definition says.
 
-Enumeration order contract (shared by find_pattern / count_patterns /
-von_neumann_gap): linear maps are restricted to the span of the ground
-vectors; assignment index t in [0, 2^(n*r)) gives basis image
-u_j = bits [j*n, (j+1)*n) of t, where basis[j] is the j-th vector of the
-matroid's canonical span basis. The first violation reported is the one
-with the smallest t.
+Linear maps are restricted to the span of the ground vectors: an
+assignment gives each vector of the matroid's canonical span basis an
+image u_j in {0,1}^n. Counts (count_patterns, von_neumann_gap, and the
+freeness certificate of find_pattern) sum over all 2^(n*r) assignments
+by GF(2) variable elimination: the factors [f(L(v_i)) = sigma_i] are
+read at linear forms in u_0..u_{r-1}, a variable in one factor sums to a
+row total, one in two factors becomes an XOR-correlation computed with
+the Walsh-Hadamard butterfly, and one in three or more is conditioned on
+along a batch axis. A dry run over the forms prices this against the
+scan's 2^(n*r)*k, and the cheaper route runs; small inputs and a
+correlation that could leave int64 stay on the scan.
+
+Enumeration order contract (governs the witnesses of find_pattern):
+assignment index t in [0, 2^(n*r)) gives basis image u_j = bits
+[j*n, (j+1)*n) of t. The first violation reported is the one with the
+smallest t.
 
 One kernel, `_match`, evaluates f at L(v_1), ..., L(v_k) for a batch of
 maps L and compares with Sigma. The exhaustive scan feeds it the basis
@@ -23,6 +33,7 @@ random images of the presentation basis.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -30,8 +41,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolfn import (BooleanFunction, coset_point_indices, density, is_uniform,
-                     restrict_to_coset, wht)
+from .boolfn import (BooleanFunction, _butterfly, coset_point_indices, density,
+                     is_uniform, restrict_to_coset, wht)
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from .gf2 import GFVector, LinearMap, Subspace, coset_decompose
 from .matroid import BinaryMatroid, has_complexity_one
@@ -150,15 +161,16 @@ def _check_pattern_args(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec
 
 
 def _match(tables: Sequence[np.ndarray], sigma: Sequence[int], coords: Sequence[int],
-           column, size: int) -> np.ndarray:
-    """The evaluation kernel: for a batch of `size` linear maps, which
-    ones send every ground vector i to a point where tables[i] equals
-    sigma[i].
+           column, scratch: np.ndarray) -> np.ndarray:
+    """The evaluation kernel: for a batch of linear maps, which ones send
+    every ground vector i to a point where tables[i] equals sigma[i].
 
     coords[i] is ground vector i as a mask over basis vectors; column(j)
     is the array of images of basis vector j across the batch, fetched
-    lazily and at most once. A zero ground vector sees point 0 under
-    every map. Stops early once no map in the batch can match.
+    lazily and at most once. scratch is an int64 buffer of the batch's
+    length; it holds the points of each ground vector that combines two
+    or more basis columns, and point 0, which a zero ground vector sees
+    under every map. Stops early once no map in the batch can match.
     """
     cols = {}
     match = None
@@ -168,57 +180,220 @@ def _match(tables: Sequence[np.ndarray], sigma: Sequence[int], coords: Sequence[
         cm = cmask
         while cm:
             if cm & 1:
-                if j not in cols:
-                    cols[j] = column(j)
-                pts = cols[j] if pts is None else pts ^ cols[j]
+                col = cols.get(j)
+                if col is None:
+                    col = cols[j] = column(j)
+                pts = col if pts is None else np.bitwise_xor(pts, col, scratch)
             cm >>= 1
             j += 1
         if pts is None:
-            pts = np.zeros(size, dtype=np.int64)
+            scratch.fill(0)
+            pts = scratch
         good = tables[i][pts] == sigma[i]
-        match = good if match is None else (match & good)
+        if match is None:
+            match = good
+        else:
+            match &= good
         if not match.any():
             break
     return match
 
 
 def _scan_chunks(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
-                 sigma: Sequence[int], r: int):
+                 sigma: Sequence[int], r: int, first: int = _CHUNK):
     """Yield (start, match_bool_array) over assignment indices, in order.
 
     tables[i] is the truth table evaluated at point i; coords[i] is the
-    basis mask of ground vector i. The total is a power of two, so all
-    chunks have one length and share one index buffer and one buffer per
-    basis column: 8 MB arrays allocated afresh per chunk were handed back
-    to the OS and faulted in again on the next chunk.
+    basis mask of ground vector i. The first chunk holds `first` indices
+    and each later one as many as came before it, up to _CHUNK, so chunk
+    boundaries are powers of two. Every chunk is a prefix of one index
+    buffer, one buffer per basis column and one XOR scratch buffer: 8 MB
+    arrays allocated afresh per chunk were handed back to the OS and
+    faulted in again on the next chunk. Pages past the largest chunk are
+    never touched, so an early witness costs no full-size buffer.
     """
     total = 1 << (n * r)
     mask = (1 << n) - 1
-    ts = np.arange(min(total, _CHUNK), dtype=np.int64)
-    cols = {}
+    full = min(total, _CHUNK)
+    ts = np.empty(full, dtype=np.int64)
+    scratch = np.empty_like(ts)
+    buffers = {}
+    start, size = 0, min(first, full)
+    idx, scr, cols = ts[:size], scratch[:size], {}    # views of the chunk's length
+    idx[:] = np.arange(size)
 
     def column(j):
         col = cols.get(j)
         if col is None:
-            col = cols[j] = np.empty_like(ts)
-        np.right_shift(ts, j * n, out=col)
+            if j not in buffers:
+                buffers[j] = np.empty_like(ts)
+            col = cols[j] = buffers[j][:size]
+        np.right_shift(idx, j * n, out=col)
         col &= mask
         return col
 
-    for start in range(0, total, _CHUNK):
-        yield start, _match(tables, sigma, coords, column, len(ts))
-        ts += len(ts)
+    while start < total:
+        yield start, _match(tables, sigma, coords, column, scr)
+        idx += size
+        start += size
+        if start < total and size < min(start, _CHUNK):
+            np.add(idx, size, out=ts[size:2 * size])
+            size *= 2
+            idx, scr, cols = ts[:size], scratch[:size], {}
+
+
+# Variable elimination. The count is
+#     sum over u_0..u_{r-1} in {0,1}^n of prod_i g_i(sum_{j in c_i} u_j)
+# with g_i = [tables[i] == sigma[i]] read at the linear form c_i = coords[i].
+# A variable that drops out of every form without being summed out
+# contributes 2^n.
+
+_STEP_COST = 1 << 12     # fixed price of one elimination step, in element operations
+_INT64_LIMIT = 1 << 63
+_COUNT_MAX_BITS = 62     # every partial count is at most 2^(n*r), so fits in int64
+_WITNESS_FIRST_CHUNK = 1 << 12
+
+
+def _plan(coords: Sequence[int], n: int) -> tuple[list[int], int]:
+    """A dry run over the factor forms alone: the variables in the order
+    they are summed out, and the price in element operations. Choices are
+    greedy: the variable in the fewest factors is eliminated; when every
+    variable sits in three or more, the one in the most is conditioned."""
+    size = 1 << n
+    forms = {c for c in coords if c}
+    order = []
+    cost = _STEP_COST    # setting the factors up
+    batch, runs = 1, 1   # rows per slice, slices the remaining steps run on
+    while forms:
+        occ = Counter(j for c in forms for j in range(c.bit_length()) if c >> j & 1)
+        j = min(occ, key=lambda v: (occ[v], v))
+        if occ[j] > 2:
+            j = max(occ, key=lambda v: (occ[v], -v))
+            per = min(size, max(1, _CHUNK // (batch * size)))
+            runs *= -(-size // per)
+            batch *= per
+            forms = {c & ~(1 << j) for c in forms} - {0}
+            cost += runs * (_STEP_COST + batch * size * len(forms))
+        else:
+            mine = [c for c in forms if c >> j & 1]
+            forms.difference_update(mine)
+            if len(mine) == 2:
+                forms.add(mine[0] ^ mine[1])
+                # three butterflies of n levels, the product, shift and sums
+                cost += runs * batch * size * (12 * n + 6)
+            cost += runs * (_STEP_COST + batch * size)
+        order.append(j)
+    return order, cost
+
+
+def _put(factors: dict, form: int, values: np.ndarray) -> None:
+    """Add a factor; one on a form already present merges pointwise.
+    Form 0 holds the per-row scalar, shape (rows, 1): a factor read at
+    the zero form contributes its value at point 0."""
+    if not form:
+        values = values[:, :1]
+    old = factors.get(form)
+    factors[form] = values if old is None else old * values
+
+
+def _replay(factors: dict, order: Sequence[int], n: int) -> Optional[int]:
+    """Sum out the variables in `order`; factors map a form to an int64
+    array of shape (rows, 2^n), or (1, 2^n) for a factor shared by every
+    row. Returns the total over all rows, or None when a correlation
+    could leave int64."""
+    for pos, j in enumerate(order):
+        mine = [c for c in factors if c >> j & 1]
+        if len(mine) > 2:
+            return _condition(factors, j, order[pos + 1:], n)
+        a = factors.pop(mine[0])
+        if len(mine) == 1:
+            _put(factors, 0, a.sum(axis=1, keepdims=True))
+            continue
+        b = factors.pop(mine[1])
+        if int(a.sum(axis=1).max()) * int(b.sum(axis=1).max()) << n >= _INT64_LIMIT:
+            return None
+        corr = _butterfly(_butterfly(a.copy()) * _butterfly(b.copy()))
+        corr >>= n
+        _put(factors, mine[0] ^ mine[1], corr)
+    return int(factors[0].sum())
+
+
+def _condition(factors: dict, j: int, order: Sequence[int], n: int) -> Optional[int]:
+    """Fix variable j to every point, at most _CHUNK table entries per
+    slice: each row becomes one row per value, and a factor that reads
+    u_j is shifted by that value."""
+    size = 1 << n
+    rows = max(a.shape[0] for a in factors.values())
+    per = min(size, max(1, _CHUNK // (rows * size)))
+    points = np.arange(size, dtype=np.int64)
+    total = 0
+    for lo in range(0, size, per):
+        shift = points[None, :] ^ points[lo:lo + per, None]
+        width = shift.shape[0]
+        sub: dict = {}
+        for form, a in factors.items():
+            if form >> j & 1:
+                a = a[:, shift].reshape(-1, size)
+                if a.shape[0] < rows * width:
+                    a = np.tile(a, (rows, 1))
+            elif a.shape[0] > 1:
+                a = np.repeat(a, width, axis=0)
+            _put(sub, form & ~(1 << j), a)
+        got = _replay(sub, order, n)
+        if got is None:
+            return None
+        total += got
+    return total
+
+
+def _eliminate(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
+               sigma: Sequence[int], r: int, order: Sequence[int]) -> Optional[int]:
+    """The exact count, summing the variables out in `order` (from
+    _plan), or None when a correlation could leave int64."""
+    factors = {0: np.ones((1, 1), dtype=np.int64)}
+    for table, s, c in zip(tables, sigma, coords):
+        _put(factors, c, (table == s).astype(np.int64)[None, :])
+    total = _replay(factors, order, n)
+    return None if total is None else total << (n * (r - len(order)))
+
+
+def _count_by_elimination(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
+                          sigma: Sequence[int], r: int) -> Optional[int]:
+    """The exact count by variable elimination, or None when the scan's
+    2^(n*r)*k is cheaper or a correlation could leave int64."""
+    scan = len(coords) << (n * r)
+    if n * r > _COUNT_MAX_BITS or scan <= _STEP_COST:   # no plan costs less
+        return None
+    order, cost = _plan(coords, n)
+    if cost >= scan:
+        return None
+    return _eliminate(tables, n, coords, sigma, r, order)
+
+
+def _count(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
+           sigma: Sequence[int], r: int) -> int:
+    """Exact number of span-basis assignments realizing sigma, by the
+    cheaper of elimination and the scan."""
+    count = _count_by_elimination(tables, n, coords, sigma, r)
+    if count is None:
+        count = sum(int(match.sum()) for _, match in _scan_chunks(tables, n, coords, sigma, r))
+    return count
 
 
 def find_pattern(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
                  budget_bits: int = PATTERN_BUDGET_BITS) -> Optional[PatternInstance]:
     """First violating instance in enumeration order, or None when f is
-    (M, Sigma)-free (exhaustive certificate)."""
+    (M, Sigma)-free (exhaustive certificate). The count comes first; the
+    scan for the witness runs only when it is positive, in chunks that
+    grow from 2^12 so that an early witness is found early."""
     _check_pattern_args(f, m, sigma, budget_bits)
     n, r = f.n, m.rank
     coords = m.span_coords
     tables = [f.table] * m.k
-    for start, match in _scan_chunks(tables, n, coords, sigma.sigma, r):
+    if _count_by_elimination(tables, n, coords, sigma.sigma, r) == 0:
+        return None
+    for start, match in _scan_chunks(tables, n, coords, sigma.sigma, r,
+                                     first=_WITNESS_FIRST_CHUNK):
         if match.any():
             t = start + int(np.argmax(match))
             images = tuple(GFVector(n, (t >> (j * n)) & ((1 << n) - 1)) for j in range(r))
@@ -237,10 +412,7 @@ def count_patterns(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
                    budget_bits: int = PATTERN_BUDGET_BITS) -> CountReport:
     """Exact number of span-basis assignments realizing Sigma."""
     _check_pattern_args(f, m, sigma, budget_bits)
-    tables = [f.table] * m.k
-    count = 0
-    for _, match in _scan_chunks(tables, f.n, m.span_coords, sigma.sigma, m.rank):
-        count += int(match.sum())
+    count = _count([f.table] * m.k, f.n, m.span_coords, sigma.sigma, m.rank)
     return CountReport(n=f.n, rank=m.rank, ambient_dim=m.m, span_count=count)
 
 
@@ -295,12 +467,13 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
         raise InvalidInputError("samples must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
     tables = [f.table] * m.k
+    scratch = np.empty(min(samples, _CHUNK), dtype=np.int64)
     rejections = 0
     remaining = samples
     while remaining:
         batch = min(remaining, _CHUNK)
         images = rng.integers(0, 1 << f.n, size=(batch, m.m), dtype=np.int64)
-        match = _match(tables, sigma.sigma, m.ints, lambda j: images[:, j], batch)
+        match = _match(tables, sigma.sigma, m.ints, lambda j: images[:, j], scratch[:batch])
         rejections += int(match.sum())
         remaining -= batch
     return rejections, Fraction(rejections, samples)
@@ -540,10 +713,7 @@ def von_neumann_gap(fs: Sequence[BooleanFunction], m: BinaryMatroid,
     if n * m.rank > budget_bits:
         raise BudgetExceededError(
             f"n*rank = {n * m.rank} exceeds budget {budget_bits}")
-    count = 0
-    tables = [g.table for g in fs]
-    for _, match in _scan_chunks(tables, n, m.span_coords, (1,) * m.k, m.rank):
-        count += int(match.sum())
+    count = _count([g.table for g in fs], n, m.span_coords, (1,) * m.k, m.rank)
     lhs = Fraction(count, 1 << (n * m.rank))
     rhs4 = min(Fraction(wht(g).power_sum(4), 1 << (4 * n)) for g in fs)
     rhs = round(float(rhs4) ** 0.25, 12)

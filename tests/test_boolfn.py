@@ -59,6 +59,30 @@ def test_wht_involution():
         assert np.array_equal(twice, f.table.astype(np.int64) << n)
 
 
+def test_butterfly_row_wise():
+    rng = np.random.Generator(np.random.PCG64(31))
+    rows = rng.integers(-5, 6, size=(7, 32)).astype(np.int64)
+    expected = [_butterfly(row.copy()) for row in rows]
+    assert np.array_equal(_butterfly(rows.copy()), np.array(expected))
+
+
+def test_power_sum_matches_coefficient_loop():
+    rng = np.random.Generator(np.random.PCG64(37))
+    for _ in range(30):
+        n = int(rng.integers(0, 9))
+        s = wht(random_function(n, rng))
+        for k in (1, 2, 3, 4, 7):
+            assert s.power_sum(k) == sum(int(c) ** k for c in s.coeffs.tolist())
+
+
+def test_random_function_rejects_bad_n_before_drawing():
+    rng = np.random.Generator(np.random.PCG64(41))
+    for n in (-1, 25):
+        with pytest.raises(InvalidInputError):
+            random_function(n, rng)
+    assert rng.bit_generator.state == np.random.Generator(np.random.PCG64(41)).bit_generator.state
+
+
 def test_density_examples():
     assert density(BooleanFunction.constant(3, 0), 0) == 1
     assert density(BooleanFunction.constant(3, 1), 0) == 0

@@ -93,6 +93,9 @@ def test_malformed_input_exit_code(workdir):
     ["complexity"],
     ["graphic", "--graph", "{d}/k3.graph"],
     ["canonical", "--matroid", "{d}/k3.matroid", "-n", "4"],
+    ["fourier", "--check-von-neumann", "-n", "-1", "--trials", "1"],
+    ["characterize", "-n", "-1"],
+    ["regularity", "-n", "-1"],
 ])
 def test_malformed_input_one_line_exit_4(workdir, capsys, argv):
     (workdir / "latin1.boolfn").write_bytes(b"boolfn v1\nn=2\ntable=0\xe6\n")

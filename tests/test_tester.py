@@ -5,11 +5,13 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from matroidlab import tester
 from matroidlab.boolfn import BooleanFunction, density, random_function
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from matroidlab.gf2 import GFVector, rank_and_basis
-from matroidlab.matroid import (BinaryMatroid, canonical_function, complete_graph,
-                                cycle_graph, graphic_from_graph)
+from matroidlab.matroid import (BinaryMatroid, canonical_function, cographic_from_graph,
+                                complete_bipartite_graph, complete_graph, cycle_graph,
+                                graphic_from_graph)
 from matroidlab.tester import (CountReport, PatternSpec, TowerExpr,
                                brute_force_cycle_count, count_patterns,
                                cycle_count_fourier, derive_seed, enumerate_instances,
@@ -391,3 +393,190 @@ def test_cycle_sigma_permutation_invariance():
                 base_free = count_patterns(f, m, sigma).span_count == 0
                 assert base_free == (count_patterns(f, m, rotated).span_count == 0)
                 assert base_free == (count_patterns(f, m, reversed_).span_count == 0)
+
+
+# ---------------------------------------------------------------------------
+# exact counts by variable elimination, held against the assignment scan
+
+
+def scan_count(tables, n, m, sigma):
+    return sum(int(match.sum()) for _, match in
+               tester._scan_chunks(tables, n, m.span_coords, sigma, m.rank))
+
+
+def eliminated_count(tables, n, m, sigma):
+    """The elimination counter on its own, whatever the planner's price."""
+    order, _ = tester._plan(m.span_coords, n)
+    return tester._eliminate(tables, n, m.span_coords, sigma, m.rank, order)
+
+
+def vectors(*rows):
+    return BinaryMatroid([GFVector.from_bits(r) for r in rows])
+
+
+def test_elimination_matches_scan_on_atlas_graphs():
+    """Every connected graph on at most 5 vertices, every sigma, every n
+    with n*rank <= 12."""
+    from test_acceptance import atlas_graphs
+
+    rng = np.random.Generator(np.random.PCG64(83))
+    checked = 0
+    for g in atlas_graphs(5):
+        m = graphic_from_graph(g)
+        for n in range(1, 12 // m.rank + 1):
+            table = random_function(n, rng, density=0.7).table
+            tables = [table] * m.k
+            for bits in range(1 << m.k):
+                sigma = tuple(bits >> i & 1 for i in range(m.k))
+                assert eliminated_count(tables, n, m, sigma) == scan_count(tables, n, m, sigma)
+                checked += 1
+    assert checked > 9000
+
+
+@pytest.mark.parametrize("m", [
+    cographic_from_graph(complete_bipartite_graph(3, 3)),  # M*(K_3,3)
+    RANK0,
+    ZERO_PARALLEL,
+    vectors("01", "01", "10", "11", "10", "01"),          # parallel elements
+    vectors("0011", "0101", "0110"),                      # rank 2 in {0,1}^4
+    vectors("00011", "00101", "01001", "01111", "00000", "01100"),
+], ids=["cographic-k33", "rank0", "zero-parallel", "parallel", "rank-deficient", "mixed"])
+def test_elimination_matches_scan_on_special_presentations(m):
+    rng = np.random.Generator(np.random.PCG64(89))
+    for n in range(1, 12 // max(m.rank, 1) + 1):
+        for _ in range(8):
+            table = random_function(n, rng, density=0.6).table
+            sigma = tuple(int(b) for b in rng.integers(0, 2, m.k))
+            tables = [table] * m.k
+            assert eliminated_count(tables, n, m, sigma) == scan_count(tables, n, m, sigma)
+
+
+@pytest.mark.parametrize("m", [C3, graphic_from_graph(complete_graph(4)),
+                               graphic_from_graph(cycle_graph(5))])
+def test_elimination_matches_scan_per_element_tables(m):
+    """One table per ground element, as von_neumann_gap counts."""
+    rng = np.random.Generator(np.random.PCG64(97))
+    ones = (1,) * m.k
+    for n in range(1, 12 // m.rank + 1):
+        tables = [random_function(n, rng).table for _ in range(m.k)]
+        assert eliminated_count(tables, n, m, ones) == scan_count(tables, n, m, ones)
+
+
+def test_elimination_slices_agree(monkeypatch):
+    """Conditioning in slices of a few rows gives the same counts."""
+    monkeypatch.setattr(tester, "_CHUNK", 1 << 5)
+    rng = np.random.Generator(np.random.PCG64(107))
+    for m in (graphic_from_graph(complete_graph(4)), graphic_from_graph(complete_graph(5)),
+              cographic_from_graph(complete_bipartite_graph(3, 3))):
+        for n in (2, 3):
+            tables = [random_function(n, rng, 0.7).table for _ in range(m.k)]
+            sigma = tuple(int(b) for b in rng.integers(0, 2, m.k))
+            assert eliminated_count(tables, n, m, sigma) == scan_count(tables, n, m, sigma)
+
+
+def test_elimination_counts_a_variable_in_no_factor():
+    # coords over r = 3 variables that never read u_2: it adds a factor 2^n
+    rng = np.random.Generator(np.random.PCG64(109))
+    for n in (1, 2, 3):
+        tables = [random_function(n, rng).table for _ in range(3)]
+        for coords in ((1, 2, 3), (3, 3, 1)):
+            want = sum(int(match.sum()) for _, match in
+                       tester._scan_chunks(tables, n, coords, (1, 0, 1), 3))
+            order, _ = tester._plan(coords, n)
+            assert len(order) < 3
+            assert tester._eliminate(tables, n, coords, (1, 0, 1), 3, order) == want
+
+
+def test_planner_keeps_small_scans():
+    """n*rank <= 8 stays on the scan, so the many small find_pattern
+    calls of min_repair_distance keep their cost."""
+    from test_acceptance import atlas_graphs
+
+    table = BooleanFunction.constant(8, 1).table
+    for m in [graphic_from_graph(g) for g in atlas_graphs(5)] + [RANK0, ZERO_PARALLEL]:
+        for n in range(1, 8 // max(m.rank, 1) + 1):
+            assert tester._count_by_elimination(
+                [table[:1 << n]] * m.k, n, m.span_coords, (1,) * m.k, m.rank) is None
+
+
+def test_planner_prices_scan_against_elimination():
+    # both under 2^12 element operations of setup: the scan is cheaper
+    for m, n in ((C3, 6), (graphic_from_graph(complete_graph(4)), 4)):
+        order, cost = tester._plan(m.span_coords, n)
+        assert m.k << (n * m.rank) < cost
+        table = BooleanFunction.constant(n, 1).table
+        assert tester._count_by_elimination([table] * m.k, n, m.span_coords,
+                                            (1,) * m.k, m.rank) is None
+    # one step further the elimination is cheaper
+    assert tester._count_by_elimination([BooleanFunction.constant(7, 1).table] * 3, 7,
+                                        C3.span_coords, (1, 1, 1), 2) == 1 << 14
+
+
+def test_free_certificate_costs_a_count(monkeypatch):
+    """A free function is certified by the count alone: no scan runs."""
+    f = canonical_function(graphic_from_graph(cycle_graph(5)), 11)
+    monkeypatch.setattr(tester, "_scan_chunks", None)
+    assert find_pattern(f, C3, S111) is None
+
+
+def test_planner_eliminates_k4_at_n8():
+    k4 = graphic_from_graph(complete_graph(4))
+    f = random_function(8, np.random.Generator(np.random.PCG64(101)), density=0.4)
+    order, cost = tester._plan(k4.span_coords, 8)
+    assert len(order) == 3 and cost < k4.k << 24
+    got = tester._count_by_elimination([f.table] * 6, 8, k4.span_coords, (1,) * 6, 3)
+    assert got == scan_count([f.table] * 6, 8, k4, (1,) * 6)
+
+
+def test_int64_bound_falls_back_to_scan(monkeypatch):
+    # 2^n * S_a * S_b = 2^63 for the constant-1 function at n = 21
+    one = BooleanFunction.constant(21, 1).table
+    assert eliminated_count([one] * 3, 21, C3, (1, 1, 1)) is None
+    # with a lowered limit every correlation fails, and the scan answers
+    f = canonical_function(graphic_from_graph(cycle_graph(5)), 8)
+    sigma = PatternSpec.all_ones(3)
+    before = count_patterns(f, C3, sigma).span_count, find_pattern(f, C3, sigma)
+    monkeypatch.setattr(tester, "_INT64_LIMIT", 2)
+    assert tester._count_by_elimination([f.table] * 3, 8, C3.span_coords, (1, 1, 1), 2) is None
+    assert (count_patterns(f, C3, sigma).span_count, find_pattern(f, C3, sigma)) == before
+    assert before[0] == scan_count([f.table] * 3, 8, C3, (1, 1, 1))
+
+
+def scan_witness_index(f, m, sigma):
+    """Scan-only reference: the smallest matching assignment index."""
+    for start, match in tester._scan_chunks([f.table] * m.k, f.n, m.span_coords,
+                                            sigma.sigma, m.rank):
+        if match.any():
+            return start + int(np.argmax(match))
+    return None
+
+
+def witness_index(inst, n):
+    return sum(u.bits << (j * n) for j, u in enumerate(inst.map.images))
+
+
+def test_find_pattern_witness_matches_scan_order():
+    rng = np.random.Generator(np.random.PCG64(103))
+    k4 = graphic_from_graph(complete_graph(4))
+    c5 = graphic_from_graph(cycle_graph(5))
+    cases = [(random_function(10, rng, 0.5), C3, "111"),
+             (random_function(10, rng, 0.2), C3, "101"),
+             (random_function(5, rng, 0.5), c5, "11010"),
+             (random_function(6, rng, 0.5), k4, "111111"),
+             (random_function(6, rng, 0.3), k4, "110100"),
+             (canonical_function(c5, 7), C3, "111"),
+             # ones exactly where x_10 = 1: the first 110 triangle lies past 2^20
+             (BooleanFunction(11, np.arange(1 << 11) >> 10), C3, "110")]
+    for f, m, sigma in cases:
+        sigma = PatternSpec.from_string(sigma)
+        inst = find_pattern(f, m, sigma)
+        t = scan_witness_index(f, m, sigma)
+        if t is None:
+            assert inst is None
+            continue
+        assert witness_index(inst, f.n) == t
+        assert [p.bits for p in inst.points] == [
+            inst.map.apply(GFVector(m.rank, c)).bits for c in m.span_coords]
+        assert all(f.value(p.bits) == s for p, s in zip(inst.points, sigma.sigma))
+    assert witness_index(find_pattern(cases[-1][0], C3, PatternSpec.from_string("110")),
+                         11) >= 1 << 21
