@@ -23,7 +23,10 @@ correlation that could leave int64 stay on the scan.
 Enumeration order contract (governs the witnesses of find_pattern):
 assignment index t in [0, 2^(n*r)) gives basis image u_j = bits
 [j*n, (j+1)*n) of t. The first violation reported is the one with the
-smallest t.
+smallest t. Where elimination is the cheaper route, find_pattern finds
+it by descent: u_{r-1} first, each image fixed to the smallest value
+whose conditioned count is positive, so a witness costs r counts
+wherever it lies; otherwise the scan runs up to it.
 
 One kernel, `_match`, evaluates f at L(v_1), ..., L(v_k) for a batch of
 maps L and compares with Sigma. The exhaustive scan feeds it the basis
@@ -254,18 +257,22 @@ _COUNT_MAX_BITS = 62     # every partial count is at most 2^(n*r), so fits in in
 _WITNESS_FIRST_CHUNK = 1 << 12
 
 
-def _plan(coords: Sequence[int], n: int) -> tuple[list[int], int]:
+def _plan(coords: Sequence[int], n: int, keep: int = 0) -> tuple[list[int], int]:
     """A dry run over the factor forms alone: the variables in the order
-    they are summed out, and the price in element operations. Choices are
-    greedy: the variable in the fewest factors is eliminated; when every
-    variable sits in three or more, the one in the most is conditioned."""
+    they are summed out, and the price in element operations. Variables
+    in the mask `keep` are never summed out. Choices are greedy: the
+    variable in the fewest factors is eliminated; when every variable
+    sits in three or more, the one in the most is conditioned."""
     size = 1 << n
     forms = {c for c in coords if c}
     order = []
     cost = _STEP_COST    # setting the factors up
     batch, runs = 1, 1   # rows per slice, slices the remaining steps run on
-    while forms:
-        occ = Counter(j for c in forms for j in range(c.bit_length()) if c >> j & 1)
+    while True:
+        occ = Counter(j for c in forms for j in range(c.bit_length())
+                      if (c & ~keep) >> j & 1)
+        if not occ:
+            break
         j = min(occ, key=lambda v: (occ[v], v))
         if occ[j] > 2:
             j = max(occ, key=lambda v: (occ[v], -v))
@@ -296,11 +303,13 @@ def _put(factors: dict, form: int, values: np.ndarray) -> None:
     factors[form] = values if old is None else old * values
 
 
-def _replay(factors: dict, order: Sequence[int], n: int) -> Optional[int]:
+def _replay(factors: dict, order: Sequence[int], n: int) -> Optional[np.ndarray]:
     """Sum out the variables in `order`; factors map a form to an int64
     array of shape (rows, 2^n), or (1, 2^n) for a factor shared by every
-    row. Returns the total over all rows, or None when a correlation
-    could leave int64."""
+    row. What is left reads at most one variable u_j: returns the total
+    over all rows for every value of u_j (shape (2^n,)), or of shape (1,)
+    when no factor is left on u_j; None when a correlation could leave
+    int64."""
     for pos, j in enumerate(order):
         mine = [c for c in factors if c >> j & 1]
         if len(mine) > 2:
@@ -315,10 +324,13 @@ def _replay(factors: dict, order: Sequence[int], n: int) -> Optional[int]:
         corr = _butterfly(_butterfly(a.copy()) * _butterfly(b.copy()))
         corr >>= n
         _put(factors, mine[0] ^ mine[1], corr)
-    return int(factors[0].sum())
+    rest = factors.pop(0)
+    for a in factors.values():    # the one form left, on the kept variable
+        rest = rest * a
+    return rest.sum(axis=0)
 
 
-def _condition(factors: dict, j: int, order: Sequence[int], n: int) -> Optional[int]:
+def _condition(factors: dict, j: int, order: Sequence[int], n: int) -> Optional[np.ndarray]:
     """Fix variable j to every point, at most _CHUNK table entries per
     slice: each row becomes one row per value, and a factor that reads
     u_j is shifted by that value."""
@@ -342,32 +354,43 @@ def _condition(factors: dict, j: int, order: Sequence[int], n: int) -> Optional[
         got = _replay(sub, order, n)
         if got is None:
             return None
-        total += got
+        total = total + got
     return total
+
+
+def _factors(tables: Sequence[np.ndarray], coords: Sequence[int],
+             sigma: Sequence[int]) -> dict:
+    """The factors [tables[i] == sigma[i]] keyed by form, merged."""
+    factors = {0: np.ones((1, 1), dtype=np.int64)}
+    for table, s, c in zip(tables, sigma, coords):
+        _put(factors, c, (table == s).astype(np.int64)[None, :])
+    return factors
 
 
 def _eliminate(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
                sigma: Sequence[int], r: int, order: Sequence[int]) -> Optional[int]:
     """The exact count, summing the variables out in `order` (from
     _plan), or None when a correlation could leave int64."""
-    factors = {0: np.ones((1, 1), dtype=np.int64)}
-    for table, s, c in zip(tables, sigma, coords):
-        _put(factors, c, (table == s).astype(np.int64)[None, :])
-    total = _replay(factors, order, n)
-    return None if total is None else total << (n * (r - len(order)))
+    total = _replay(_factors(tables, coords, sigma), order, n)
+    return None if total is None else int(total[0]) << (n * (r - len(order)))
+
+
+def _priced(coords: Sequence[int], n: int, r: int, keep: int = 0) -> Optional[list[int]]:
+    """The elimination order when it is priced below the scan's
+    2^(n*r)*k, else None."""
+    scan = len(coords) << (n * r)
+    if n * r > _COUNT_MAX_BITS or scan <= _STEP_COST:   # no plan costs less
+        return None
+    order, cost = _plan(coords, n, keep)
+    return order if cost < scan else None
 
 
 def _count_by_elimination(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
                           sigma: Sequence[int], r: int) -> Optional[int]:
     """The exact count by variable elimination, or None when the scan's
     2^(n*r)*k is cheaper or a correlation could leave int64."""
-    scan = len(coords) << (n * r)
-    if n * r > _COUNT_MAX_BITS or scan <= _STEP_COST:   # no plan costs less
-        return None
-    order, cost = _plan(coords, n)
-    if cost >= scan:
-        return None
-    return _eliminate(tables, n, coords, sigma, r, order)
+    order = _priced(coords, n, r)
+    return None if order is None else _eliminate(tables, n, coords, sigma, r, order)
 
 
 def _count(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
@@ -380,31 +403,74 @@ def _count(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
     return count
 
 
+def _fix(factors: dict, j: int, value: int, n: int) -> dict:
+    """The factors with variable u_j set to `value`: a factor that reads
+    u_j is shifted by it."""
+    shift = np.arange(1 << n, dtype=np.int64) ^ value
+    out: dict = {}
+    for form, a in factors.items():
+        _put(out, form & ~(1 << j), a[:, shift] if form >> j & 1 else a)
+    return out
+
+
+def _descend(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
+             sigma: Sequence[int], r: int) -> tuple[bool, Optional[int]]:
+    """The smallest assignment index realizing sigma, by elimination
+    (r >= 1): from u_{r-1} down to u_0, count the completions for every
+    value of u_j with the higher images fixed, and fix u_j to the first
+    value that has one. Returns (True, t), (True, None) when no
+    assignment realizes sigma (the first round is the count), or
+    (False, None) when a correlation could leave int64. The cost is r
+    counts, wherever the witness lies."""
+    factors = _factors(tables, coords, sigma)
+    t = 0
+    for j in reversed(range(r)):
+        order, _ = _plan(list(factors), n, 1 << j)
+        completions = _replay(dict(factors), order, n)
+        if completions is None:
+            return False, None
+        hits = np.flatnonzero(completions)
+        if not hits.size:
+            return True, None
+        value = int(hits[0])
+        t |= value << (j * n)
+        factors = _fix(factors, j, value, n)
+    return True, t
+
+
+def _instance(t: int, n: int, r: int, coords: Sequence[int]) -> PatternInstance:
+    """The witness of assignment index t."""
+    images = tuple(GFVector(n, (t >> (j * n)) & ((1 << n) - 1)) for j in range(r))
+    points = []
+    for cmask in coords:
+        bits = 0
+        for j in range(r):
+            if cmask >> j & 1:
+                bits ^= images[j].bits
+        points.append(GFVector(n, bits))
+    return PatternInstance(LinearMap(r, images), tuple(points))
+
+
 def find_pattern(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
                  budget_bits: int = PATTERN_BUDGET_BITS) -> Optional[PatternInstance]:
     """First violating instance in enumeration order, or None when f is
-    (M, Sigma)-free (exhaustive certificate). The count comes first; the
-    scan for the witness runs only when it is positive, in chunks that
-    grow from 2^12 so that an early witness is found early."""
+    (M, Sigma)-free (exhaustive certificate). Where elimination is priced
+    below the scan, the witness is found by descending through the basis
+    images, at the price of r counts wherever it lies; otherwise the scan
+    runs in chunks that grow from 2^12, so an early witness is found
+    early."""
     _check_pattern_args(f, m, sigma, budget_bits)
     n, r = f.n, m.rank
     coords = m.span_coords
     tables = [f.table] * m.k
-    if _count_by_elimination(tables, n, coords, sigma.sigma, r) == 0:
-        return None
+    if r and _priced(coords, n, r, 1 << (r - 1)) is not None:
+        exact, t = _descend(tables, n, coords, sigma.sigma, r)
+        if exact:
+            return None if t is None else _instance(t, n, r, coords)
     for start, match in _scan_chunks(tables, n, coords, sigma.sigma, r,
                                      first=_WITNESS_FIRST_CHUNK):
         if match.any():
-            t = start + int(np.argmax(match))
-            images = tuple(GFVector(n, (t >> (j * n)) & ((1 << n) - 1)) for j in range(r))
-            points = []
-            for cmask in coords:
-                bits = 0
-                for j in range(r):
-                    if cmask >> j & 1:
-                        bits ^= images[j].bits
-                points.append(GFVector(n, bits))
-            return PatternInstance(LinearMap(r, images), tuple(points))
+            return _instance(start + int(np.argmax(match)), n, r, coords)
     return None
 
 

@@ -580,3 +580,82 @@ def test_find_pattern_witness_matches_scan_order():
         assert all(f.value(p.bits) == s for p, s in zip(inst.points, sigma.sigma))
     assert witness_index(find_pattern(cases[-1][0], C3, PatternSpec.from_string("110")),
                          11) >= 1 << 21
+
+
+def scan_first(tables, n, coords, sigma, r):
+    """Scan-only reference over explicit tables: the smallest matching index."""
+    for start, match in tester._scan_chunks(tables, n, coords, sigma, r):
+        if match.any():
+            return start + int(np.argmax(match))
+    return None
+
+
+def test_descent_matches_scan_on_atlas_graphs():
+    """The witness descent, whatever the planner's price, finds the scan's
+    first match on every connected graph with at most 5 vertices."""
+    from test_acceptance import atlas_graphs
+
+    rng = np.random.Generator(np.random.PCG64(113))
+    checked = 0
+    for g in atlas_graphs(5):
+        m = graphic_from_graph(g)
+        for n in range(1, 12 // m.rank + 1):
+            table = random_function(n, rng, density=0.7).table
+            tables = [table] * m.k
+            for _ in range(8):
+                sigma = tuple(int(b) for b in rng.integers(0, 2, m.k))
+                want = scan_first(tables, n, m.span_coords, sigma, m.rank)
+                assert tester._descend(tables, n, m.span_coords, sigma, m.rank) == (True, want)
+                checked += 1
+    assert checked > 800
+
+
+@pytest.mark.parametrize("m", [
+    cographic_from_graph(complete_bipartite_graph(3, 3)),
+    ZERO_PARALLEL,
+    vectors("01", "01", "10", "11", "10", "01"),
+    vectors("0011", "0101", "0110"),
+    vectors("00011", "00101", "01001", "01111", "00000", "01100"),
+], ids=["cographic-k33", "zero-parallel", "parallel", "rank-deficient", "mixed"])
+def test_descent_matches_scan_on_special_presentations(m):
+    rng = np.random.Generator(np.random.PCG64(127))
+    for n in range(1, 12 // m.rank + 1):
+        for _ in range(8):
+            tables = [random_function(n, rng, density=0.6).table for _ in range(m.k)]
+            sigma = tuple(int(b) for b in rng.integers(0, 2, m.k))
+            want = scan_first(tables, n, m.span_coords, sigma, m.rank)
+            assert tester._descend(tables, n, m.span_coords, sigma, m.rank) == (True, want)
+
+
+def test_descent_slices_and_unread_variables(monkeypatch):
+    """Conditioning in slices of a few rows, and a basis variable that no
+    ground vector reads, leave the descent's witness unchanged."""
+    rng = np.random.Generator(np.random.PCG64(131))
+    cases = [(graphic_from_graph(complete_graph(4)).span_coords, 3, (2, 3)),
+             (graphic_from_graph(complete_graph(5)).span_coords, 4, (2,)),
+             ((1, 2, 3), 3, (1, 2, 3)), ((3, 3, 1), 3, (1, 2, 3)), ((2, 4, 6), 3, (1, 2))]
+    monkeypatch.setattr(tester, "_CHUNK", 1 << 5)
+    for coords, r, ns in cases:
+        for n in ns:
+            for _ in range(6):
+                tables = [random_function(n, rng, 0.7).table for _ in coords]
+                sigma = tuple(int(b) for b in rng.integers(0, 2, len(coords)))
+                want = scan_first(tables, n, coords, sigma, r)
+                assert tester._descend(tables, n, coords, sigma, r) == (True, want)
+
+
+def test_late_witness_costs_no_scan(monkeypatch):
+    """A witness past 2^21 comes from the descent alone, so its price does
+    not depend on where it lies; with the int64 check failing the scan
+    still finds the same one."""
+    f = BooleanFunction(11, np.arange(1 << 11) >> 10)
+    sigma = PatternSpec.from_string("110")
+    want = scan_witness_index(f, C3, sigma)
+    assert want >= 1 << 21
+    scan = tester._scan_chunks
+    monkeypatch.setattr(tester, "_scan_chunks", None)
+    assert witness_index(find_pattern(f, C3, sigma), 11) == want
+    monkeypatch.setattr(tester, "_scan_chunks", scan)
+    monkeypatch.setattr(tester, "_INT64_LIMIT", 2)
+    assert tester._descend([f.table] * 3, 11, C3.span_coords, sigma.sigma, 2) == (False, None)
+    assert witness_index(find_pattern(f, C3, sigma), 11) == want
