@@ -187,6 +187,8 @@ def _exp_test(args):
 
 
 def _exp_tester_calibration(args):
+    if args.buckets < 1:
+        raise InvalidInputError(f"buckets must be positive, got {args.buckets}")
     if args.function:
         base = load_function(args.function)
     else:
@@ -249,6 +251,8 @@ def _exp_fourier(args):
 
 
 def _exp_von_neumann(args):
+    if args.trials < 1:
+        raise InvalidInputError(f"trials must be positive, got {args.trials}")
     m = graphic_from_graph(named_graph(args.graph))
     violations = 0
     min_margin = None

@@ -29,9 +29,12 @@ whose conditioned count is positive, so a witness costs r counts
 wherever it lies; otherwise the scan runs up to it.
 
 One kernel, `_match`, evaluates f at L(v_1), ..., L(v_k) for a batch of
-maps L and compares with Sigma. The exhaustive scan feeds it the basis
-images decoded from a chunk of assignment indices; run_tester feeds it
-random images of the presentation basis.
+maps L and compares with Sigma, reading the lookups [f = sigma_i] built
+once per call. The exhaustive scan feeds it the basis images decoded
+from a chunk of assignment indices; run_tester feeds it random images of
+the presentation basis. The scan, the tester, the conditioned slices of
+the elimination and the cycle-count oracle all work in blocks of at most
+_CHUNK entries, sized so that a block's few int64 arrays stay in cache.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ PATTERN_BUDGET_BITS = 30
 VON_NEUMANN_BUDGET_BITS = 26
 HITTING_INSTANCE_BUDGET = 10 ** 7
 REPAIR_CHECK_BUDGET = 2 * 10 ** 6
-_CHUNK = 1 << 20
+_CHUNK = 1 << 14       # entries per block: a few such int64 arrays stay in L2 cache
 
 
 def derive_seed(master: int, *shard: int) -> int:
@@ -163,10 +166,24 @@ def _check_pattern_args(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec
             f"n*rank = {f.n * m.rank} exceeds exhaustive budget {budget_bits}")
 
 
-def _match(tables: Sequence[np.ndarray], sigma: Sequence[int], coords: Sequence[int],
-           column, scratch: np.ndarray) -> np.ndarray:
+def _lookups(tables: Sequence[np.ndarray], sigma: Sequence[int]) -> list[np.ndarray]:
+    """[tables[i] == sigma[i]] per ground vector, built once per distinct
+    (table, value) pair."""
+    built: dict = {}
+    out = []
+    for table, s in zip(tables, sigma):
+        key = (id(table), s)
+        if key not in built:
+            built[key] = table == s
+        out.append(built[key])
+    return out
+
+
+def _match(lookups: Sequence[np.ndarray], coords: Sequence[int], column,
+           scratch: np.ndarray) -> np.ndarray:
     """The evaluation kernel: for a batch of linear maps, which ones send
-    every ground vector i to a point where tables[i] equals sigma[i].
+    every ground vector i to a point where lookups[i] (from _lookups) is
+    true.
 
     coords[i] is ground vector i as a mask over basis vectors; column(j)
     is the array of images of basis vector j across the batch, fetched
@@ -177,7 +194,7 @@ def _match(tables: Sequence[np.ndarray], sigma: Sequence[int], coords: Sequence[
     """
     cols = {}
     match = None
-    for i, cmask in enumerate(coords):
+    for lookup, cmask in zip(lookups, coords):
         pts = None
         j = 0
         cm = cmask
@@ -192,7 +209,7 @@ def _match(tables: Sequence[np.ndarray], sigma: Sequence[int], coords: Sequence[
         if pts is None:
             scratch.fill(0)
             pts = scratch
-        good = tables[i][pts] == sigma[i]
+        good = lookup.take(pts)
         if match is None:
             match = good
         else:
@@ -210,14 +227,14 @@ def _scan_chunks(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
     basis mask of ground vector i. The first chunk holds `first` indices
     and each later one as many as came before it, up to _CHUNK, so chunk
     boundaries are powers of two. Every chunk is a prefix of one index
-    buffer, one buffer per basis column and one XOR scratch buffer: 8 MB
-    arrays allocated afresh per chunk were handed back to the OS and
-    faulted in again on the next chunk. Pages past the largest chunk are
-    never touched, so an early witness costs no full-size buffer.
+    buffer, one buffer per basis column and one XOR scratch buffer, each
+    of at most _CHUNK entries: small enough to stay in cache from one
+    ground vector to the next, and reused from chunk to chunk.
     """
     total = 1 << (n * r)
     mask = (1 << n) - 1
     full = min(total, _CHUNK)
+    lookups = _lookups(tables, sigma)
     ts = np.empty(full, dtype=np.int64)
     scratch = np.empty_like(ts)
     buffers = {}
@@ -236,7 +253,7 @@ def _scan_chunks(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
         return col
 
     while start < total:
-        yield start, _match(tables, sigma, coords, column, scr)
+        yield start, _match(lookups, coords, column, scr)
         idx += size
         start += size
         if start < total and size < min(start, _CHUNK):
@@ -522,25 +539,41 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
     uniform images of the m presentation-basis vectors) and reject a draw
     iff the evaluated tuple equals Sigma.
 
-    RNG: numpy PCG64 seeded with `seed`; identical seeds reproduce the
-    rejection sequence bit for bit. Shard seeds, when sharding is wanted,
-    must be derived via np.random.SeedSequence(seed).spawn(...).
+    RNG: numpy PCG64 seeded with `seed` (a nonnegative int); identical
+    seeds reproduce the rejection sequence bit for bit, whatever the block
+    size. Draw d takes the images of basis vectors 0..m-1 from the next m
+    values of rng.integers(0, 2^n), in order. Shard seeds, when sharding
+    is wanted, must come from derive_seed(seed, shard).
+
+    Samples run in blocks of _CHUNK maps. A bounded draw from [0, 2^n)
+    is the top n bits of one 32-bit word (Lemire's method never rejects
+    for a power-of-two bound; n = 0 draws nothing), so each block draws
+    raw 32-bit words and shifts them into one reused column buffer, one
+    contiguous row per basis vector.
     """
     if sigma.k != m.k:
         raise DimensionMismatchError(
             f"sigma length {sigma.k} does not match matroid size {m.k}")
     if samples < 1:
         raise InvalidInputError("samples must be positive")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    tables = [f.table] * m.k
-    scratch = np.empty(min(samples, _CHUNK), dtype=np.int64)
+    lookups = _lookups([f.table] * m.k, sigma.sigma)
+    block = min(samples, _CHUNK)
+    columns = np.zeros((m.m, block), dtype=np.int64)
+    scratch = np.empty(block, dtype=np.int64)
     rejections = 0
     remaining = samples
     while remaining:
-        batch = min(remaining, _CHUNK)
-        images = rng.integers(0, 1 << f.n, size=(batch, m.m), dtype=np.int64)
-        match = _match(tables, sigma.sigma, m.ints, lambda j: images[:, j], scratch[:batch])
-        rejections += int(match.sum())
+        batch = min(remaining, block)
+        cols = columns[:, :batch]
+        if f.n:
+            words = rng.integers(0, 1 << 32, size=(batch, m.m), dtype=np.uint32)
+            words >>= 32 - f.n
+            cols[...] = words.T
+        match = _match(lookups, m.ints, cols.__getitem__, scratch[:batch])
+        rejections += int(np.count_nonzero(match))
         remaining -= batch
     return rejections, Fraction(rejections, samples)
 

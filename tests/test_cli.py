@@ -96,6 +96,12 @@ def test_malformed_input_exit_code(workdir):
     ["fourier", "--check-von-neumann", "-n", "-1", "--trials", "1"],
     ["characterize", "-n", "-1"],
     ["regularity", "-n", "-1"],
+    ["test", "--function", "{d}/canon.boolfn", "--matroid", "{d}/k3.matroid",
+     "--sigma", "111", "--seed", "-1"],
+    ["test", "--calibrate", "-n", "3", "--buckets", "0"],
+    ["test", "--calibrate", "-n", "3", "--buckets", "-1"],
+    ["fourier", "--check-von-neumann", "-n", "2", "--trials", "0"],
+    ["fourier", "--check-von-neumann", "-n", "2", "--trials", "-2"],
 ])
 def test_malformed_input_one_line_exit_4(workdir, capsys, argv):
     (workdir / "latin1.boolfn").write_bytes(b"boolfn v1\nn=2\ntable=0\xe6\n")

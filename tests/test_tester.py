@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -6,12 +7,12 @@ import numpy as np
 import pytest
 
 from matroidlab import tester
-from matroidlab.boolfn import BooleanFunction, density, random_function
+from matroidlab.boolfn import WHT_MAX_N, BooleanFunction, density, random_function
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from matroidlab.gf2 import GFVector, rank_and_basis
 from matroidlab.matroid import (BinaryMatroid, canonical_function, cographic_from_graph,
                                 complete_bipartite_graph, complete_graph, cycle_graph,
-                                graphic_from_graph)
+                                graphic_from_graph, named_graph)
 from matroidlab.tester import (CountReport, PatternSpec, TowerExpr,
                                brute_force_cycle_count, count_patterns,
                                cycle_count_fourier, derive_seed, enumerate_instances,
@@ -183,6 +184,92 @@ def test_run_tester_rate_tracks_density():
     _, rate = run_tester(f, C3, S111, samples, seed=11)
     sigma = (float(p) * (1 - float(p)) / samples) ** 0.5
     assert abs(float(rate) - float(p)) <= 5 * sigma
+
+
+def test_bounded_draw_is_top_bits_of_a_32_bit_word():
+    """run_tester draws raw 32-bit words in place of integers(0, 2^n): the
+    same values, and the same stream across consecutive calls."""
+    for seed in (0, 7, 2 ** 40 + 3):
+        for n in range(1, WHT_MAX_N + 1):
+            bounded = np.random.Generator(np.random.PCG64(seed))
+            raw = np.random.Generator(np.random.PCG64(seed))
+            for shape in ((1, 1), (7, 3), (5, 1), (3, 10), (1, 5)):
+                want = bounded.integers(0, 1 << n, size=shape, dtype=np.int64)
+                got = raw.integers(0, 2 ** 32, size=shape, dtype=np.uint32) >> (32 - n)
+                assert np.array_equal(got, want)
+
+
+def reference_rejections(f, m, sigma, samples, seed):
+    """The tester drawn the old way: one (samples, m) int64 array of
+    bounded draws, each ground vector evaluated by a fancy index."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    images = rng.integers(0, 1 << f.n, size=(samples, m.m), dtype=np.int64)
+    match = np.ones(samples, dtype=bool)
+    for cmask, s in zip(m.ints, sigma.sigma):
+        pts = np.zeros(samples, dtype=np.int64)
+        for j in range(m.m):
+            if cmask >> j & 1:
+                pts ^= images[:, j]
+        match &= f.table[pts] == s
+    return int(match.sum())
+
+
+@pytest.mark.parametrize("chunk", [1 << 5, 1 << 14, 1 << 20])
+def test_run_tester_matches_one_array_reference(monkeypatch, chunk):
+    """Rejection counts do not depend on the block size: atlas graphic
+    matroids, the zero-vector and parallel presentations, several sigma."""
+    from test_acceptance import atlas_graphs
+
+    monkeypatch.setattr(tester, "_CHUNK", chunk)
+    rng = np.random.Generator(np.random.PCG64(151))
+    matroids = [graphic_from_graph(g) for g in atlas_graphs(5)] + [RANK0, ZERO_PARALLEL]
+    for i, m in enumerate(matroids):
+        n = 1 + i % 6
+        f = random_function(n, rng, 0.7)
+        for _ in range(3):
+            sigma = PatternSpec(tuple(int(b) for b in rng.integers(0, 2, m.k)))
+            samples = int(rng.integers(1, 300))
+            want = reference_rejections(f, m, sigma, samples, i)
+            assert run_tester(f, m, sigma, samples, seed=i) == (want, Fraction(want, samples))
+    f = random_function(16, rng)
+    assert run_tester(f, C3, S111, 100003, seed=3)[0] == reference_rejections(
+        f, C3, S111, 100003, 3)
+
+
+def test_run_tester_on_a_zero_dimensional_function():
+    """n = 0: every map sends every ground vector to the one point."""
+    one, zero = BooleanFunction(0, [1]), BooleanFunction(0, [0])
+    assert run_tester(one, C3, S111, 1000, seed=1) == (1000, 1)
+    assert run_tester(zero, C3, S111, 1000, seed=1) == (0, 0)
+    assert run_tester(zero, C3, PatternSpec.from_string("000"), 5, seed=2) == (5, 1)
+    assert run_tester(one, C3, PatternSpec.from_string("110"), 1000, seed=1) == (0, 0)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("graph, n, run, limit", [
+    ("c3", 16, "test", 2 << 20),
+    ("k4", 8, "count", 3 << 19),
+    ("k5", 7, "count", 4 << 20),
+])
+def test_working_memory_is_cache_sized(graph, n, run, limit):
+    """The tester and the elimination work in blocks of _CHUNK entries,
+    so their peak heap does not grow with the samples or with 2^(n*r)."""
+    m = graphic_from_graph(named_graph(graph))
+    f = random_function(n, np.random.Generator(np.random.PCG64(1)))
+    sigma = PatternSpec.all_ones(m.k)
+    if run == "test":
+        peak = traced_peak(lambda: run_tester(f, m, sigma, 10 ** 6, seed=1))
+    else:
+        peak = traced_peak(lambda: count_patterns(f, m, sigma))
+    assert peak < limit
 
 
 def test_min_repair_already_free():
