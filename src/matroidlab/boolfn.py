@@ -242,9 +242,11 @@ def regularity_decompose(f: BooleanFunction, eps, max_codim: int | None = None
         raise BudgetExceededError(f"n={f.n} exceeds regularity search cap {REGULARITY_MAX_N}")
     if max_codim is None:
         max_codim = f.n
-    if max_codim > f.n:
-        raise InvalidInputError(f"max_codim {max_codim} exceeds n={f.n}")
+    if not 0 <= max_codim <= f.n:
+        raise InvalidInputError(f"max_codim {max_codim} is outside [0, n={f.n}]")
     eps = Fraction(eps)
+    if not 0 <= eps <= 1:
+        raise InvalidInputError(f"eps {eps} is outside [0, 1]")
     threshold = 1 - eps
     for codim in range(max_codim + 1):
         for sub in enumerate_subspaces(f.n, codim):

@@ -6,7 +6,8 @@ wrapped as {"value": ..., "exact": true|false}. Identical arguments and
 seeds produce byte-identical reports except for the runtime_ms field.
 
 `main(argv)` is the Python entry point: it takes the command-line
-arguments as a list and returns the exit code.
+arguments as a list and returns the exit code. It reuses one parser,
+built when this module is imported.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .families import verify_characterization
 from .fileio import (load_function, load_graph, load_matroid, save_function,
                      save_matroid)
 from .gf2 import GFVector
-from .matroid import (canonical_function, circuits, cographic_from_graph, complexity,
-                      cycle_space_basis, find_homomorphism, graphic_from_graph,
-                      named_graph, odd_girth)
+from .matroid import (HOM_NODE_BUDGET, canonical_function, circuits,
+                      cographic_from_graph, complexity, cycle_space_basis,
+                      find_homomorphism, graphic_from_graph, named_graph, odd_girth)
 from .tester import (PATTERN_BUDGET_BITS, PatternSpec, brute_force_cycle_count,
                      count_patterns, cycle_count_fourier, derive_seed, find_pattern,
                      min_repair_distance, pattern_hitting_number, run_tester,
@@ -128,8 +129,7 @@ def _exp_oddgirth(args):
 def _exp_hom(args):
     source = load_matroid(args.source)
     target = load_matroid(args.target)
-    kwargs = {"node_budget": args.budget} if args.budget is not None else {}
-    phi = find_homomorphism(source, target, **kwargs)
+    phi = find_homomorphism(source, target, node_budget=args.budget)
     found = phi is not None
     return ({"source_k": source.k, "target_k": target.k},
             {"homomorphism_exists": found,
@@ -143,13 +143,9 @@ def _freeness_args(args):
     return f, m, sigma
 
 
-def _budget_bits(args) -> int:
-    return args.budget if args.budget is not None else PATTERN_BUDGET_BITS
-
-
 def _exp_free(args):
     f, m, sigma = _freeness_args(args)
-    inst = find_pattern(f, m, sigma, budget_bits=_budget_bits(args))
+    inst = find_pattern(f, m, sigma, budget_bits=args.budget)
     results = {"free": inst is None, "sigma": str(sigma)}
     if inst is not None:
         results["witness_points"] = [p.to_bits() for p in inst.points]
@@ -159,7 +155,7 @@ def _exp_free(args):
 
 def _exp_count(args):
     f, m, sigma = _freeness_args(args)
-    rep = count_patterns(f, m, sigma, budget_bits=_budget_bits(args))
+    rep = count_patterns(f, m, sigma, budget_bits=args.budget)
     return ({"n": f.n, "k": m.k, "rank": rep.rank, "sigma": str(sigma)},
             {"span_count": exact(rep.span_count),
              "span_total": exact(rep.span_total),
@@ -179,10 +175,11 @@ def _exp_test(args):
         "rejections": sampled(rejections),
         "empirical_rate": sampled(str(rate)),
     }
-    budget = _budget_bits(args)
-    if f.n * m.rank <= budget:
+    try:
         results["exact_density"] = exact(
-            count_patterns(f, m, sigma, budget_bits=budget).density)
+            count_patterns(f, m, sigma, budget_bits=args.budget).density)
+    except BudgetExceededError:     # n*rank over --budget: sampled figures only
+        pass
     return {"n": f.n, "k": m.k, "samples": args.samples, "sigma": str(sigma)}, results
 
 
@@ -209,7 +206,7 @@ def _exp_tester_calibration(args):
         for idx in removed:
             table[ones[int(idx)]] = 0
         variant = BooleanFunction(base.n, table)
-        exact_density = count_patterns(variant, m, sigma).density
+        exact_density = count_patterns(variant, m, sigma, budget_bits=args.budget).density
         _, rate = run_tester(variant, m, sigma, args.samples, derive_seed(args.seed, 2, i))
         rows.append([str(Fraction(remove, size)), str(rate), str(exact_density)])
     return ({"buckets": args.buckets, "n": base.n, "samples": args.samples,
@@ -318,8 +315,7 @@ def _exp_hierarchy_cliques(args):
     a, b, n = args.a, args.b, args.n
     m_a = graphic_from_graph(named_graph(f"k{a}"))
     m_b = graphic_from_graph(named_graph(f"k{b}"))
-    kwargs = {"node_budget": args.budget} if args.budget is not None else {}
-    phi = find_homomorphism(m_b, m_a, **kwargs)
+    phi = find_homomorphism(m_b, m_a, node_budget=args.budget)
     f = canonical_function(m_a, n)
     free = find_pattern(f, m_b, PatternSpec.all_ones(m_b.k)) is None
     return ({"a": a, "b": b, "n": n},
@@ -446,13 +442,20 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, run, help):
+    def add(name, run, help, budget=None):
+        """A subcommand; `budget`, given only to the subcommands that read
+        a --budget, is its (default, help text)."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=None)
+        if budget:
+            default, text = budget
+            p.add_argument("--budget", type=int, default=default,
+                           help=f"{text} (default {default})")
         p.add_argument("--out", default=None)
         return p
+
+    bits = (PATTERN_BUDGET_BITS, "cap on n*rank, in bits")
 
     p = add("graphic", partial(_write_matroid, graphic_from_graph),
             "graph file -> graphic matroid file")
@@ -477,7 +480,8 @@ def build_parser() -> _Parser:
                    help="run the named graphic-matroid corpus instead")
     p.add_argument("--graphs", nargs="*", default=None)
 
-    p = add("hom", partial(_report, "hom", _exp_hom), "search for a matroid homomorphism")
+    p = add("hom", partial(_report, "hom", _exp_hom), "search for a matroid homomorphism",
+            (HOM_NODE_BUDGET, "cap on the search, in DFS nodes"))
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
 
@@ -485,18 +489,19 @@ def build_parser() -> _Parser:
     p.add_argument("--matroid", required=True)
     p.add_argument("-n", type=int, required=True)
 
-    p = add("free", partial(_report, "free", _exp_free), "exhaustive freeness check")
+    p = add("free", partial(_report, "free", _exp_free), "exhaustive freeness check", bits)
     p.add_argument("--function", required=True)
     p.add_argument("--matroid", required=True)
     p.add_argument("--sigma", required=True)
     p.add_argument("--assert-free", action="store_true")
 
-    p = add("count", partial(_report, "count", _exp_count), "exact violation count")
+    p = add("count", partial(_report, "count", _exp_count), "exact violation count", bits)
     p.add_argument("--function", required=True)
     p.add_argument("--matroid", required=True)
     p.add_argument("--sigma", required=True)
 
-    p = add("test", _run_test, "randomized k-query tester")
+    p = add("test", _run_test, "randomized k-query tester",
+            (PATTERN_BUDGET_BITS, "cap on n*rank for exact densities, in bits"))
     p.add_argument("--function")
     p.add_argument("--matroid")
     p.add_argument("--sigma")
@@ -535,7 +540,9 @@ def build_parser() -> _Parser:
     p.add_argument("-k", type=int, default=4)
     p.add_argument("-n", type=int, default=3)
 
-    p = add("hierarchy", _run_hierarchy, "cycle/clique separation experiments")
+    p = add("hierarchy", _run_hierarchy, "cycle/clique separation experiments",
+            (HOM_NODE_BUDGET, "cap on --kind cliques' homomorphism search, in DFS "
+             "nodes; --kind cycles ignores it"))
     p.add_argument("--kind", choices=("cycles", "cliques"), default="cycles")
     p.add_argument("-k", type=int, default=3)
     p.add_argument("-a", type=int, default=3)
@@ -545,8 +552,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
     except PropertyViolation as exc:

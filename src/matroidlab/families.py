@@ -268,6 +268,7 @@ def verify_characterization(n: int, k: int) -> CharacterizationReport:
     predicted families for every non-monochromatic Sigma, plus the
     padding containments (C_{k+2}, Sigma+00)-free and
     (C_{k+2}, Sigma+11)-free within (C_k, Sigma)-free."""
+    _check_enum_budget(n, k)
     _check_enum_budget(n, k + 2)
     report = CharacterizationReport(n=n, k=k)
     for sigma in _all_sigmas(k):

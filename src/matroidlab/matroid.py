@@ -421,6 +421,8 @@ def _mask_bits(mask: int):
 def complexity(m: BinaryMatroid, cap: int = 1) -> Optional[int]:
     """The matroid's partition complexity: max over elements of the
     per-element minimum; None when any element exceeds cap."""
+    if cap < 0:
+        raise InvalidInputError(f"cap must be nonnegative, got {cap}")
     if cap >= 2 and m.k > GENERAL_COMPLEXITY_MAX_K:
         raise BudgetExceededError(
             f"k={m.k} exceeds general complexity cap {GENERAL_COMPLEXITY_MAX_K}")
@@ -514,6 +516,8 @@ def find_homomorphism(source: BinaryMatroid, target: BinaryMatroid,
     """Exhaustive DFS over ground-set maps from source to target, pruned
     by checking each dependency-code basis word as soon as its last
     element is assigned. Returns a verified witness or None."""
+    if node_budget < 0:
+        raise InvalidInputError(f"node budget must be nonnegative, got {node_budget}")
     words_by_top: dict[int, list[int]] = {}
     for w in source.kernel_words:
         words_by_top.setdefault(w.bit_length() - 1, []).append(w)

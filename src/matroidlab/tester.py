@@ -158,6 +158,8 @@ class CountReport:
 
 def _check_pattern_args(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
                         budget_bits: int) -> None:
+    if budget_bits < 0:
+        raise InvalidInputError(f"budget must be nonnegative, got {budget_bits}")
     if sigma.k != m.k:
         raise DimensionMismatchError(
             f"sigma length {sigma.k} does not match matroid size {m.k}")

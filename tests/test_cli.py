@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -7,7 +8,7 @@ import tracemalloc
 import pytest
 
 import matroidlab.cli
-from matroidlab.cli import Report, emit_plot_data, main
+from matroidlab.cli import Report, build_parser, emit_plot_data, main
 from matroidlab.errors import InvalidInputError
 from matroidlab.fileio import save_function, save_graph, save_matroid
 from matroidlab.matroid import (canonical_function, cycle_graph, graphic_from_graph,
@@ -102,12 +103,94 @@ def test_malformed_input_exit_code(workdir):
     ["test", "--calibrate", "-n", "3", "--buckets", "-1"],
     ["fourier", "--check-von-neumann", "-n", "2", "--trials", "0"],
     ["fourier", "--check-von-neumann", "-n", "2", "--trials", "-2"],
+    ["characterize", "-k", "1", "-n", "2"],
+    ["complexity", "--matroid", "{d}/k3.matroid", "--cap", "-1"],
+    ["count", "--function", "{d}/canon.boolfn", "--matroid", "{d}/k3.matroid",
+     "--sigma", "111", "--budget", "-1"],
+    ["free", "--function", "{d}/canon.boolfn", "--matroid", "{d}/k3.matroid",
+     "--sigma", "111", "--budget", "-1"],
+    ["test", "--function", "{d}/canon.boolfn", "--matroid", "{d}/k3.matroid",
+     "--sigma", "111", "--samples", "10", "--budget", "-1"],
+    ["test", "--calibrate", "-n", "3", "--budget", "-1"],
+    ["hom", "--source", "{d}/k3.matroid", "--target", "{d}/k3.matroid", "--budget", "-1"],
+    ["hierarchy", "--kind", "cliques", "-a", "3", "-b", "4", "-n", "3", "--budget", "-1"],
+    ["regularity", "-n", "3", "--max-codim", "-1"],
+    ["regularity", "-n", "3", "--eps", "-1"],
+    ["regularity", "-n", "3", "--eps", "3/2"],
 ])
 def test_malformed_input_one_line_exit_4(workdir, capsys, argv):
     (workdir / "latin1.boolfn").write_bytes(b"boolfn v1\nn=2\ntable=0\xe6\n")
     assert main([a.format(d=workdir) for a in argv]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["complexity", "--matroid", "{d}/k3.matroid", "--cap", "0"], 0),
+    (["count", "--function", "{d}/canon.boolfn", "--matroid", "{d}/k3.matroid",
+      "--sigma", "111", "--budget", "0"], 3),
+    (["hom", "--source", "{d}/k3.matroid", "--target", "{d}/k3.matroid", "--budget", "0"], 3),
+    (["regularity", "-n", "3", "--eps", "0"], 0),
+    (["regularity", "-n", "3", "--eps", "1"], 0),
+])
+def test_zero_limits_stay_valid(workdir, capsys, argv, code):
+    assert main([a.format(d=workdir) for a in argv]) == code
+    assert "error:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, unit", [
+    ("graphic", None), ("cographic", None), ("circuits", None), ("oddgirth", None),
+    ("complexity", None), ("hom", "DFS nodes"), ("canonical", None), ("free", "bits"),
+    ("count", "bits"), ("test", "bits"), ("distance", None), ("fourier", None),
+    ("regularity", None), ("characterize", None), ("hierarchy", "DFS nodes")])
+def test_budget_only_where_read(capsys, command, unit):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--budget BUDGET" in text) == (unit is not None)
+    if unit:
+        assert f"in {unit}" in text
+
+
+def test_parser_built_once_per_process(workdir, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(["count", "--function", str(workdir / "canon.boolfn"),
+                 "--matroid", str(workdir / "k3.matroid"), "--sigma", "111"]) == 0
+    for argv in (["count", "--sigma", "111"], ["--version"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == []
+
+
+def test_shared_parser_keeps_no_state(workdir, capsys):
+    argv = ["count", "--function", str(workdir / "canon.boolfn"),
+            "--matroid", str(workdir / "k3.matroid"), "--sigma", "111"]
+    assert main(argv + ["--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["count", "--help"],
+    ["count", "--function", "f.boolfn", "--matroid", "m.matroid"],
+])
+def test_shared_parser_output_matches_fresh_parser(capsys, argv):
+    outputs = []
+    for parse in (main, main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        outputs.append((exc.value.code, capsys.readouterr()))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0][1].out or outputs[0][1].err
 
 
 def test_report_determinism(workdir):
@@ -168,6 +251,9 @@ def test_test_budget_reaches_exact_density(workdir, capsys, monkeypatch):
                  "--samples", "100", "--budget", "12"]) == 0
     assert "exact_density" in json.loads(capsys.readouterr().out)["results"]
     assert seen == [12]
+    assert main(["test", "--calibrate", "-n", "3", "--samples", "100", "--buckets", "2",
+                 "--budget", "6"]) == 0
+    assert seen == [12, 6, 6]
 
 
 def test_writer_rejects_missing_out_before_work(workdir, capsys):

@@ -219,6 +219,8 @@ def test_homomorphism_budget():
     c5 = graphic_from_graph(cycle_graph(5))
     with pytest.raises(BudgetExceededError):
         find_homomorphism(c5, c5, node_budget=2)
+    with pytest.raises(InvalidInputError):
+        find_homomorphism(c5, c5, node_budget=-1)
 
 
 def test_odd_girth_necessity():

@@ -82,6 +82,9 @@ def test_find_pattern_budget():
     k5 = graphic_from_graph(complete_graph(5))
     with pytest.raises(BudgetExceededError):
         find_pattern(BooleanFunction.constant(8, 1), k5, PatternSpec.all_ones(10))
+    for search in (find_pattern, count_patterns):
+        with pytest.raises(InvalidInputError):
+            search(BooleanFunction.constant(2, 1), C3, S111, budget_bits=-1)
 
 
 def test_count_patterns_examples():
