@@ -178,7 +178,7 @@ def _exp_test(args):
     try:
         results["exact_density"] = exact(
             count_patterns(f, m, sigma, budget_bits=args.budget).density)
-    except BudgetExceededError:     # n*rank over --budget: sampled figures only
+    except BudgetExceededError:     # over --budget or past int64: sampled figures only
         pass
     return {"n": f.n, "k": m.k, "samples": args.samples, "sigma": str(sigma)}, results
 
@@ -400,7 +400,25 @@ def _run_fourier(args) -> int:
     return _report("fourier", _exp_fourier, args)
 
 
+# each hierarchy kind's own options: flag -> (default, help text)
+_HIERARCHY_OPTIONS = {
+    "cycles": {"-k": (3, "odd cycle length")},
+    "cliques": {"-a": (3, "size of the clique whose canonical function is searched"),
+                "-b": (5, "size of the clique searched for"),
+                "--budget": (HOM_NODE_BUDGET, "cap on the homomorphism search, in DFS nodes")},
+}
+
+
 def _run_hierarchy(args) -> int:
+    """Each kind reads only its own options; the other kind's are
+    malformed input."""
+    for kind, options in _HIERARCHY_OPTIONS.items():
+        for flag, (default, _) in options.items():
+            name = flag.lstrip("-")
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif kind != args.kind:
+                raise InvalidInputError(f"hierarchy --kind {args.kind} does not take {flag}")
     if args.kind == "cycles":
         return _report("hierarchy-cycles", _exp_hierarchy_cycles, args)
     return _report("hierarchy-cliques", _exp_hierarchy_cliques, args)
@@ -444,7 +462,8 @@ def build_parser() -> _Parser:
 
     def add(name, run, help, budget=None):
         """A subcommand; `budget`, given only to the subcommands that read
-        a --budget, is its (default, help text)."""
+        a --budget, is its (default, help text). hierarchy takes its
+        --budget from _HIERARCHY_OPTIONS instead."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("--seed", type=int, default=0)
@@ -540,13 +559,12 @@ def build_parser() -> _Parser:
     p.add_argument("-k", type=int, default=4)
     p.add_argument("-n", type=int, default=3)
 
-    p = add("hierarchy", _run_hierarchy, "cycle/clique separation experiments",
-            (HOM_NODE_BUDGET, "cap on --kind cliques' homomorphism search, in DFS "
-             "nodes; --kind cycles ignores it"))
-    p.add_argument("--kind", choices=("cycles", "cliques"), default="cycles")
-    p.add_argument("-k", type=int, default=3)
-    p.add_argument("-a", type=int, default=3)
-    p.add_argument("-b", type=int, default=5)
+    p = add("hierarchy", _run_hierarchy, "cycle/clique separation experiments")
+    p.add_argument("--kind", choices=tuple(_HIERARCHY_OPTIONS), default="cycles")
+    for kind, options in _HIERARCHY_OPTIONS.items():
+        for flag, (default, text) in options.items():
+            p.add_argument(flag, type=int,
+                           help=f"{text}; --kind {kind} only (default {default})")
     p.add_argument("-n", type=int, default=7)
 
     return parser

@@ -177,19 +177,31 @@ def in_span(v: GFVector, vectors: Iterable[GFVector]) -> bool:
     return _rref_reduce(basis, v.bits) == 0
 
 
+def _ref_insert(rows: dict[int, tuple[int, int]], w: int, combo: int = 0) -> tuple[int, int]:
+    """Insert w into an echelon table keyed by pivot (= highest set bit),
+    not fully reduced: XOR by the pivot rows until a new top bit appears,
+    and keep w there. `combo` is a mask of the inputs w stands for; each
+    row carries its own, and w's is XORed along. Returns the reduced
+    (w, combo): w == 0 when w was in the span, and then the inputs in
+    combo XOR to zero."""
+    while w:
+        p = w.bit_length() - 1
+        row = rows.get(p)
+        if row is None:
+            rows[p] = (w, combo)
+            break
+        w ^= row[0]
+        combo ^= row[1]
+    return w, combo
+
+
 def _ref_basis(vectors: Sequence[GFVector]) -> list[int]:
     """Echelon basis in descending pivot order, each kept vector as close
     to its input form as pivot discovery allows (not fully reduced)."""
-    by_pivot: dict[int, int] = {}
+    rows: dict[int, tuple[int, int]] = {}
     for v in vectors:
-        w = v.bits
-        while w:
-            p = w.bit_length() - 1
-            if p not in by_pivot:
-                by_pivot[p] = w
-                break
-            w ^= by_pivot[p]
-    return [by_pivot[p] for p in sorted(by_pivot, reverse=True)]
+        _ref_insert(rows, v.bits)
+    return [rows[p][0] for p in sorted(rows, reverse=True)]
 
 
 def enumerate_span(vectors: Sequence[GFVector], dim: int | None = None,

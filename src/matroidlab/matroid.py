@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from .boolfn import WHT_MAX_N, BooleanFunction
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from .gf2 import GFVector, LinearMap, Subspace, rank_and_basis
+from .gf2 import GFVector, LinearMap, Subspace, _ref_insert, rank_and_basis
 
 CIRCUIT_MAX_K = 20
 GENERAL_COMPLEXITY_MAX_K = 12
@@ -180,18 +180,10 @@ class BinaryMatroid:
         """Canonical basis of the dependency code {T : XOR_{i in T} v_i = 0},
         each word a bitmask over ground elements; one word per dependent
         insertion, so words are ordered by their top element."""
-        basis: dict[int, tuple[int, int]] = {}
+        rows: dict[int, tuple[int, int]] = {}
         words = []
         for j, v in enumerate(self.ints):
-            w, combo = v, 1 << j
-            while w:
-                p = w.bit_length() - 1
-                if p not in basis:
-                    basis[p] = (w, combo)
-                    break
-                bw, bc = basis[p]
-                w ^= bw
-                combo ^= bc
+            w, combo = _ref_insert(rows, v, 1 << j)
             if w == 0:
                 words.append(combo)
         return tuple(words)

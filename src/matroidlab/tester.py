@@ -17,8 +17,11 @@ read at linear forms in u_0..u_{r-1}, a variable in one factor sums to a
 row total, one in two factors becomes an XOR-correlation computed with
 the Walsh-Hadamard butterfly, and one in three or more is conditioned on
 along a batch axis. A dry run over the forms prices this against the
-scan's 2^(n*r)*k, and the cheaper route runs; small inputs and a
-correlation that could leave int64 stay on the scan.
+scan's 2^(n*r)*k before any table is built, and each call takes the
+cheaper route alone; tiny inputs stay on the scan. Counts are int64:
+n*r past 62 bits is refused up front, and past 41 bits a correlation
+whose 2^n*S_a*S_b reaches 2^63 is refused when it is met, both with
+BudgetExceededError.
 
 Enumeration order contract (governs the witnesses of find_pattern):
 assignment index t in [0, 2^(n*r)) gives basis image u_j = bits
@@ -26,7 +29,7 @@ assignment index t in [0, 2^(n*r)) gives basis image u_j = bits
 smallest t. Where elimination is the cheaper route, find_pattern finds
 it by descent: u_{r-1} first, each image fixed to the smallest value
 whose conditioned count is positive, so a witness costs r counts
-wherever it lies; otherwise the scan runs up to it.
+wherever it lies; on tiny inputs the scan runs up to it.
 
 One kernel, `_match`, evaluates f at L(v_1), ..., L(v_k) for a batch of
 maps L and compares with Sigma, reading the lookups [f = sigma_i] built
@@ -222,46 +225,34 @@ def _match(lookups: Sequence[np.ndarray], coords: Sequence[int], column,
 
 
 def _scan_chunks(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
-                 sigma: Sequence[int], r: int, first: int = _CHUNK):
+                 sigma: Sequence[int], r: int):
     """Yield (start, match_bool_array) over assignment indices, in order.
 
     tables[i] is the truth table evaluated at point i; coords[i] is the
-    basis mask of ground vector i. The first chunk holds `first` indices
-    and each later one as many as came before it, up to _CHUNK, so chunk
-    boundaries are powers of two. Every chunk is a prefix of one index
-    buffer, one buffer per basis column and one XOR scratch buffer, each
-    of at most _CHUNK entries: small enough to stay in cache from one
-    ground vector to the next, and reused from chunk to chunk.
+    basis mask of ground vector i. Chunks hold min(2^(n*r), _CHUNK)
+    indices each. One index buffer, one buffer per basis column and one
+    XOR scratch buffer of that length are reused from chunk to chunk:
+    small enough to stay in cache from one ground vector to the next.
     """
     total = 1 << (n * r)
     mask = (1 << n) - 1
-    full = min(total, _CHUNK)
+    size = min(total, _CHUNK)
     lookups = _lookups(tables, sigma)
-    ts = np.empty(full, dtype=np.int64)
-    scratch = np.empty_like(ts)
-    buffers = {}
-    start, size = 0, min(first, full)
-    idx, scr, cols = ts[:size], scratch[:size], {}    # views of the chunk's length
-    idx[:] = np.arange(size)
+    idx = np.arange(size, dtype=np.int64)
+    scratch = np.empty_like(idx)
+    cols = {}
 
     def column(j):
         col = cols.get(j)
         if col is None:
-            if j not in buffers:
-                buffers[j] = np.empty_like(ts)
-            col = cols[j] = buffers[j][:size]
+            col = cols[j] = np.empty_like(idx)
         np.right_shift(idx, j * n, out=col)
         col &= mask
         return col
 
-    while start < total:
-        yield start, _match(lookups, coords, column, scr)
+    for start in range(0, total, size):
+        yield start, _match(lookups, coords, column, scratch)
         idx += size
-        start += size
-        if start < total and size < min(start, _CHUNK):
-            np.add(idx, size, out=ts[size:2 * size])
-            size *= 2
-            idx, scr, cols = ts[:size], scratch[:size], {}
 
 
 # Variable elimination. The count is
@@ -272,8 +263,6 @@ def _scan_chunks(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
 
 _STEP_COST = 1 << 12     # fixed price of one elimination step, in element operations
 _INT64_LIMIT = 1 << 63
-_COUNT_MAX_BITS = 62     # every partial count is at most 2^(n*r), so fits in int64
-_WITNESS_FIRST_CHUNK = 1 << 12
 
 
 def _plan(coords: Sequence[int], n: int, keep: int = 0) -> tuple[list[int], int]:
@@ -322,13 +311,13 @@ def _put(factors: dict, form: int, values: np.ndarray) -> None:
     factors[form] = values if old is None else old * values
 
 
-def _replay(factors: dict, order: Sequence[int], n: int) -> Optional[np.ndarray]:
+def _replay(factors: dict, order: Sequence[int], n: int) -> np.ndarray:
     """Sum out the variables in `order`; factors map a form to an int64
     array of shape (rows, 2^n), or (1, 2^n) for a factor shared by every
     row. What is left reads at most one variable u_j: returns the total
     over all rows for every value of u_j (shape (2^n,)), or of shape (1,)
-    when no factor is left on u_j; None when a correlation could leave
-    int64."""
+    when no factor is left on u_j. Raises BudgetExceededError when a
+    correlation could leave int64."""
     for pos, j in enumerate(order):
         mine = [c for c in factors if c >> j & 1]
         if len(mine) > 2:
@@ -338,8 +327,11 @@ def _replay(factors: dict, order: Sequence[int], n: int) -> Optional[np.ndarray]
             _put(factors, 0, a.sum(axis=1, keepdims=True))
             continue
         b = factors.pop(mine[1])
-        if int(a.sum(axis=1).max()) * int(b.sum(axis=1).max()) << n >= _INT64_LIMIT:
-            return None
+        sa, sb = int(a.sum(axis=1).max()), int(b.sum(axis=1).max())
+        if sa * sb << n >= _INT64_LIMIT:
+            raise BudgetExceededError(
+                f"eliminating u_{j}: its XOR-correlation 2^{n} * {sa} * {sb} "
+                "could leave int64")
         corr = _butterfly(_butterfly(a.copy()) * _butterfly(b.copy()))
         corr >>= n
         _put(factors, mine[0] ^ mine[1], corr)
@@ -349,7 +341,7 @@ def _replay(factors: dict, order: Sequence[int], n: int) -> Optional[np.ndarray]
     return rest.sum(axis=0)
 
 
-def _condition(factors: dict, j: int, order: Sequence[int], n: int) -> Optional[np.ndarray]:
+def _condition(factors: dict, j: int, order: Sequence[int], n: int) -> np.ndarray:
     """Fix variable j to every point, at most _CHUNK table entries per
     slice: each row becomes one row per value, and a factor that reads
     u_j is shifted by that value."""
@@ -370,10 +362,7 @@ def _condition(factors: dict, j: int, order: Sequence[int], n: int) -> Optional[
             elif a.shape[0] > 1:
                 a = np.repeat(a, width, axis=0)
             _put(sub, form & ~(1 << j), a)
-        got = _replay(sub, order, n)
-        if got is None:
-            return None
-        total = total + got
+        total = total + _replay(sub, order, n)
     return total
 
 
@@ -387,39 +376,36 @@ def _factors(tables: Sequence[np.ndarray], coords: Sequence[int],
 
 
 def _eliminate(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
-               sigma: Sequence[int], r: int, order: Sequence[int]) -> Optional[int]:
+               sigma: Sequence[int], r: int, order: Sequence[int]) -> int:
     """The exact count, summing the variables out in `order` (from
-    _plan), or None when a correlation could leave int64."""
+    _plan)."""
     total = _replay(_factors(tables, coords, sigma), order, n)
-    return None if total is None else int(total[0]) << (n * (r - len(order)))
+    return int(total[0]) << (n * (r - len(order)))
 
 
 def _priced(coords: Sequence[int], n: int, r: int, keep: int = 0) -> Optional[list[int]]:
-    """The elimination order when it is priced below the scan's
-    2^(n*r)*k, else None."""
+    """The route of an exact call over 2^(n*r) assignments: the
+    elimination order when it is priced below the scan's 2^(n*r)*k, else
+    None for the scan. A count of up to 2^(n*r) leaves int64 past 62
+    bits, so such a call is refused here, before any table is built."""
+    if 1 << (n * r) >= _INT64_LIMIT:
+        raise BudgetExceededError(
+            f"n*rank = {n * r}: an exact count past 62 bits could leave int64")
     scan = len(coords) << (n * r)
-    if n * r > _COUNT_MAX_BITS or scan <= _STEP_COST:   # no plan costs less
+    if scan <= _STEP_COST:    # no plan costs less
         return None
     order, cost = _plan(coords, n, keep)
     return order if cost < scan else None
 
 
-def _count_by_elimination(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
-                          sigma: Sequence[int], r: int) -> Optional[int]:
-    """The exact count by variable elimination, or None when the scan's
-    2^(n*r)*k is cheaper or a correlation could leave int64."""
-    order = _priced(coords, n, r)
-    return None if order is None else _eliminate(tables, n, coords, sigma, r, order)
-
-
 def _count(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
            sigma: Sequence[int], r: int) -> int:
     """Exact number of span-basis assignments realizing sigma, by the
-    cheaper of elimination and the scan."""
-    count = _count_by_elimination(tables, n, coords, sigma, r)
-    if count is None:
-        count = sum(int(match.sum()) for _, match in _scan_chunks(tables, n, coords, sigma, r))
-    return count
+    route _priced chooses."""
+    order = _priced(coords, n, r)
+    if order is not None:
+        return _eliminate(tables, n, coords, sigma, r, order)
+    return sum(int(match.sum()) for _, match in _scan_chunks(tables, n, coords, sigma, r))
 
 
 def _fix(factors: dict, j: int, value: int, n: int) -> dict:
@@ -433,28 +419,24 @@ def _fix(factors: dict, j: int, value: int, n: int) -> dict:
 
 
 def _descend(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
-             sigma: Sequence[int], r: int) -> tuple[bool, Optional[int]]:
+             sigma: Sequence[int], r: int) -> Optional[int]:
     """The smallest assignment index realizing sigma, by elimination
     (r >= 1): from u_{r-1} down to u_0, count the completions for every
     value of u_j with the higher images fixed, and fix u_j to the first
-    value that has one. Returns (True, t), (True, None) when no
-    assignment realizes sigma (the first round is the count), or
-    (False, None) when a correlation could leave int64. The cost is r
-    counts, wherever the witness lies."""
+    value that has one. None when no assignment realizes sigma (the
+    first round is the count). The cost is r counts, wherever the
+    witness lies."""
     factors = _factors(tables, coords, sigma)
     t = 0
     for j in reversed(range(r)):
         order, _ = _plan(list(factors), n, 1 << j)
-        completions = _replay(dict(factors), order, n)
-        if completions is None:
-            return False, None
-        hits = np.flatnonzero(completions)
+        hits = np.flatnonzero(_replay(dict(factors), order, n))
         if not hits.size:
-            return True, None
+            return None
         value = int(hits[0])
         t |= value << (j * n)
         factors = _fix(factors, j, value, n)
-    return True, t
+    return t
 
 
 def _instance(t: int, n: int, r: int, coords: Sequence[int]) -> PatternInstance:
@@ -475,22 +457,18 @@ def find_pattern(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
     """First violating instance in enumeration order, or None when f is
     (M, Sigma)-free (exhaustive certificate). Where elimination is priced
     below the scan, the witness is found by descending through the basis
-    images, at the price of r counts wherever it lies; otherwise the scan
-    runs in chunks that grow from 2^12, so an early witness is found
-    early."""
+    images, at the price of r counts wherever it lies; on tiny inputs
+    the scan runs up to it."""
     _check_pattern_args(f, m, sigma, budget_bits)
     n, r = f.n, m.rank
     coords = m.span_coords
     tables = [f.table] * m.k
     if r and _priced(coords, n, r, 1 << (r - 1)) is not None:
-        exact, t = _descend(tables, n, coords, sigma.sigma, r)
-        if exact:
-            return None if t is None else _instance(t, n, r, coords)
-    for start, match in _scan_chunks(tables, n, coords, sigma.sigma, r,
-                                     first=_WITNESS_FIRST_CHUNK):
-        if match.any():
-            return _instance(start + int(np.argmax(match)), n, r, coords)
-    return None
+        t = _descend(tables, n, coords, sigma.sigma, r)
+    else:
+        t = next((start + int(np.argmax(match)) for start, match in
+                  _scan_chunks(tables, n, coords, sigma.sigma, r) if match.any()), None)
+    return None if t is None else _instance(t, n, r, coords)
 
 
 def count_patterns(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,

@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 import matroidlab.cli
+from matroidlab.boolfn import BooleanFunction
 from matroidlab.cli import Report, build_parser, emit_plot_data, main
 from matroidlab.errors import InvalidInputError
 from matroidlab.fileio import save_function, save_graph, save_matroid
@@ -62,7 +63,6 @@ def test_free_exit_codes(workdir):
 
 def test_budget_exit_code(workdir):
     save_matroid(workdir / "k5.matroid", graphic_from_graph(named_graph("k5")))
-    from matroidlab.boolfn import BooleanFunction
     save_function(workdir / "big.boolfn", BooleanFunction.constant(8, 1))
     r = run_cli("free", "--function", str(workdir / "big.boolfn"),
                 "--matroid", str(workdir / "k5.matroid"), "--sigma", "1111111111")
@@ -114,6 +114,11 @@ def test_malformed_input_exit_code(workdir):
     ["test", "--calibrate", "-n", "3", "--budget", "-1"],
     ["hom", "--source", "{d}/k3.matroid", "--target", "{d}/k3.matroid", "--budget", "-1"],
     ["hierarchy", "--kind", "cliques", "-a", "3", "-b", "4", "-n", "3", "--budget", "-1"],
+    ["hierarchy", "--kind", "cycles", "-k", "3", "-n", "6", "--budget", "-1", "-a", "9"],
+    ["hierarchy", "--kind", "cycles", "-k", "3", "-n", "6", "-a", "3"],
+    ["hierarchy", "--kind", "cycles", "-n", "6", "-b", "5"],
+    ["hierarchy", "-k", "3", "-n", "6", "--budget", "100"],
+    ["hierarchy", "--kind", "cliques", "-a", "3", "-b", "4", "-n", "4", "-k", "99"],
     ["regularity", "-n", "3", "--max-codim", "-1"],
     ["regularity", "-n", "3", "--eps", "-1"],
     ["regularity", "-n", "3", "--eps", "3/2"],
@@ -266,6 +271,36 @@ def test_writer_rejects_missing_out_before_work(workdir, capsys):
     assert code == 4
     assert capsys.readouterr().err == "error: canonical needs --out for the function file\n"
     assert peak < 1 << 20
+
+
+@pytest.fixture
+def c5_at_n16(workdir):
+    """The constant-1 function at n = 16 on C_5 (rank 4): n*rank = 64."""
+    save_matroid(workdir / "c5.matroid", graphic_from_graph(cycle_graph(5)))
+    save_function(workdir / "one16.boolfn", BooleanFunction.constant(16, 1))
+    return ["--function", str(workdir / "one16.boolfn"), "--matroid",
+            str(workdir / "c5.matroid"), "--sigma", "11111", "--budget", "64"]
+
+
+@pytest.mark.parametrize("command", ["count", "free"])
+def test_count_past_62_bits_exits_3_before_work(c5_at_n16, capsys, command):
+    tracemalloc.start()
+    try:
+        code = main([command] + c5_at_n16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+    assert peak < 1 << 20
+
+
+def test_test_past_62_bits_reports_sampled_figures_only(c5_at_n16, capsys):
+    assert main(["test", "--samples", "1000"] + c5_at_n16) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert "exact_density" not in results
+    assert results["rejections"]["value"] == 1000
 
 
 def test_hierarchy_cycles_report_keys(workdir):

@@ -582,11 +582,9 @@ def test_planner_keeps_small_scans():
     calls of min_repair_distance keep their cost."""
     from test_acceptance import atlas_graphs
 
-    table = BooleanFunction.constant(8, 1).table
     for m in [graphic_from_graph(g) for g in atlas_graphs(5)] + [RANK0, ZERO_PARALLEL]:
         for n in range(1, 8 // max(m.rank, 1) + 1):
-            assert tester._count_by_elimination(
-                [table[:1 << n]] * m.k, n, m.span_coords, (1,) * m.k, m.rank) is None
+            assert tester._priced(m.span_coords, n, m.rank) is None
 
 
 def test_planner_prices_scan_against_elimination():
@@ -594,12 +592,12 @@ def test_planner_prices_scan_against_elimination():
     for m, n in ((C3, 6), (graphic_from_graph(complete_graph(4)), 4)):
         order, cost = tester._plan(m.span_coords, n)
         assert m.k << (n * m.rank) < cost
-        table = BooleanFunction.constant(n, 1).table
-        assert tester._count_by_elimination([table] * m.k, n, m.span_coords,
-                                            (1,) * m.k, m.rank) is None
+        assert tester._priced(m.span_coords, n, m.rank) is None
     # one step further the elimination is cheaper
-    assert tester._count_by_elimination([BooleanFunction.constant(7, 1).table] * 3, 7,
-                                        C3.span_coords, (1, 1, 1), 2) == 1 << 14
+    order = tester._priced(C3.span_coords, 7, 2)
+    assert order is not None
+    assert tester._eliminate([BooleanFunction.constant(7, 1).table] * 3, 7,
+                             C3.span_coords, (1, 1, 1), 2, order) == 1 << 14
 
 
 def test_free_certificate_costs_a_count(monkeypatch):
@@ -614,22 +612,40 @@ def test_planner_eliminates_k4_at_n8():
     f = random_function(8, np.random.Generator(np.random.PCG64(101)), density=0.4)
     order, cost = tester._plan(k4.span_coords, 8)
     assert len(order) == 3 and cost < k4.k << 24
-    got = tester._count_by_elimination([f.table] * 6, 8, k4.span_coords, (1,) * 6, 3)
+    assert tester._priced(k4.span_coords, 8, 3) == order
+    got = tester._eliminate([f.table] * 6, 8, k4.span_coords, (1,) * 6, 3, order)
     assert got == scan_count([f.table] * 6, 8, k4, (1,) * 6)
 
 
-def test_int64_bound_falls_back_to_scan(monkeypatch):
-    # 2^n * S_a * S_b = 2^63 for the constant-1 function at n = 21
-    one = BooleanFunction.constant(21, 1).table
-    assert eliminated_count([one] * 3, 21, C3, (1, 1, 1)) is None
-    # with a lowered limit every correlation fails, and the scan answers
-    f = canonical_function(graphic_from_graph(cycle_graph(5)), 8)
-    sigma = PatternSpec.all_ones(3)
-    before = count_patterns(f, C3, sigma).span_count, find_pattern(f, C3, sigma)
-    monkeypatch.setattr(tester, "_INT64_LIMIT", 2)
-    assert tester._count_by_elimination([f.table] * 3, 8, C3.span_coords, (1, 1, 1), 2) is None
-    assert (count_patterns(f, C3, sigma).span_count, find_pattern(f, C3, sigma)) == before
-    assert before[0] == scan_count([f.table] * 3, 8, C3, (1, 1, 1))
+def test_int64_bound_is_refused():
+    """2^n * S_a * S_b = 2^63 for the constant-1 function at n = 21: the
+    correlation is refused, not rerouted to a scan of 2^42 assignments."""
+    one = BooleanFunction.constant(21, 1)
+    with pytest.raises(BudgetExceededError, match="eliminating u_0"):
+        eliminated_count([one.table] * 3, 21, C3, (1, 1, 1))
+    for run in (count_patterns, find_pattern):
+        with pytest.raises(BudgetExceededError, match="int64"):
+            run(one, C3, S111, budget_bits=42)
+
+
+def test_constant_one_counts_exact_below_the_int64_bound():
+    """Constant 1 is the worst case for the correlation bound: C_3 counts
+    exactly one bit below it (n = 20, 40 bits) and C_5 at n = 11 (44 bits)."""
+    c5 = graphic_from_graph(cycle_graph(5))
+    for m, n in ((C3, 20), (c5, 11)):
+        f = BooleanFunction.constant(n, 1)
+        sigma = PatternSpec.all_ones(m.k)
+        assert count_patterns(f, m, sigma, budget_bits=64).span_count == 1 << (n * m.rank)
+        assert witness_index(find_pattern(f, m, sigma, budget_bits=64), n) == 0
+
+
+def test_counts_past_62_bits_are_refused_before_any_table():
+    """A count of up to 2^(n*r) leaves int64 past 62 bits, so the route
+    choice refuses it from the forms alone."""
+    k4 = graphic_from_graph(complete_graph(4))
+    assert tester._priced(C3.span_coords, 31, 2) is not None      # 62 bits
+    with pytest.raises(BudgetExceededError, match="n\\*rank = 63"):
+        tester._priced(k4.span_coords, 21, 3)
 
 
 def scan_witness_index(f, m, sigma):
@@ -695,7 +711,7 @@ def test_descent_matches_scan_on_atlas_graphs():
             for _ in range(8):
                 sigma = tuple(int(b) for b in rng.integers(0, 2, m.k))
                 want = scan_first(tables, n, m.span_coords, sigma, m.rank)
-                assert tester._descend(tables, n, m.span_coords, sigma, m.rank) == (True, want)
+                assert tester._descend(tables, n, m.span_coords, sigma, m.rank) == want
                 checked += 1
     assert checked > 800
 
@@ -714,7 +730,7 @@ def test_descent_matches_scan_on_special_presentations(m):
             tables = [random_function(n, rng, density=0.6).table for _ in range(m.k)]
             sigma = tuple(int(b) for b in rng.integers(0, 2, m.k))
             want = scan_first(tables, n, m.span_coords, sigma, m.rank)
-            assert tester._descend(tables, n, m.span_coords, sigma, m.rank) == (True, want)
+            assert tester._descend(tables, n, m.span_coords, sigma, m.rank) == want
 
 
 def test_descent_slices_and_unread_variables(monkeypatch):
@@ -731,21 +747,15 @@ def test_descent_slices_and_unread_variables(monkeypatch):
                 tables = [random_function(n, rng, 0.7).table for _ in coords]
                 sigma = tuple(int(b) for b in rng.integers(0, 2, len(coords)))
                 want = scan_first(tables, n, coords, sigma, r)
-                assert tester._descend(tables, n, coords, sigma, r) == (True, want)
+                assert tester._descend(tables, n, coords, sigma, r) == want
 
 
 def test_late_witness_costs_no_scan(monkeypatch):
     """A witness past 2^21 comes from the descent alone, so its price does
-    not depend on where it lies; with the int64 check failing the scan
-    still finds the same one."""
+    not depend on where it lies."""
     f = BooleanFunction(11, np.arange(1 << 11) >> 10)
     sigma = PatternSpec.from_string("110")
     want = scan_witness_index(f, C3, sigma)
     assert want >= 1 << 21
-    scan = tester._scan_chunks
     monkeypatch.setattr(tester, "_scan_chunks", None)
-    assert witness_index(find_pattern(f, C3, sigma), 11) == want
-    monkeypatch.setattr(tester, "_scan_chunks", scan)
-    monkeypatch.setattr(tester, "_INT64_LIMIT", 2)
-    assert tester._descend([f.table] * 3, 11, C3.span_coords, sigma.sigma, 2) == (False, None)
     assert witness_index(find_pattern(f, C3, sigma), 11) == want
