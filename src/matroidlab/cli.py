@@ -315,8 +315,8 @@ def _exp_hierarchy_cliques(args):
     a, b, n = args.a, args.b, args.n
     m_a = graphic_from_graph(named_graph(f"k{a}"))
     m_b = graphic_from_graph(named_graph(f"k{b}"))
+    f = canonical_function(m_a, n)     # rejects a bad -n before the search
     phi = find_homomorphism(m_b, m_a, node_budget=args.budget)
-    f = canonical_function(m_a, n)
     free = find_pattern(f, m_b, PatternSpec.all_ones(m_b.k)) is None
     return ({"a": a, "b": b, "n": n},
             {f"hom_k{b}_to_k{a}": "none" if phi is None else list(phi.assignment),

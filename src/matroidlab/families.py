@@ -23,6 +23,7 @@ from .tester import PatternSpec
 
 FREE_ENUM_MAX_N_SMALL_K = 4
 FREE_ENUM_MAX_N_LARGE_K = 3
+CHARACTERIZE_MAX_K = 12     # verify_characterization walks 2^k - 2 sigmas
 
 
 class FamilyId(Enum):
@@ -269,6 +270,8 @@ def verify_characterization(n: int, k: int) -> CharacterizationReport:
     padding containments (C_{k+2}, Sigma+00)-free and
     (C_{k+2}, Sigma+11)-free within (C_k, Sigma)-free."""
     _check_enum_budget(n, k)
+    if k > CHARACTERIZE_MAX_K:
+        raise InvalidInputError(f"characterization capped at k <= {CHARACTERIZE_MAX_K}")
     _check_enum_budget(n, k + 2)
     report = CharacterizationReport(n=n, k=k)
     for sigma in _all_sigmas(k):

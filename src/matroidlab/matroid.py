@@ -118,15 +118,24 @@ def named_graph(name: str) -> Graph:
         return petersen_graph()
     if name == "k5e":
         return complete_graph(5).without_edge((3, 4))
+
+    def size(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise InvalidInputError(f"bad size {text!r} in graph name {name!r}") from None
+
     if name.startswith("path"):
-        return path_graph(int(name[4:]))
+        return path_graph(size(name[4:]))
     if name.startswith("c"):
-        return cycle_graph(int(name[1:]))
+        return cycle_graph(size(name[1:]))
     if name.startswith("k") and "," in name:
-        a, b = name[1:].split(",")
-        return complete_bipartite_graph(int(a), int(b))
+        sizes = name[1:].split(",")
+        if len(sizes) != 2:
+            raise InvalidInputError(f"bipartite graph name {name!r} needs two sizes")
+        return complete_bipartite_graph(size(sizes[0]), size(sizes[1]))
     if name.startswith("k"):
-        return complete_graph(int(name[1:]))
+        return complete_graph(size(name[1:]))
     raise InvalidInputError(f"unknown graph name {name!r}")
 
 
@@ -272,9 +281,9 @@ def _all_codewords(words: Sequence[int]) -> list[int]:
     return out
 
 
-def circuits(m: BinaryMatroid) -> list[tuple[int, ...]]:
-    """All minimal dependent subsets, as sorted index tuples in
-    lexicographic order."""
+def _circuit_words(m: BinaryMatroid) -> list[int]:
+    """The circuits as masks over ground elements: the minimal nonzero
+    words of the dependency code, by size and then value."""
     if m.k > CIRCUIT_MAX_K:
         raise BudgetExceededError(f"k={m.k} exceeds circuit enumeration cap {CIRCUIT_MAX_K}")
     code = [w for w in _all_codewords(m.kernel_words) if w]
@@ -283,8 +292,13 @@ def circuits(m: BinaryMatroid) -> list[tuple[int, ...]]:
     for w in code:
         if not any(c & w == c for c in minimal):
             minimal.append(w)
-    subsets = [tuple(j for j in range(m.k) if w >> j & 1) for w in minimal]
-    return sorted(subsets)
+    return minimal
+
+
+def circuits(m: BinaryMatroid) -> list[tuple[int, ...]]:
+    """All minimal dependent subsets, as sorted index tuples in
+    lexicographic order."""
+    return sorted(tuple(_mask_bits(w)) for w in _circuit_words(m))
 
 
 def cycle_space_basis(m: BinaryMatroid) -> list[tuple[int, ...]]:
@@ -293,7 +307,12 @@ def cycle_space_basis(m: BinaryMatroid) -> list[tuple[int, ...]]:
 
 
 def odd_girth(m: BinaryMatroid) -> Optional[int]:
-    """Size of the smallest odd-cardinality dependent set, or None."""
+    """Size of the smallest odd circuit, or None when there is none.
+
+    This is the smallest odd-weight word of the dependency code: such a
+    word is a disjoint union of circuits, one of them odd. It is not the
+    smallest odd-cardinality dependent set: a C_4 plus a coloop has an
+    odd dependent set of size 5, yet no odd circuit."""
     if m.k > CIRCUIT_MAX_K:
         raise BudgetExceededError(f"k={m.k} exceeds enumeration cap {CIRCUIT_MAX_K}")
     best = None
@@ -304,101 +323,60 @@ def odd_girth(m: BinaryMatroid) -> Optional[int]:
     return best
 
 
-def _circuit_masks(m: BinaryMatroid) -> list[int]:
-    masks = []
-    for subset in circuits(m):
-        w = 0
-        for j in subset:
-            w |= 1 << j
-        masks.append(w)
-    return masks
-
-
-def _hyperedges_at(m: BinaryMatroid, i: int) -> list[int]:
-    """Supports C \\ {i} of circuits C through i, as masks over the other
-    elements. v_i lies in span(S) exactly when some hyperedge is a
-    subset of S, so a partition class avoids v_i in its span iff it
-    contains no hyperedge."""
-    return [c ^ (1 << i) for c in _circuit_masks(m) if c >> i & 1]
-
-
 def complexity_at(m: BinaryMatroid, i: int, cap: int) -> Optional[int]:
     """Minimum c <= cap such that the other elements split into c+1
     classes none of whose spans contains v_i; None when cap is exceeded
     (or no finite c exists, e.g. v_i = 0 or v_i has a parallel copy)."""
     if not 0 <= i < m.k:
         raise InvalidInputError(f"element index {i} out of range")
-    edges = _hyperedges_at(m, i)
+    return _complexity_at(_circuit_words(m), i, cap)
+
+
+def _complexity_at(circuit_words: list[int], i: int, cap: int) -> Optional[int]:
+    """complexity_at over the matroid's circuits. The hyperedges are the
+    supports C \\ {i} of circuits C through i: v_i lies in span(S) exactly
+    when some hyperedge is a subset of S, so a class avoids v_i in its
+    span iff it contains no hyperedge. A hyperedge of at most one element
+    (v_i = 0, or a parallel copy) defeats every c; without one, c+1 = the
+    number of covered elements always works, so the loop below ends
+    there whatever the cap."""
+    bit = 1 << i
+    edges = [c ^ bit for c in circuit_words if c & bit]
     if not edges:
         return 0
-    if any(e == 0 for e in edges):
+    if any(e & (e - 1) == 0 for e in edges):
         return None
     for c in range(1, cap + 1):
-        if c == 1:
-            ok = _two_partition_exists(m.k, i, edges)
-        else:
-            ok = _coloring_exists(edges, c + 1)
-        if ok:
+        if _coloring_exists(edges, c + 1):
             return c
     return None
 
 
-def _two_partition_exists(k: int, i: int, edges: list[int]) -> bool:
-    """Enumerate 2-partitions of the elements other than i as bitmasks;
-    a partition works when no hyperedge is monochromatic. The lowest
-    remaining element is pinned to side A (partitions are unordered)."""
-    rest = [j for j in range(k) if j != i]
-    free = rest[1:]
-    for a in range(1 << len(free)):
-        mask = 1 << rest[0]
-        for idx, j in enumerate(free):
-            if a >> idx & 1:
-                mask |= 1 << j
-        if all(0 < (e & mask) < e for e in edges):
-            return True
-    return False
-
-
 def _coloring_exists(edges: list[int], colors: int) -> bool:
     """Proper hypergraph coloring (no monochromatic hyperedge) by DFS in
-    restricted-growth order."""
+    restricted-growth order over the elements the edges cover. An edge is
+    tested once, when its highest element is colored, and only against
+    the class that element joined: the other classes did not change."""
     elems = sorted({j for e in edges for j in _mask_bits(e)})
-    pos = {j: idx for idx, j in enumerate(elems)}
-    packed = []
+    by_top: dict[int, list[int]] = {j: [] for j in elems}
     for e in edges:
-        pe = 0
-        for j in _mask_bits(e):
-            pe |= 1 << pos[j]
-        packed.append(pe)
-    n = len(elems)
-    assigned = [0] * n
-    class_masks = [0] * colors
-
-    def mono(full_mask: int) -> bool:
-        for cm in class_masks:
-            if full_mask & cm == full_mask:
-                return True
-        return False
+        by_top[e.bit_length() - 1].append(e)
+    classes = [0] * colors
 
     def rec(depth: int, used: int) -> bool:
-        if depth == n:
+        if depth == len(elems):
             return True
-        limit = min(colors, used + 1)
-        bit = 1 << depth
-        for color in range(limit):
-            class_masks[color] |= bit
-            bad = False
-            for pe in packed:
-                if pe >> depth & 1 and pe & ~(_below(depth + 1)) == 0 and mono(pe):
-                    bad = True
-                    break
-            if not bad and rec(depth + 1, max(used, color + 1)):
+        j = elems[depth]
+        completed = by_top[j]
+        for color in range(min(colors, used + 1)):
+            cls = classes[color] | 1 << j
+            if any(e & cls == e for e in completed):
+                continue
+            classes[color] = cls
+            if rec(depth + 1, max(used, color + 1)):
                 return True
-            class_masks[color] ^= bit
+            classes[color] ^= 1 << j
         return False
-
-    def _below(d: int) -> int:
-        return (1 << d) - 1
 
     return rec(0, 0)
 
@@ -418,9 +396,10 @@ def complexity(m: BinaryMatroid, cap: int = 1) -> Optional[int]:
     if cap >= 2 and m.k > GENERAL_COMPLEXITY_MAX_K:
         raise BudgetExceededError(
             f"k={m.k} exceeds general complexity cap {GENERAL_COMPLEXITY_MAX_K}")
+    circuit_words = _circuit_words(m)
     worst = 0
     for i in range(m.k):
-        ci = complexity_at(m, i, cap)
+        ci = _complexity_at(circuit_words, i, cap)
         if ci is None:
             return None
         worst = max(worst, ci)

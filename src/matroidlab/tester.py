@@ -576,35 +576,26 @@ def min_repair_distance(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec
     """
     if find_pattern(f, m, sigma) is None:
         return RepairReport(0, Fraction(0), f)
-    checks = 0
     if sigma.is_all_ones():
-        ones = f.ones()
-        if len(ones) > 24:
-            raise BudgetExceededError(f"{len(ones)} ones exceed the repair cap of 24")
-        for s in range(1, len(ones) + 1):
-            for subset in combinations(ones, s):
-                checks += 1
-                if checks > check_budget:
-                    raise BudgetExceededError("repair search budget exceeded")
-                table = f.table.copy()
-                table[list(subset)] = 0
-                candidate = BooleanFunction(f.n, table)
-                if find_pattern(candidate, m, sigma) is None:
-                    return RepairReport(s, Fraction(s, 1 << f.n), candidate)
+        points = f.ones()
+        if len(points) > 24:
+            raise BudgetExceededError(f"{len(points)} ones exceed the repair cap of 24")
     else:
-        size = 1 << f.n
-        if size > 16:
-            raise BudgetExceededError(f"2^n = {size} exceeds the general repair cap of 16")
-        for s in range(1, size + 1):
-            for subset in combinations(range(size), s):
-                checks += 1
-                if checks > check_budget:
-                    raise BudgetExceededError("repair search budget exceeded")
-                table = f.table.copy()
-                table[list(subset)] ^= 1
-                candidate = BooleanFunction(f.n, table)
-                if find_pattern(candidate, m, sigma) is None:
-                    return RepairReport(s, Fraction(s, size), candidate)
+        points = range(1 << f.n)
+        if len(points) > 16:
+            raise BudgetExceededError(
+                f"2^n = {len(points)} exceeds the general repair cap of 16")
+    checks = 0
+    for s in range(1, len(points) + 1):
+        for subset in combinations(points, s):
+            checks += 1
+            if checks > check_budget:
+                raise BudgetExceededError("repair search budget exceeded")
+            table = f.table.copy()
+            table[list(subset)] ^= 1
+            candidate = BooleanFunction(f.n, table)
+            if find_pattern(candidate, m, sigma) is None:
+                return RepairReport(s, Fraction(s, 1 << f.n), candidate)
     raise AssertionError("unreachable: clearing every 1 always yields a free function")
 
 

@@ -122,12 +122,26 @@ def test_malformed_input_exit_code(workdir):
     ["regularity", "-n", "3", "--max-codim", "-1"],
     ["regularity", "-n", "3", "--eps", "-1"],
     ["regularity", "-n", "3", "--eps", "3/2"],
+    ["complexity", "--sweep", "--graphs", "cx"],
+    ["complexity", "--sweep", "--graphs", "k3,x"],
+    ["complexity", "--sweep", "--graphs", "k3,3,3"],
+    ["fourier", "--check-von-neumann", "--graph", "cq", "--trials", "1"],
+    ["characterize", "-k", "13", "-n", "3"],
 ])
 def test_malformed_input_one_line_exit_4(workdir, capsys, argv):
     (workdir / "latin1.boolfn").write_bytes(b"boolfn v1\nn=2\ntable=0\xe6\n")
     assert main([a.format(d=workdir) for a in argv]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_clique_hierarchy_checks_n_before_the_search(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(matroidlab.cli, "find_homomorphism",
+                        lambda *args, **kwargs: calls.append(args))
+    assert main(["hierarchy", "--kind", "cliques", "-a", "8", "-b", "9", "-n", "5"]) == 4
+    assert calls == []
+    assert capsys.readouterr().err == "error: n=5 must be at least ambient dimension 8\n"
 
 
 @pytest.mark.parametrize("argv, code", [

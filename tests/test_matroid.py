@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import matroidlab.matroid as matroid
 from matroidlab.boolfn import BooleanFunction
 from matroidlab.errors import BudgetExceededError, InvalidInputError
 from matroidlab.gf2 import GFVector, in_span, random_nonsingular_map
@@ -139,6 +140,7 @@ def test_complexity_forest_is_zero():
 def test_complexity_duplicates_and_zero():
     dup = BinaryMatroid([GFVector(2, 1), GFVector(2, 1), GFVector(2, 2)])
     assert complexity(dup, cap=3) is None
+    assert complexity(dup, cap=10 ** 9) is None     # no search per cap value
     with_zero = BinaryMatroid([GFVector(2, 0), GFVector(2, 1), GFVector(2, 2)])
     assert complexity_at(with_zero, 0, cap=3) is None
 
@@ -162,6 +164,36 @@ def test_complexity_matches_definitional_oracle():
         m = BinaryMatroid(vecs)
         for i in range(k):
             assert complexity_at(m, i, 3) == brute_complexity_at(m, i, 3)
+    # larger k at caps 1 and 2: distinct nonzero vectors reach complexity 2,
+    # free draws reach the None of zero vectors and parallel copies
+    seen = set()
+    for _ in range(40):
+        m_dim = rng.randint(3, 4)
+        k = rng.randint(6, min(8, (1 << m_dim) - 1))
+        if rng.random() < 0.5:
+            bits = rng.sample(range(1, 1 << m_dim), k)
+        else:
+            bits = [rng.randrange(1 << m_dim) for _ in range(k)]
+        m = BinaryMatroid([GFVector(m_dim, b) for b in bits])
+        for i in range(k):
+            for cap in (1, 2):
+                c = complexity_at(m, i, cap)
+                assert c == brute_complexity_at(m, i, cap)
+                seen.add(c)
+    assert {0, 1, 2, None} <= seen
+
+
+def test_complexity_enumerates_the_code_once(monkeypatch):
+    calls = []
+    enumerate_code = matroid._all_codewords
+
+    def spy(words):
+        calls.append(len(words))
+        return enumerate_code(words)
+
+    monkeypatch.setattr(matroid, "_all_codewords", spy)
+    assert complexity(graphic_from_graph(petersen_graph())) == 1
+    assert calls == [6]
 
 
 def test_cog_partition_criterion_examples():
