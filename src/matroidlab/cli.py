@@ -405,7 +405,8 @@ _HIERARCHY_OPTIONS = {
     "cycles": {"-k": (3, "odd cycle length")},
     "cliques": {"-a": (3, "size of the clique whose canonical function is searched"),
                 "-b": (5, "size of the clique searched for"),
-                "--budget": (HOM_NODE_BUDGET, "cap on the homomorphism search, in DFS nodes")},
+                "--budget": (HOM_NODE_BUDGET, "cap on the homomorphism search, in DFS nodes "
+                              "(target elements passed over)")},
 }
 
 
@@ -500,7 +501,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graphs", nargs="*", default=None)
 
     p = add("hom", partial(_report, "hom", _exp_hom), "search for a matroid homomorphism",
-            (HOM_NODE_BUDGET, "cap on the search, in DFS nodes"))
+            (HOM_NODE_BUDGET, "cap on the search, in DFS nodes (target elements passed over)"))
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
 

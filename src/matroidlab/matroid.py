@@ -20,6 +20,9 @@ from .gf2 import GFVector, LinearMap, Subspace, _ref_insert, rank_and_basis
 CIRCUIT_MAX_K = 20
 GENERAL_COMPLEXITY_MAX_K = 12
 HOM_NODE_BUDGET = 10 ** 8
+# graph names build at most this many vertices: every consumer fits
+# (complexity needs at most 20 edges, von Neumann V - 1 <= 26)
+GRAPH_NAME_MAX_V = 32
 
 
 @dataclass(frozen=True)
@@ -112,31 +115,35 @@ def petersen_graph() -> Graph:
 
 def named_graph(name: str) -> Graph:
     """Corpus lookup: c<k>, k<a>, k<a>,<b> (bipartite), k5e, petersen,
-    path<v>."""
+    path<v>. Sizes past GRAPH_NAME_MAX_V vertices are refused before any
+    graph is built."""
     name = name.strip().lower()
     if name == "petersen":
         return petersen_graph()
     if name == "k5e":
         return complete_graph(5).without_edge((3, 4))
-
-    def size(text: str) -> int:
+    if name.startswith("path"):
+        texts, build = [name[4:]], path_graph
+    elif name.startswith("c"):
+        texts, build = [name[1:]], cycle_graph
+    elif name.startswith("k") and "," in name:
+        texts, build = name[1:].split(","), complete_bipartite_graph
+        if len(texts) != 2:
+            raise InvalidInputError(f"bipartite graph name {name!r} needs two sizes")
+    elif name.startswith("k"):
+        texts, build = [name[1:]], complete_graph
+    else:
+        raise InvalidInputError(f"unknown graph name {name!r}")
+    sizes = []
+    for text in texts:
         try:
-            return int(text)
+            sizes.append(int(text))
         except ValueError:
             raise InvalidInputError(f"bad size {text!r} in graph name {name!r}") from None
-
-    if name.startswith("path"):
-        return path_graph(size(name[4:]))
-    if name.startswith("c"):
-        return cycle_graph(size(name[1:]))
-    if name.startswith("k") and "," in name:
-        sizes = name[1:].split(",")
-        if len(sizes) != 2:
-            raise InvalidInputError(f"bipartite graph name {name!r} needs two sizes")
-        return complete_bipartite_graph(size(sizes[0]), size(sizes[1]))
-    if name.startswith("k"):
-        return complete_graph(size(name[1:]))
-    raise InvalidInputError(f"unknown graph name {name!r}")
+    if sum(sizes) > GRAPH_NAME_MAX_V:
+        raise InvalidInputError(f"graph name {name!r} has {sum(sizes)} vertices, "
+                                f"over the cap of {GRAPH_NAME_MAX_V}")
+    return build(*sizes)
 
 
 class BinaryMatroid:
@@ -388,6 +395,19 @@ def _mask_bits(mask: int):
         mask ^= low
 
 
+def _forced_by(m: BinaryMatroid) -> tuple[Optional[tuple[int, ...]], ...]:
+    """Per ground element j, the other elements of the dependency-code
+    basis word whose top element is j, as an index tuple, or None when
+    no word ends at j. kernel_words has at most one word per top, so a
+    search that assigns elements in order finds the image of j forced
+    to the XOR of the images of these lower elements."""
+    forced: list[Optional[tuple[int, ...]]] = [None] * m.k
+    for w in m.kernel_words:
+        top = w.bit_length() - 1
+        forced[top] = tuple(_mask_bits(w ^ 1 << top))
+    return tuple(forced)
+
+
 def complexity(m: BinaryMatroid, cap: int = 1) -> Optional[int]:
     """The matroid's partition complexity: max over elements of the
     per-element minimum; None when any element exceeds cap."""
@@ -484,39 +504,65 @@ def verify_homomorphism(phi: Homomorphism, source: BinaryMatroid,
 
 def find_homomorphism(source: BinaryMatroid, target: BinaryMatroid,
                       node_budget: int = HOM_NODE_BUDGET) -> Optional[Homomorphism]:
-    """Exhaustive DFS over ground-set maps from source to target, pruned
-    by checking each dependency-code basis word as soon as its last
-    element is assigned. Returns a verified witness or None."""
+    """Exhaustive DFS over ground-set maps from source to target, in
+    element order, trying target elements in index order. Returns a
+    verified witness or None.
+
+    Forced images: a dependency-code basis word whose top element is at
+    depth d makes the image of element d the XOR of the images of the
+    word's other elements, so that depth tries only the target elements
+    carrying that vector; other depths try every target element.
+
+    A node is a target element passed over at some depth, tried or not,
+    so the node count, the witness and the budget at which the search
+    raises are those of trying every target element at every depth.
+    BudgetExceededError names the deepest element assigned (counted from
+    1, so 0 when none was), out of k."""
     if node_budget < 0:
         raise InvalidInputError(f"node budget must be nonnegative, got {node_budget}")
-    words_by_top: dict[int, list[int]] = {}
-    for w in source.kernel_words:
-        words_by_top.setdefault(w.bit_length() - 1, []).append(w)
+    forced_by = _forced_by(source)
     tgt = target.ints
+    width = target.k
+    carriers: dict[int, list[int]] = {}
+    for idx, v in enumerate(tgt):
+        carriers.setdefault(v, []).append(idx)
+    every = range(width)
     k = source.k
     assignment = [0] * k
-    nodes = 0
+    images = [0] * k
+    nodes = deepest = 0
+
+    def over_budget():
+        return BudgetExceededError(f"homomorphism search exceeded {node_budget} nodes; "
+                                   f"deepest element {deepest} of {k}")
 
     def rec(depth: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, deepest
         if depth == k:
             return True
-        for choice in range(target.k):
-            nodes += 1
+        if depth > deepest:
+            deepest = depth
+        rest = forced_by[depth]
+        if rest is None:
+            choices = every
+        else:
+            acc = 0
+            for j in rest:
+                acc ^= images[j]
+            choices = carriers.get(acc, ())
+        last = -1
+        for choice in choices:
+            nodes += choice - last
             if nodes > node_budget:
-                raise BudgetExceededError(
-                    f"homomorphism search exceeded {node_budget} nodes")
+                raise over_budget()
+            last = choice
             assignment[depth] = choice
-            ok = True
-            for w in words_by_top.get(depth, ()):
-                acc = 0
-                for j in _mask_bits(w):
-                    acc ^= tgt[assignment[j]]
-                if acc:
-                    ok = False
-                    break
-            if ok and rec(depth + 1):
+            images[depth] = tgt[choice]
+            if rec(depth + 1):
                 return True
+        nodes += width - 1 - last
+        if nodes > node_budget:
+            raise over_budget()
         return False
 
     if rec(0):

@@ -54,7 +54,7 @@ from .boolfn import (BooleanFunction, _butterfly, coset_point_indices, density,
                      is_uniform, restrict_to_coset, wht)
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from .gf2 import GFVector, LinearMap, Subspace, coset_decompose
-from .matroid import BinaryMatroid, has_complexity_one
+from .matroid import BinaryMatroid, _forced_by, has_complexity_one
 
 PATTERN_BUDGET_BITS = 30
 VON_NEUMANN_BUDGET_BITS = 26
@@ -602,45 +602,38 @@ def min_repair_distance(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec
 def enumerate_instances(f: BooleanFunction, m: BinaryMatroid,
                         budget: int = HITTING_INSTANCE_BUDGET) -> list[frozenset[int]]:
     """All distinct point sets of all-ones instances of M in f, found by
-    assigning ones of f to ground elements with dependency pruning."""
+    assigning ones of f to ground elements in order. An element that
+    tops a dependency word takes the one point the word forces, if that
+    point is a one. A node is a point assigned; BudgetExceededError
+    names the deepest element assigned (counted from 1), out of k."""
     ones = f.ones()
     one_set = set(ones)
-    words_by_top: dict[int, list[int]] = {}
-    free_elem = [True] * m.k
-    for w in m.kernel_words:
-        top = w.bit_length() - 1
-        words_by_top.setdefault(top, []).append(w)
-        free_elem[top] = False
-    points = [0] * m.k
+    forced_by = _forced_by(m)
+    k = m.k
+    points = [0] * k
     found: set[frozenset[int]] = set()
-    nodes = 0
+    nodes = deepest = 0
 
     def rec(depth: int):
-        nonlocal nodes
-        if depth == m.k:
+        nonlocal nodes, deepest
+        if depth > deepest:
+            deepest = depth
+        if depth == k:
             found.add(frozenset(points))
             return
-        if free_elem[depth]:
+        rest = forced_by[depth]
+        if rest is None:
             choices = ones
         else:
-            # every dependency word with this top element forces the value
-            forced = None
-            for w in words_by_top[depth]:
-                acc = 0
-                rest = w & ~(1 << depth)
-                while rest:
-                    low = rest & -rest
-                    acc ^= points[low.bit_length() - 1]
-                    rest ^= low
-                if forced is None:
-                    forced = acc
-                elif forced != acc:
-                    return
-            choices = [forced] if forced in one_set else []
+            acc = 0
+            for j in rest:
+                acc ^= points[j]
+            choices = (acc,) if acc in one_set else ()
         for p in choices:
             nodes += 1
             if nodes > budget:
-                raise BudgetExceededError(f"instance enumeration exceeded {budget} nodes")
+                raise BudgetExceededError(f"instance enumeration exceeded {budget} nodes; "
+                                          f"deepest element {deepest} of {k}")
             points[depth] = p
             rec(depth + 1)
 

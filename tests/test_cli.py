@@ -1,9 +1,11 @@
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +17,16 @@ from matroidlab.fileio import save_function, save_graph, save_matroid
 from matroidlab.matroid import (canonical_function, cycle_graph, graphic_from_graph,
                                 named_graph)
 
+SRC = str(Path(matroidlab.__file__).resolve().parents[1])
+
 
 def run_cli(*args):
-    """Run the CLI in a child process that inherits this environment, so
-    PYTHONPATH and the like carry over."""
+    """Run the CLI in a child process that inherits this environment,
+    with the package these tests import first on its PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "matroidlab", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 @pytest.fixture
@@ -127,10 +133,19 @@ def test_malformed_input_exit_code(workdir):
     ["complexity", "--sweep", "--graphs", "k3,3,3"],
     ["fourier", "--check-von-neumann", "--graph", "cq", "--trials", "1"],
     ["characterize", "-k", "13", "-n", "3"],
+    ["complexity", "--sweep", "--graphs", "k300"],
+    ["complexity", "--sweep", "--graphs", "k6000"],
+    ["fourier", "--check-von-neumann", "--graph", "c100000", "--trials", "1"],
 ])
 def test_malformed_input_one_line_exit_4(workdir, capsys, argv):
     (workdir / "latin1.boolfn").write_bytes(b"boolfn v1\nn=2\ntable=0\xe6\n")
-    assert main([a.format(d=workdir) for a in argv]) == 4
+    tracemalloc.start()
+    try:
+        assert main([a.format(d=workdir) for a in argv]) == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20      # refused before any large allocation
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

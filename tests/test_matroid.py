@@ -255,6 +255,86 @@ def test_homomorphism_budget():
         find_homomorphism(c5, c5, node_budget=-1)
 
 
+def reference_homomorphism(source, target, node_budget):
+    """The try-every-target DFS that find_homomorphism replaced: every
+    target element is a node at every depth, and each dependency word is
+    checked bit by bit once its top element is assigned. It also tracks
+    the deepest element assigned, for the budget message."""
+    words_by_top = {}
+    for w in source.kernel_words:
+        words_by_top.setdefault(w.bit_length() - 1, []).append(w)
+    tgt = target.ints
+    k = source.k
+    assignment = [0] * k
+    nodes = deepest = 0
+
+    def rec(depth):
+        nonlocal nodes, deepest
+        if depth == k:
+            return True
+        deepest = max(deepest, depth)
+        for choice in range(target.k):
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceededError(
+                    f"homomorphism search exceeded {node_budget} nodes; "
+                    f"deepest element {deepest} of {k}")
+            assignment[depth] = choice
+            ok = True
+            for w in words_by_top.get(depth, ()):
+                acc = 0
+                for j in range(depth + 1):
+                    if w >> j & 1:
+                        acc ^= tgt[assignment[j]]
+                if acc:
+                    ok = False
+                    break
+            if ok and rec(depth + 1):
+                return True
+        return False
+
+    return tuple(assignment) if rec(0) else None
+
+
+def _hom_outcome(search, source, target, budget):
+    try:
+        found = search(source, target, budget)
+    except BudgetExceededError as exc:
+        return "raises", str(exc)
+    if isinstance(found, Homomorphism):
+        found = found.assignment
+    return "returns", found
+
+
+def test_forced_images_match_the_reference_search():
+    rng = random.Random(53)
+    outcomes = set()
+    for _ in range(300):
+        m_dim = rng.randint(1, 4)
+        src = BinaryMatroid([GFVector(m_dim, rng.randrange(1 << m_dim))
+                             for _ in range(rng.randint(1, 7))])
+        bits = [rng.randrange(1 << m_dim) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.5:      # a zero vector and a parallel copy
+            bits += [0, rng.choice(bits)]
+            rng.shuffle(bits)
+        tgt = BinaryMatroid([GFVector(m_dim, b) for b in bits])
+        budgets = list(range(61)) + [rng.randint(61, 20000) for _ in range(3)]
+        for budget in budgets + [matroid.HOM_NODE_BUDGET]:
+            expected = _hom_outcome(reference_homomorphism, src, tgt, budget)
+            assert _hom_outcome(find_homomorphism, src, tgt, budget) == expected
+            outcomes.add((expected[0], expected[1] is None))
+    assert outcomes == {("raises", False), ("returns", True), ("returns", False)}
+
+
+def test_homomorphism_budget_message_names_the_depth():
+    petersen = graphic_from_graph(petersen_graph())
+    c7 = graphic_from_graph(cycle_graph(7))
+    with pytest.raises(BudgetExceededError) as exc:
+        find_homomorphism(petersen, c7, node_budget=150000)
+    assert str(exc.value) == _hom_outcome(reference_homomorphism, petersen, c7, 150000)[1]
+    assert str(exc.value).endswith(" of 15")
+
+
 def test_odd_girth_necessity():
     rng = random.Random(43)
     tried = 0

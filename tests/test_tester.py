@@ -338,6 +338,58 @@ def test_enumerate_instances_structure():
         assert e <= ones
 
 
+def scan_all_ones_matches(f, vectors):
+    """Independent oracle: every linear map on the span of `vectors`,
+    scanned through the images of a greedy basis; returns the point
+    tuples of the maps that send every vector to a one of f."""
+    span, coords, r = {0: 0}, [], 0
+    for v in vectors:
+        if v not in span:
+            span.update({x ^ v: c | 1 << r for x, c in list(span.items())})
+            r += 1
+        coords.append(span[v])
+    low = (1 << f.n) - 1
+    matches = []
+    for t in range(1 << (f.n * r)):
+        points = []
+        for c in coords:
+            p = 0
+            for j in range(r):
+                if c >> j & 1:
+                    p ^= t >> (j * f.n) & low
+            points.append(p)
+        if all(f.value(p) for p in points):
+            matches.append(points)
+    return matches
+
+
+def test_enumerate_instances_matches_the_scan():
+    # a node of the enumeration is an all-ones instance of a prefix of
+    # the ground set, so it raises exactly when those outnumber the budget
+    rng = np.random.Generator(np.random.PCG64(67))
+    outcomes = set()
+    for _ in range(200):
+        n = int(rng.integers(2, 5))
+        m_dim = int(rng.integers(1, 4))
+        vectors = [int(v) for v in rng.integers(0, 1 << m_dim, int(rng.integers(1, 6)))]
+        m = BinaryMatroid([GFVector(m_dim, v) for v in vectors])
+        f = random_function(n, rng, density=0.6)
+        nodes = sum(len(scan_all_ones_matches(f, vectors[:d]))
+                    for d in range(1, len(vectors) + 1))
+        expected = sorted({frozenset(p) for p in scan_all_ones_matches(f, vectors)},
+                          key=sorted)
+        for budget in (5, 50, 500, tester.HITTING_INSTANCE_BUDGET):
+            if nodes > budget:
+                with pytest.raises(BudgetExceededError,
+                                   match=rf"exceeded {budget} nodes; "
+                                         rf"deepest element \d+ of {m.k}$"):
+                    enumerate_instances(f, m, budget)
+            else:
+                assert enumerate_instances(f, m, budget) == expected
+            outcomes.add((nodes > budget, bool(expected)))
+    assert {(True, True), (False, True), (False, False)} <= outcomes
+
+
 def test_tower_of_twos():
     assert [tower_of_twos(h) for h in range(5)] == [1, 2, 4, 16, 65536]
 
