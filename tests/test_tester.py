@@ -374,10 +374,9 @@ def test_enumerate_instances_matches_the_scan():
         vectors = [int(v) for v in rng.integers(0, 1 << m_dim, int(rng.integers(1, 6)))]
         m = BinaryMatroid([GFVector(m_dim, v) for v in vectors])
         f = random_function(n, rng, density=0.6)
-        nodes = sum(len(scan_all_ones_matches(f, vectors[:d]))
-                    for d in range(1, len(vectors) + 1))
-        expected = sorted({frozenset(p) for p in scan_all_ones_matches(f, vectors)},
-                          key=sorted)
+        prefixes = [scan_all_ones_matches(f, vectors[:d]) for d in range(1, len(vectors) + 1)]
+        nodes = sum(map(len, prefixes))
+        expected = sorted({frozenset(p) for p in prefixes[-1]}, key=sorted)
         for budget in (5, 50, 500, tester.HITTING_INSTANCE_BUDGET):
             if nodes > budget:
                 with pytest.raises(BudgetExceededError,
