@@ -1,21 +1,27 @@
 """Boolean functions as complete truth tables, with exact Walsh-Hadamard
-Fourier analysis, densities, coset restriction, uniformity and toy-scale
-regularity search.
+Fourier analysis and toy-scale regularity search.
 
 Point-to-index convention (fixed for the whole repo): a point x maps to
 index ix(x) = sum_j x_j 2^j, i.e. coordinate j is bit j of the index.
+
+The cosets of a subspace H are read through one index table,
+`coset_indices(H)`: a row per coset, reps ascending, and a column per
+element of H. One row-wise butterfly over f's values at that table gives
+every coset's spectrum, so the uniform-coset fraction and the coset-wise
+rounding (`tester.reduce_function`) share one uniformity rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from .gf2 import Coset, Subspace, coset_decompose, enumerate_subspaces
+from .gf2 import Subspace, enumerate_subspaces
 
 WHT_MAX_N = 24
 REGULARITY_MAX_N = 8
@@ -24,8 +30,7 @@ REGULARITY_MAX_N = 8
 class BooleanFunction:
     """A function {0,1}^n -> {0,1} stored as a full truth table.
 
-    n = 0 is permitted (a single-point domain); it arises as the
-    restriction of a function to a singleton coset.
+    n = 0 is permitted (a single-point domain).
     """
 
     __slots__ = ("n", "table")
@@ -157,59 +162,6 @@ def inverse_wht(spectrum: FourierSpectrum) -> BooleanFunction:
     return BooleanFunction(spectrum.n, values // size)
 
 
-@dataclass(frozen=True)
-class CosetRestriction:
-    """f restricted to a coset g+H, re-indexed by internal H coordinates.
-
-    Internal coordinate i corresponds to the i-th canonical basis vector
-    of H, so values(h) = f(rep XOR basis-combination(h)).
-    """
-
-    coset: Coset
-    values: BooleanFunction
-
-
-def coset_point_indices(coset: Coset) -> np.ndarray:
-    """Table indices of the coset's points; position h holds the point
-    rep XOR (combination of basis vectors selected by the bits of h)."""
-    sub = coset.subspace
-    idx = np.empty(1 << sub.dim, dtype=np.int64)
-    idx[0] = coset.rep.bits
-    for i, b in enumerate(sub.basis):
-        step = 1 << i
-        idx[step:2 * step] = idx[:step] ^ b.bits
-    return idx
-
-
-def restrict_to_coset(f: BooleanFunction, coset: Coset) -> CosetRestriction:
-    sub = coset.subspace
-    if sub.ambient_dim != f.n:
-        raise DimensionMismatchError(f"coset ambient {sub.ambient_dim} vs n={f.n}")
-    idx = coset_point_indices(coset)
-    return CosetRestriction(coset, BooleanFunction(sub.dim, f.table[idx]))
-
-
-FunctionLike = Union[BooleanFunction, CosetRestriction]
-
-
-def _as_function(f: FunctionLike) -> BooleanFunction:
-    return f.values if isinstance(f, CosetRestriction) else f
-
-
-def density(f: FunctionLike, sigma: int = 1) -> Fraction:
-    """Exact density of the value sigma."""
-    g = _as_function(f)
-    count = g.ones_count() if sigma else (1 << g.n) - g.ones_count()
-    return Fraction(count, 1 << g.n)
-
-
-def is_uniform(f: FunctionLike, eps) -> bool:
-    """True iff every nonzero-frequency coefficient has |f^(a)| <= eps."""
-    g = _as_function(f)
-    eps = Fraction(eps)
-    return Fraction(wht(g).max_abs_nonzero(), 1 << g.n) <= eps
-
-
 def hamming_distance(f: BooleanFunction, g: BooleanFunction) -> tuple[int, Fraction]:
     if f.n != g.n:
         raise DimensionMismatchError(f"n={f.n} vs n={g.n}")
@@ -217,15 +169,44 @@ def hamming_distance(f: BooleanFunction, g: BooleanFunction) -> tuple[int, Fract
     return flips, Fraction(flips, 1 << f.n)
 
 
+def _xor_span(vectors: list[int]) -> np.ndarray:
+    """Element c is the XOR of vectors[i] over the set bits i of c."""
+    out = np.zeros(1 << len(vectors), dtype=np.int64)
+    for i, w in enumerate(vectors):
+        out[1 << i:2 << i] = out[:1 << i] ^ w
+    return out
+
+
+def coset_indices(sub: Subspace) -> np.ndarray:
+    """Table indices of every coset of sub, shape (2^codim, 2^dim).
+
+    Row c is the coset whose canonical representative (every pivot bit
+    clear) is the c-th smallest; column h holds that representative XOR
+    the basis vectors b_i over the set bits i of h.
+    """
+    pivots = set(sub.pivots)
+    reps = _xor_span([1 << j for j in range(sub.ambient_dim) if j not in pivots])
+    return reps[:, None] ^ _xor_span([b.bits for b in sub.basis])
+
+
+def _uniform_cosets(f: BooleanFunction, sub: Subspace, eps: Fraction
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coset table idx = coset_indices(sub), the number of ones of f
+    on each coset, and whether f is eps-uniform on it: every
+    nonzero-frequency coefficient of the restriction has |f^(a)| <= eps."""
+    if sub.ambient_dim != f.n:
+        raise DimensionMismatchError(f"subspace ambient {sub.ambient_dim} vs n={f.n}")
+    idx = coset_indices(sub)
+    size = idx.shape[1]
+    coeffs = _butterfly(f.table[idx].astype(np.int64))
+    peak = np.abs(coeffs[:, 1:]).max(axis=1, initial=0)
+    return idx, coeffs[:, 0], peak <= min(math.floor(eps * size), size)
+
+
 def uniform_coset_fraction(f: BooleanFunction, sub: Subspace, eps) -> Fraction:
     """Fraction of cosets of H on which f restricts eps-uniformly."""
-    eps = Fraction(eps)
-    good = 0
-    cosets = coset_decompose(sub)
-    for coset in cosets:
-        if is_uniform(restrict_to_coset(f, coset), eps):
-            good += 1
-    return Fraction(good, len(cosets))
+    _, _, uniform = _uniform_cosets(f, sub, Fraction(eps))
+    return Fraction(int(np.count_nonzero(uniform)), uniform.shape[0])
 
 
 def regularity_decompose(f: BooleanFunction, eps, max_codim: int | None = None
@@ -238,6 +219,8 @@ def regularity_decompose(f: BooleanFunction, eps, max_codim: int | None = None
     always works (singleton cosets are constant), so the search succeeds
     whenever max_codim = n.
     """
+    if f.n < 1:
+        raise InvalidInputError(f"regularity search needs n >= 1, got n={f.n}")
     if f.n > REGULARITY_MAX_N:
         raise BudgetExceededError(f"n={f.n} exceeds regularity search cap {REGULARITY_MAX_N}")
     if max_codim is None:

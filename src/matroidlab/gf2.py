@@ -3,6 +3,11 @@
 Vectors are packed little-endian into Python ints: coordinate j of a
 vector is bit j of its ``bits`` field, so the string form writes
 coordinate 0 first ("110" has coordinates 0 and 1 set).
+
+A coset v + H of a subspace is named by its canonical representative,
+`H.reduce(v)`, which has every pivot bit of H's RREF basis clear. This
+module keeps no coset objects: `boolfn.coset_indices` lays all cosets
+of H out as one table of point indices.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputErr
 
 SPAN_ENUM_CAP = 25
 SUBSPACE_ENUM_MAX_N = 8
-COSET_DECOMP_MAX_CODIM = 20
 
 
 @dataclass(frozen=True)
@@ -226,44 +230,6 @@ def enumerate_span(vectors: Sequence[GFVector], dim: int | None = None,
                 x ^= basis[j]
         result.append(GFVector(dim, x))
     return result
-
-
-@dataclass(frozen=True)
-class Coset:
-    """A coset rep + H; the stored rep is the canonical member."""
-
-    subspace: Subspace
-    rep: GFVector
-
-    @classmethod
-    def of(cls, subspace: Subspace, member: GFVector) -> "Coset":
-        return cls(subspace, subspace.reduce(member))
-
-    def contains(self, v: GFVector) -> bool:
-        return self.subspace.reduce(v) == self.rep
-
-    def points(self) -> list[GFVector]:
-        return [self.rep ^ h for h in self.subspace.vectors()]
-
-    def __repr__(self):
-        return f"Coset(rep={self.rep.to_bits()}, {self.subspace!r})"
-
-
-def coset_decompose(subspace: Subspace) -> list[Coset]:
-    """All 2^codim cosets, reps ascending as integers."""
-    if subspace.codim > COSET_DECOMP_MAX_CODIM:
-        raise BudgetExceededError(
-            f"codimension {subspace.codim} exceeds cap {COSET_DECOMP_MAX_CODIM}")
-    n = subspace.ambient_dim
-    free = [j for j in range(n) if j not in set(subspace.pivots)]
-    cosets = []
-    for c in range(1 << len(free)):
-        bits = 0
-        for idx, j in enumerate(free):
-            if c >> idx & 1:
-                bits |= 1 << j
-        cosets.append(Coset(subspace, GFVector(n, bits)))
-    return cosets
 
 
 def enumerate_subspaces(n: int, codim: int) -> Iterator[Subspace]:

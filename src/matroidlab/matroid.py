@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .boolfn import WHT_MAX_N, BooleanFunction
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from .gf2 import GFVector, LinearMap, Subspace, _ref_insert, rank_and_basis
@@ -581,6 +583,6 @@ def canonical_function(m: BinaryMatroid, n: int) -> BooleanFunction:
         raise InvalidInputError(f"n={n} exceeds the truth-table cap {WHT_MAX_N}")
     if any(v == 0 for v in m.ints):
         raise InvalidInputError("canonical function requires nonzero ground vectors")
-    distinct = sorted(set(m.ints))
-    ones = [v | (y << m.m) for y in range(1 << (n - m.m)) for v in distinct]
-    return BooleanFunction.from_ones(n, ones)
+    ground = np.zeros(1 << m.m, dtype=np.uint8)
+    ground[list(m.ints)] = 1
+    return BooleanFunction(n, np.tile(ground, 1 << (n - m.m)))

@@ -1,7 +1,9 @@
 """(M, Sigma)-freeness machinery: exhaustive pattern search and exact
 counting, the randomized k-query tester, minimum repair distance at desk
 scale, instance hitting numbers, the tower-type soundness-bound formula,
-the generalized von Neumann inequality check, and coset-wise rounding.
+the generalized von Neumann inequality check, and coset-wise rounding
+(`reduce_function`, which reads densities and uniformity from the one
+coset table of `boolfn.coset_indices`).
 
 Degenerate linear maps count. Freeness quantifies over ALL linear maps,
 including non-injective ones and the zero map, so any f with f(0) = 1
@@ -42,6 +44,7 @@ _CHUNK entries, sized so that a block's few int64 arrays stay in cache.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,10 +53,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolfn import (BooleanFunction, _butterfly, coset_point_indices, density,
-                     is_uniform, restrict_to_coset, wht)
+from .boolfn import BooleanFunction, _butterfly, _uniform_cosets, wht
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from .gf2 import GFVector, LinearMap, Subspace, coset_decompose
+from .gf2 import GFVector, LinearMap, Subspace
 from .matroid import BinaryMatroid, _forced_by, has_complexity_one
 
 PATTERN_BUDGET_BITS = 30
@@ -786,7 +788,8 @@ def von_neumann_gap(fs: Sequence[BooleanFunction], m: BinaryMatroid,
 
 def reduce_function(f: BooleanFunction, sub: Subspace, a, b, eta=None,
                     mode: str = "monotone") -> BooleanFunction:
-    """The rounding construction f^R, built coset by coset.
+    """The rounding construction f^R, one row of boolfn's coset table
+    per coset of sub.
 
     monotone mode: a-uniform cosets of density <= b are zeroed, other
     a-uniform cosets are kept, non-uniform cosets are zeroed.
@@ -805,23 +808,15 @@ def reduce_function(f: BooleanFunction, sub: Subspace, a, b, eta=None,
         eta = Fraction(eta)
         if not Fraction(1, 2) < eta < 1:
             raise InvalidInputError(f"eta must lie in (1/2, 1), got {eta}")
+    idx, ones, uniform = _uniform_cosets(f, sub, a)
+    size = idx.shape[1]
+    # a coset with c ones has density <= x iff c <= floor(x*size), and < x
+    # iff c < ceil(x*size)
     table = f.table.copy()
-    for coset in coset_decompose(sub):
-        restr = restrict_to_coset(f, coset)
-        idx = coset_point_indices(coset)
-        mu = density(restr, 1)
-        if is_uniform(restr, a):
-            if mode == "monotone":
-                if mu <= b:
-                    table[idx] = 0
-            else:
-                if mu < b:
-                    table[idx] = 0
-                elif mu > 1 - b:
-                    table[idx] = 1
-        else:
-            if mode == "monotone":
-                table[idx] = 0
-            else:
-                table[idx] = 1 if mu >= eta else 0
+    if mode == "monotone":
+        table[idx[~uniform | (ones <= math.floor(b * size))]] = 0
+    else:
+        low = ones < np.where(uniform, math.ceil(b * size), math.ceil(eta * size))
+        table[idx[low]] = 0
+        table[idx[~low & (~uniform | (ones > math.floor((1 - b) * size)))]] = 1
     return BooleanFunction(f.n, table)

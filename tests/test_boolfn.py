@@ -1,20 +1,61 @@
-import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from matroidlab.boolfn import (BooleanFunction, CosetRestriction, _butterfly,
-                               coset_point_indices, density, hamming_distance,
-                               inverse_wht, is_uniform, random_function,
-                               regularity_decompose, restrict_to_coset,
-                               uniform_coset_fraction, wht)
+from matroidlab import boolfn
+from matroidlab.boolfn import (BooleanFunction, _butterfly, _uniform_cosets, coset_indices,
+                               hamming_distance, inverse_wht, random_function,
+                               regularity_decompose, uniform_coset_fraction, wht)
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from matroidlab.gf2 import Coset, GFVector, enumerate_subspaces, rank_and_basis
+from matroidlab.gf2 import GFVector, enumerate_subspaces, rank_and_basis
+from matroidlab.tester import reduce_function
 
 
 def f_ones(n, ones):
     return BooleanFunction.from_ones(n, ones)
+
+
+def whole(n):
+    return next(enumerate_subspaces(n, 0))
+
+
+def random_subspace(n, rng):
+    vecs = [GFVector(n, int(rng.integers(0, 1 << n))) for _ in range(int(rng.integers(0, n + 1)))]
+    return rank_and_basis(vecs, dim=n)[1]
+
+
+def reference_cosets(f, sub, eps):
+    """(points, density, eps-uniform) per coset, reps ascending, without
+    the coset table: points are grouped by sub.reduce, and a point x of
+    a coset sits at position h = sum_i x_{pivot_i} 2^i, its coordinates
+    over the RREF basis; one wht per coset."""
+    classes = {}
+    for x in range(1 << f.n):
+        rep = sub.reduce(GFVector(f.n, x)).bits
+        h = sum((x >> p & 1) << i for i, p in enumerate(sub.pivots))
+        classes.setdefault(rep, [None] * (1 << sub.dim))[h] = x
+    out = []
+    for rep in sorted(classes):
+        g = BooleanFunction(sub.dim, f.table[classes[rep]])
+        size = 1 << sub.dim
+        out.append((classes[rep], Fraction(g.ones_count(), size),
+                    Fraction(wht(g).max_abs_nonzero(), size) <= eps))
+    return out
+
+
+def reference_reduce(f, sub, a, b, eta, mode):
+    table = f.table.copy()
+    for points, mu, uniform in reference_cosets(f, sub, a):
+        if mode == "monotone":
+            value = 0 if not uniform or mu <= b else None
+        elif uniform:
+            value = 0 if mu < b else 1 if mu > 1 - b else None
+        else:
+            value = 1 if mu >= eta else 0
+        if value is not None:
+            table[points] = value
+    return BooleanFunction(f.n, table)
 
 
 def test_table_validation():
@@ -47,7 +88,6 @@ def test_parseval_and_inversion():
         assert s.power_sum(2) == (1 << n) * f.ones_count()
         assert s.coeff(0) == f.ones_count()
         assert inverse_wht(s) == f
-        assert density(f, 1) == Fraction(s.coeff(0), 1 << n)
 
 
 def test_wht_involution():
@@ -84,16 +124,19 @@ def test_random_function_rejects_bad_n_before_drawing():
 
 
 def test_density_examples():
-    assert density(BooleanFunction.constant(3, 0), 0) == 1
-    assert density(BooleanFunction.constant(3, 1), 0) == 0
-    assert density(f_ones(2, [1, 2]), 1) == Fraction(1, 2)
+    # the ones column of the coset table, one entry per coset
+    for f, ones in ((BooleanFunction.constant(3, 0), [0]), (BooleanFunction.constant(3, 1), [8]),
+                    (f_ones(2, [1, 2]), [2])):
+        assert list(_uniform_cosets(f, whole(f.n), Fraction(0))[1]) == ones
+    _, diag = rank_and_basis([GFVector.from_bits("11")])
+    assert list(_uniform_cosets(f_ones(2, [1, 2]), diag, Fraction(0))[1]) == [0, 2]
 
 
 def test_is_uniform_examples():
-    assert is_uniform(BooleanFunction.constant(4, 1), 0)
+    assert uniform_coset_fraction(BooleanFunction.constant(4, 1), whole(4), 0) == 1
     f = f_ones(2, [1, 2])
-    assert not is_uniform(f, Fraction(1, 4))
-    assert is_uniform(f, Fraction(1, 2))
+    assert uniform_coset_fraction(f, whole(2), Fraction(1, 4)) == 0
+    assert uniform_coset_fraction(f, whole(2), Fraction(1, 2)) == 1
 
 
 def test_hamming_examples():
@@ -108,46 +151,126 @@ def test_hamming_examples():
 
 def test_restriction_examples():
     f = f_ones(2, [1, 2])
-    _, whole = rank_and_basis([GFVector.from_bits("10"), GFVector.from_bits("01")])
-    r = restrict_to_coset(f, Coset.of(whole, GFVector(2, 0)))
-    assert np.array_equal(r.values.table, f.table)
+    assert np.array_equal(f.table[coset_indices(whole(2))], [f.table])
 
     _, point = rank_and_basis([], dim=2)
-    r = restrict_to_coset(f, Coset.of(point, GFVector.from_bits("01")))
-    assert list(r.values.table) == [1]
+    assert f.table[coset_indices(point)][GFVector.from_bits("01").bits].tolist() == [1]
 
     _, diag = rank_and_basis([GFVector.from_bits("11")])
-    r = restrict_to_coset(f, Coset.of(diag, GFVector.from_bits("01")))
-    assert list(r.values.table) == [1, 1]
+    assert f.table[coset_indices(diag)].tolist() == [[0, 0], [1, 1]]
 
 
 def test_restriction_matches_direct_evaluation():
+    # column h of a row is its first point XOR the basis combination h
     rng = np.random.Generator(np.random.PCG64(31))
     checks = 0
     while checks < 1000:
         n = int(rng.integers(1, 9))
         f = random_function(n, rng)
-        vecs = [GFVector(n, int(rng.integers(0, 1 << n)))
-                for _ in range(int(rng.integers(0, n + 1)))]
-        _, sub = rank_and_basis(vecs, dim=n)
-        coset = Coset.of(sub, GFVector(n, int(rng.integers(0, 1 << n))))
-        r = restrict_to_coset(f, coset)
+        sub = random_subspace(n, rng)
+        idx = coset_indices(sub)
+        rep = sub.reduce(GFVector(n, int(rng.integers(0, 1 << n)))).bits
+        row = int(np.searchsorted(idx[:, 0], rep))
+        assert idx[row, 0] == rep
+        values = f.table[idx[row]]
         for h in range(1 << sub.dim):
-            point = coset.rep.bits
+            point = rep
             for i in range(sub.dim):
                 if h >> i & 1:
                     point ^= sub.basis[i].bits
-            assert r.values.value(h) == f.value(point)
+            assert idx[row, h] == point and values[h] == f.value(point)
             checks += 1
 
 
-def test_coset_point_indices_partition():
-    _, sub = rank_and_basis([GFVector.from_bits("110"), GFVector.from_bits("011")])
-    from matroidlab.gf2 import coset_decompose
-    seen = []
-    for c in coset_decompose(sub):
-        seen += list(coset_point_indices(c))
-    assert sorted(seen) == list(range(8))
+def test_coset_indices_examples():
+    # columns follow the RREF basis, descending pivots: "01", then "10"
+    assert coset_indices(whole(2)).tolist() == [[0, 2, 1, 3]]
+    _, trivial = rank_and_basis([], dim=2)
+    assert coset_indices(trivial).tolist() == [[0], [1], [2], [3]]
+    _, diag = rank_and_basis([GFVector.from_bits("11")])
+    assert [set(row) for row in coset_indices(diag).tolist()] == [{0, 3}, {1, 2}]
+
+
+def test_coset_indices_partition():
+    rng = np.random.Generator(np.random.PCG64(13))
+    for _ in range(60):
+        n = int(rng.integers(1, 8))
+        sub = random_subspace(n, rng)
+        idx = coset_indices(sub)
+        assert idx.shape == (1 << sub.codim, 1 << sub.dim)
+        assert sorted(idx.ravel().tolist()) == list(range(1 << n))
+        starts = idx[:, 0].tolist()
+        assert starts == sorted(starts)
+        for start, row in zip(starts, idx.tolist()):
+            assert all(start >> p & 1 == 0 for p in sub.pivots)
+            assert {sub.reduce(GFVector(n, x)).bits for x in row} == {start}
+
+
+def test_uniform_fraction_matches_reference_every_small_subspace():
+    rng = np.random.Generator(np.random.PCG64(43))
+    for n in range(1, 5):
+        for codim in range(n + 1):
+            for sub in enumerate_subspaces(n, codim):
+                f = random_function(n, rng, density=float(rng.random()))
+                for eps in (0, Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), 1):
+                    ref = reference_cosets(f, sub, eps)
+                    want = Fraction(sum(u for _, _, u in ref), len(ref))
+                    assert uniform_coset_fraction(f, sub, eps) == want
+
+
+def test_uniform_fraction_matches_reference_random_subspaces():
+    rng = np.random.Generator(np.random.PCG64(47))
+    for n in range(5, 9):
+        for _ in range(6):
+            f = random_function(n, rng, density=float(rng.random()))
+            sub = random_subspace(n, rng)
+            for eps in (0, Fraction(1, 16), Fraction(1, 3), Fraction(1, 2)):
+                ref = reference_cosets(f, sub, eps)
+                want = Fraction(sum(u for _, _, u in ref), len(ref))
+                assert uniform_coset_fraction(f, sub, eps) == want
+
+
+def test_reduce_function_matches_reference():
+    rng = np.random.Generator(np.random.PCG64(53))
+    for _ in range(150):
+        n = int(rng.integers(1, 7))
+        f = random_function(n, rng, density=float(rng.random()))
+        sub = random_subspace(n, rng)
+        a = Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 9)))
+        b = Fraction(int(rng.integers(0, 9)), 8)
+        eta = Fraction(int(rng.integers(9, 16)), 16)
+        for mode, e in (("monotone", None), ("nonmonotone", eta)):
+            assert reduce_function(f, sub, a, b, e, mode) == reference_reduce(f, sub, a, b, e, mode)
+
+
+def test_coset_table_checks_ambient_dimension():
+    f = BooleanFunction.constant(3, 1)
+    for sub in (whole(2), whole(4)):
+        with pytest.raises(DimensionMismatchError):
+            uniform_coset_fraction(f, sub, Fraction(1, 4))
+        with pytest.raises(DimensionMismatchError):
+            reduce_function(f, sub, Fraction(1, 4), Fraction(1, 4))
+
+
+def test_regularity_one_butterfly_per_subspace(monkeypatch):
+    shapes, tried = [], []
+    butterfly, enumerate_all = boolfn._butterfly, boolfn.enumerate_subspaces
+
+    def spy_butterfly(values):
+        shapes.append(values.shape)
+        return butterfly(values)
+
+    def spy_enumerate(n, codim):
+        for sub in enumerate_all(n, codim):
+            tried.append(sub)
+            yield sub
+
+    monkeypatch.setattr(boolfn, "_butterfly", spy_butterfly)
+    monkeypatch.setattr(boolfn, "enumerate_subspaces", spy_enumerate)
+    f = random_function(5, np.random.Generator(np.random.PCG64(59)))
+    sub, _ = regularity_decompose(f, Fraction(1, 8))
+    assert tried[-1] == sub and len(tried) > 1
+    assert shapes == [(1 << s.codim, 1 << s.dim) for s in tried]
 
 
 def test_regularity_constant():
@@ -179,6 +302,8 @@ def test_regularity_minimality_rescan():
 def test_regularity_caps():
     with pytest.raises(BudgetExceededError):
         regularity_decompose(BooleanFunction.constant(9, 0), Fraction(1, 2))
+    with pytest.raises(InvalidInputError):
+        regularity_decompose(BooleanFunction.constant(0, 1), Fraction(1, 2))
     f = BooleanFunction.from_ones(2, [0])
     with pytest.raises(InvalidInputError):
         regularity_decompose(f, Fraction(1, 4), max_codim=5)

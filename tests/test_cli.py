@@ -136,6 +136,7 @@ def test_malformed_input_exit_code(workdir):
     ["complexity", "--sweep", "--graphs", "k300"],
     ["complexity", "--sweep", "--graphs", "k6000"],
     ["fourier", "--check-von-neumann", "--graph", "c100000", "--trials", "1"],
+    ["regularity", "-n", "0"],
 ])
 def test_malformed_input_one_line_exit_4(workdir, capsys, argv):
     (workdir / "latin1.boolfn").write_bytes(b"boolfn v1\nn=2\ntable=0\xe6\n")

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from matroidlab.gf2 import (Coset, GFVector, LinearMap, Subspace,
-                            coset_decompose, enumerate_span, enumerate_subspaces,
-                            gaussian_binomial, identity_map, in_span,
-                            random_nonsingular_map, rank_and_basis, unit_vector,
-                            zero_vector)
+from matroidlab.gf2 import (GFVector, LinearMap, Subspace, enumerate_span,
+                            enumerate_subspaces, gaussian_binomial, identity_map,
+                            in_span, random_nonsingular_map, rank_and_basis,
+                            unit_vector, zero_vector)
 
 
 def v(s):
@@ -155,38 +154,11 @@ def test_enumerate_subspaces_caps():
         list(enumerate_subspaces(4, 5))
 
 
-def test_coset_decompose_examples():
-    _, whole = rank_and_basis([v("10"), v("01")])
-    cosets = coset_decompose(whole)
-    assert len(cosets) == 1 and cosets[0].rep.is_zero()
-
-    _, trivial = rank_and_basis([], dim=2)
-    assert len(coset_decompose(trivial)) == 4
-
-    _, diag = rank_and_basis([v("11")])
-    cosets = coset_decompose(diag)
-    assert [{p.bits for p in c.points()} for c in cosets] == [{0, 3}, {1, 2}]
-
-
-def test_coset_decompose_partitions():
-    rng = random.Random(13)
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        vecs = [GFVector(n, rng.randrange(1 << n)) for _ in range(rng.randint(0, n))]
-        _, sub = rank_and_basis(vecs, dim=n)
-        cosets = coset_decompose(sub)
-        seen = [c.rep.bits for c in cosets]
-        assert seen == sorted(seen)
-        points = [p.bits for c in cosets for p in c.points()]
-        assert sorted(points) == list(range(1 << n))
-
-
 def test_coset_canonical_rep():
+    # span{"11"}: "01" and "10" share a coset, named by "10" (pivot bit clear)
     _, sub = rank_and_basis([v("11")])
-    c = Coset.of(sub, v("01"))
-    assert c.rep == sub.reduce(v("01"))
-    assert c.contains(v("01")) and c.contains(v("10"))
-    assert not c.contains(v("11"))
+    assert sub.reduce(v("01")) == sub.reduce(v("10")) == v("10")
+    assert sub.reduce(v("11")) == sub.reduce(v("00")) == v("00")
 
 
 def test_random_nonsingular_map():

@@ -403,6 +403,14 @@ def test_homomorphism_extraction_from_instances():
         assert verify_homomorphism(Homomorphism(assignment), m2, m1)
 
 
+def test_canonical_function_matches_list_definition():
+    twice = BinaryMatroid([GFVector(2, 1), GFVector(2, 1), GFVector(2, 3)])
+    for m in [graphic_from_graph(named_graph(g)) for g in ("c3", "c5", "k4", "petersen")] + [twice]:
+        for n in (m.m, m.m + 1, m.m + 4):
+            ones = [v | (y << m.m) for y in range(1 << (n - m.m)) for v in sorted(set(m.ints))]
+            assert canonical_function(m, n) == BooleanFunction.from_ones(n, ones)
+
+
 def test_canonical_function_duplicates_collapse():
     twice = BinaryMatroid([GFVector(2, 1), GFVector(2, 1), GFVector(2, 3)])
     f = canonical_function(twice, 3)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from matroidlab import tester
-from matroidlab.boolfn import WHT_MAX_N, BooleanFunction, density, random_function
+from matroidlab.boolfn import (WHT_MAX_N, BooleanFunction, random_function,
+                               uniform_coset_fraction)
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from matroidlab.gf2 import GFVector, rank_and_basis
 from matroidlab.matroid import (BinaryMatroid, canonical_function, cographic_from_graph,
@@ -478,17 +479,13 @@ def test_reduce_function_parameter_validation():
 def test_reduce_function_modification_bound():
     rng = np.random.Generator(np.random.PCG64(71))
     a, b = Fraction(1, 3), Fraction(1, 4)
-    from matroidlab.boolfn import is_uniform, restrict_to_coset
-    from matroidlab.gf2 import coset_decompose
     checked = 0
     while checked < 10:
         n = int(rng.integers(2, 5))
         f = random_function(n, rng)
         vecs = [GFVector(n, int(rng.integers(0, 1 << n))) for _ in range(n - 1)]
         _, sub = rank_and_basis(vecs, dim=n)
-        cosets = coset_decompose(sub)
-        bad = sum(1 for c in cosets if not is_uniform(restrict_to_coset(f, c), a))
-        if Fraction(bad, len(cosets)) > a:
+        if 1 - uniform_coset_fraction(f, sub, a) > a:
             continue
         for mode, eta in (("monotone", None), ("nonmonotone", Fraction(3, 4))):
             out = reduce_function(f, sub, a, b, eta, mode)
