@@ -182,6 +182,12 @@ def test_restriction_matches_direct_evaluation():
             checks += 1
 
 
+def test_coset_point_indices_partition():
+    _, sub = rank_and_basis([GFVector.from_bits("110"), GFVector.from_bits("011")])
+    seen = coset_indices(sub).ravel().tolist()
+    assert sorted(seen) == list(range(8))
+
+
 def test_coset_indices_examples():
     # columns follow the RREF basis, descending pivots: "01", then "10"
     assert coset_indices(whole(2)).tolist() == [[0, 2, 1, 3]]

@@ -154,6 +154,25 @@ def test_enumerate_subspaces_caps():
         list(enumerate_subspaces(4, 5))
 
 
+def test_coset_decompose_partitions():
+    # the classes of Subspace.reduce: 2^codim canonical reps, each the
+    # coset rep XOR the span, together every point once
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        vecs = [GFVector(n, rng.randrange(1 << n)) for _ in range(rng.randint(0, n))]
+        _, sub = rank_and_basis(vecs, dim=n)
+        reps = sorted({sub.reduce(GFVector(n, x)).bits for x in range(1 << n)})
+        assert len(reps) == 1 << sub.codim
+        assert all(rep >> p & 1 == 0 for rep in reps for p in sub.pivots)
+        points = []
+        for rep in reps:
+            coset = [GFVector(n, rep) ^ w for w in sub.vectors()]
+            assert all(sub.reduce(x).bits == rep for x in coset)
+            points += [x.bits for x in coset]
+        assert sorted(points) == list(range(1 << n))
+
+
 def test_coset_canonical_rep():
     # span{"11"}: "01" and "10" share a coset, named by "10" (pivot bit clear)
     _, sub = rank_and_basis([v("11")])
