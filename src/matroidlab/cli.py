@@ -42,6 +42,11 @@ EXIT_PROPERTY_VIOLATED = 2
 EXIT_BUDGET = 3
 EXIT_MALFORMED = 4
 
+# json.dumps cannot print an int of more than 4,300 digits (about
+# 14,284 bits); a result that could pass this many bits exits 3 before
+# the work starts
+REPORT_INT_MAX_BITS = 14_000
+
 SWEEP_CORPUS = ("c3", "c4", "c5", "c6", "c7", "c8", "k4", "k5", "k5e", "petersen")
 
 
@@ -78,6 +83,12 @@ def _plain(v):
     if isinstance(v, GFVector):
         return v.to_bits()
     return v
+
+
+def _check_report_bits(bits: int, what: str) -> None:
+    if bits > REPORT_INT_MAX_BITS:
+        raise BudgetExceededError(
+            f"{what} = {bits} bits exceeds the report's cap of {REPORT_INT_MAX_BITS} bits")
 
 
 def exact(v) -> dict:
@@ -155,6 +166,7 @@ def _exp_free(args):
 
 def _exp_count(args):
     f, m, sigma = _freeness_args(args)
+    _check_report_bits(f.n * m.m, "n*m")
     rep = count_patterns(f, m, sigma, budget_bits=args.budget)
     return ({"n": f.n, "k": m.k, "rank": rep.rank, "sigma": str(sigma)},
             {"span_count": exact(rep.span_count),
@@ -326,6 +338,7 @@ def _exp_hierarchy_cliques(args):
 def _exp_fourier_count(args):
     f = load_function(args.function)
     k = args.cycle_count
+    _check_report_bits(f.n * (k - 1), "n*(k-1)")
     fast = cycle_count_fourier(f, k)
     results = {"cycle_count": exact(fast)}
     if f.n * (k - 1) <= 24:

@@ -2,6 +2,13 @@
 classifier, and exhaustive verification that brute-force freeness
 matches the classifier's prediction.
 
+A function is handled here as its table int (bit x is f(x), the
+`BooleanFunction.table_int` convention). The families are generated,
+not swept for: the linear forms directly, and the subspace and affine
+subspace indicators from `gf2.enumerate_subspaces` and the coset tables
+of `boolfn.coset_indices`. Verification compares them with the free
+sets read off the achieved-pattern masks of all 2^(2^n) functions.
+
 For the k-cycle matroid, assignments of a linear map to the span basis
 correspond exactly to k-tuples (x_1..x_k) with zero XOR; the value
 pattern achieved by a tuple is packed little-endian (bit i = value at
@@ -14,11 +21,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-import numpy as np
-
-from .boolfn import BooleanFunction
+from .boolfn import BooleanFunction, coset_indices
 from .errors import InvalidInputError
-from .gf2 import _rref_add
+from .gf2 import enumerate_subspaces
 from .tester import PatternSpec
 
 FREE_ENUM_MAX_N_SMALL_K = 4
@@ -51,66 +56,38 @@ COMPLEMENT_PAIR = {
 }
 
 
-def _is_linear_form(f: BooleanFunction) -> bool:
-    """f(x) = <a, x> for some a (includes the zero function)."""
-    if f.value(0):
-        return False
-    a = 0
-    for j in range(f.n):
-        if f.value(1 << j):
-            a |= 1 << j
-    xs = np.arange(1 << f.n, dtype=np.int64)
-    expected = (np.bitwise_count(xs & a) & 1).astype(np.uint8)
-    return bool(np.array_equal(f.table, expected))
+def _family_tables(n: int) -> dict[FamilyId, frozenset[int]]:
+    """Every family on {0,1}^n as a set of table ints (bit x is f(x)).
 
-
-def _ones_form_subspace(f: BooleanFunction) -> bool:
-    ones = f.ones()
-    count = len(ones)
-    # a subspace has a power-of-two size; the guard skips the elimination
-    # for most functions
-    if count == 0 or count & (count - 1):
-        return False
-    basis: dict[int, int] = {}
-    for x in ones:
-        _rref_add(basis, x)
-    return count == 1 << len(basis)
-
-
-def _ones_form_affine_subspace(f: BooleanFunction) -> bool:
-    ones = f.ones()
-    if not ones:
-        return False
-    t = ones[0]
-    translated = BooleanFunction.from_ones(f.n, [x ^ t for x in ones])
-    return _ones_form_subspace(translated)
-
-
-def family_contains(f: BooleanFunction, fam: FamilyId) -> bool:
-    if fam is FamilyId.CONST:
-        return f.ones_count() in (0, 1 << f.n)
-    if fam is FamilyId.LIN:
-        return f.ones_count() == 1 << f.n or _is_linear_form(f)
-    if fam is FamilyId.LIN_BAR:
-        return family_contains(f.complement(), FamilyId.LIN)
-    if fam is FamilyId.AFF:
-        g = f.complement() if f.value(0) else f
-        return _is_linear_form(g)
-    if fam is FamilyId.AFF_BAR:
-        return family_contains(f.complement(), FamilyId.AFF)
-    if fam is FamilyId.FLIN:
-        return f.ones_count() == 0 or _ones_form_subspace(f)
-    if fam is FamilyId.FLIN_BAR:
-        return family_contains(f.complement(), FamilyId.FLIN)
-    if fam is FamilyId.FAFF:
-        return f.ones_count() == 0 or _ones_form_affine_subspace(f)
-    if fam is FamilyId.FAFF_BAR:
-        return family_contains(f.complement(), FamilyId.FAFF)
-    raise InvalidInputError(f"unknown family {fam!r}")
+    The linear forms x -> <a, x> and the subspace indicators are built
+    directly: row 0 of `coset_indices(H)` is H itself and its other rows
+    are the cosets of H, so the subspaces of every codimension give Flin
+    and all their rows give Faff. A bar family holds the complements of
+    its COMPLEMENT_PAIR partner.
+    """
+    if not 0 <= n <= FREE_ENUM_MAX_N_SMALL_K:
+        raise InvalidInputError(f"function enumeration capped at n <= {FREE_ENUM_MAX_N_SMALL_K}")
+    size = 1 << n
+    full = (1 << size) - 1
+    forms = {sum(((a & x).bit_count() & 1) << x for x in range(size)) for a in range(size)}
+    flats = [[sum(1 << int(x) for x in row) for row in coset_indices(sub)]
+             for codim in range(n + 1) for sub in enumerate_subspaces(n, codim)]
+    tables = {
+        FamilyId.CONST: {0, full},
+        FamilyId.LIN: forms | {full},
+        FamilyId.AFF: forms | {full ^ t for t in forms},
+        FamilyId.FLIN: {0} | {rows[0] for rows in flats},
+        FamilyId.FAFF: {0} | {t for rows in flats for t in rows},
+    }
+    for fam, partner in COMPLEMENT_PAIR.items():
+        if fam not in tables:
+            tables[fam] = {full ^ t for t in tables[partner]}
+    return {fam: frozenset(ts) for fam, ts in tables.items()}
 
 
 def family_members(n: int, fam: FamilyId) -> frozenset[BooleanFunction]:
-    return frozenset(f for f in all_functions(n) if family_contains(f, fam))
+    """The members of one family on {0,1}^n, for n <= 4."""
+    return frozenset(BooleanFunction.from_table_int(n, t) for t in _family_tables(n)[fam])
 
 
 @lru_cache(maxsize=None)
@@ -201,9 +178,11 @@ def _achieved_masks(n: int, k: int) -> tuple[int, ...]:
     return tuple(achieved_patterns(f, k) for f in all_functions(n))
 
 
-def is_cycle_free(f: BooleanFunction, sigma: PatternSpec) -> bool:
-    """(C_k, Sigma)-freeness via the prefix DP (k = len(sigma))."""
-    return not achieved_patterns(f, sigma.k) >> sigma.index_int() & 1
+def _free_tables(masks: tuple[int, ...], sigma: PatternSpec) -> frozenset[int]:
+    """Table ints of the (C_k, Sigma)-free functions, read off the
+    achieved-pattern masks of `_achieved_masks(n, k)`."""
+    bit = sigma.index_int()
+    return frozenset(t for t, mask in enumerate(masks) if not mask >> bit & 1)
 
 
 def enumerate_free_functions(n: int, k: int, sigma: PatternSpec
@@ -212,10 +191,8 @@ def enumerate_free_functions(n: int, k: int, sigma: PatternSpec
     if sigma.k != k:
         raise InvalidInputError(f"sigma length {sigma.k} does not match k={k}")
     _check_enum_budget(n, k)
-    masks = _achieved_masks(n, k)
     funcs = all_functions(n)
-    bit = sigma.index_int()
-    return frozenset(funcs[t] for t in range(len(funcs)) if not masks[t] >> bit & 1)
+    return frozenset(funcs[t] for t in _free_tables(_achieved_masks(n, k), sigma))
 
 
 @dataclass(frozen=True)
@@ -273,25 +250,26 @@ def verify_characterization(n: int, k: int) -> CharacterizationReport:
     if k > CHARACTERIZE_MAX_K:
         raise InvalidInputError(f"characterization capped at k <= {CHARACTERIZE_MAX_K}")
     _check_enum_budget(n, k + 2)
+    families = _family_tables(n)
+    masks, padded_masks = _achieved_masks(n, k), _achieved_masks(n, k + 2)
     report = CharacterizationReport(n=n, k=k)
     for sigma in _all_sigmas(k):
-        free = enumerate_free_functions(n, k, sigma)
+        free = _free_tables(masks, sigma)
         fam = classify_sigma(sigma)
-        predicted = family_members(n, fam)
-        diff = free.symmetric_difference(predicted)
+        predicted = families[fam]
         report.verdicts.append(SigmaVerdict(
             sigma=str(sigma),
             family=fam.value,
             free_count=len(free),
             predicted_count=len(predicted),
-            match=not diff,
-            counterexamples=tuple(sorted(f.table_int() for f in diff)),
+            match=free == predicted,
+            counterexamples=tuple(sorted(free ^ predicted)),
         ))
         for pad in ((0, 0), (1, 1)):
             padded = PatternSpec(sigma.sigma + pad)
-            padded_free = enumerate_free_functions(n, k + 2, padded)
-            if not padded_free <= free:
-                bad = sorted(f.table_int() for f in padded_free - free)
+            outside = _free_tables(padded_masks, padded) - free
+            if outside:
                 report.containment_failures.append(
-                    f"(C_{k + 2},{padded})-free not within (C_{k},{sigma})-free: {bad}")
+                    f"(C_{k + 2},{padded})-free not within (C_{k},{sigma})-free: "
+                    f"{sorted(outside)}")
     return report

@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 
-SPAN_ENUM_CAP = 25
 SUBSPACE_ENUM_MAX_N = 8
 
 
@@ -45,12 +44,6 @@ class GFVector:
     def to_bits(self) -> str:
         return "".join("1" if self.bits >> j & 1 else "0" for j in range(self.dim))
 
-    def bit(self, j: int) -> int:
-        return self.bits >> j & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def support(self) -> tuple[int, ...]:
         return tuple(j for j in range(self.dim) if self.bits >> j & 1)
 
@@ -61,12 +54,6 @@ class GFVector:
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
         return GFVector(self.dim, self.bits ^ other.bits)
-
-    def dot(self, other: "GFVector") -> int:
-        """Inner product mod 2."""
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
-        return (self.bits & other.bits).bit_count() & 1
 
     def __repr__(self):
         return f"GFVector({self.to_bits()!r})"
@@ -153,10 +140,6 @@ class Subspace:
     def contains(self, v: GFVector) -> bool:
         return self.reduce(v).bits == 0
 
-    def vectors(self) -> list[GFVector]:
-        """All 2^dim members, in span-enumeration order over the basis."""
-        return enumerate_span(self.basis, dim=self.ambient_dim)
-
     def __repr__(self):
         return f"Subspace(n={self.ambient_dim}, basis={[b.to_bits() for b in self.basis]})"
 
@@ -197,39 +180,6 @@ def _ref_insert(rows: dict[int, tuple[int, int]], w: int, combo: int = 0) -> tup
         w ^= row[0]
         combo ^= row[1]
     return w, combo
-
-
-def _ref_basis(vectors: Sequence[GFVector]) -> list[int]:
-    """Echelon basis in descending pivot order, each kept vector as close
-    to its input form as pivot discovery allows (not fully reduced)."""
-    rows: dict[int, tuple[int, int]] = {}
-    for v in vectors:
-        _ref_insert(rows, v.bits)
-    return [rows[p][0] for p in sorted(rows, reverse=True)]
-
-
-def enumerate_span(vectors: Sequence[GFVector], dim: int | None = None,
-                   cap: int = SPAN_ENUM_CAP) -> list[GFVector]:
-    """All 2^rank span elements.
-
-    Order contract: an echelon basis b_0, b_1, ... (descending pivots) is
-    derived from the input; element c is the XOR of b_j over the set bits
-    j of the combination index c = 0 .. 2^rank - 1.
-    """
-    vectors = tuple(vectors)
-    dim = _check_common_dim(vectors, dim)
-    basis = _ref_basis(vectors)
-    r = len(basis)
-    if r > cap:
-        raise BudgetExceededError(f"span rank {r} exceeds enumeration cap {cap}")
-    result = []
-    for c in range(1 << r):
-        x = 0
-        for j in range(r):
-            if c >> j & 1:
-                x ^= basis[j]
-        result.append(GFVector(dim, x))
-    return result
 
 
 def enumerate_subspaces(n: int, codim: int) -> Iterator[Subspace]:

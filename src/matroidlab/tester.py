@@ -567,8 +567,8 @@ class RepairReport:
     witness: BooleanFunction
 
 
-def min_repair_distance(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
-                        check_budget: int = REPAIR_CHECK_BUDGET) -> RepairReport:
+def min_repair_distance(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec
+                        ) -> RepairReport:
     """Exact minimum number of table flips to reach (M, Sigma)-freeness.
 
     For the monotone pattern Sigma = 1^k only ones need clearing (raising
@@ -591,7 +591,7 @@ def min_repair_distance(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec
     for s in range(1, len(points) + 1):
         for subset in combinations(points, s):
             checks += 1
-            if checks > check_budget:
+            if checks > REPAIR_CHECK_BUDGET:
                 raise BudgetExceededError("repair search budget exceeded")
             table = f.table.copy()
             table[list(subset)] ^= 1
@@ -673,11 +673,10 @@ def _min_hitting_set(edges: list[frozenset[int]]) -> int:
     return best
 
 
-def pattern_hitting_number(f: BooleanFunction, m: BinaryMatroid,
-                           budget: int = HITTING_INSTANCE_BUDGET) -> int:
+def pattern_hitting_number(f: BooleanFunction, m: BinaryMatroid) -> int:
     """Minimum number of ones whose removal destroys every all-ones
     instance; equals min_repair_distance for Sigma = 1^k."""
-    edges = enumerate_instances(f, m, budget)
+    edges = enumerate_instances(f, m)
     if not edges:
         return 0
     return _min_hitting_set(edges)
@@ -762,8 +761,7 @@ class VonNeumannReport:
     holds: bool
 
 
-def von_neumann_gap(fs: Sequence[BooleanFunction], m: BinaryMatroid,
-                    budget_bits: int = VON_NEUMANN_BUDGET_BITS) -> VonNeumannReport:
+def von_neumann_gap(fs: Sequence[BooleanFunction], m: BinaryMatroid) -> VonNeumannReport:
     """Check E_L[prod f_i(L(v_i))] <= min_i (sum_a f_i^(a)^4)^(1/4) on a
     complexity-1 matroid. The verdict compares exact fourth powers; the
     reported rhs is a 12-digit float of the fourth root."""
@@ -775,9 +773,9 @@ def von_neumann_gap(fs: Sequence[BooleanFunction], m: BinaryMatroid,
     for g in fs:
         if g.n != n:
             raise DimensionMismatchError("all functions must share one domain")
-    if n * m.rank > budget_bits:
+    if n * m.rank > VON_NEUMANN_BUDGET_BITS:
         raise BudgetExceededError(
-            f"n*rank = {n * m.rank} exceeds budget {budget_bits}")
+            f"n*rank = {n * m.rank} exceeds budget {VON_NEUMANN_BUDGET_BITS}")
     count = _count([g.table for g in fs], n, m.span_coords, (1,) * m.k, m.rank)
     lhs = Fraction(count, 1 << (n * m.rank))
     rhs4 = min(Fraction(wht(g).power_sum(4), 1 << (4 * n)) for g in fs)

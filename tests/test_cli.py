@@ -7,10 +7,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import matroidlab.cli
-from matroidlab.boolfn import BooleanFunction
+from matroidlab.boolfn import BooleanFunction, random_function
 from matroidlab.cli import Report, build_parser, emit_plot_data, main
 from matroidlab.errors import InvalidInputError
 from matroidlab.fileio import save_function, save_graph, save_matroid
@@ -74,6 +75,30 @@ def test_budget_exit_code(workdir):
                 "--matroid", str(workdir / "k5.matroid"), "--sigma", "1111111111")
     assert r.returncode == 3
     assert "budget" in r.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["fourier", "--cycle-count", "2000", "--function", "{d}/f12.boolfn"], 3),
+    (["fourier", "--cycle-count", "1000", "--function", "{d}/f12.boolfn"], 0),
+    (["count", "--sigma", "111", "--function", "{d}/f15.boolfn",
+      "--matroid", "{d}/wide.matroid"], 3),
+])
+def test_results_past_printable_ints_exit_3(workdir, capsys, argv, code):
+    # json.dumps refuses ints of more than 4,300 digits: 12*1999 bits of
+    # cycle count, or a full-map total of 2^(15*1000)
+    rng = np.random.default_rng(1)
+    save_function(workdir / "f12.boolfn", random_function(12, rng))
+    save_function(workdir / "f15.boolfn", random_function(15, rng))
+    pad = "0" * 997
+    (workdir / "wide.matroid").write_text(
+        f"matroid v1\nm=1000 k=3\n110{pad}\n101{pad}\n011{pad}\n")
+    assert main([a.format(d=workdir) for a in argv]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+        assert "14000 bits" in err
+    else:
+        assert json.loads(out)["results"]["cycle_count"]["exact"]
 
 
 def test_malformed_input_exit_code(workdir):
