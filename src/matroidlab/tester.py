@@ -40,6 +40,16 @@ from a chunk of assignment indices; run_tester feeds it random images of
 the presentation basis. The scan, the tester, the conditioned slices of
 the elimination and the cycle-count oracle all work in blocks of at most
 _CHUNK entries, sized so that a block's few int64 arrays stay in cache.
+
+min_repair_distance learns violations instead of checking every flip
+set. Each instance find_pattern returns, on f or on a flipped candidate,
+becomes a pair of bit masks over the flip positions: f ^ S contains it
+iff S & care == want. Flip sets of one size form one int64 mask array in
+`combinations` order, every learned pair filters it, and only the first
+survivor is checked, so the search makes one find_pattern call per
+violation learned (the implicit hitting set scheme of Moreno-Centeno and
+Karp). REPAIR_CHECK_BUDGET counts flip sets by their position in that
+order, whether checked or ruled out.
 """
 
 from __future__ import annotations
@@ -48,7 +58,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -567,6 +576,33 @@ class RepairReport:
     witness: BooleanFunction
 
 
+def _next_level(level: np.ndarray, width: int, size: int, limit: int) -> np.ndarray:
+    """The first `limit` size-subsets of range(width) as int64 bit masks,
+    in `combinations` order, from `level`, all (size-1)-subsets in that
+    order. The (size-1)-subsets above i are the last C(width-1-i, size-1)
+    of `level`; each takes i as its least element."""
+    parts, got = [level[:0]], 0
+    for i in range(width - size + 1):
+        if got >= limit:
+            break
+        tail = level[len(level) - math.comb(width - 1 - i, size - 1):]
+        parts.append(tail | (1 << i))
+        got += len(tail)
+    return np.concatenate(parts)[:limit]
+
+
+def _learned(inst: PatternInstance, f: BooleanFunction, sigma: PatternSpec,
+             bit: dict[int, int]) -> tuple[int, int]:
+    """The (care, want) masks of a violating instance: f ^ S contains it
+    iff S & care == want, where want marks its points with f(p_i) != sigma_i."""
+    care = want = 0
+    for p, s in zip(inst.points, sigma.sigma):
+        care |= bit[p.bits]
+        if f.table[p.bits] != s:
+            want |= bit[p.bits]
+    return care, want
+
+
 def min_repair_distance(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec
                         ) -> RepairReport:
     """Exact minimum number of table flips to reach (M, Sigma)-freeness.
@@ -574,9 +610,20 @@ def min_repair_distance(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec
     For the monotone pattern Sigma = 1^k only ones need clearing (raising
     a 0 to 1 never removes an all-ones instance), so the search runs over
     subsets of ones(f), capped at 24 ones. Other patterns search all flip
-    sets breadth-first over domains of at most 16 points.
+    sets over domains of at most 16 points.
+
+    Flip sets are tried by size, in `combinations` order, and the first
+    free one is the witness. Each instance find_pattern returns is
+    learned as a (care, want) pair, and every later flip set S with
+    S & care == want is dropped unchecked, since f ^ S still contains
+    that instance. So only the first survivor of each filter costs a
+    find_pattern call. REPAIR_CHECK_BUDGET bounds the 1-based position of
+    a flip set in the global order, checked or dropped alike: the search
+    refuses when no set up to that position is free, and builds no level
+    past it.
     """
-    if find_pattern(f, m, sigma) is None:
+    inst = find_pattern(f, m, sigma)
+    if inst is None:
         return RepairReport(0, Fraction(0), f)
     if sigma.is_all_ones():
         points = f.ones()
@@ -587,17 +634,34 @@ def min_repair_distance(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec
         if len(points) > 16:
             raise BudgetExceededError(
                 f"2^n = {len(points)} exceeds the general repair cap of 16")
-    checks = 0
-    for s in range(1, len(points) + 1):
-        for subset in combinations(points, s):
-            checks += 1
-            if checks > REPAIR_CHECK_BUDGET:
-                raise BudgetExceededError("repair search budget exceeded")
+    width = len(points)
+    bit = {p: 1 << i for i, p in enumerate(points)}
+    rules = [_learned(inst, f, sigma, bit)]
+    level = np.zeros(1, dtype=np.int64)
+    tried = 0
+    for size in range(1, width + 1):
+        total = math.comb(width, size)
+        level = _next_level(level, width, size, min(total, REPAIR_CHECK_BUDGET - tried))
+        keep = np.ones(len(level), dtype=bool)
+        for care, want in rules:
+            keep &= (level & care) != want
+        alive = np.flatnonzero(keep)
+        while len(alive):
+            flips = int(level[alive[0]])
             table = f.table.copy()
-            table[list(subset)] ^= 1
+            table[[p for p, b in bit.items() if flips & b]] ^= 1
             candidate = BooleanFunction(f.n, table)
-            if find_pattern(candidate, m, sigma) is None:
-                return RepairReport(s, Fraction(s, 1 << f.n), candidate)
+            inst = find_pattern(candidate, m, sigma)
+            if inst is None:
+                return RepairReport(size, Fraction(size, 1 << f.n), candidate)
+            care, want = _learned(inst, f, sigma, bit)
+            rules.append((care, want))
+            alive = alive[1:][(level[alive[1:]] & care) != want]
+        if len(level) < total:
+            raise BudgetExceededError(
+                f"repair search budget of {REPAIR_CHECK_BUDGET} flip sets exceeded at flip-set "
+                f"size {size}: {len(level)} of the {total} sets of that size ruled out")
+        tried += total
     raise AssertionError("unreachable: clearing every 1 always yields a free function")
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import matroidlab.cli
+import matroidlab.tester
 from matroidlab.boolfn import BooleanFunction, random_function
 from matroidlab.cli import Report, build_parser, emit_plot_data, main
 from matroidlab.errors import InvalidInputError
@@ -99,6 +100,18 @@ def test_results_past_printable_ints_exit_3(workdir, capsys, argv, code):
         assert "14000 bits" in err
     else:
         assert json.loads(out)["results"]["cycle_count"]["exact"]
+
+
+def test_distance_budget_exit_3_says_how_far_it_got(workdir, capsys, monkeypatch):
+    # the canonical function is 2 flips from C_3-freeness: 3 one-point
+    # sets fit the budget and none is free
+    monkeypatch.setattr(matroidlab.tester, "REPAIR_CHECK_BUDGET", 3)
+    assert main(["distance", "--function", str(workdir / "canon.boolfn"),
+                 "--matroid", str(workdir / "k3.matroid"), "--sigma", "111"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert re.fullmatch(r"budget exceeded: repair search budget of 3 flip sets exceeded at "
+                        r"flip-set size 1: 3 of the \d+ sets of that size ruled out\n", err)
 
 
 def test_malformed_input_exit_code(workdir):

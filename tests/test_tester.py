@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -331,6 +331,115 @@ def test_hitting_equals_repair_on_random_instances():
         assert pattern_hitting_number(f, C3) == rep.flips
 
 
+def repair_by_subsets(f, m, sigma, budget):
+    """Reference for min_repair_distance: one find_pattern per flip set,
+    in `combinations` order over the same points. Returns (flips, witness,
+    position), position being the 1-based place of the witness's flip set
+    in that order (0 when f is already free). Refuses past `budget` sets."""
+    if find_pattern(f, m, sigma) is None:
+        return 0, f, 0
+    points = f.ones() if sigma.is_all_ones() else range(1 << f.n)
+    position = 0
+    for s in range(1, len(points) + 1):
+        for subset in combinations(points, s):
+            position += 1
+            if position > budget:
+                raise BudgetExceededError("repair search budget exceeded")
+            table = f.table.copy()
+            table[list(subset)] ^= 1
+            candidate = BooleanFunction(f.n, table)
+            if find_pattern(candidate, m, sigma) is None:
+                return s, candidate, position
+    raise AssertionError("no free flip set")
+
+
+def assert_repair_matches_oracle(f, m, sigma):
+    flips, witness, _ = repair_by_subsets(f, m, sigma, tester.REPAIR_CHECK_BUDGET)
+    rep = min_repair_distance(f, m, sigma)
+    assert rep.flips == flips
+    assert rep.delta == Fraction(flips, 1 << f.n)
+    assert np.array_equal(rep.witness.table, witness.table)
+
+
+C5 = graphic_from_graph(cycle_graph(5))
+K4 = graphic_from_graph(complete_graph(4))
+# distance 5 from (C_3, 110)-freeness
+R110 = BooleanFunction.from_ones(4, [1, 3, 4, 5, 7, 8, 14])
+
+
+@pytest.mark.parametrize("m", [C3, C5, K4], ids=["C3", "C5", "K4"])
+def test_min_repair_matches_the_subset_oracle(m):
+    """Seeded random functions at n <= 4, with Sigma = 1^k and a random
+    non-monochromatic Sigma. C_5 with a general Sigma at n = 4 is left
+    out: the oracle alone takes seconds there."""
+    rng = np.random.Generator(np.random.PCG64(83))
+    for n in (2, 3, 3, 3, 3, 4):
+        f = random_function(n, rng)
+        assert_repair_matches_oracle(f, m, PatternSpec.all_ones(m.k))
+        if n == 4 and m is C5:
+            continue
+        sigma = (1,) * m.k
+        while len(set(sigma)) == 1:
+            sigma = tuple(int(b) for b in rng.integers(0, 2, m.k))
+        assert_repair_matches_oracle(f, m, PatternSpec(sigma))
+
+
+@pytest.mark.parametrize("m", [C3, C5], ids=["C3", "C5"])
+@pytest.mark.parametrize("extra", [1, 2])
+def test_min_repair_matches_the_oracle_at_the_ones_cap(m, extra):
+    """24 ones: points of the half-space x_0 = 1, which holds no odd
+    cycle, plus `extra` points off it."""
+    rng = np.random.Generator(np.random.PCG64(89 + extra))
+    odd = rng.choice(np.arange(1, 64, 2), 24 - extra, replace=False)
+    even = rng.choice(np.arange(0, 64, 2), extra, replace=False)
+    f = BooleanFunction.from_ones(6, [int(x) for x in np.concatenate([odd, even])])
+    assert f.ones_count() == 24
+    assert_repair_matches_oracle(f, m, PatternSpec.all_ones(m.k))
+    table = f.table.copy()
+    table[int(rng.choice(np.flatnonzero(table == 0)))] = 1
+    with pytest.raises(BudgetExceededError, match="25 ones exceed the repair cap of 24"):
+        min_repair_distance(BooleanFunction(6, table), m, PatternSpec.all_ones(m.k))
+
+
+@pytest.mark.parametrize("f, sigma", [(R110, PatternSpec.from_string("110")),
+                                      (canonical_function(C3, 5), S111)],
+                         ids=["r110", "canonical"])
+def test_min_repair_refuses_where_the_oracle_does(monkeypatch, f, sigma):
+    flips, witness, position = repair_by_subsets(f, C3, sigma, tester.REPAIR_CHECK_BUDGET)
+    for budget in (1, 16, 17, 136, position - 1, position):
+        monkeypatch.setattr(tester, "REPAIR_CHECK_BUDGET", budget)
+        if budget < position:
+            with pytest.raises(BudgetExceededError):
+                repair_by_subsets(f, C3, sigma, budget)
+            with pytest.raises(BudgetExceededError, match="repair search budget"):
+                min_repair_distance(f, C3, sigma)
+        else:
+            rep = min_repair_distance(f, C3, sigma)
+            assert rep.flips == flips
+            assert np.array_equal(rep.witness.table, witness.table)
+
+
+def test_min_repair_refusal_says_how_far_it_got(monkeypatch):
+    # R110 has 16 one-point and 120 two-point flip sets, none free
+    monkeypatch.setattr(tester, "REPAIR_CHECK_BUDGET", 20)
+    with pytest.raises(BudgetExceededError) as err:
+        min_repair_distance(R110, C3, PatternSpec.from_string("110"))
+    assert str(err.value) == ("repair search budget of 20 flip sets exceeded at flip-set "
+                              "size 2: 4 of the 120 sets of that size ruled out")
+    monkeypatch.setattr(tester, "REPAIR_CHECK_BUDGET", 16)
+    with pytest.raises(BudgetExceededError, match="size 2: 0 of the 120 sets"):
+        min_repair_distance(R110, C3, PatternSpec.from_string("110"))
+
+
+def test_min_repair_runs_without_the_hitting_route(monkeypatch):
+    """hitting_matches_repair compares two independent computations only
+    if the repair search reads nothing of the instance-hypergraph route."""
+    monkeypatch.setattr(tester, "enumerate_instances", None)
+    monkeypatch.setattr(tester, "_min_hitting_set", None)
+    assert min_repair_distance(canonical_function(C3, 4), C3, S111).flips == 2
+    assert min_repair_distance(R110, C3, PatternSpec.from_string("110")).flips == 5
+
+
 def test_enumerate_instances_structure():
     f = canonical_function(C3, 4)
     edges = enumerate_instances(f, C3)
@@ -626,8 +735,9 @@ def test_elimination_counts_a_variable_in_no_factor():
 
 
 def test_planner_keeps_small_scans():
-    """n*rank <= 8 stays on the scan, so the many small find_pattern
-    calls of min_repair_distance keep their cost."""
+    """n*rank <= 8 stays on the scan: on inputs that small the scan
+    costs less than the elimination's setup, so a tiny find_pattern or
+    count, such as the check of each candidate repair, pays no setup."""
     from test_acceptance import atlas_graphs
 
     for m in [graphic_from_graph(g) for g in atlas_graphs(5)] + [RANK0, ZERO_PARALLEL]:
