@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from .gf2 import Subspace, enumerate_subspaces
+from .gf2 import Subspace, _xor_span, enumerate_subspaces
 
 WHT_MAX_N = 24
 REGULARITY_MAX_N = 8
@@ -167,14 +167,6 @@ def hamming_distance(f: BooleanFunction, g: BooleanFunction) -> tuple[int, Fract
         raise DimensionMismatchError(f"n={f.n} vs n={g.n}")
     flips = int(np.count_nonzero(f.table != g.table))
     return flips, Fraction(flips, 1 << f.n)
-
-
-def _xor_span(vectors: list[int]) -> np.ndarray:
-    """Element c is the XOR of vectors[i] over the set bits i of c."""
-    out = np.zeros(1 << len(vectors), dtype=np.int64)
-    for i, w in enumerate(vectors):
-        out[1 << i:2 << i] = out[:1 << i] ^ w
-    return out
 
 
 def coset_indices(sub: Subspace) -> np.ndarray:

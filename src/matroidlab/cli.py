@@ -33,9 +33,9 @@ from .matroid import (HOM_NODE_BUDGET, canonical_function, circuits,
                       cographic_from_graph, complexity, cycle_space_basis,
                       find_homomorphism, graphic_from_graph, named_graph, odd_girth)
 from .tester import (PATTERN_BUDGET_BITS, PatternSpec, brute_force_cycle_count,
-                     count_patterns, cycle_count_fourier, derive_seed, find_pattern,
-                     min_repair_distance, pattern_hitting_number, run_tester,
-                     von_neumann_gap)
+                     check_von_neumann_args, count_patterns, cycle_count_fourier,
+                     derive_seed, find_pattern, min_repair_distance,
+                     pattern_hitting_number, run_tester, von_neumann_gap)
 
 EXIT_OK = 0
 EXIT_PROPERTY_VIOLATED = 2
@@ -263,6 +263,7 @@ def _exp_von_neumann(args):
     if args.trials < 1:
         raise InvalidInputError(f"trials must be positive, got {args.trials}")
     m = graphic_from_graph(named_graph(args.graph))
+    check_von_neumann_args(m, args.n)
     violations = 0
     min_margin = None
     for t in range(args.trials):

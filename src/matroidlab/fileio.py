@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boolfn import BooleanFunction
+from .boolfn import WHT_MAX_N, BooleanFunction
 from .errors import FormatError, InvalidInputError
 from .gf2 import GFVector
 from .matroid import BinaryMatroid, Graph
@@ -59,6 +59,8 @@ def parse_function(text: str) -> BooleanFunction:
     n = _int_field(lines[1], 2, "n")
     if n < 1:
         raise FormatError(f"n must be positive, got {n}", line=2)
+    if n > WHT_MAX_N:
+        raise FormatError(f"n={n} exceeds the truth-table cap {WHT_MAX_N}", line=2)
     hex_str = _kv(lines[2], 3, "table")
     nbytes = ((1 << n) + 7) // 8
     if len(hex_str) != 2 * nbytes:

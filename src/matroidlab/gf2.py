@@ -4,6 +4,12 @@ Vectors are packed little-endian into Python ints: coordinate j of a
 vector is bit j of its ``bits`` field, so the string form writes
 coordinate 0 first ("110" has coordinates 0 and 1 set).
 
+Two primitives here serve the whole package: `_ref_insert`, the one
+echelon insertion (rank_and_basis, the matroid's span coordinates and
+its dependency code all run on it), and `_xor_span`, the one table of
+every XOR combination of a few vectors (coset tables, circuits and odd
+girth read it).
+
 A coset v + H of a subspace is named by its canonical representative,
 `H.reduce(v)`, which has every pivot bit of H's RREF basis clear. This
 module keeps no coset objects: `boolfn.coset_indices` lays all cosets
@@ -15,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 
@@ -80,27 +88,31 @@ def _check_common_dim(vectors: Sequence[GFVector], dim: int | None) -> int:
     return dim
 
 
-def _rref_reduce(basis: dict[int, int], w: int) -> int:
-    """Fully reduce w against an RREF basis keyed by pivot (= highest set
-    bit): the result has every pivot coordinate cleared, and is zero iff
-    w lies in the span."""
-    for p, b in basis.items():
-        if w >> p & 1:
-            w ^= b
-    return w
+def _ref_insert(rows: dict[int, tuple[int, int]], w: int, combo: int = 0) -> tuple[int, int]:
+    """Insert w into an echelon table keyed by pivot (= highest set bit),
+    not fully reduced: XOR by the pivot rows until a new top bit appears,
+    and keep w there. `combo` is a mask of the inputs w stands for; each
+    row carries its own, and w's is XORed along. Returns the reduced
+    (w, combo): w == 0 when w was in the span, and then the inputs in
+    combo XOR to zero."""
+    while w:
+        p = w.bit_length() - 1
+        row = rows.get(p)
+        if row is None:
+            rows[p] = (w, combo)
+            break
+        w ^= row[0]
+        combo ^= row[1]
+    return w, combo
 
 
-def _rref_add(basis: dict[int, int], w: int) -> bool:
-    """Insert w into the basis, keeping full RREF; True if rank grew."""
-    w = _rref_reduce(basis, w)
-    if w == 0:
-        return False
-    p = w.bit_length() - 1
-    for q in basis:
-        if basis[q] >> p & 1:
-            basis[q] ^= w
-    basis[p] = w
-    return True
+def _xor_span(vectors: Sequence[int]) -> np.ndarray:
+    """The span table: element c is the XOR of vectors[i] over the set
+    bits i of c. Every word must fit int64."""
+    out = np.zeros(1 << len(vectors), dtype=np.int64)
+    for i, w in enumerate(vectors):
+        out[1 << i:2 << i] = out[:1 << i] ^ w
+    return out
 
 
 @dataclass(frozen=True)
@@ -145,41 +157,27 @@ class Subspace:
 
 
 def rank_and_basis(vectors: Iterable[GFVector], dim: int | None = None) -> tuple[int, Subspace]:
-    """Rank of the span together with its canonical RREF basis."""
+    """Rank of the span together with its canonical RREF basis: the
+    echelon rows of _ref_insert, each cleared of the lower pivot bits in
+    ascending pivot order."""
     vectors = tuple(vectors)
     dim = _check_common_dim(vectors, dim)
-    basis: dict[int, int] = {}
+    rows: dict[int, tuple[int, int]] = {}
     for v in vectors:
-        _rref_add(basis, v.bits)
-    rows = tuple(GFVector(dim, basis[p]) for p in sorted(basis, reverse=True))
-    return len(rows), Subspace(dim, rows)
+        _ref_insert(rows, v.bits)
+    rref: dict[int, int] = {}
+    for p in sorted(rows):
+        w = rows[p][0]
+        for q, b in rref.items():
+            if w >> q & 1:
+                w ^= b
+        rref[p] = w
+    basis = tuple(GFVector(dim, rref[p]) for p in reversed(rref))
+    return len(basis), Subspace(dim, basis)
 
 
 def in_span(v: GFVector, vectors: Iterable[GFVector]) -> bool:
-    basis: dict[int, int] = {}
-    for w in vectors:
-        if w.dim != v.dim:
-            raise DimensionMismatchError(f"dim {w.dim} vs {v.dim}")
-        _rref_add(basis, w.bits)
-    return _rref_reduce(basis, v.bits) == 0
-
-
-def _ref_insert(rows: dict[int, tuple[int, int]], w: int, combo: int = 0) -> tuple[int, int]:
-    """Insert w into an echelon table keyed by pivot (= highest set bit),
-    not fully reduced: XOR by the pivot rows until a new top bit appears,
-    and keep w there. `combo` is a mask of the inputs w stands for; each
-    row carries its own, and w's is XORed along. Returns the reduced
-    (w, combo): w == 0 when w was in the span, and then the inputs in
-    combo XOR to zero."""
-    while w:
-        p = w.bit_length() - 1
-        row = rows.get(p)
-        if row is None:
-            rows[p] = (w, combo)
-            break
-        w ^= row[0]
-        combo ^= row[1]
-    return w, combo
+    return rank_and_basis(vectors, v.dim)[1].contains(v)
 
 
 def enumerate_subspaces(n: int, codim: int) -> Iterator[Subspace]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .boolfn import WHT_MAX_N, BooleanFunction
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from .gf2 import GFVector, LinearMap, Subspace, _ref_insert, rank_and_basis
+from .gf2 import GFVector, LinearMap, Subspace, _ref_insert, _xor_span, rank_and_basis
 
 CIRCUIT_MAX_K = 20
 GENERAL_COMPLEXITY_MAX_K = 12
@@ -87,7 +87,10 @@ def _union_find(V: int, edges: Sequence[tuple[int, int]]):
 
 
 def _connected_with_edges(V: int, edges: Sequence[tuple[int, int]]) -> bool:
-    return len(_union_find(V, edges)[1]) == V - 1
+    """Whether the edges connect all V vertices. Fewer than V - 1 edges
+    never do, so that case is answered before the union-find builds its
+    table of V entries."""
+    return len(edges) >= V - 1 and len(_union_find(V, edges)[1]) == V - 1
 
 
 def cycle_graph(k: int) -> Graph:
@@ -180,18 +183,9 @@ class BinaryMatroid:
     def span_coords(self) -> tuple[int, ...]:
         """Each ground vector, expressed over span_basis.basis as a mask
         (bit j set = basis[j] participates)."""
-        basis = self.span_basis.basis
-        pivot_to_index = {b.bits.bit_length() - 1: j for j, b in enumerate(basis)}
-        coords = []
-        for v in self.vectors:
-            w, mask = v.bits, 0
-            while w:
-                p = w.bit_length() - 1
-                j = pivot_to_index[p]
-                w ^= basis[j].bits
-                mask |= 1 << j
-            coords.append(mask)
-        return tuple(coords)
+        rows = {b.bits.bit_length() - 1: (b.bits, 1 << j)
+                for j, b in enumerate(self.span_basis.basis)}
+        return tuple(_ref_insert(rows, v)[1] for v in self.ints)
 
     @cached_property
     def kernel_words(self) -> tuple[int, ...]:
@@ -282,20 +276,12 @@ def cographic_from_graph(g: Graph) -> BinaryMatroid:
     return BinaryMatroid(vectors, label=f"cographic(V={g.V},E={len(g.edges)})")
 
 
-def _all_codewords(words: Sequence[int]) -> list[int]:
-    """All 2^len(words) XOR combinations (the full dependency code)."""
-    out = [0]
-    for w in words:
-        out += [x ^ w for x in out]
-    return out
-
-
 def _circuit_words(m: BinaryMatroid) -> list[int]:
     """The circuits as masks over ground elements: the minimal nonzero
     words of the dependency code, by size and then value."""
     if m.k > CIRCUIT_MAX_K:
         raise BudgetExceededError(f"k={m.k} exceeds circuit enumeration cap {CIRCUIT_MAX_K}")
-    code = [w for w in _all_codewords(m.kernel_words) if w]
+    code = [w for w in _xor_span(m.kernel_words).tolist() if w]
     code.sort(key=lambda w: (w.bit_count(), w))
     minimal: list[int] = []
     for w in code:
@@ -324,12 +310,9 @@ def odd_girth(m: BinaryMatroid) -> Optional[int]:
     odd dependent set of size 5, yet no odd circuit."""
     if m.k > CIRCUIT_MAX_K:
         raise BudgetExceededError(f"k={m.k} exceeds enumeration cap {CIRCUIT_MAX_K}")
-    best = None
-    for w in _all_codewords(m.kernel_words):
-        c = w.bit_count()
-        if c & 1 and (best is None or c < best):
-            best = c
-    return best
+    sizes = np.bitwise_count(_xor_span(m.kernel_words))
+    odd = sizes[sizes & 1 == 1]
+    return int(odd.min()) if odd.size else None
 
 
 def complexity_at(m: BinaryMatroid, i: int, cap: int) -> Optional[int]:

@@ -35,10 +35,12 @@ wherever it lies; on tiny inputs the scan runs up to it.
 
 One kernel, `_match`, evaluates f at L(v_1), ..., L(v_k) for a batch of
 maps L and compares with Sigma, reading the lookups [f = sigma_i] built
-once per call. The exhaustive scan feeds it the basis images decoded
-from a chunk of assignment indices; run_tester feeds it random images of
-the presentation basis. The scan, the tester, the conditioned slices of
-the elimination and the cycle-count oracle all work in blocks of at most
+once per call. The exhaustive scan, `_scan_chunks`, feeds it the basis
+images decoded from a chunk of assignment indices; run_tester feeds it
+random images of the presentation basis. The cycle-count oracle
+(brute_force_cycle_count) is the scan on C_k: the zero-sum k-tuples are
+the assignments to its span basis. The scan, the tester and the
+conditioned slices of the elimination all work in blocks of at most
 _CHUNK entries, sized so that a block's few int64 arrays stay in cache.
 
 min_repair_distance learns violations instead of checking every flip
@@ -502,26 +504,16 @@ def cycle_count_fourier(f: BooleanFunction, k: int) -> int:
 
 
 def brute_force_cycle_count(f: BooleanFunction, k: int) -> int:
-    """Independent oracle: enumerate all zero-sum k-tuples directly."""
+    """Independent oracle on the physical side: the scan over all zero-sum
+    k-tuples, as assignments to C_k's span basis (x_1..x_{k-1} free, x_k
+    their sum)."""
     if k < 3:
         raise InvalidInputError(f"cycle length k={k} must be at least 3")
-    n = f.n
-    if n * (k - 1) > PATTERN_BUDGET_BITS:
+    if f.n * (k - 1) > PATTERN_BUDGET_BITS:
         raise BudgetExceededError("tuple enumeration too large")
-    total = 1 << (n * (k - 1))
-    mask = (1 << n) - 1
-    count = 0
-    for start in range(0, total, _CHUNK):
-        ts = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        acc = np.ones(ts.shape, dtype=np.uint8)
-        xor_sum = np.zeros(ts.shape, dtype=np.int64)
-        for j in range(k - 1):
-            xs = (ts >> (j * n)) & mask
-            acc &= f.table[xs]
-            xor_sum ^= xs
-        acc &= f.table[xor_sum]
-        count += int(acc.sum())
-    return count
+    coords = [1 << j for j in range(k - 1)] + [(1 << (k - 1)) - 1]
+    return sum(int(match.sum()) for _, match in
+               _scan_chunks([f.table] * k, f.n, coords, (1,) * k, k - 1))
 
 
 def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
@@ -825,21 +817,27 @@ class VonNeumannReport:
     holds: bool
 
 
+def check_von_neumann_args(m: BinaryMatroid, n: int) -> None:
+    """Refuse (M, n) for von_neumann_gap from M and n alone, so a caller
+    can check before it draws any function."""
+    if not has_complexity_one(m):
+        raise InvalidInputError("von Neumann check requires a complexity-1 matroid")
+    if n * m.rank > VON_NEUMANN_BUDGET_BITS:
+        raise BudgetExceededError(
+            f"n*rank = {n * m.rank} exceeds budget {VON_NEUMANN_BUDGET_BITS}")
+
+
 def von_neumann_gap(fs: Sequence[BooleanFunction], m: BinaryMatroid) -> VonNeumannReport:
     """Check E_L[prod f_i(L(v_i))] <= min_i (sum_a f_i^(a)^4)^(1/4) on a
     complexity-1 matroid. The verdict compares exact fourth powers; the
     reported rhs is a 12-digit float of the fourth root."""
     if len(fs) != m.k:
         raise InvalidInputError(f"need {m.k} functions, got {len(fs)}")
-    if not has_complexity_one(m):
-        raise InvalidInputError("von Neumann check requires a complexity-1 matroid")
     n = fs[0].n
     for g in fs:
         if g.n != n:
             raise DimensionMismatchError("all functions must share one domain")
-    if n * m.rank > VON_NEUMANN_BUDGET_BITS:
-        raise BudgetExceededError(
-            f"n*rank = {n * m.rank} exceeds budget {VON_NEUMANN_BUDGET_BITS}")
+    check_von_neumann_args(m, n)
     count = _count([g.table for g in fs], n, m.span_coords, (1,) * m.k, m.rank)
     lhs = Fraction(count, 1 << (n * m.rank))
     rhs4 = min(Fraction(wht(g).power_sum(4), 1 << (4 * n)) for g in fs)

@@ -175,9 +175,14 @@ def test_malformed_input_exit_code(workdir):
     ["complexity", "--sweep", "--graphs", "k6000"],
     ["fourier", "--check-von-neumann", "--graph", "c100000", "--trials", "1"],
     ["regularity", "-n", "0"],
+    ["fourier", "--function", "{d}/huge.boolfn"],
+    ["cographic", "--graph", "{d}/sparse.graph", "--out", "{d}/x.matroid"],
 ])
 def test_malformed_input_one_line_exit_4(workdir, capsys, argv):
     (workdir / "latin1.boolfn").write_bytes(b"boolfn v1\nn=2\ntable=0\xe6\n")
+    # headers whose sizes the files do not back: 2^20000 points, 10^7 vertices
+    (workdir / "huge.boolfn").write_text("boolfn v1\nn=20000\ntable=00\n")
+    (workdir / "sparse.graph").write_text("graph v1\nV=10000000\ne 0 1\n")
     tracemalloc.start()
     try:
         assert main([a.format(d=workdir) for a in argv]) == 4
@@ -196,6 +201,19 @@ def test_clique_hierarchy_checks_n_before_the_search(capsys, monkeypatch):
     assert main(["hierarchy", "--kind", "cliques", "-a", "8", "-b", "9", "-n", "5"]) == 4
     assert calls == []
     assert capsys.readouterr().err == "error: n=5 must be at least ambient dimension 8\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fourier", "--check-von-neumann", "-n", "14", "--trials", "1"],
+    ["fourier", "--check-von-neumann", "--graph", "k8", "-n", "2", "--trials", "1"],
+])
+def test_von_neumann_checks_before_drawing(capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(matroidlab.cli, "random_function",
+                        lambda *args, **kwargs: calls.append(args))
+    assert main(argv) == 3
+    assert calls == []
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -55,6 +56,36 @@ def test_in_span():
     assert not in_span(v("111"), [v("100"), v("010")])
     with pytest.raises(DimensionMismatchError):
         in_span(v("10"), [v("100")])
+
+
+def xor_closure(words):
+    """The span of words by XOR closure, in plain Python sets."""
+    span = {0}
+    for w in words:
+        span |= {x ^ w for x in span}
+    return span
+
+
+def test_rank_and_basis_is_the_rref_of_the_span():
+    """Every list of up to 3 vectors in dimension at most 4: the basis is
+    in RREF (each pivot bit set in exactly one row, rows in descending
+    pivot order) and spans what the list spans."""
+    checked = 0
+    for dim in range(1, 5):
+        for count in range(4):
+            for words in product(range(1 << dim), repeat=count):
+                r, sub = rank_and_basis([GFVector(dim, w) for w in words], dim)
+                rows = [b.bits for b in sub.basis]
+                pivots = [b.bit_length() - 1 for b in rows]
+                assert r == len(rows) and all(rows)
+                assert pivots == sorted(set(pivots), reverse=True)
+                assert all(sum(row >> p & 1 for row in rows) == 1 for p in pivots)
+                span = xor_closure(words)
+                assert xor_closure(rows) == span
+                assert all(sub.contains(GFVector(dim, x)) == (x in span)
+                           for x in range(1 << dim))
+                checked += 1
+    assert checked == sum(sum((1 << d) ** c for c in range(4)) for d in range(1, 5))
 
 
 def test_apply_map_examples():

@@ -183,15 +183,36 @@ def test_complexity_matches_definitional_oracle():
     assert {0, 1, 2, None} <= seen
 
 
+def test_span_coords_rebuild_every_ground_vector():
+    """Each ground vector is the XOR of the span-basis rows its
+    span_coords mask selects."""
+    from test_acceptance import atlas_graphs
+    from test_tester import RANK0, ZERO_PARALLEL
+
+    parallel = BinaryMatroid([GFVector.from_bits(r) for r in ("01", "01", "10", "11", "10", "01")])
+    presentations = [graphic_from_graph(g) for g in atlas_graphs(5)]
+    presentations += [RANK0, ZERO_PARALLEL, parallel,
+                      cographic_from_graph(complete_bipartite_graph(3, 3))]
+    for m in presentations:
+        rows = [b.bits for b in m.span_basis.basis]
+        for v, mask in zip(m.ints, m.span_coords):
+            assert mask >> len(rows) == 0
+            acc = 0
+            for j, row in enumerate(rows):
+                if mask >> j & 1:
+                    acc ^= row
+            assert acc == v
+
+
 def test_complexity_enumerates_the_code_once(monkeypatch):
     calls = []
-    enumerate_code = matroid._all_codewords
+    enumerate_code = matroid._xor_span
 
     def spy(words):
         calls.append(len(words))
         return enumerate_code(words)
 
-    monkeypatch.setattr(matroid, "_all_codewords", spy)
+    monkeypatch.setattr(matroid, "_xor_span", spy)
     assert complexity(graphic_from_graph(petersen_graph())) == 1
     assert calls == [6]
 

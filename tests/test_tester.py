@@ -646,9 +646,17 @@ def test_cycle_sigma_permutation_invariance():
 # exact counts by variable elimination, held against the assignment scan
 
 
-def scan_count(tables, n, m, sigma):
-    return sum(int(match.sum()) for _, match in
-               tester._scan_chunks(tables, n, m.span_coords, sigma, m.rank))
+def scan_count(tables, n, coords, sigma, r):
+    """Scan-only reference over explicit tables: the number of matches."""
+    return sum(int(match.sum()) for _, match in tester._scan_chunks(tables, n, coords, sigma, r))
+
+
+def scan_first(tables, n, coords, sigma, r):
+    """Scan-only reference over explicit tables: the smallest matching index."""
+    for start, match in tester._scan_chunks(tables, n, coords, sigma, r):
+        if match.any():
+            return start + int(np.argmax(match))
+    return None
 
 
 def eliminated_count(tables, n, m, sigma):
@@ -675,7 +683,8 @@ def test_elimination_matches_scan_on_atlas_graphs():
             tables = [table] * m.k
             for bits in range(1 << m.k):
                 sigma = tuple(bits >> i & 1 for i in range(m.k))
-                assert eliminated_count(tables, n, m, sigma) == scan_count(tables, n, m, sigma)
+                want = scan_count(tables, n, m.span_coords, sigma, m.rank)
+                assert eliminated_count(tables, n, m, sigma) == want
                 checked += 1
     assert checked > 9000
 
@@ -695,7 +704,8 @@ def test_elimination_matches_scan_on_special_presentations(m):
             table = random_function(n, rng, density=0.6).table
             sigma = tuple(int(b) for b in rng.integers(0, 2, m.k))
             tables = [table] * m.k
-            assert eliminated_count(tables, n, m, sigma) == scan_count(tables, n, m, sigma)
+            want = scan_count(tables, n, m.span_coords, sigma, m.rank)
+            assert eliminated_count(tables, n, m, sigma) == want
 
 
 @pytest.mark.parametrize("m", [C3, graphic_from_graph(complete_graph(4)),
@@ -706,7 +716,8 @@ def test_elimination_matches_scan_per_element_tables(m):
     ones = (1,) * m.k
     for n in range(1, 12 // m.rank + 1):
         tables = [random_function(n, rng).table for _ in range(m.k)]
-        assert eliminated_count(tables, n, m, ones) == scan_count(tables, n, m, ones)
+        want = scan_count(tables, n, m.span_coords, ones, m.rank)
+        assert eliminated_count(tables, n, m, ones) == want
 
 
 def test_elimination_slices_agree(monkeypatch):
@@ -718,7 +729,8 @@ def test_elimination_slices_agree(monkeypatch):
         for n in (2, 3):
             tables = [random_function(n, rng, 0.7).table for _ in range(m.k)]
             sigma = tuple(int(b) for b in rng.integers(0, 2, m.k))
-            assert eliminated_count(tables, n, m, sigma) == scan_count(tables, n, m, sigma)
+            want = scan_count(tables, n, m.span_coords, sigma, m.rank)
+            assert eliminated_count(tables, n, m, sigma) == want
 
 
 def test_elimination_counts_a_variable_in_no_factor():
@@ -727,8 +739,7 @@ def test_elimination_counts_a_variable_in_no_factor():
     for n in (1, 2, 3):
         tables = [random_function(n, rng).table for _ in range(3)]
         for coords in ((1, 2, 3), (3, 3, 1)):
-            want = sum(int(match.sum()) for _, match in
-                       tester._scan_chunks(tables, n, coords, (1, 0, 1), 3))
+            want = scan_count(tables, n, coords, (1, 0, 1), 3)
             order, _ = tester._plan(coords, n)
             assert len(order) < 3
             assert tester._eliminate(tables, n, coords, (1, 0, 1), 3, order) == want
@@ -772,7 +783,7 @@ def test_planner_eliminates_k4_at_n8():
     assert len(order) == 3 and cost < k4.k << 24
     assert tester._priced(k4.span_coords, 8, 3) == order
     got = tester._eliminate([f.table] * 6, 8, k4.span_coords, (1,) * 6, 3, order)
-    assert got == scan_count([f.table] * 6, 8, k4, (1,) * 6)
+    assert got == scan_count([f.table] * 6, 8, k4.span_coords, (1,) * 6, 3)
 
 
 def test_int64_bound_is_refused():
@@ -808,11 +819,7 @@ def test_counts_past_62_bits_are_refused_before_any_table():
 
 def scan_witness_index(f, m, sigma):
     """Scan-only reference: the smallest matching assignment index."""
-    for start, match in tester._scan_chunks([f.table] * m.k, f.n, m.span_coords,
-                                            sigma.sigma, m.rank):
-        if match.any():
-            return start + int(np.argmax(match))
-    return None
+    return scan_first([f.table] * m.k, f.n, m.span_coords, sigma.sigma, m.rank)
 
 
 def witness_index(inst, n):
@@ -844,14 +851,6 @@ def test_find_pattern_witness_matches_scan_order():
         assert all(f.value(p.bits) == s for p, s in zip(inst.points, sigma.sigma))
     assert witness_index(find_pattern(cases[-1][0], C3, PatternSpec.from_string("110")),
                          11) >= 1 << 21
-
-
-def scan_first(tables, n, coords, sigma, r):
-    """Scan-only reference over explicit tables: the smallest matching index."""
-    for start, match in tester._scan_chunks(tables, n, coords, sigma, r):
-        if match.any():
-            return start + int(np.argmax(match))
-    return None
 
 
 def test_descent_matches_scan_on_atlas_graphs():
