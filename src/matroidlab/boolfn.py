@@ -153,22 +153,6 @@ def wht(f: BooleanFunction) -> FourierSpectrum:
     return FourierSpectrum(f.n, coeffs)
 
 
-def inverse_wht(spectrum: FourierSpectrum) -> BooleanFunction:
-    """Invert an unnormalized spectrum back to the truth table."""
-    values = _butterfly(spectrum.coeffs.astype(np.int64))
-    size = 1 << spectrum.n
-    if np.any(values % size):
-        raise InvalidInputError("spectrum is not that of a 0/1-valued function")
-    return BooleanFunction(spectrum.n, values // size)
-
-
-def hamming_distance(f: BooleanFunction, g: BooleanFunction) -> tuple[int, Fraction]:
-    if f.n != g.n:
-        raise DimensionMismatchError(f"n={f.n} vs n={g.n}")
-    flips = int(np.count_nonzero(f.table != g.table))
-    return flips, Fraction(flips, 1 << f.n)
-
-
 def coset_indices(sub: Subspace) -> np.ndarray:
     """Table indices of every coset of sub, shape (2^codim, 2^dim).
 

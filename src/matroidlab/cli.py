@@ -78,10 +78,6 @@ class Report:
 def _plain(v):
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, GFVector):
-        return v.to_bits()
     return v
 
 

@@ -5,7 +5,8 @@ boolfn v1:   magic line, "n=<int>", "table=<hex>"; truth tables are
              lowercase hex, byte i holding points 8i..8i+7 LSB-first.
 matroid v1:  magic line, "m=<int> k=<int>", then k rows of m-character
              0/1 strings (coordinate 0 first).
-graph v1:    magic line, "V=<int>", then one "e <u> <v>" line per edge.
+graph v1:    magic line, "V=<int>" (1 <= V <= 32, the cap graph names
+             share), then one "e <u> <v>" line per edge.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .boolfn import WHT_MAX_N, BooleanFunction
 from .errors import FormatError, InvalidInputError
 from .gf2 import GFVector
-from .matroid import BinaryMatroid, Graph
+from .matroid import GRAPH_NAME_MAX_V, BinaryMatroid, Graph
 
 FUNCTION_MAGIC = "boolfn v1"
 MATROID_MAGIC = "matroid v1"
@@ -129,6 +130,9 @@ def parse_graph(text: str) -> Graph:
     v_count = _int_field(lines[1], 2, "V")
     if v_count < 1:
         raise FormatError("V must be positive", line=2)
+    if v_count > GRAPH_NAME_MAX_V:
+        raise FormatError(f"V={v_count} exceeds the graph cap of {GRAPH_NAME_MAX_V} vertices",
+                          line=2)
     edges = []
     lineno = 2
     for raw in lines[2:]:

@@ -52,12 +52,6 @@ class GFVector:
     def to_bits(self) -> str:
         return "".join("1" if self.bits >> j & 1 else "0" for j in range(self.dim))
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.dim) if self.bits >> j & 1)
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
     def __xor__(self, other: "GFVector") -> "GFVector":
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
@@ -65,16 +59,6 @@ class GFVector:
 
     def __repr__(self):
         return f"GFVector({self.to_bits()!r})"
-
-
-def zero_vector(dim: int) -> GFVector:
-    return GFVector(dim, 0)
-
-
-def unit_vector(dim: int, j: int) -> GFVector:
-    if not 0 <= j < dim:
-        raise InvalidInputError(f"coordinate {j} out of range for dimension {dim}")
-    return GFVector(dim, 1 << j)
 
 
 def _check_common_dim(vectors: Sequence[GFVector], dim: int | None) -> int:
@@ -238,10 +222,6 @@ class LinearMap:
             if x.bits >> j & 1:
                 bits ^= self.images[j].bits
         return GFVector(self.codomain_dim, bits)
-
-
-def identity_map(n: int) -> LinearMap:
-    return LinearMap(n, tuple(unit_vector(n, j) for j in range(n)))
 
 
 def random_nonsingular_map(n: int, rng) -> LinearMap:

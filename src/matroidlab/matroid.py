@@ -4,7 +4,9 @@ matroid homomorphisms, and canonical indicator functions.
 
 A binary matroid here is a finite multiset of GF(2) vectors; a subset of
 ground elements is dependent exactly when some nonempty sub-subset XORs
-to zero.
+to zero. Its dependency code, `kernel_words`, comes from gf2's one
+echelon insertion. The cycle space of a graph is the dependency code of
+its graphic matroid, so the cographic matroid reads its rows from there.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import numpy as np
 
 from .boolfn import WHT_MAX_N, BooleanFunction
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from .gf2 import GFVector, LinearMap, Subspace, _ref_insert, _xor_span, rank_and_basis
+from .gf2 import GFVector, Subspace, _ref_insert, _xor_span, rank_and_basis
 
 CIRCUIT_MAX_K = 20
 GENERAL_COMPLEXITY_MAX_K = 12
 HOM_NODE_BUDGET = 10 ** 8
-# graph names build at most this many vertices: every consumer fits
-# (complexity needs at most 20 edges, von Neumann V - 1 <= 26)
+# graph names and graph files build at most this many vertices: every
+# consumer fits (complexity needs at most 20 edges, von Neumann V - 1 <= 26)
 GRAPH_NAME_MAX_V = 32
 
 
@@ -67,8 +69,8 @@ class Graph:
 
 def _union_find(V: int, edges: Sequence[tuple[int, int]]):
     """Union-find over vertices 0..V-1 fed `edges` in order. Returns the
-    final find function and the indices of the edges that merged two
-    components (a spanning forest; every other edge closes a cycle)."""
+    final find function and the number of edges that merged two
+    components (the size of a spanning forest)."""
     parent = list(range(V))
 
     def find(x):
@@ -77,20 +79,20 @@ def _union_find(V: int, edges: Sequence[tuple[int, int]]):
             x = parent[x]
         return x
 
-    forest = []
-    for idx, (u, v) in enumerate(edges):
+    merges = 0
+    for u, v in edges:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-            forest.append(idx)
-    return find, forest
+            merges += 1
+    return find, merges
 
 
 def _connected_with_edges(V: int, edges: Sequence[tuple[int, int]]) -> bool:
     """Whether the edges connect all V vertices. Fewer than V - 1 edges
     never do, so that case is answered before the union-find builds its
     table of V entries."""
-    return len(edges) >= V - 1 and len(_union_find(V, edges)[1]) == V - 1
+    return len(edges) >= V - 1 and _union_find(V, edges)[1] == V - 1
 
 
 def cycle_graph(k: int) -> Graph:
@@ -200,9 +202,6 @@ class BinaryMatroid:
                 words.append(combo)
         return tuple(words)
 
-    def transformed(self, t: LinearMap, label: str | None = None) -> "BinaryMatroid":
-        return BinaryMatroid(tuple(t.apply(v) for v in self.vectors), label=label)
-
     def __eq__(self, other):
         return isinstance(other, BinaryMatroid) and self.vectors == other.vectors
 
@@ -223,48 +222,20 @@ def graphic_from_graph(g: Graph) -> BinaryMatroid:
     return BinaryMatroid(vectors, label=f"graphic(V={g.V},E={len(g.edges)})")
 
 
-def _fundamental_cycles(g: Graph) -> list[int]:
-    """One edge-set bitmask per chord: the chord plus its tree path."""
-    tree = _union_find(g.V, g.edges)[1]
-    chords = sorted(set(range(len(g.edges))) - set(tree))
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.V)}
-    for idx in tree:
-        u, v = g.edges[idx]
-        adj[u].append((v, idx))
-        adj[v].append((u, idx))
-
-    def tree_path(src: int, dst: int) -> int:
-        prev: dict[int, tuple[int, int]] = {src: (-1, -1)}
-        stack = [src]
-        while stack:
-            x = stack.pop()
-            if x == dst:
-                break
-            for y, idx in adj[x]:
-                if y not in prev:
-                    prev[y] = (x, idx)
-                    stack.append(y)
-        mask, x = 0, dst
-        while x != src:
-            x, idx = prev[x]
-            mask |= 1 << idx
-        return mask
-
-    cycles = []
-    for idx in chords:
-        u, v = g.edges[idx]
-        cycles.append(tree_path(u, v) | (1 << idx))
-    return cycles
-
-
 def cographic_from_graph(g: Graph) -> BinaryMatroid:
     """Column matroid of a cycle-space basis matrix of G: dependent edge
-    sets are exactly those containing a bond. Rank is E - V + 1."""
+    sets are exactly those containing a bond. Rank is E - V + 1.
+
+    The cycle space of G is the dependency code of its graphic matroid,
+    so the rows are that matroid's kernel_words: the echelon insertion
+    keeps the greedy spanning forest in edge order, and each chord's
+    word is the chord plus its tree path, one row per chord in
+    ascending order."""
     if not g.is_connected():
         raise InvalidInputError("cographic construction requires a connected graph")
     if not g.edges:
         raise InvalidInputError("cographic matroid needs at least one edge")
-    rows = _fundamental_cycles(g)
+    rows = graphic_from_graph(g).kernel_words
     m = max(len(rows), 1)
     vectors = []
     for j in range(len(g.edges)):

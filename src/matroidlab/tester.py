@@ -41,7 +41,8 @@ random images of the presentation basis. The cycle-count oracle
 (brute_force_cycle_count) is the scan on C_k: the zero-sum k-tuples are
 the assignments to its span basis. The scan, the tester and the
 conditioned slices of the elimination all work in blocks of at most
-_CHUNK entries, sized so that a block's few int64 arrays stay in cache.
+_CHUNK entries (a tester block of at most 8 * _CHUNK images), sized so
+that a block's few int64 arrays stay in cache.
 
 min_repair_distance learns violations instead of checking every flip
 set. Each instance find_pattern returns, on f or on a flipped candidate,
@@ -356,26 +357,14 @@ def _replay(factors: dict, order: Sequence[int], n: int) -> np.ndarray:
 
 def _condition(factors: dict, j: int, order: Sequence[int], n: int) -> np.ndarray:
     """Fix variable j to every point, at most _CHUNK table entries per
-    slice: each row becomes one row per value, and a factor that reads
-    u_j is shifted by that value."""
+    slice, and sum out `order` in each slice."""
     size = 1 << n
     rows = max(a.shape[0] for a in factors.values())
     per = min(size, max(1, _CHUNK // (rows * size)))
     points = np.arange(size, dtype=np.int64)
     total = 0
     for lo in range(0, size, per):
-        shift = points[None, :] ^ points[lo:lo + per, None]
-        width = shift.shape[0]
-        sub: dict = {}
-        for form, a in factors.items():
-            if form >> j & 1:
-                a = a[:, shift].reshape(-1, size)
-                if a.shape[0] < rows * width:
-                    a = np.tile(a, (rows, 1))
-            elif a.shape[0] > 1:
-                a = np.repeat(a, width, axis=0)
-            _put(sub, form & ~(1 << j), a)
-        total = total + _replay(sub, order, n)
+        total = total + _replay(_fix(factors, j, points[lo:lo + per], n), order, n)
     return total
 
 
@@ -421,13 +410,23 @@ def _count(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
     return sum(int(match.sum()) for _, match in _scan_chunks(tables, n, coords, sigma, r))
 
 
-def _fix(factors: dict, j: int, value: int, n: int) -> dict:
-    """The factors with variable u_j set to `value`: a factor that reads
-    u_j is shifted by it."""
-    shift = np.arange(1 << n, dtype=np.int64) ^ value
+def _fix(factors: dict, j: int, values: np.ndarray, n: int) -> dict:
+    """The factors with variable u_j set to each entry of the int64 array
+    `values`: each row becomes one row per value, and a factor that reads
+    u_j is shifted by that value."""
+    size = 1 << n
+    rows = max(a.shape[0] for a in factors.values())
+    width = len(values)
+    shift = np.arange(size, dtype=np.int64)[None, :] ^ values[:, None]
     out: dict = {}
     for form, a in factors.items():
-        _put(out, form & ~(1 << j), a[:, shift] if form >> j & 1 else a)
+        if form >> j & 1:
+            a = a[:, shift].reshape(-1, size)
+            if a.shape[0] < rows * width:
+                a = np.tile(a, (rows, 1))
+        elif a.shape[0] > 1:
+            a = np.repeat(a, width, axis=0)
+        _put(out, form & ~(1 << j), a)
     return out
 
 
@@ -448,7 +447,7 @@ def _descend(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
             return None
         value = int(hits[0])
         t |= value << (j * n)
-        factors = _fix(factors, j, value, n)
+        factors = _fix(factors, j, np.array([value]), n)
     return t
 
 
@@ -528,7 +527,8 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
     values of rng.integers(0, 2^n), in order. Shard seeds, when sharding
     is wanted, must come from derive_seed(seed, shard).
 
-    Samples run in blocks of _CHUNK maps. A bounded draw from [0, 2^n)
+    Samples run in blocks of _CHUNK maps, fewer when m > 8 so that a
+    block holds at most 8 * _CHUNK images. A bounded draw from [0, 2^n)
     is the top n bits of one 32-bit word (Lemire's method never rejects
     for a power-of-two bound; n = 0 draws nothing), so each block draws
     raw 32-bit words and shifts them into one reused column buffer, one
@@ -543,7 +543,7 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
         raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     lookups = _lookups([f.table] * m.k, sigma.sigma)
-    block = min(samples, _CHUNK)
+    block = min(samples, _CHUNK, max(1, 8 * _CHUNK // m.m))
     columns = np.zeros((m.m, block), dtype=np.int64)
     scratch = np.empty(block, dtype=np.int64)
     rejections = 0
@@ -738,39 +738,19 @@ def pattern_hitting_number(f: BooleanFunction, m: BinaryMatroid) -> int:
     return _min_hitting_set(edges)
 
 
-def tower_of_twos(height: int) -> int:
-    """W(h): 2^2^...^2 of height h; W(0) = 1."""
-    if height < 0:
-        raise InvalidInputError("tower height must be nonnegative")
-    out = 1
-    for _ in range(height):
-        out = 2 ** out
-        if out.bit_length() > 1 << 20:
-            raise BudgetExceededError(f"tower of height {height} is not representable")
-    return out
-
-
-TOWER_EVAL_MAX_HEIGHT = 4
-
-
 @dataclass(frozen=True)
 class TowerExpr:
     """A rejection bound of the shape prefactor * 2^(-w_coeff * W(height)).
 
-    W is the tower-of-twos function; height is typically astronomical, so
-    evaluation is exact only for height <= 4 and a summary otherwise.
+    W is the tower-of-twos function. For k >= 1 both soundness bounds
+    give a height above 64, and W(5) = 2^65536 already has 19,729
+    digits, so the bound stays symbolic and `summary` prints it.
     """
 
     height: int
     w_coeff: int
     prefactor: Fraction
     variant: str
-
-    def evaluate(self) -> Optional[Fraction]:
-        if self.height > TOWER_EVAL_MAX_HEIGHT:
-            return None
-        w = tower_of_twos(self.height)
-        return self.prefactor / (Fraction(2) ** (self.w_coeff * w))
 
     def summary(self) -> str:
         return (f"{self.variant}: prefactor {self.prefactor} * "

@@ -16,15 +16,12 @@ is sound but strictly stronger.
 """
 
 import time
-from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from matroidlab.boolfn import BooleanFunction, _butterfly, random_function, wht
-from matroidlab.families import (classify_sigma, enumerate_free_functions,
-                                 family_members, verify_characterization)
-from matroidlab.gf2 import GFVector, in_span
+from matroidlab.families import enumerate_free_functions, verify_characterization
+from matroidlab.gf2 import in_span
 from matroidlab.matroid import (Graph, canonical_function,
                                 cog_endpoint_partition_criterion,
                                 cog_partition_criterion, cographic_from_graph,

@@ -177,6 +177,7 @@ def test_malformed_input_exit_code(workdir):
     ["regularity", "-n", "0"],
     ["fourier", "--function", "{d}/huge.boolfn"],
     ["cographic", "--graph", "{d}/sparse.graph", "--out", "{d}/x.matroid"],
+    ["graphic", "--graph", "{d}/sparse.graph", "--out", "{d}/x.matroid"],
 ])
 def test_malformed_input_one_line_exit_4(workdir, capsys, argv):
     (workdir / "latin1.boolfn").write_bytes(b"boolfn v1\nn=2\ntable=0\xe6\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matroidlab.boolfn import BooleanFunction, random_function
+from matroidlab.boolfn import random_function
 from matroidlab.errors import FormatError
 from matroidlab.fileio import (parse_function, parse_graph, parse_matroid,
                                serialize_function, serialize_graph, serialize_matroid)
@@ -87,3 +87,7 @@ def test_graph_errors():
     assert e.value.line == 3
     with pytest.raises(FormatError):
         parse_graph("grap v1\nV=3\n")
+    assert parse_graph("graph v1\nV=32\ne 0 31\n").V == 32
+    with pytest.raises(FormatError) as e:
+        parse_graph("graph v1\nV=33\ne 0 1\n")
+    assert e.value.line == 2

@@ -87,7 +87,7 @@ def test_cographic_examples():
 
     tree = cographic_from_graph(path_graph(4))
     assert tree.rank == 0
-    assert all(v.is_zero() for v in tree.vectors)
+    assert all(v.bits == 0 for v in tree.vectors)
 
     with pytest.raises(InvalidInputError):
         cographic_from_graph(Graph.from_edges(3, [(0, 1)]))
@@ -98,6 +98,74 @@ def test_cographic_circuits_are_bonds():
     # 2-subset of a cycle's edges is a minimal cut
     m = cographic_from_graph(cycle_graph(4))
     assert circuits(m) == [tuple(sorted(p)) for p in combinations(range(4), 2)]
+
+
+def fundamental_cycles(g: Graph) -> list[int]:
+    """Independent oracle for the cographic rows: the greedy spanning
+    forest in edge order by component labels, then one edge-set mask per
+    chord, ascending: the chord plus its tree path, found by DFS."""
+    label = list(range(g.V))
+    tree, chords = [], []
+    for idx, (u, v) in enumerate(g.edges):
+        if label[u] == label[v]:
+            chords.append(idx)
+        else:
+            old = label[v]
+            label = [label[u] if x == old else x for x in label]
+            tree.append(idx)
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.V)}
+    for idx in tree:
+        u, v = g.edges[idx]
+        adj[u].append((v, idx))
+        adj[v].append((u, idx))
+
+    def tree_path(src: int, dst: int) -> int:
+        prev: dict[int, tuple[int, int]] = {src: (-1, -1)}
+        stack = [src]
+        while stack:
+            x = stack.pop()
+            if x == dst:
+                break
+            for y, idx in adj[x]:
+                if y not in prev:
+                    prev[y] = (x, idx)
+                    stack.append(y)
+        mask, x = 0, dst
+        while x != src:
+            x, idx = prev[x]
+            mask |= 1 << idx
+        return mask
+
+    return [tree_path(*g.edges[idx]) | 1 << idx for idx in chords]
+
+
+def random_connected_graph(rng: random.Random, V: int) -> Graph:
+    """A random spanning tree on shuffled vertices plus each other pair
+    with a random probability."""
+    order = list(range(V))
+    rng.shuffle(order)
+    edges = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, V)}
+    p = rng.random()
+    edges |= {(u, v) for u in range(V) for v in range(u + 1, V) if rng.random() < p}
+    return Graph.from_edges(V, edges)
+
+
+def test_cographic_rows_are_the_fundamental_cycles():
+    """cographic_from_graph is the transpose of the fundamental-cycle
+    matrix: every connected graph on up to 6 vertices, and seeded random
+    connected graphs on up to 9."""
+    from test_acceptance import atlas_graphs
+
+    rng = random.Random(61)
+    graphs = atlas_graphs(6) + [random_connected_graph(rng, V)
+                                for V in range(2, 10) for _ in range(40)]
+    for g in graphs:
+        rows = fundamental_cycles(g)
+        assert len(rows) == len(g.edges) - g.V + 1
+        m = cographic_from_graph(g)
+        assert m.m == max(len(rows), 1)
+        assert m.ints == tuple(sum(1 << i for i, row in enumerate(rows) if row >> j & 1)
+                               for j in range(len(g.edges)))
 
 
 def test_k4_circuits():
@@ -446,7 +514,7 @@ def test_representation_invariance():
     for _ in range(50):
         for base in (base_c5, base_k4):
             t = random_nonsingular_map(base.m, rng)
-            moved = base.transformed(t)
+            moved = BinaryMatroid([t.apply(v) for v in base.vectors])
             assert circuits(moved) == circuits(base)
             assert odd_girth(moved) == odd_girth(base)
             assert complexity(moved) == complexity(base)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "matroidlab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "matroidlab"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,7 +29,8 @@ def test_unused_imports_detector():
     assert unused_imports("from __future__ import annotations\nimport a.b\na.b.f()\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_top_level_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
