@@ -1,18 +1,21 @@
 """The nine structured families of cycle-free functions, the Sigma
-classifier, and exhaustive verification that brute-force freeness
-matches the classifier's prediction.
+classifier, and exhaustive verification that the free sets of all
+2^(2^n) functions match the classifier's prediction.
 
 A function is handled here as its table int (bit x is f(x), the
 `BooleanFunction.table_int` convention). The families are generated,
 not swept for: the linear forms directly, and the subspace and affine
 subspace indicators from `gf2.enumerate_subspaces` and the coset tables
-of `boolfn.coset_indices`. Verification compares them with the free
-sets read off the achieved-pattern masks of all 2^(2^n) functions.
+of `boolfn.coset_indices`.
 
-For the k-cycle matroid, assignments of a linear map to the span basis
-correspond exactly to k-tuples (x_1..x_k) with zero XOR; the value
-pattern achieved by a tuple is packed little-endian (bit i = value at
-tuple position i), matching PatternSpec.index_int().
+The free sets come from the Fourier side. With F and G the unnormalized
+spectra of f and g = 1 - f, the number of zero-sum k-tuples
+(x_1..x_k) with f(x_i) = sigma_i is 2^-n * sum_a F(a)^o * G(a)^(k-o),
+o the number of ones of Sigma. So (C_k, Sigma)-freeness depends only on
+that weight, and one table row per weight o = 0..k holds every free
+set. |F|, |G| <= 2^n, so each of the 2^n terms is at most 2^(nk) and
+the sum stays below 2^(n(k+1)) <= 2^60 for n <= 4 and k <= 14: exact in
+int64.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from .boolfn import BooleanFunction, coset_indices
+import numpy as np
+
+from .boolfn import BooleanFunction, _butterfly, coset_indices
 from .errors import InvalidInputError
 from .gf2 import enumerate_subspaces
 from .tester import PatternSpec
 
-FREE_ENUM_MAX_N_SMALL_K = 4
-FREE_ENUM_MAX_N_LARGE_K = 3
+FREE_ENUM_MAX_N = 4
 CHARACTERIZE_MAX_K = 12     # verify_characterization walks 2^k - 2 sigmas
+CHARACTERIZE_MAX_N = 3      # perfbench times `characterize -n 4` as an exit-4 refusal
 
 
 class FamilyId(Enum):
@@ -65,8 +70,8 @@ def _family_tables(n: int) -> dict[FamilyId, frozenset[int]]:
     and all their rows give Faff. A bar family holds the complements of
     its COMPLEMENT_PAIR partner.
     """
-    if not 0 <= n <= FREE_ENUM_MAX_N_SMALL_K:
-        raise InvalidInputError(f"function enumeration capped at n <= {FREE_ENUM_MAX_N_SMALL_K}")
+    if not 0 <= n <= FREE_ENUM_MAX_N:
+        raise InvalidInputError(f"function enumeration capped at n <= {FREE_ENUM_MAX_N}")
     size = 1 << n
     full = (1 << size) - 1
     forms = {sum(((a & x).bit_count() & 1) << x for x in range(size)) for a in range(size)}
@@ -88,13 +93,6 @@ def _family_tables(n: int) -> dict[FamilyId, frozenset[int]]:
 def family_members(n: int, fam: FamilyId) -> frozenset[BooleanFunction]:
     """The members of one family on {0,1}^n, for n <= 4."""
     return frozenset(BooleanFunction.from_table_int(n, t) for t in _family_tables(n)[fam])
-
-
-@lru_cache(maxsize=None)
-def all_functions(n: int) -> tuple[BooleanFunction, ...]:
-    if n > FREE_ENUM_MAX_N_SMALL_K:
-        raise InvalidInputError(f"function enumeration capped at n <= {FREE_ENUM_MAX_N_SMALL_K}")
-    return tuple(BooleanFunction.from_table_int(n, t) for t in range(1 << (1 << n)))
 
 
 def classify_sigma(sigma: PatternSpec) -> FamilyId:
@@ -135,54 +133,26 @@ def _check_enum_budget(n: int, k: int) -> None:
         raise InvalidInputError("cycle patterns need k >= 3")
     if n < 0:
         raise InvalidInputError(f"domain dimension {n} must be nonnegative")
-    cap = FREE_ENUM_MAX_N_SMALL_K if k <= 4 else FREE_ENUM_MAX_N_LARGE_K
-    if n > cap:
-        raise InvalidInputError(f"free-set enumeration capped at n <= {cap} for k = {k}")
-
-
-def achieved_patterns(f: BooleanFunction, k: int) -> int:
-    """Bitmask of value patterns achieved by zero-sum k-tuples in f: bit
-    sigma.index_int() is set iff f contains (C_k, sigma).
-
-    Dynamic program over tuple prefixes: level j maps each partial XOR s
-    to the bitmask of value prefixes reachable by j points summing to s;
-    the last point is forced to the running XOR.
-    """
-    if k < 3:
-        raise InvalidInputError("cycle patterns need k >= 3")
-    n = f.n
-    values = [f.value(x) for x in range(1 << n)]
-    level = {x: 1 << values[x] for x in range(1 << n)}
-    for j in range(1, k - 1):
-        nxt: dict[int, int] = {}
-        shift = 1 << j
-        for s, pm in level.items():
-            shifted = pm << shift
-            for x in range(1 << n):
-                key = s ^ x
-                add = shifted if values[x] else pm
-                if key in nxt:
-                    nxt[key] |= add
-                else:
-                    nxt[key] = add
-        level = nxt
-    out = 0
-    last = 1 << (k - 1)
-    for s, pm in level.items():
-        out |= pm << last if values[s] else pm
-    return out
+    if n > FREE_ENUM_MAX_N:
+        raise InvalidInputError(f"free-set enumeration capped at n <= {FREE_ENUM_MAX_N}")
+    if k > CHARACTERIZE_MAX_K + 2:
+        raise InvalidInputError(f"free-set enumeration capped at k <= {CHARACTERIZE_MAX_K + 2}")
 
 
 @lru_cache(maxsize=None)
-def _achieved_masks(n: int, k: int) -> tuple[int, ...]:
-    return tuple(achieved_patterns(f, k) for f in all_functions(n))
-
-
-def _free_tables(masks: tuple[int, ...], sigma: PatternSpec) -> frozenset[int]:
-    """Table ints of the (C_k, Sigma)-free functions, read off the
-    achieved-pattern masks of `_achieved_masks(n, k)`."""
-    bit = sigma.index_int()
-    return frozenset(t for t, mask in enumerate(masks) if not mask >> bit & 1)
+def _free_by_weight(n: int, k: int) -> np.ndarray:
+    """Boolean (k + 1, 2^(2^n)) table: entry [o, t] says whether the
+    function with table int t is (C_k, Sigma)-free for the Sigmas with o
+    ones. Both spectra of every function come from one row-wise
+    butterfly each; the int64 bound is in the module docstring."""
+    _check_enum_budget(n, k)
+    size = 1 << n
+    tables = np.arange(1 << size, dtype=np.int64)[:, None] >> np.arange(size) & 1
+    g_hat = _butterfly(1 - tables)
+    f_hat = _butterfly(tables)
+    free = np.array([(f_hat ** o * g_hat ** (k - o)).sum(axis=1) == 0 for o in range(k + 1)])
+    free.flags.writeable = False
+    return free
 
 
 def enumerate_free_functions(n: int, k: int, sigma: PatternSpec
@@ -190,9 +160,8 @@ def enumerate_free_functions(n: int, k: int, sigma: PatternSpec
     """All (C_k, Sigma)-free functions on {0,1}^n, exhaustively."""
     if sigma.k != k:
         raise InvalidInputError(f"sigma length {sigma.k} does not match k={k}")
-    _check_enum_budget(n, k)
-    funcs = all_functions(n)
-    return frozenset(funcs[t] for t in _free_tables(_achieved_masks(n, k), sigma))
+    free = _free_by_weight(n, k)[sigma.ones_count]
+    return frozenset(BooleanFunction.from_table_int(n, t) for t in np.flatnonzero(free).tolist())
 
 
 @dataclass(frozen=True)
@@ -245,31 +214,33 @@ def verify_characterization(n: int, k: int) -> CharacterizationReport:
     """Set-equality between the enumerated free sets and the classifier's
     predicted families for every non-monochromatic Sigma, plus the
     padding containments (C_{k+2}, Sigma+00)-free and
-    (C_{k+2}, Sigma+11)-free within (C_k, Sigma)-free."""
+    (C_{k+2}, Sigma+11)-free within (C_k, Sigma)-free. Each free set is
+    read once per weight of Sigma."""
     _check_enum_budget(n, k)
     if k > CHARACTERIZE_MAX_K:
         raise InvalidInputError(f"characterization capped at k <= {CHARACTERIZE_MAX_K}")
-    _check_enum_budget(n, k + 2)
+    if n > CHARACTERIZE_MAX_N:
+        raise InvalidInputError(f"characterization capped at n <= {CHARACTERIZE_MAX_N}")
     families = _family_tables(n)
-    masks, padded_masks = _achieved_masks(n, k), _achieved_masks(n, k + 2)
+    free, padded = ([frozenset(np.flatnonzero(row).tolist()) for row in _free_by_weight(n, j)]
+                    for j in (k, k + 2))
     report = CharacterizationReport(n=n, k=k)
     for sigma in _all_sigmas(k):
-        free = _free_tables(masks, sigma)
+        o = sigma.ones_count
         fam = classify_sigma(sigma)
         predicted = families[fam]
         report.verdicts.append(SigmaVerdict(
             sigma=str(sigma),
             family=fam.value,
-            free_count=len(free),
+            free_count=len(free[o]),
             predicted_count=len(predicted),
-            match=free == predicted,
-            counterexamples=tuple(sorted(free ^ predicted)),
+            match=free[o] == predicted,
+            counterexamples=tuple(sorted(free[o] ^ predicted)),
         ))
         for pad in ((0, 0), (1, 1)):
-            padded = PatternSpec(sigma.sigma + pad)
-            outside = _free_tables(padded_masks, padded) - free
+            outside = padded[o + sum(pad)] - free[o]
             if outside:
                 report.containment_failures.append(
-                    f"(C_{k + 2},{padded})-free not within (C_{k},{sigma})-free: "
-                    f"{sorted(outside)}")
+                    f"(C_{k + 2},{PatternSpec(sigma.sigma + pad)})-free not within "
+                    f"(C_{k},{sigma})-free: {sorted(outside)}")
     return report

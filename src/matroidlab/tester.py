@@ -768,6 +768,8 @@ def soundness_bound(eps, k: int) -> TowerExpr:
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise InvalidInputError(f"eps must lie in (0, 1], got {eps}")
+    if k < 1:
+        raise InvalidInputError(f"the matroid needs k >= 1 elements, got {k}")
     height = _ceil_fraction((4 / eps) ** (6 * k))
     prefactor = eps ** k / Fraction(2) ** (2 * k)
     return TowerExpr(height=height, w_coeff=k, prefactor=prefactor, variant="monotone")
@@ -782,6 +784,8 @@ def nonmonotone_soundness_bound(eps, k: int, eta) -> TowerExpr:
         raise InvalidInputError(f"eps must lie in (0, 1], got {eps}")
     if not Fraction(1, 2) < eta < 1:
         raise InvalidInputError(f"eta must lie in (1/2, 1), got {eta}")
+    if k < 2:
+        raise InvalidInputError(f"the bound needs k >= 2, got {k}")
     a = (1 - eta) ** k * eps ** k / 2
     height = _ceil_fraction(a ** -3)
     prefactor = (1 - eta) ** (k - 2) * (2 * eta - 1)

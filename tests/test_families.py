@@ -1,16 +1,67 @@
+from functools import lru_cache
+
 import pytest
 
 import matroidlab.families as families
 from matroidlab.boolfn import BooleanFunction
 from matroidlab.cli import main
 from matroidlab.errors import InvalidInputError
-from matroidlab.families import (COMPLEMENT_PAIR, FamilyId, achieved_patterns,
-                                 all_functions, classify_sigma,
+from matroidlab.families import (COMPLEMENT_PAIR, FamilyId, classify_sigma,
                                  enumerate_free_functions, family_members,
                                  verify_characterization)
 from matroidlab.gf2 import gaussian_binomial
 from matroidlab.matroid import cycle_graph, graphic_from_graph
-from matroidlab.tester import PatternSpec, find_pattern
+from matroidlab.tester import PatternSpec, count_patterns, find_pattern
+
+
+@lru_cache(maxsize=None)
+def all_functions(n):
+    return tuple(BooleanFunction.from_table_int(n, t) for t in range(1 << (1 << n)))
+
+
+def all_sigmas(k):
+    return [PatternSpec(tuple(bits >> i & 1 for i in range(k))) for bits in range(1 << k)]
+
+
+# The physical-side oracle for the free sets: a dynamic program over
+# zero-sum tuples, independent of the Fourier table in `families`.
+
+def achieved_patterns(f, k):
+    """Bitmask of value patterns achieved by zero-sum k-tuples in f: bit
+    sigma.index_int() is set iff f contains (C_k, sigma).
+
+    Dynamic program over tuple prefixes: level j maps each partial XOR s
+    to the bitmask of value prefixes reachable by j points summing to s;
+    the last point is forced to the running XOR.
+    """
+    n = f.n
+    values = [f.value(x) for x in range(1 << n)]
+    level = {x: 1 << values[x] for x in range(1 << n)}
+    for j in range(1, k - 1):
+        nxt = {}
+        shift = 1 << j
+        for s, pm in level.items():
+            shifted = pm << shift
+            for x in range(1 << n):
+                add = shifted if values[x] else pm
+                nxt[s ^ x] = nxt.get(s ^ x, 0) | add
+        level = nxt
+    out = 0
+    last = 1 << (k - 1)
+    for s, pm in level.items():
+        out |= pm << last if values[s] else pm
+    return out
+
+
+@lru_cache(maxsize=None)
+def dp_masks(n, k):
+    return tuple(achieved_patterns(f, k) for f in all_functions(n))
+
+
+def dp_free(n, k, s, masks=dp_masks):
+    """The (C_k, s)-free functions on {0,1}^n, read off the DP masks."""
+    bit = s.index_int()
+    return frozenset(f for f, mask in zip(all_functions(n), masks(n, k)) if not mask >> bit & 1)
 
 
 def f_ones(n, ones):
@@ -155,17 +206,20 @@ def test_classify_duality():
             assert classify_sigma(s.complement()) is COMPLEMENT_PAIR[classify_sigma(s)]
 
 
-def test_achieved_patterns_against_find_pattern():
-    # the DP against the generic exhaustive searcher, all 16 functions
-    for k in (3, 4):
-        m = graphic_from_graph(cycle_graph(k))
-        for t in range(16):
-            f = BooleanFunction.from_table_int(2, t)
-            mask = achieved_patterns(f, k)
-            for bits in range(1 << k):
-                s = PatternSpec(tuple(bits >> i & 1 for i in range(k)))
-                dp_free = not mask >> s.index_int() & 1
-                assert dp_free == (find_pattern(f, m, s) is None)
+@pytest.mark.parametrize("n, k", [(n, k) for n in (0, 1, 2) for k in (3, 4, 5)]
+                         + [(3, 3), (3, 4)])
+def test_free_by_weight_against_find_pattern(n, k):
+    # the weight table and the DP against the generic exhaustive searcher,
+    # every function and every Sigma, monochromatic ones included; at
+    # n = 0 a witness has no GFVector, so the exact count stands in
+    m = graphic_from_graph(cycle_graph(k))
+    table = families._free_by_weight(n, k)
+    for f, mask in zip(all_functions(n), dp_masks(n, k)):
+        for s in all_sigmas(k):
+            free = (count_patterns(f, m, s).span_count == 0 if n == 0
+                    else find_pattern(f, m, s) is None)
+            assert table[s.ones_count, f.table_int()] == free, (f, s)
+            assert (not mask >> s.index_int() & 1) == free, (f, s)
 
 
 def test_enumerate_free_examples():
@@ -182,8 +236,17 @@ def test_enumerate_free_examples():
 
 
 def test_enumerate_free_budget():
-    with pytest.raises(InvalidInputError):
-        enumerate_free_functions(4, 5, PatternSpec.all_ones(5))
+    # one cap on n for every k, and k up to CHARACTERIZE_MAX_K + 2
+    assert families.CHARACTERIZE_MAX_K + 2 == 14
+    assert families._free_by_weight(4, 14).shape == (15, 1 << 16)
+    # an even cycle of one repeated point: only the zero function avoids all ones
+    assert enumerate_free_functions(4, 14, PatternSpec.all_ones(14)) == {
+        BooleanFunction.constant(4, 0)}
+    with pytest.raises(InvalidInputError, match="k <= 14"):
+        enumerate_free_functions(4, 15, PatternSpec.all_ones(15))
+    for k in (3, 14):
+        with pytest.raises(InvalidInputError, match="n <= 4"):
+            enumerate_free_functions(5, k, PatternSpec.all_ones(k))
 
 
 def test_complement_duality_of_free_sets():
@@ -213,14 +276,14 @@ def test_verify_characterization_small():
     assert doc["mismatches"] == 0 and len(doc["sigma_verdicts"]) == 14
 
 
-def reference_characterization(n, k):
+def reference_characterization(n, k, masks=dp_masks):
     """verify_characterization's report, from the definitions' sweep and
-    enumerate_free_functions."""
+    the DP's free sets."""
     members = {fam: swept_members(n, fam) for fam in FamilyId}
     verdicts, failures = [], []
     for bits in range(1, (1 << k) - 1):
         s = PatternSpec(tuple(bits >> i & 1 for i in range(k)))
-        free = enumerate_free_functions(n, k, s)
+        free = dp_free(n, k, s, masks)
         fam = families.classify_sigma(s)
         diff = free ^ members[fam]
         verdicts.append({"sigma": str(s), "family": fam.value, "free_count": len(free),
@@ -228,7 +291,7 @@ def reference_characterization(n, k):
                          "counterexamples": sorted(f.table_int() for f in diff)})
         for pad in ((0, 0), (1, 1)):
             padded = PatternSpec(s.sigma + pad)
-            outside = enumerate_free_functions(n, k + 2, padded) - free
+            outside = dp_free(n, k + 2, padded, masks) - free
             if outside:
                 failures.append(f"(C_{k + 2},{padded})-free not within (C_{k},{s})-free: "
                                 f"{sorted(f.table_int() for f in outside)}")
@@ -245,15 +308,19 @@ def test_verify_characterization_matches_reference(n, k):
 def test_verify_characterization_reports_disagreements(monkeypatch):
     # a wrong classifier gives counterexamples, and free sets at k + 2
     # that hold every function give containment failures
-    achieved = families._achieved_masks
+    table = families._free_by_weight
     monkeypatch.setattr(families, "classify_sigma",
                         lambda s: list(FamilyId)[s.index_int() % len(FamilyId)])
-    monkeypatch.setattr(families, "_achieved_masks",
-                        lambda n, k: achieved(n, k) if k == 3 else (0,) * (1 << (1 << n)))
+    monkeypatch.setattr(families, "_free_by_weight",
+                        lambda n, k: table(n, k) if k == 3 else table(n, k) | True)
     doc = verify_characterization(2, 3).to_dict()
     assert doc["containment_failures"] and any(v["counterexamples"]
                                                 for v in doc["sigma_verdicts"])
-    assert doc == reference_characterization(2, 3)
+
+    def masks(n, k):
+        return dp_masks(n, k) if k == 3 else (0,) * (1 << (1 << n))
+
+    assert doc == reference_characterization(2, 3, masks)
 
 
 def test_characterize_at_n4_is_refused_before_any_family_is_built(monkeypatch, capsys):
@@ -261,9 +328,32 @@ def test_characterize_at_n4_is_refused_before_any_family_is_built(monkeypatch, c
         raise AssertionError("built")
 
     monkeypatch.setattr(families, "_family_tables", built)
-    monkeypatch.setattr(families, "_achieved_masks", built)
+    monkeypatch.setattr(families, "_free_by_weight", built)
     assert main(["characterize", "-k", "3", "-n", "4"]) == 4
-    assert capsys.readouterr().err == "error: free-set enumeration capped at n <= 3 for k = 5\n"
+    assert capsys.readouterr().err == "error: characterization capped at n <= 3\n"
+
+
+def test_characterize_argument_grid(monkeypatch, capsys):
+    # every k in -1..15 and n in -1..6 ends in exit 0 or a one-line exit 4,
+    # and every refusal comes before any table is built
+    calls = []
+
+    def spy(name):
+        real = getattr(families, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("_family_tables", "_free_by_weight"):
+        monkeypatch.setattr(families, name, spy(name))
+    for k in range(-1, 16):
+        for n in range(-1, 7):
+            calls.clear()
+            code = main(["characterize", "-k", str(k), "-n", str(n)])
+            out, err = capsys.readouterr()
+            if 3 <= k <= 12 and 0 <= n <= 3:
+                assert code == 0 and err == "" and f'"n": {n}' in out, (k, n)
+            else:
+                assert code == 4 and calls == [] and out == "", (k, n)
+                assert err.startswith("error: ") and err.count("\n") == 1, (k, n)
 
 
 def test_hierarchy_finiteness():

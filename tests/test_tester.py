@@ -515,6 +515,13 @@ def test_soundness_bound_structure():
     assert "W(" in expr.summary()
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_soundness_bound_refuses_k_below_1(k):
+    with pytest.raises(InvalidInputError, match="k >= 1"):
+        soundness_bound(Fraction(1, 2), k)
+    assert soundness_bound(Fraction(1, 2), 1).prefactor == Fraction(1, 8)
+
+
 def test_nonmonotone_soundness_structure():
     eps, k, eta = Fraction(1, 2), 3, Fraction(3, 4)
     expr = nonmonotone_soundness_bound(eps, k, eta)
@@ -524,6 +531,13 @@ def test_nonmonotone_soundness_structure():
     assert expr.prefactor == (1 - eta) ** (k - 2) * (2 * eta - 1)
     with pytest.raises(InvalidInputError):
         nonmonotone_soundness_bound(eps, k, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("k", [1, 0, -2])
+def test_nonmonotone_soundness_bound_refuses_k_below_2(k):
+    with pytest.raises(InvalidInputError, match="k >= 2"):
+        nonmonotone_soundness_bound(Fraction(1, 2), k, Fraction(3, 4))
+    assert nonmonotone_soundness_bound(Fraction(1, 2), 2, Fraction(3, 4)).w_coeff == 1
 
 
 def test_von_neumann_trivial():
