@@ -7,8 +7,7 @@ index ix(x) = sum_j x_j 2^j, i.e. coordinate j is bit j of the index.
 The cosets of a subspace H are read through one index table,
 `coset_indices(H)`: a row per coset, reps ascending, and a column per
 element of H. One row-wise butterfly over f's values at that table gives
-every coset's spectrum, so the uniform-coset fraction and the coset-wise
-rounding (`tester.reduce_function`) share one uniformity rule.
+every coset's spectrum, from which the uniform-coset fraction is read.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -48,23 +46,6 @@ class BooleanFunction:
         self.n = n
         self.table = arr
 
-    @classmethod
-    def from_ones(cls, n: int, ones: Iterable[int]) -> "BooleanFunction":
-        table = np.zeros(1 << n, dtype=np.uint8)
-        for x in ones:
-            if not 0 <= x < (1 << n):
-                raise InvalidInputError(f"point {x} outside {{0,1}}^{n}")
-            table[x] = 1
-        return cls(n, table)
-
-    @classmethod
-    def constant(cls, n: int, value: int) -> "BooleanFunction":
-        return cls(n, np.full(1 << n, 1 if value else 0, dtype=np.uint8))
-
-    @classmethod
-    def from_table_int(cls, n: int, key: int) -> "BooleanFunction":
-        return cls(n, [(key >> x) & 1 for x in range(1 << n)])
-
     def value(self, x: int) -> int:
         return int(self.table[x])
 
@@ -73,16 +54,6 @@ class BooleanFunction:
 
     def ones_count(self) -> int:
         return int(self.table.sum())
-
-    def complement(self) -> "BooleanFunction":
-        return BooleanFunction(self.n, 1 - self.table)
-
-    def table_int(self) -> int:
-        """The table packed into one int: bit ix(x) = f(x)."""
-        out = 0
-        for x in np.flatnonzero(self.table):
-            out |= 1 << int(x)
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, BooleanFunction) and self.n == other.n
@@ -165,10 +136,8 @@ def coset_indices(sub: Subspace) -> np.ndarray:
     return reps[:, None] ^ _xor_span([b.bits for b in sub.basis])
 
 
-def _uniform_cosets(f: BooleanFunction, sub: Subspace, eps: Fraction
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coset table idx = coset_indices(sub), the number of ones of f
-    on each coset, and whether f is eps-uniform on it: every
+def uniform_coset_fraction(f: BooleanFunction, sub: Subspace, eps) -> Fraction:
+    """Fraction of cosets of H on which f restricts eps-uniformly: every
     nonzero-frequency coefficient of the restriction has |f^(a)| <= eps."""
     if sub.ambient_dim != f.n:
         raise DimensionMismatchError(f"subspace ambient {sub.ambient_dim} vs n={f.n}")
@@ -176,12 +145,7 @@ def _uniform_cosets(f: BooleanFunction, sub: Subspace, eps: Fraction
     size = idx.shape[1]
     coeffs = _butterfly(f.table[idx].astype(np.int64))
     peak = np.abs(coeffs[:, 1:]).max(axis=1, initial=0)
-    return idx, coeffs[:, 0], peak <= min(math.floor(eps * size), size)
-
-
-def uniform_coset_fraction(f: BooleanFunction, sub: Subspace, eps) -> Fraction:
-    """Fraction of cosets of H on which f restricts eps-uniformly."""
-    _, _, uniform = _uniform_cosets(f, sub, Fraction(eps))
+    uniform = peak <= min(math.floor(Fraction(eps) * size), size)
     return Fraction(int(np.count_nonzero(uniform)), uniform.shape[0])
 
 

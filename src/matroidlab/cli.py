@@ -32,9 +32,9 @@ from .gf2 import GFVector
 from .matroid import (HOM_NODE_BUDGET, canonical_function, circuits,
                       cographic_from_graph, complexity, cycle_space_basis,
                       find_homomorphism, graphic_from_graph, named_graph, odd_girth)
-from .tester import (PATTERN_BUDGET_BITS, PatternSpec, brute_force_cycle_count,
-                     check_von_neumann_args, count_patterns, cycle_count_fourier,
-                     derive_seed, find_pattern, min_repair_distance,
+from .tester import (PATTERN_BUDGET_BITS, PatternSpec, _check_pattern_args,
+                     brute_force_cycle_count, check_von_neumann_args, count_patterns,
+                     cycle_count_fourier, derive_seed, find_pattern, min_repair_distance,
                      pattern_hitting_number, run_tester, von_neumann_gap)
 
 EXIT_OK = 0
@@ -203,6 +203,9 @@ def _exp_tester_calibration(args):
     else:
         m = graphic_from_graph(named_graph("c3"))
     sigma = PatternSpec.from_string(args.sigma or "1" * m.k)
+    # every bucket's exact count makes these checks; make them before the
+    # list of ones, which holds 2^n Python ints at worst
+    _check_pattern_args(base, m, sigma, args.budget)
     ones = base.ones()
     rows = []
     size = 1 << base.n
@@ -250,7 +253,7 @@ def _exp_fourier(args):
              "parseval_power_sum": exact(spectrum.power_sum(2)),
              "max_abs_nonzero": exact(spectrum.max_abs_nonzero()),
              "top_coefficients": [
-                 {"alpha": GFVector(f.n, a).to_bits() if f.n else "",
+                 {"alpha": GFVector(f.n, a).to_bits(),
                   "coeff": exact(spectrum.coeff(a))}
                  for a in top]})
 

@@ -2,11 +2,11 @@
 classifier, and exhaustive verification that the free sets of all
 2^(2^n) functions match the classifier's prediction.
 
-A function is handled here as its table int (bit x is f(x), the
-`BooleanFunction.table_int` convention). The families are generated,
-not swept for: the linear forms directly, and the subspace and affine
-subspace indicators from `gf2.enumerate_subspaces` and the coset tables
-of `boolfn.coset_indices`.
+A function is handled here as its table int: bit x is f(x), with point
+x at index sum_j x_j 2^j. The families are generated, not swept for:
+the linear forms directly, and the subspace and affine subspace
+indicators from `gf2.enumerate_subspaces` and the coset tables of
+`boolfn.coset_indices`.
 
 The free sets come from the Fourier side. With F and G the unnormalized
 spectra of f and g = 1 - f, the number of zero-sum k-tuples
@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolfn import BooleanFunction, _butterfly, coset_indices
+from .boolfn import _butterfly, coset_indices
 from .errors import InvalidInputError
 from .gf2 import enumerate_subspaces
 from .tester import PatternSpec
@@ -90,11 +90,6 @@ def _family_tables(n: int) -> dict[FamilyId, frozenset[int]]:
     return {fam: frozenset(ts) for fam, ts in tables.items()}
 
 
-def family_members(n: int, fam: FamilyId) -> frozenset[BooleanFunction]:
-    """The members of one family on {0,1}^n, for n <= 4."""
-    return frozenset(BooleanFunction.from_table_int(n, t) for t in _family_tables(n)[fam])
-
-
 def classify_sigma(sigma: PatternSpec) -> FamilyId:
     """The family of (C_k, Sigma)-free functions, by the parities of the
     one and zero counts of Sigma.
@@ -153,15 +148,6 @@ def _free_by_weight(n: int, k: int) -> np.ndarray:
     free = np.array([(f_hat ** o * g_hat ** (k - o)).sum(axis=1) == 0 for o in range(k + 1)])
     free.flags.writeable = False
     return free
-
-
-def enumerate_free_functions(n: int, k: int, sigma: PatternSpec
-                             ) -> frozenset[BooleanFunction]:
-    """All (C_k, Sigma)-free functions on {0,1}^n, exhaustively."""
-    if sigma.k != k:
-        raise InvalidInputError(f"sigma length {sigma.k} does not match k={k}")
-    free = _free_by_weight(n, k)[sigma.ones_count]
-    return frozenset(BooleanFunction.from_table_int(n, t) for t in np.flatnonzero(free).tolist())
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ every XOR combination of a few vectors (coset tables, circuits and odd
 girth read it).
 
 A coset v + H of a subspace is named by its canonical representative,
-`H.reduce(v)`, which has every pivot bit of H's RREF basis clear. This
+the one element with every pivot bit of H's RREF basis clear. This
 module keeps no coset objects: `boolfn.coset_indices` lays all cosets
 of H out as one table of point indices.
 """
@@ -31,14 +31,16 @@ SUBSPACE_ENUM_MAX_N = 8
 
 @dataclass(frozen=True)
 class GFVector:
-    """A vector in {0,1}^dim, coordinates packed into ``bits``."""
+    """A vector in {0,1}^dim, coordinates packed into ``bits``. dim = 0
+    is the one point of {0,1}^0, the image of every map into a function
+    of n = 0."""
 
     dim: int
     bits: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidInputError(f"dimension must be positive, got {self.dim}")
+        if self.dim < 0:
+            raise InvalidInputError(f"dimension must be nonnegative, got {self.dim}")
         if self.bits < 0 or self.bits >> self.dim:
             raise InvalidInputError(f"bits 0x{self.bits:x} do not fit in dimension {self.dim}")
 
@@ -122,20 +124,6 @@ class Subspace:
     def pivots(self) -> tuple[int, ...]:
         return tuple(b.bits.bit_length() - 1 for b in self.basis)
 
-    def reduce(self, v: GFVector) -> GFVector:
-        """Canonical coset representative of v (all pivot bits cleared)."""
-        if v.dim != self.ambient_dim:
-            raise DimensionMismatchError(f"dim {v.dim} vs ambient {self.ambient_dim}")
-        w = v.bits
-        for b in self.basis:
-            p = b.bits.bit_length() - 1
-            if w >> p & 1:
-                w ^= b.bits
-        return GFVector(self.ambient_dim, w)
-
-    def contains(self, v: GFVector) -> bool:
-        return self.reduce(v).bits == 0
-
     def __repr__(self):
         return f"Subspace(n={self.ambient_dim}, basis={[b.to_bits() for b in self.basis]})"
 
@@ -158,10 +146,6 @@ def rank_and_basis(vectors: Iterable[GFVector], dim: int | None = None) -> tuple
         rref[p] = w
     basis = tuple(GFVector(dim, rref[p]) for p in reversed(rref))
     return len(basis), Subspace(dim, basis)
-
-
-def in_span(v: GFVector, vectors: Iterable[GFVector]) -> bool:
-    return rank_and_basis(vectors, v.dim)[1].contains(v)
 
 
 def enumerate_subspaces(n: int, codim: int) -> Iterator[Subspace]:
@@ -209,35 +193,3 @@ class LinearMap:
         dims = {im.dim for im in self.images}
         if len(dims) > 1:
             raise DimensionMismatchError(f"mixed image dimensions {sorted(dims)}")
-
-    @property
-    def codomain_dim(self) -> int:
-        return self.images[0].dim
-
-    def apply(self, x: GFVector) -> GFVector:
-        if x.dim != self.domain_dim:
-            raise DimensionMismatchError(f"dim {x.dim} vs domain {self.domain_dim}")
-        bits = 0
-        for j in range(self.domain_dim):
-            if x.bits >> j & 1:
-                bits ^= self.images[j].bits
-        return GFVector(self.codomain_dim, bits)
-
-
-def random_nonsingular_map(n: int, rng) -> LinearMap:
-    """A uniformly random invertible map on {0,1}^n (rejection sampling)."""
-    while True:
-        images = tuple(GFVector(n, int(rng.integers(0, 1 << n))) for _ in range(n))
-        if rank_and_basis(images, dim=n)[0] == n:
-            return LinearMap(n, images)
-
-
-def gaussian_binomial(n: int, d: int) -> int:
-    """Number of d-dimensional subspaces of {0,1}^n (product formula)."""
-    if not 0 <= d <= n:
-        return 0
-    num = den = 1
-    for i in range(d):
-        num *= (1 << n) - (1 << i)
-        den *= (1 << d) - (1 << i)
-    return num // den

@@ -1,9 +1,7 @@
 """(M, Sigma)-freeness machinery: exhaustive pattern search and exact
 counting, the randomized k-query tester, minimum repair distance at desk
-scale, instance hitting numbers, the tower-type soundness-bound formula,
-the generalized von Neumann inequality check, and coset-wise rounding
-(`reduce_function`, which reads densities and uniformity from the one
-coset table of `boolfn.coset_indices`).
+scale, instance hitting numbers and the generalized von Neumann
+inequality check.
 
 Degenerate linear maps count. Freeness quantifies over ALL linear maps,
 including non-injective ones and the zero map, so any f with f(0) = 1
@@ -65,9 +63,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolfn import BooleanFunction, _butterfly, _uniform_cosets, wht
+from .boolfn import BooleanFunction, _butterfly, wht
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from .gf2 import GFVector, LinearMap, Subspace
+from .gf2 import GFVector, LinearMap
 from .matroid import BinaryMatroid, _forced_by, has_complexity_one
 
 PATTERN_BUDGET_BITS = 30
@@ -115,16 +113,6 @@ class PatternSpec:
     @property
     def zeros_count(self) -> int:
         return self.k - self.ones_count
-
-    def index_int(self) -> int:
-        """sigma packed little-endian: bit i = sigma[i]."""
-        out = 0
-        for i, b in enumerate(self.sigma):
-            out |= b << i
-        return out
-
-    def complement(self) -> "PatternSpec":
-        return PatternSpec(tuple(1 - b for b in self.sigma))
 
     def is_all_ones(self) -> bool:
         return self.ones_count == self.k
@@ -739,61 +727,6 @@ def pattern_hitting_number(f: BooleanFunction, m: BinaryMatroid) -> int:
 
 
 @dataclass(frozen=True)
-class TowerExpr:
-    """A rejection bound of the shape prefactor * 2^(-w_coeff * W(height)).
-
-    W is the tower-of-twos function. For k >= 1 both soundness bounds
-    give a height above 64, and W(5) = 2^65536 already has 19,729
-    digits, so the bound stays symbolic and `summary` prints it.
-    """
-
-    height: int
-    w_coeff: int
-    prefactor: Fraction
-    variant: str
-
-    def summary(self) -> str:
-        return (f"{self.variant}: prefactor {self.prefactor} * "
-                f"2^(-{self.w_coeff} * W({self.height}))")
-
-
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def soundness_bound(eps, k: int) -> TowerExpr:
-    """The tester's guaranteed rejection rate for functions eps-far from
-    M-free, M of complexity 1 on k elements:
-    tau(eps) = 2^(-k*(W(ceil((4/eps)^(6k))) + 2)) * eps^k."""
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise InvalidInputError(f"eps must lie in (0, 1], got {eps}")
-    if k < 1:
-        raise InvalidInputError(f"the matroid needs k >= 1 elements, got {k}")
-    height = _ceil_fraction((4 / eps) ** (6 * k))
-    prefactor = eps ** k / Fraction(2) ** (2 * k)
-    return TowerExpr(height=height, w_coeff=k, prefactor=prefactor, variant="monotone")
-
-
-def nonmonotone_soundness_bound(eps, k: int, eta) -> TowerExpr:
-    """The cycle tester's bound for arbitrary Sigma (dense-coset case):
-    2^(-(k-1)*W(ceil(a^-3))) * (1-eta)^(k-2) * (2*eta-1), with
-    a = (1-eta)^k * eps^k / 2."""
-    eps, eta = Fraction(eps), Fraction(eta)
-    if not 0 < eps <= 1:
-        raise InvalidInputError(f"eps must lie in (0, 1], got {eps}")
-    if not Fraction(1, 2) < eta < 1:
-        raise InvalidInputError(f"eta must lie in (1/2, 1), got {eta}")
-    if k < 2:
-        raise InvalidInputError(f"the bound needs k >= 2, got {k}")
-    a = (1 - eta) ** k * eps ** k / 2
-    height = _ceil_fraction(a ** -3)
-    prefactor = (1 - eta) ** (k - 2) * (2 * eta - 1)
-    return TowerExpr(height=height, w_coeff=k - 1, prefactor=prefactor,
-                     variant="nonmonotone")
-
-
-@dataclass(frozen=True)
 class VonNeumannReport:
     lhs: Fraction
     rhs_fourth_power: Fraction
@@ -828,39 +761,3 @@ def von_neumann_gap(fs: Sequence[BooleanFunction], m: BinaryMatroid) -> VonNeuma
     rhs = round(float(rhs4) ** 0.25, 12)
     return VonNeumannReport(lhs=lhs, rhs_fourth_power=rhs4, rhs=rhs,
                             holds=lhs ** 4 <= rhs4)
-
-
-def reduce_function(f: BooleanFunction, sub: Subspace, a, b, eta=None,
-                    mode: str = "monotone") -> BooleanFunction:
-    """The rounding construction f^R, one row of boolfn's coset table
-    per coset of sub.
-
-    monotone mode: a-uniform cosets of density <= b are zeroed, other
-    a-uniform cosets are kept, non-uniform cosets are zeroed.
-    nonmonotone mode: a-uniform cosets round to 0 below density b and to
-    1 above 1-b; non-uniform cosets round to the majority side of the
-    threshold eta (1 iff density >= eta), with 1/2 < eta < 1.
-    """
-    if mode not in ("monotone", "nonmonotone"):
-        raise InvalidInputError(f"unknown rounding mode {mode!r}")
-    a, b = Fraction(a), Fraction(b)
-    if a < 0 or not 0 <= b <= 1:
-        raise InvalidInputError("thresholds must satisfy a >= 0, 0 <= b <= 1")
-    if mode == "nonmonotone":
-        if eta is None:
-            raise InvalidInputError("nonmonotone mode needs eta")
-        eta = Fraction(eta)
-        if not Fraction(1, 2) < eta < 1:
-            raise InvalidInputError(f"eta must lie in (1/2, 1), got {eta}")
-    idx, ones, uniform = _uniform_cosets(f, sub, a)
-    size = idx.shape[1]
-    # a coset with c ones has density <= x iff c <= floor(x*size), and < x
-    # iff c < ceil(x*size)
-    table = f.table.copy()
-    if mode == "monotone":
-        table[idx[~uniform | (ones <= math.floor(b * size))]] = 0
-    else:
-        low = ones < np.where(uniform, math.ceil(b * size), math.ceil(eta * size))
-        table[idx[low]] = 0
-        table[idx[~low & (~uniform | (ones > math.floor((1 - b) * size)))]] = 1
-    return BooleanFunction(f.n, table)

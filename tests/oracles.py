@@ -1,0 +1,113 @@
+"""Test oracles and fixtures: constructors and reference operations that
+the tests need and no command does, written as plain functions over the
+package's types."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from matroidlab.boolfn import BooleanFunction
+from matroidlab.errors import DimensionMismatchError, InvalidInputError
+from matroidlab.families import FamilyId, _family_tables, _free_by_weight
+from matroidlab.gf2 import GFVector, LinearMap, Subspace, rank_and_basis
+from matroidlab.tester import PatternSpec
+
+
+def from_ones(n: int, ones) -> BooleanFunction:
+    """The function on {0,1}^n that is 1 exactly at the point indices `ones`."""
+    table = np.zeros(1 << n, dtype=np.uint8)
+    for x in ones:
+        if not 0 <= x < (1 << n):
+            raise InvalidInputError(f"point {x} outside {{0,1}}^{n}")
+        table[x] = 1
+    return BooleanFunction(n, table)
+
+
+def constant(n: int, value: int) -> BooleanFunction:
+    return BooleanFunction(n, np.full(1 << n, 1 if value else 0, dtype=np.uint8))
+
+
+def from_table_int(n: int, key: int) -> BooleanFunction:
+    """The function whose value at point x is bit x of key."""
+    return BooleanFunction(n, [(key >> x) & 1 for x in range(1 << n)])
+
+
+def table_int(f: BooleanFunction) -> int:
+    """The table packed into one int: bit ix(x) = f(x)."""
+    return sum(1 << int(x) for x in np.flatnonzero(f.table))
+
+
+def complement(f: BooleanFunction) -> BooleanFunction:
+    return BooleanFunction(f.n, 1 - f.table)
+
+
+def pattern_complement(sigma: PatternSpec) -> PatternSpec:
+    return PatternSpec(tuple(1 - b for b in sigma.sigma))
+
+
+def index_int(sigma: PatternSpec) -> int:
+    """sigma packed little-endian: bit i = sigma[i]."""
+    return sum(b << i for i, b in enumerate(sigma.sigma))
+
+
+def reduce(sub: Subspace, v: GFVector) -> GFVector:
+    """Canonical coset representative of v (all pivot bits of sub cleared)."""
+    if v.dim != sub.ambient_dim:
+        raise DimensionMismatchError(f"dim {v.dim} vs ambient {sub.ambient_dim}")
+    w = v.bits
+    for b in sub.basis:
+        if w >> (b.bits.bit_length() - 1) & 1:
+            w ^= b.bits
+    return GFVector(sub.ambient_dim, w)
+
+
+def contains(sub: Subspace, v: GFVector) -> bool:
+    return reduce(sub, v).bits == 0
+
+
+def in_span(v: GFVector, vectors) -> bool:
+    return contains(rank_and_basis(vectors, v.dim)[1], v)
+
+
+def apply(lmap: LinearMap, x: GFVector) -> GFVector:
+    """L(x): the XOR of the images of the basis vectors set in x."""
+    if x.dim != lmap.domain_dim:
+        raise DimensionMismatchError(f"dim {x.dim} vs domain {lmap.domain_dim}")
+    bits = 0
+    for j, image in enumerate(lmap.images):
+        if x.bits >> j & 1:
+            bits ^= image.bits
+    return GFVector(lmap.images[0].dim, bits)
+
+
+def random_nonsingular_map(n: int, rng) -> LinearMap:
+    """A uniformly random invertible map on {0,1}^n (rejection sampling)."""
+    while True:
+        images = tuple(GFVector(n, int(rng.integers(0, 1 << n))) for _ in range(n))
+        if rank_and_basis(images, dim=n)[0] == n:
+            return LinearMap(n, images)
+
+
+def gaussian_binomial(n: int, d: int) -> int:
+    """Number of d-dimensional subspaces of {0,1}^n (product formula)."""
+    if not 0 <= d <= n:
+        return 0
+    num = den = 1
+    for i in range(d):
+        num *= (1 << n) - (1 << i)
+        den *= (1 << d) - (1 << i)
+    return num // den
+
+
+def family_members(n: int, fam: FamilyId) -> frozenset[BooleanFunction]:
+    """The members of one family on {0,1}^n, for n <= 4."""
+    return frozenset(from_table_int(n, t) for t in _family_tables(n)[fam])
+
+
+def enumerate_free_functions(n: int, k: int, sigma: PatternSpec) -> frozenset[BooleanFunction]:
+    """All (C_k, Sigma)-free functions on {0,1}^n, read off the table
+    that `characterize` reads."""
+    if sigma.k != k:
+        raise InvalidInputError(f"sigma length {sigma.k} does not match k={k}")
+    free = _free_by_weight(n, k)[sigma.ones_count]
+    return frozenset(from_table_int(n, t) for t in np.flatnonzero(free).tolist())

@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from matroidlab import boolfn
-from matroidlab.boolfn import (BooleanFunction, _butterfly, _uniform_cosets, coset_indices,
-                               random_function, regularity_decompose,
-                               uniform_coset_fraction, wht)
+from matroidlab.boolfn import (BooleanFunction, _butterfly, coset_indices, random_function,
+                               regularity_decompose, uniform_coset_fraction, wht)
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from matroidlab.gf2 import GFVector, enumerate_subspaces, rank_and_basis
-from matroidlab.tester import reduce_function
-
-
-def f_ones(n, ones):
-    return BooleanFunction.from_ones(n, ones)
+from oracles import constant, from_ones, reduce
 
 
 def whole(n):
@@ -25,37 +20,20 @@ def random_subspace(n, rng):
     return rank_and_basis(vecs, dim=n)[1]
 
 
-def reference_cosets(f, sub, eps):
-    """(points, density, eps-uniform) per coset, reps ascending, without
-    the coset table: points are grouped by sub.reduce, and a point x of
-    a coset sits at position h = sum_i x_{pivot_i} 2^i, its coordinates
-    over the RREF basis; one wht per coset."""
+def reference_uniform_fraction(f, sub, eps):
+    """The fraction of cosets on which f is eps-uniform, without the
+    coset table: points are grouped by `reduce`, and a point x of a coset
+    sits at position h = sum_i x_{pivot_i} 2^i, its coordinates over the
+    RREF basis; one wht per coset."""
     classes = {}
     for x in range(1 << f.n):
-        rep = sub.reduce(GFVector(f.n, x)).bits
+        rep = reduce(sub, GFVector(f.n, x)).bits
         h = sum((x >> p & 1) << i for i, p in enumerate(sub.pivots))
         classes.setdefault(rep, [None] * (1 << sub.dim))[h] = x
-    out = []
-    for rep in sorted(classes):
-        g = BooleanFunction(sub.dim, f.table[classes[rep]])
-        size = 1 << sub.dim
-        out.append((classes[rep], Fraction(g.ones_count(), size),
-                    Fraction(wht(g).max_abs_nonzero(), size) <= eps))
-    return out
-
-
-def reference_reduce(f, sub, a, b, eta, mode):
-    table = f.table.copy()
-    for points, mu, uniform in reference_cosets(f, sub, a):
-        if mode == "monotone":
-            value = 0 if not uniform or mu <= b else None
-        elif uniform:
-            value = 0 if mu < b else 1 if mu > 1 - b else None
-        else:
-            value = 1 if mu >= eta else 0
-        if value is not None:
-            table[points] = value
-    return BooleanFunction(f.n, table)
+    size = 1 << sub.dim
+    uniform = [Fraction(wht(BooleanFunction(sub.dim, f.table[points])).max_abs_nonzero(), size)
+               <= eps for points in classes.values()]
+    return Fraction(sum(uniform), len(uniform))
 
 
 def test_table_validation():
@@ -66,10 +44,10 @@ def test_table_validation():
 
 
 def test_wht_examples():
-    assert list(wht(BooleanFunction.constant(3, 0)).coeffs) == [0] * 8
-    assert list(wht(BooleanFunction.constant(2, 1)).coeffs) == [4, 0, 0, 0]
+    assert list(wht(constant(3, 0)).coeffs) == [0] * 8
+    assert list(wht(constant(2, 1)).coeffs) == [4, 0, 0, 0]
     # ones {01, 10}: coordinate strings, i.e. indices 2 and 1
-    s = wht(f_ones(2, [1, 2]))
+    s = wht(from_ones(2, [1, 2]))
     by_alpha = {GFVector(2, a).to_bits(): s.coeff(a) for a in range(4)}
     assert (by_alpha["00"], by_alpha["01"], by_alpha["10"], by_alpha["11"]) == (2, 0, 0, -2)
 
@@ -123,24 +101,15 @@ def test_random_function_rejects_bad_n_before_drawing():
     assert rng.bit_generator.state == np.random.Generator(np.random.PCG64(41)).bit_generator.state
 
 
-def test_density_examples():
-    # the ones column of the coset table, one entry per coset
-    for f, ones in ((BooleanFunction.constant(3, 0), [0]), (BooleanFunction.constant(3, 1), [8]),
-                    (f_ones(2, [1, 2]), [2])):
-        assert list(_uniform_cosets(f, whole(f.n), Fraction(0))[1]) == ones
-    _, diag = rank_and_basis([GFVector.from_bits("11")])
-    assert list(_uniform_cosets(f_ones(2, [1, 2]), diag, Fraction(0))[1]) == [0, 2]
-
-
 def test_is_uniform_examples():
-    assert uniform_coset_fraction(BooleanFunction.constant(4, 1), whole(4), 0) == 1
-    f = f_ones(2, [1, 2])
+    assert uniform_coset_fraction(constant(4, 1), whole(4), 0) == 1
+    f = from_ones(2, [1, 2])
     assert uniform_coset_fraction(f, whole(2), Fraction(1, 4)) == 0
     assert uniform_coset_fraction(f, whole(2), Fraction(1, 2)) == 1
 
 
 def test_restriction_examples():
-    f = f_ones(2, [1, 2])
+    f = from_ones(2, [1, 2])
     assert np.array_equal(f.table[coset_indices(whole(2))], [f.table])
 
     _, point = rank_and_basis([], dim=2)
@@ -159,7 +128,7 @@ def test_restriction_matches_direct_evaluation():
         f = random_function(n, rng)
         sub = random_subspace(n, rng)
         idx = coset_indices(sub)
-        rep = sub.reduce(GFVector(n, int(rng.integers(0, 1 << n)))).bits
+        rep = reduce(sub, GFVector(n, int(rng.integers(0, 1 << n)))).bits
         row = int(np.searchsorted(idx[:, 0], rep))
         assert idx[row, 0] == rep
         values = f.table[idx[row]]
@@ -199,7 +168,7 @@ def test_coset_indices_partition():
         assert starts == sorted(starts)
         for start, row in zip(starts, idx.tolist()):
             assert all(start >> p & 1 == 0 for p in sub.pivots)
-            assert {sub.reduce(GFVector(n, x)).bits for x in row} == {start}
+            assert {reduce(sub, GFVector(n, x)).bits for x in row} == {start}
 
 
 def test_uniform_fraction_matches_reference_every_small_subspace():
@@ -209,8 +178,7 @@ def test_uniform_fraction_matches_reference_every_small_subspace():
             for sub in enumerate_subspaces(n, codim):
                 f = random_function(n, rng, density=float(rng.random()))
                 for eps in (0, Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), 1):
-                    ref = reference_cosets(f, sub, eps)
-                    want = Fraction(sum(u for _, _, u in ref), len(ref))
+                    want = reference_uniform_fraction(f, sub, eps)
                     assert uniform_coset_fraction(f, sub, eps) == want
 
 
@@ -221,31 +189,15 @@ def test_uniform_fraction_matches_reference_random_subspaces():
             f = random_function(n, rng, density=float(rng.random()))
             sub = random_subspace(n, rng)
             for eps in (0, Fraction(1, 16), Fraction(1, 3), Fraction(1, 2)):
-                ref = reference_cosets(f, sub, eps)
-                want = Fraction(sum(u for _, _, u in ref), len(ref))
+                want = reference_uniform_fraction(f, sub, eps)
                 assert uniform_coset_fraction(f, sub, eps) == want
 
 
-def test_reduce_function_matches_reference():
-    rng = np.random.Generator(np.random.PCG64(53))
-    for _ in range(150):
-        n = int(rng.integers(1, 7))
-        f = random_function(n, rng, density=float(rng.random()))
-        sub = random_subspace(n, rng)
-        a = Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 9)))
-        b = Fraction(int(rng.integers(0, 9)), 8)
-        eta = Fraction(int(rng.integers(9, 16)), 16)
-        for mode, e in (("monotone", None), ("nonmonotone", eta)):
-            assert reduce_function(f, sub, a, b, e, mode) == reference_reduce(f, sub, a, b, e, mode)
-
-
 def test_coset_table_checks_ambient_dimension():
-    f = BooleanFunction.constant(3, 1)
+    f = constant(3, 1)
     for sub in (whole(2), whole(4)):
         with pytest.raises(DimensionMismatchError):
             uniform_coset_fraction(f, sub, Fraction(1, 4))
-        with pytest.raises(DimensionMismatchError):
-            reduce_function(f, sub, Fraction(1, 4), Fraction(1, 4))
 
 
 def test_regularity_one_butterfly_per_subspace(monkeypatch):
@@ -270,12 +222,12 @@ def test_regularity_one_butterfly_per_subspace(monkeypatch):
 
 
 def test_regularity_constant():
-    sub, frac = regularity_decompose(BooleanFunction.constant(3, 1), Fraction(1, 8))
+    sub, frac = regularity_decompose(constant(3, 1), Fraction(1, 8))
     assert sub.codim == 0 and frac == 1
 
 
 def test_regularity_parity_indicator():
-    f = f_ones(2, [1, 2])  # indicator of x_0 + x_1 = 1
+    f = from_ones(2, [1, 2])  # indicator of x_0 + x_1 = 1
     sub, frac = regularity_decompose(f, Fraction(1, 4))
     assert sub.codim == 1
     assert [b.to_bits() for b in sub.basis] == ["11"]
@@ -297,16 +249,16 @@ def test_regularity_minimality_rescan():
 
 def test_regularity_caps():
     with pytest.raises(BudgetExceededError):
-        regularity_decompose(BooleanFunction.constant(9, 0), Fraction(1, 2))
+        regularity_decompose(constant(9, 0), Fraction(1, 2))
     with pytest.raises(InvalidInputError):
-        regularity_decompose(BooleanFunction.constant(0, 1), Fraction(1, 2))
-    f = BooleanFunction.from_ones(2, [0])
+        regularity_decompose(constant(0, 1), Fraction(1, 2))
+    f = from_ones(2, [0])
     with pytest.raises(InvalidInputError):
         regularity_decompose(f, Fraction(1, 4), max_codim=5)
 
 
 def test_regularity_respects_max_codim():
     # the parity indicator needs codimension 1, so max_codim=0 must fail
-    f = f_ones(2, [1, 2])
+    f = from_ones(2, [1, 2])
     with pytest.raises(BudgetExceededError):
         regularity_decompose(f, Fraction(1, 4), max_codim=0)

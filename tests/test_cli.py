@@ -18,6 +18,7 @@ from matroidlab.errors import InvalidInputError
 from matroidlab.fileio import save_function, save_graph, save_matroid
 from matroidlab.matroid import (canonical_function, cycle_graph, graphic_from_graph,
                                 named_graph)
+from oracles import constant
 
 SRC = str(Path(matroidlab.__file__).resolve().parents[1])
 
@@ -71,7 +72,7 @@ def test_free_exit_codes(workdir):
 
 def test_budget_exit_code(workdir):
     save_matroid(workdir / "k5.matroid", graphic_from_graph(named_graph("k5")))
-    save_function(workdir / "big.boolfn", BooleanFunction.constant(8, 1))
+    save_function(workdir / "big.boolfn", constant(8, 1))
     r = run_cli("free", "--function", str(workdir / "big.boolfn"),
                 "--matroid", str(workdir / "k5.matroid"), "--sigma", "1111111111")
     assert r.returncode == 3
@@ -348,6 +349,21 @@ def test_test_budget_reaches_exact_density(workdir, capsys, monkeypatch):
     assert seen == [12, 6, 6]
 
 
+@pytest.mark.parametrize("extra, code, message", [
+    (["-n", "16"], 3, "budget exceeded: n*rank = 32 exceeds exhaustive budget 30\n"),
+    (["-n", "6", "--budget", "-1"], 4, "error: budget must be nonnegative, got -1\n"),
+    (["-n", "6", "--sigma", "11"], 4,
+     "error: sigma length 2 does not match matroid size 3\n"),
+], ids=("over-budget", "negative-budget", "bad-sigma"))
+def test_calibrate_refuses_before_listing_ones(capsys, monkeypatch, extra, code, message):
+    def unreachable(self):
+        raise AssertionError("ones() listed before the refusal")
+
+    monkeypatch.setattr(BooleanFunction, "ones", unreachable)
+    assert main(["test", "--calibrate", "--samples", "10", *extra]) == code
+    assert capsys.readouterr().err == message
+
+
 def test_writer_rejects_missing_out_before_work(workdir, capsys):
     tracemalloc.start()
     try:
@@ -364,7 +380,7 @@ def test_writer_rejects_missing_out_before_work(workdir, capsys):
 def c5_at_n16(workdir):
     """The constant-1 function at n = 16 on C_5 (rank 4): n*rank = 64."""
     save_matroid(workdir / "c5.matroid", graphic_from_graph(cycle_graph(5)))
-    save_function(workdir / "one16.boolfn", BooleanFunction.constant(16, 1))
+    save_function(workdir / "one16.boolfn", constant(16, 1))
     return ["--function", str(workdir / "one16.boolfn"), "--matroid",
             str(workdir / "c5.matroid"), "--sigma", "11111", "--budget", "64"]
 

@@ -3,20 +3,19 @@ from functools import lru_cache
 import pytest
 
 import matroidlab.families as families
-from matroidlab.boolfn import BooleanFunction
 from matroidlab.cli import main
 from matroidlab.errors import InvalidInputError
-from matroidlab.families import (COMPLEMENT_PAIR, FamilyId, classify_sigma,
-                                 enumerate_free_functions, family_members,
-                                 verify_characterization)
-from matroidlab.gf2 import gaussian_binomial
+from matroidlab.families import COMPLEMENT_PAIR, FamilyId, classify_sigma, verify_characterization
 from matroidlab.matroid import cycle_graph, graphic_from_graph
-from matroidlab.tester import PatternSpec, count_patterns, find_pattern
+from matroidlab.tester import PatternSpec, find_pattern
+from oracles import (complement, constant, enumerate_free_functions, family_members,
+                     from_ones, from_table_int, gaussian_binomial, index_int,
+                     pattern_complement, table_int)
 
 
 @lru_cache(maxsize=None)
 def all_functions(n):
-    return tuple(BooleanFunction.from_table_int(n, t) for t in range(1 << (1 << n)))
+    return tuple(from_table_int(n, t) for t in range(1 << (1 << n)))
 
 
 def all_sigmas(k):
@@ -28,7 +27,7 @@ def all_sigmas(k):
 
 def achieved_patterns(f, k):
     """Bitmask of value patterns achieved by zero-sum k-tuples in f: bit
-    sigma.index_int() is set iff f contains (C_k, sigma).
+    index_int(sigma) is set iff f contains (C_k, sigma).
 
     Dynamic program over tuple prefixes: level j maps each partial XOR s
     to the bitmask of value prefixes reachable by j points summing to s;
@@ -60,12 +59,8 @@ def dp_masks(n, k):
 
 def dp_free(n, k, s, masks=dp_masks):
     """The (C_k, s)-free functions on {0,1}^n, read off the DP masks."""
-    bit = s.index_int()
+    bit = index_int(s)
     return frozenset(f for f, mask in zip(all_functions(n), masks(n, k)) if not mask >> bit & 1)
-
-
-def f_ones(n, ones):
-    return BooleanFunction.from_ones(n, ones)
 
 
 def sigma(s):
@@ -94,14 +89,14 @@ BAR_OF = {FamilyId.LIN_BAR: FamilyId.LIN, FamilyId.AFF_BAR: FamilyId.AFF,
 
 def family_contains(f, fam):
     if fam in BAR_OF:
-        return family_contains(f.complement(), BAR_OF[fam])
+        return family_contains(complement(f), BAR_OF[fam])
     ones = set(f.ones())
     if fam is FamilyId.CONST:
         return len(ones) in (0, 1 << f.n)
     if fam is FamilyId.LIN:
         return len(ones) == 1 << f.n or is_linear_form(f)
     if fam is FamilyId.AFF:
-        return is_linear_form(f) or is_linear_form(f.complement())
+        return is_linear_form(f) or is_linear_form(complement(f))
     if fam is FamilyId.FLIN:
         return not ones or is_subspace(ones)
     assert fam is FamilyId.FAFF
@@ -132,22 +127,22 @@ def test_family_members_refuse_n_past_4():
 
 
 def test_family_membership_examples():
-    xor = f_ones(2, [1, 2])
+    xor = from_ones(2, [1, 2])
     assert xor in family_members(2, FamilyId.LIN)
     assert xor not in family_members(2, FamilyId.CONST)
 
-    point0 = f_ones(2, [0])
+    point0 = from_ones(2, [0])
     assert point0 in family_members(2, FamilyId.FLIN)
     assert point0 not in family_members(2, FamilyId.LIN)
 
-    point01 = f_ones(2, [2])
+    point01 = from_ones(2, [2])
     assert point01 in family_members(2, FamilyId.FAFF)
     assert point01 not in family_members(2, FamilyId.FLIN)
 
 
 def test_family_constants_and_bars():
-    one = BooleanFunction.constant(3, 1)
-    zero = BooleanFunction.constant(3, 0)
+    one = constant(3, 1)
+    zero = constant(3, 0)
     for f in (one, zero):
         assert f in family_members(3, FamilyId.CONST)
         assert f in family_members(3, FamilyId.LIN)
@@ -162,7 +157,7 @@ def test_complement_pairing_invariant():
     for n in range(4):
         for fam, paired in COMPLEMENT_PAIR.items():
             assert family_members(n, paired) == frozenset(
-                f.complement() for f in family_members(n, fam))
+                complement(f) for f in family_members(n, fam))
 
 
 def test_family_closure_invariants():
@@ -203,28 +198,26 @@ def test_classify_duality():
     for k in (3, 4, 5, 6):
         for bits in range(1, (1 << k) - 1):
             s = PatternSpec(tuple(bits >> i & 1 for i in range(k)))
-            assert classify_sigma(s.complement()) is COMPLEMENT_PAIR[classify_sigma(s)]
+            assert classify_sigma(pattern_complement(s)) is COMPLEMENT_PAIR[classify_sigma(s)]
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in (0, 1, 2) for k in (3, 4, 5)]
                          + [(3, 3), (3, 4)])
 def test_free_by_weight_against_find_pattern(n, k):
     # the weight table and the DP against the generic exhaustive searcher,
-    # every function and every Sigma, monochromatic ones included; at
-    # n = 0 a witness has no GFVector, so the exact count stands in
+    # every function and every Sigma, monochromatic ones included
     m = graphic_from_graph(cycle_graph(k))
     table = families._free_by_weight(n, k)
     for f, mask in zip(all_functions(n), dp_masks(n, k)):
         for s in all_sigmas(k):
-            free = (count_patterns(f, m, s).span_count == 0 if n == 0
-                    else find_pattern(f, m, s) is None)
-            assert table[s.ones_count, f.table_int()] == free, (f, s)
-            assert (not mask >> s.index_int() & 1) == free, (f, s)
+            free = find_pattern(f, m, s) is None
+            assert table[s.ones_count, table_int(f)] == free, (f, s)
+            assert (not mask >> index_int(s) & 1) == free, (f, s)
 
 
 def test_enumerate_free_examples():
     free = enumerate_free_functions(2, 3, sigma("111"))
-    assert BooleanFunction.constant(2, 0) in free
+    assert constant(2, 0) in free
     assert all(f.value(0) == 0 for f in free)
 
     free = enumerate_free_functions(2, 3, sigma("110"))
@@ -241,7 +234,7 @@ def test_enumerate_free_budget():
     assert families._free_by_weight(4, 14).shape == (15, 1 << 16)
     # an even cycle of one repeated point: only the zero function avoids all ones
     assert enumerate_free_functions(4, 14, PatternSpec.all_ones(14)) == {
-        BooleanFunction.constant(4, 0)}
+        constant(4, 0)}
     with pytest.raises(InvalidInputError, match="k <= 14"):
         enumerate_free_functions(4, 15, PatternSpec.all_ones(15))
     for k in (3, 14):
@@ -254,8 +247,8 @@ def test_complement_duality_of_free_sets():
         for bits in range(1, (1 << k) - 1):
             s = PatternSpec(tuple(bits >> i & 1 for i in range(k)))
             free = enumerate_free_functions(2, k, s)
-            free_bar = enumerate_free_functions(2, k, s.complement())
-            assert free_bar == frozenset(f.complement() for f in free)
+            free_bar = enumerate_free_functions(2, k, pattern_complement(s))
+            assert free_bar == frozenset(complement(f) for f in free)
 
 
 def test_sigma_permutation_invariance_of_free_sets():
@@ -288,13 +281,13 @@ def reference_characterization(n, k, masks=dp_masks):
         diff = free ^ members[fam]
         verdicts.append({"sigma": str(s), "family": fam.value, "free_count": len(free),
                          "predicted_count": len(members[fam]), "match": not diff,
-                         "counterexamples": sorted(f.table_int() for f in diff)})
+                         "counterexamples": sorted(table_int(f) for f in diff)})
         for pad in ((0, 0), (1, 1)):
             padded = PatternSpec(s.sigma + pad)
             outside = dp_free(n, k + 2, padded, masks) - free
             if outside:
                 failures.append(f"(C_{k + 2},{padded})-free not within (C_{k},{s})-free: "
-                                f"{sorted(f.table_int() for f in outside)}")
+                                f"{sorted(table_int(f) for f in outside)}")
     return {"n": n, "k": k, "mismatches": sum(not v["match"] for v in verdicts) + len(failures),
             "containment_failures": failures, "sigma_verdicts": verdicts}
 
@@ -310,7 +303,7 @@ def test_verify_characterization_reports_disagreements(monkeypatch):
     # that hold every function give containment failures
     table = families._free_by_weight
     monkeypatch.setattr(families, "classify_sigma",
-                        lambda s: list(FamilyId)[s.index_int() % len(FamilyId)])
+                        lambda s: list(FamilyId)[index_int(s) % len(FamilyId)])
     monkeypatch.setattr(families, "_free_by_weight",
                         lambda n, k: table(n, k) if k == 3 else table(n, k) | True)
     doc = verify_characterization(2, 3).to_dict()

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroidlab.boolfn import random_function
-from matroidlab.errors import FormatError
+from matroidlab.errors import FormatError, MatroidLabError
 from matroidlab.fileio import (parse_function, parse_graph, parse_matroid,
                                serialize_function, serialize_graph, serialize_matroid)
 from matroidlab.gf2 import GFVector
@@ -91,3 +93,44 @@ def test_graph_errors():
     with pytest.raises(FormatError) as e:
         parse_graph("graph v1\nV=33\ne 0 1\n")
     assert e.value.line == 2
+
+
+# Text built from each format's tokens: its magic line, a size line,
+# then body lines, each line swapped one time in four for junk (the
+# other formats' tokens and characters that str methods treat
+# specially: a non-ASCII digit, a letter whose lowercase form is
+# longer). Sizes run past the caps or are not integers.
+NUMS = st.one_of(st.integers(0, 3), st.integers(-1, 34), st.just(10 ** 20)).map(str) \
+    | st.sampled_from(("x", "1.5", "\u0663"))
+JUNK = st.lists(st.sampled_from(("boolfn v1", "matroid v1", "graph v1", "n=", "m=", "k=",
+                                 "V=", "table=", "e", " ", "\t", "-", "0", "1", "24", "33",
+                                 "ff", "A6", "G", "\u0663", "\u0130", "\x00")),
+                max_size=5).map("".join)
+
+
+def or_junk(lines):
+    return st.tuples(st.booleans(), st.booleans(), lines, JUNK).map(
+        lambda t: t[3] if t[0] and t[1] else t[2])
+
+
+FORMATS = [
+    (parse_function, "boolfn v1", st.builds("n={}".format, NUMS),
+     st.builds("table={}".format, st.text("0136af", min_size=1, max_size=4))),
+    (parse_matroid, "matroid v1", st.builds("m={} k={}".format, NUMS, NUMS),
+     st.text("01", min_size=1, max_size=4)),
+    (parse_graph, "graph v1", st.builds("V={}".format, NUMS),
+     st.builds("e {} {}".format, NUMS, NUMS)),
+]
+
+
+@pytest.mark.parametrize("parse, magic, size, line", FORMATS,
+                         ids=("function", "matroid", "graph"))
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parsers_refuse_only_with_package_errors(parse, magic, size, line, data):
+    head = data.draw(or_junk(size))
+    body = data.draw(st.lists(or_junk(line), max_size=6))
+    try:
+        parse("\n".join([magic, head, *body]) + data.draw(st.sampled_from(("", "\n"))))
+    except MatroidLabError:
+        pass

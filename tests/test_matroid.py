@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import matroidlab.matroid as matroid
-from matroidlab.boolfn import BooleanFunction
 from matroidlab.errors import BudgetExceededError, InvalidInputError
-from matroidlab.gf2 import GFVector, in_span, random_nonsingular_map
+from matroidlab.gf2 import GFVector
 from matroidlab.matroid import (BinaryMatroid, Graph, Homomorphism, canonical_function,
                                 circuits, cog_endpoint_partition_criterion,
                                 cog_partition_criterion, cographic_from_graph,
@@ -17,6 +16,7 @@ from matroidlab.matroid import (BinaryMatroid, Graph, Homomorphism, canonical_fu
                                 find_homomorphism, graphic_from_graph,
                                 has_complexity_one, named_graph, odd_girth, path_graph,
                                 petersen_graph, verify_homomorphism)
+from oracles import apply, from_ones, in_span, random_nonsingular_map
 
 
 def brute_circuits(m: BinaryMatroid):
@@ -497,7 +497,7 @@ def test_canonical_function_matches_list_definition():
     for m in [graphic_from_graph(named_graph(g)) for g in ("c3", "c5", "k4", "petersen")] + [twice]:
         for n in (m.m, m.m + 1, m.m + 4):
             ones = [v | (y << m.m) for y in range(1 << (n - m.m)) for v in sorted(set(m.ints))]
-            assert canonical_function(m, n) == BooleanFunction.from_ones(n, ones)
+            assert canonical_function(m, n) == from_ones(n, ones)
 
 
 def test_canonical_function_duplicates_collapse():
@@ -514,7 +514,7 @@ def test_representation_invariance():
     for _ in range(50):
         for base in (base_c5, base_k4):
             t = random_nonsingular_map(base.m, rng)
-            moved = BinaryMatroid([t.apply(v) for v in base.vectors])
+            moved = BinaryMatroid([apply(t, v) for v in base.vectors])
             assert circuits(moved) == circuits(base)
             assert odd_girth(moved) == odd_girth(base)
             assert complexity(moved) == complexity(base)

@@ -7,6 +7,16 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "matroidlab"
+PERFBENCH = TESTS.parent / "perfbench"
+
+# Definitions no command reaches that stay in the library, each with its
+# reason. They are roots of the reachability walk, so the private helpers
+# they read are reached through them.
+REACH_ALLOWLIST = {
+    "matroid.complexity_at": "acceptance criteria 2b/2c, README",
+    "matroid.cog_partition_criterion": "acceptance criteria 2b/2c, README",
+    "matroid.cog_endpoint_partition_criterion": "acceptance criteria 2b/2c, README",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,41 +45,118 @@ def test_top_level_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def _defined(node: ast.stmt) -> list[str]:
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return [node.name]
-    if isinstance(node, ast.Assign):
-        return [t.id for t in node.targets if isinstance(t, ast.Name)]
-    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-        return [node.target.id]
-    return []
+def _reads(nodes) -> tuple[set[str], set[str]]:
+    """The names loaded and the attributes accessed anywhere in nodes."""
+    names, attrs = set(), set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                attrs.add(n.attr)
+    return names, attrs
 
 
-def _read(node: ast.stmt) -> set[str]:
-    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)
-             and isinstance(n.ctx, ast.Load)}
-            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+def unreached(sources: dict[str, str], outside=(), allow=()) -> list[str]:
+    """Qualified names of the top-level functions, classes, methods and
+    module constants of the package modules `sources` (module name ->
+    source) that no root reaches.
+
+    The roots are `cli.main`, the top-level statements of `cli` other
+    than function and class definitions (constants, the parser table,
+    the `__main__` guard), the qualified names in `allow`, and what the
+    programs `outside` read: the sources of code that uses the package
+    from outside, such as the benchmark. A name or attribute they read
+    reaches a top-level definition of that name in any module.
+
+    From each reached definition the walk follows what its body reads:
+    a name loaded resolves to the module's own top-level definition or,
+    through its `from .x import`, to module x's. A method is reached by
+    an attribute of its name, but only once its class is reached; a
+    reached class brings its dunder methods, bases, decorators and
+    non-method body with it.
+
+    Attributes are matched by name alone, whatever object they are read
+    from, so the walk can only over-count: `BooleanFunction.value`, for
+    one, counts as reached because `families` reads `FamilyId.value`.
+    """
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs: dict[str, ast.AST] = {}     # qualified name -> its definition
+    imports: dict[str, dict[str, str]] = {}
+    roots = []
+    for module, source in sources.items():
+        imports[module] = {}
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for a in node.names:
+                    imports[module][a.asname or a.name] = f"{node.module or '__init__'}.{a.name}"
+            elif isinstance(node, (*functions, ast.ClassDef)):
+                defs[f"{module}.{node.name}"] = node
+                if isinstance(node, ast.ClassDef):
+                    defs.update((f"{module}.{node.name}.{s.name}", s)
+                                for s in node.body if isinstance(s, functions))
+            elif module == "cli":
+                roots.append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs.update((f"{module}.{t.id}", node) for t in targets if isinstance(t, ast.Name))
+    attrs: set[str] = set()
+    used: set[str] = set()
+    for source in outside:
+        tree = ast.parse(source)
+        names, read = _reads([tree])
+        attrs |= read
+        used |= names | read | {a.name for n in ast.walk(tree)
+                                if isinstance(n, ast.ImportFrom) for a in n.names}
+    todo = ["cli.main", *allow, *(q for q in defs if q.count(".") == 1
+                                  and q.split(".")[1] in used)]
+
+    def visit(module: str, nodes) -> None:
+        names, read = _reads(nodes)
+        attrs.update(read)
+        todo.extend(imports[module].get(name, f"{module}.{name}") for name in names)
+
+    visit("cli", roots)
+    reached: set[str] = set()
+    while todo:
+        q = todo.pop()
+        node = defs.get(q)
+        if q not in reached and node is not None:
+            reached.add(q)
+            body = [node]
+            if isinstance(node, ast.ClassDef):
+                body = [*node.decorator_list, *node.bases, *node.keywords,
+                        *(s for s in node.body if not isinstance(s, functions))]
+            visit(q.split(".")[0], body)
+        if not todo:      # methods whose class is reached and whose name is read
+            todo = [q for q in defs if q.count(".") == 2 and q not in reached
+                    and q.rsplit(".", 1)[0] in reached
+                    and (q.split(".")[2] in attrs or q.endswith("__"))]
+    return sorted(q for q in defs if q not in reached)
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Private names (one leading underscore) defined at the top level of
-    a module that no other top-level statement of any of the modules
-    reads, by name or as an attribute."""
-    stmts = [(module, node) for module, source in sources.items()
-             for node in ast.parse(source).body]
-    reads = [_read(node) for _, node in stmts]
-    return [f"{module}.{name}" for i, (module, node) in enumerate(stmts)
-            for name in _defined(node)
-            if name.startswith("_") and not name.startswith("__")
-            and not any(name in r for j, r in enumerate(reads) if j != i)]
+def test_unreached_detector():
+    chain = "def enumerate_span():\n    return _ref_basis()\n\ndef _ref_basis():\n    pass\n"
+    cli = "from .gf2 import rank\n\ndef main():\n    rank()\n"
+    gf2 = "def rank():\n    pass\n\n" + chain
+    assert unreached({"cli": cli, "gf2": gf2}) == ["gf2._ref_basis", "gf2.enumerate_span"]
+    read = cli.replace("rank", "enumerate_span")
+    assert unreached({"cli": read, "gf2": gf2}) == ["gf2.rank"]
+    assert unreached({"cli": cli, "gf2": gf2}, outside=["enumerate_span\n"]) == []
+    assert unreached({"cli": cli, "gf2": gf2}, allow=["gf2.enumerate_span"]) == []
 
 
-def test_unread_private_names_detector():
-    sources = {"a": "_X = 1\ndef _f():\n    return _f()\ndef _g():\n    pass\n",
-               "b": "from .a import _g\n_h: int = 2\nprint(_g(), m._h, __name__)\n"}
-    assert unread_private_names(sources) == ["a._X", "a._f"]
+def test_unreached_detector_methods():
+    cli = ("from .m import C\n\ndef main():\n    C().f\n\nLIMIT = 3\n\n"
+           "if __name__ == '__main__':\n    main()\n")
+    m = ("K = 2\n\nclass C:\n    size: int = K\n\n    def __init__(self):\n        pass\n\n"
+         "    def f(self):\n        return self.g()\n\n    def g(self):\n        pass\n\n"
+         "    def h(self):\n        pass\n\n"
+         "class D:\n    def f(self):\n        pass\n")
+    assert unreached({"cli": cli, "m": m}) == ["m.C.h", "m.D", "m.D.f"]
 
 
-def test_private_top_level_names_are_read():
+def test_library_is_reached_from_the_cli_and_the_benchmark():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    assert unread_private_names(sources) == []
+    outside = [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.glob("*.py"))]
+    assert unreached(sources, outside, REACH_ALLOWLIST) == []

@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 from matroidlab import tester
-from matroidlab.boolfn import (WHT_MAX_N, BooleanFunction, random_function,
-                               uniform_coset_fraction)
+from matroidlab.boolfn import WHT_MAX_N, BooleanFunction, random_function
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from matroidlab.gf2 import GFVector, rank_and_basis
+from matroidlab.gf2 import GFVector
 from matroidlab.matroid import (BinaryMatroid, canonical_function, cographic_from_graph,
                                 complete_bipartite_graph, complete_graph, cycle_graph,
                                 graphic_from_graph, named_graph)
 from matroidlab.tester import (PatternSpec, brute_force_cycle_count, count_patterns,
                                cycle_count_fourier, enumerate_instances, find_pattern,
-                               min_repair_distance, nonmonotone_soundness_bound,
-                               pattern_hitting_number, reduce_function, run_tester,
-                               soundness_bound, von_neumann_gap)
+                               min_repair_distance, pattern_hitting_number, run_tester,
+                               von_neumann_gap)
+from oracles import (apply, complement, constant, from_ones, from_table_int, index_int,
+                     pattern_complement, table_int)
 
 C3 = graphic_from_graph(cycle_graph(3))
 S111 = PatternSpec.all_ones(3)
@@ -37,22 +37,33 @@ def brute_triangle_count(f, sigma):
 def test_pattern_spec():
     s = PatternSpec.from_string("0110")
     assert s.k == 4 and s.ones_count == 2 and s.zeros_count == 2
-    assert s.index_int() == 0b0110
-    assert str(s.complement()) == "1001"
+    assert index_int(s) == 0b0110
+    assert str(pattern_complement(s)) == "1001"
     with pytest.raises(InvalidInputError):
         PatternSpec.from_string("012")
 
 
 def test_find_pattern_zero_map():
-    f = BooleanFunction.from_ones(2, [0])
+    f = from_ones(2, [0])
     inst = find_pattern(f, C3, S111)
     assert inst is not None
     assert all(p.bits == 0 for p in inst.points)
 
 
+def test_find_pattern_at_n0():
+    # {0,1}^0 is one point, so f = 1 contains every all-ones pattern
+    f = from_table_int(0, 1)
+    c4 = graphic_from_graph(cycle_graph(4))
+    inst = find_pattern(f, c4, PatternSpec.all_ones(4))
+    assert inst.points == (GFVector(0, 0),) * 4
+    assert count_patterns(f, c4, PatternSpec.all_ones(4)).span_count == 1
+    assert min_repair_distance(f, c4, PatternSpec.all_ones(4)).flips \
+        == pattern_hitting_number(f, c4) == 1
+
+
 def test_find_pattern_halfspace_free():
     # indicator of <a, x> = 1: two ones force their XOR to value 0
-    f = BooleanFunction.from_ones(3, [x for x in range(8) if x & 1])
+    f = from_ones(3, [x for x in range(8) if x & 1])
     assert find_pattern(f, C3, S111) is None
 
 
@@ -66,29 +77,29 @@ def test_find_pattern_canonical_separation():
 
 
 def test_find_pattern_first_in_order():
-    f = BooleanFunction.constant(2, 1)
+    f = constant(2, 1)
     inst = find_pattern(f, C3, S111)
     assert all(u.bits == 0 for u in inst.map.images)  # t = 0 matches first
 
 
 def test_find_pattern_mismatched_sigma():
     with pytest.raises(DimensionMismatchError):
-        find_pattern(BooleanFunction.constant(2, 1), C3, PatternSpec.all_ones(4))
+        find_pattern(constant(2, 1), C3, PatternSpec.all_ones(4))
 
 
 def test_find_pattern_budget():
     k5 = graphic_from_graph(complete_graph(5))
     with pytest.raises(BudgetExceededError):
-        find_pattern(BooleanFunction.constant(8, 1), k5, PatternSpec.all_ones(10))
+        find_pattern(constant(8, 1), k5, PatternSpec.all_ones(10))
     for search in (find_pattern, count_patterns):
         with pytest.raises(InvalidInputError):
-            search(BooleanFunction.constant(2, 1), C3, S111, budget_bits=-1)
+            search(constant(2, 1), C3, S111, budget_bits=-1)
 
 
 def test_count_patterns_examples():
-    assert count_patterns(BooleanFunction.constant(2, 1), C3, S111).span_count == 16
-    assert count_patterns(BooleanFunction.constant(2, 0), C3, S111).span_count == 0
-    f = BooleanFunction.from_ones(2, [1, 2])
+    assert count_patterns(constant(2, 1), C3, S111).span_count == 16
+    assert count_patterns(constant(2, 0), C3, S111).span_count == 0
+    f = from_ones(2, [1, 2])
     assert count_patterns(f, C3, S111).span_count == 0
 
 
@@ -102,7 +113,7 @@ def test_count_patterns_matches_pair_oracle():
 
 
 def test_count_report_full_map_convention():
-    rep = count_patterns(BooleanFunction.constant(2, 1), C3, S111)
+    rep = count_patterns(constant(2, 1), C3, S111)
     assert rep.rank == 2 and rep.ambient_dim == 3
     assert rep.span_total == 2 ** 4
     assert rep.full_map_count == rep.span_count * 2 ** (2 * (3 - 2))
@@ -110,10 +121,10 @@ def test_count_report_full_map_convention():
 
 
 def test_cycle_count_fourier_examples():
-    f = BooleanFunction.constant(2, 1)
+    f = constant(2, 1)
     assert cycle_count_fourier(f, 3) == 2 ** (2 * 2)
-    assert cycle_count_fourier(BooleanFunction.constant(2, 0), 3) == 0
-    assert cycle_count_fourier(BooleanFunction.from_ones(2, [1, 2]), 3) == 0
+    assert cycle_count_fourier(constant(2, 0), 3) == 0
+    assert cycle_count_fourier(from_ones(2, [1, 2]), 3) == 0
     with pytest.raises(InvalidInputError):
         cycle_count_fourier(f, 2)
 
@@ -128,7 +139,7 @@ def test_cycle_count_oracle_equivalence():
 
 
 def test_run_tester_completeness():
-    f = BooleanFunction.from_ones(3, [x for x in range(8) if x & 1])
+    f = from_ones(3, [x for x in range(8) if x & 1])
     assert find_pattern(f, C3, S111) is None
     for seed in (0, 1, 2, 99):
         rejections, rate = run_tester(f, C3, S111, 2000, seed)
@@ -136,7 +147,7 @@ def test_run_tester_completeness():
 
 
 def test_run_tester_constant_one():
-    rejections, rate = run_tester(BooleanFunction.constant(2, 1), C3, S111, 500, 7)
+    rejections, rate = run_tester(constant(2, 1), C3, S111, 500, 7)
     assert rejections == 500 and rate == 1
 
 
@@ -149,8 +160,8 @@ def test_run_tester_deterministic():
     assert a != c  # overwhelmingly likely: different seed, different draws
 
 
-EVEN3 = BooleanFunction.from_ones(3, [0, 3, 5, 6])
-ODD3 = EVEN3.complement()
+EVEN3 = from_ones(3, [0, 3, 5, 6])
+ODD3 = complement(EVEN3)
 RANK0 = BinaryMatroid([GFVector(2, 0), GFVector(2, 0)])
 ZERO_PARALLEL = BinaryMatroid([GFVector(2, 0), GFVector(2, 1), GFVector(2, 1)])
 # a triangle presented in dimension 4096: one random map draws 4096 images
@@ -283,16 +294,16 @@ def test_working_memory_is_cache_sized(graph, n, run, limit):
 
 
 def test_min_repair_already_free():
-    f = BooleanFunction.constant(2, 0)
+    f = constant(2, 0)
     rep = min_repair_distance(f, C3, S111)
     assert rep.flips == 0 and rep.delta == 0 and rep.witness == f
 
 
 def test_min_repair_constant_one_all16_oracle():
     # exhaustive oracle over all 16 functions on {0,1}^2
-    f = BooleanFunction.constant(2, 1)
+    f = constant(2, 1)
     free_tables = [t for t in range(16)
-                   if find_pattern(BooleanFunction.from_table_int(2, t), C3, S111) is None]
+                   if find_pattern(from_table_int(2, t), C3, S111) is None]
     best = min(bin(0b1111 ^ t).count("1") for t in free_tables)
     rep = min_repair_distance(f, C3, S111)
     assert rep.flips == best == 2
@@ -312,20 +323,20 @@ def test_min_repair_nonmonotone_sigma():
     # (x,x,0) tuple, so f=ones{01,10} needs two flips (to a subgroup
     # indicator), verified against the exhaustive all-16-functions oracle
     sigma = PatternSpec.from_string("110")
-    f = BooleanFunction.from_ones(2, [1, 2])
+    f = from_ones(2, [1, 2])
     best = min(
-        bin(f.table_int() ^ t).count("1")
+        bin(table_int(f) ^ t).count("1")
         for t in range(16)
-        if find_pattern(BooleanFunction.from_table_int(2, t), C3, sigma) is None)
+        if find_pattern(from_table_int(2, t), C3, sigma) is None)
     rep = min_repair_distance(f, C3, sigma)
     assert rep.flips == best == 2
     assert find_pattern(rep.witness, C3, sigma) is None
 
 
 def test_hitting_number_examples():
-    free = BooleanFunction.from_ones(3, [x for x in range(8) if x & 1])
+    free = from_ones(3, [x for x in range(8) if x & 1])
     assert pattern_hitting_number(free, C3) == 0
-    single = BooleanFunction.from_ones(2, [1, 2, 3])
+    single = from_ones(2, [1, 2, 3])
     assert pattern_hitting_number(single, C3) == 1
 
 
@@ -370,7 +381,7 @@ def assert_repair_matches_oracle(f, m, sigma):
 C5 = graphic_from_graph(cycle_graph(5))
 K4 = graphic_from_graph(complete_graph(4))
 # distance 5 from (C_3, 110)-freeness
-R110 = BooleanFunction.from_ones(4, [1, 3, 4, 5, 7, 8, 14])
+R110 = from_ones(4, [1, 3, 4, 5, 7, 8, 14])
 
 
 @pytest.mark.parametrize("m", [C3, C5, K4], ids=["C3", "C5", "K4"])
@@ -398,7 +409,7 @@ def test_min_repair_matches_the_oracle_at_the_ones_cap(m, extra):
     rng = np.random.Generator(np.random.PCG64(89 + extra))
     odd = rng.choice(np.arange(1, 64, 2), 24 - extra, replace=False)
     even = rng.choice(np.arange(0, 64, 2), extra, replace=False)
-    f = BooleanFunction.from_ones(6, [int(x) for x in np.concatenate([odd, even])])
+    f = from_ones(6, [int(x) for x in np.concatenate([odd, even])])
     assert f.ones_count() == 24
     assert_repair_matches_oracle(f, m, PatternSpec.all_ones(m.k))
     table = f.table.copy()
@@ -505,46 +516,11 @@ def test_enumerate_instances_matches_the_scan():
     assert {(True, True), (False, True), (False, False)} <= outcomes
 
 
-def test_soundness_bound_structure():
-    eps, k = Fraction(1, 2), 3
-    expr = soundness_bound(eps, k)
-    assert expr.variant == "monotone"
-    assert expr.height == 8 ** 18  # ceil((4/eps)^(6k))
-    assert expr.w_coeff == k
-    assert expr.prefactor == eps ** k / 2 ** (2 * k)
-    assert "W(" in expr.summary()
-
-
-@pytest.mark.parametrize("k", [0, -1])
-def test_soundness_bound_refuses_k_below_1(k):
-    with pytest.raises(InvalidInputError, match="k >= 1"):
-        soundness_bound(Fraction(1, 2), k)
-    assert soundness_bound(Fraction(1, 2), 1).prefactor == Fraction(1, 8)
-
-
-def test_nonmonotone_soundness_structure():
-    eps, k, eta = Fraction(1, 2), 3, Fraction(3, 4)
-    expr = nonmonotone_soundness_bound(eps, k, eta)
-    a = (1 - eta) ** k * eps ** k / 2
-    assert expr.height == Fraction(1) / a ** 3
-    assert expr.w_coeff == k - 1
-    assert expr.prefactor == (1 - eta) ** (k - 2) * (2 * eta - 1)
-    with pytest.raises(InvalidInputError):
-        nonmonotone_soundness_bound(eps, k, Fraction(1, 2))
-
-
-@pytest.mark.parametrize("k", [1, 0, -2])
-def test_nonmonotone_soundness_bound_refuses_k_below_2(k):
-    with pytest.raises(InvalidInputError, match="k >= 2"):
-        nonmonotone_soundness_bound(Fraction(1, 2), k, Fraction(3, 4))
-    assert nonmonotone_soundness_bound(Fraction(1, 2), 2, Fraction(3, 4)).w_coeff == 1
-
-
 def test_von_neumann_trivial():
-    ones = [BooleanFunction.constant(2, 1)] * 3
+    ones = [constant(2, 1)] * 3
     rep = von_neumann_gap(ones, C3)
     assert rep.lhs == 1 and rep.rhs == 1.0 and rep.holds
-    zeros = [BooleanFunction.constant(2, 0)] * 3
+    zeros = [constant(2, 0)] * 3
     rep = von_neumann_gap(zeros, C3)
     assert rep.lhs == 0 and rep.holds
 
@@ -558,59 +534,9 @@ def test_von_neumann_random():
 
 def test_von_neumann_rejects_bad_matroid():
     parallel = BinaryMatroid([GFVector(2, 1), GFVector(2, 1)])
-    fs = [BooleanFunction.constant(2, 1)] * 2
+    fs = [constant(2, 1)] * 2
     with pytest.raises(InvalidInputError):
         von_neumann_gap(fs, parallel)
-
-
-def test_reduce_function_trivial_cases():
-    _, whole = rank_and_basis([GFVector(3, 1), GFVector(3, 2), GFVector(3, 4)])
-    zero = BooleanFunction.constant(3, 0)
-    one = BooleanFunction.constant(3, 1)
-    for mode, eta in (("monotone", None), ("nonmonotone", Fraction(3, 4))):
-        assert reduce_function(zero, whole, Fraction(1, 8), Fraction(1, 4),
-                               eta, mode) == zero
-    assert reduce_function(one, whole, Fraction(1, 8), Fraction(1, 4),
-                           None, "monotone") == one
-    assert reduce_function(one, whole, Fraction(1, 8), Fraction(1, 4),
-                           Fraction(3, 4), "nonmonotone") == one
-
-
-def test_reduce_function_sparse_coset_zeroed():
-    _, whole = rank_and_basis([GFVector(3, 1), GFVector(3, 2), GFVector(3, 4)])
-    f = BooleanFunction.from_ones(3, [5])
-    out = reduce_function(f, whole, Fraction(1, 8), Fraction(1, 4), None, "monotone")
-    assert out == BooleanFunction.constant(3, 0)
-
-
-def test_reduce_function_parameter_validation():
-    _, whole = rank_and_basis([GFVector(2, 1), GFVector(2, 2)])
-    f = BooleanFunction.constant(2, 0)
-    with pytest.raises(InvalidInputError):
-        reduce_function(f, whole, Fraction(1, 8), Fraction(1, 4), None, "nonmonotone")
-    with pytest.raises(InvalidInputError):
-        reduce_function(f, whole, Fraction(1, 8), Fraction(1, 4), Fraction(1, 3),
-                        "nonmonotone")
-    with pytest.raises(InvalidInputError):
-        reduce_function(f, whole, Fraction(1, 8), Fraction(1, 4), None, "sideways")
-
-
-def test_reduce_function_modification_bound():
-    rng = np.random.Generator(np.random.PCG64(71))
-    a, b = Fraction(1, 3), Fraction(1, 4)
-    checked = 0
-    while checked < 10:
-        n = int(rng.integers(2, 5))
-        f = random_function(n, rng)
-        vecs = [GFVector(n, int(rng.integers(0, 1 << n))) for _ in range(n - 1)]
-        _, sub = rank_and_basis(vecs, dim=n)
-        if 1 - uniform_coset_fraction(f, sub, a) > a:
-            continue
-        for mode, eta in (("monotone", None), ("nonmonotone", Fraction(3, 4))):
-            out = reduce_function(f, sub, a, b, eta, mode)
-            changed = int(np.count_nonzero(out.table != f.table))
-            assert changed <= (a + b) * (1 << n)
-        checked += 1
 
 
 def test_monotone_closure():
@@ -632,7 +558,7 @@ def test_complement_symmetry():
         f = random_function(2, rng)
         sigma = PatternSpec(tuple(int(b) for b in rng.integers(0, 2, 3)))
         lhs = find_pattern(f, C3, sigma) is None
-        rhs = find_pattern(f.complement(), C3, sigma.complement()) is None
+        rhs = find_pattern(complement(f), C3, pattern_complement(sigma)) is None
         assert lhs == rhs
 
 
@@ -646,7 +572,7 @@ def test_cycle_sigma_permutation_invariance():
             rotated = PatternSpec(sigma.sigma[1:] + sigma.sigma[:1])
             reversed_ = PatternSpec(sigma.sigma[::-1])
             for t in range(16):
-                f = BooleanFunction.from_table_int(2, t)
+                f = from_table_int(2, t)
                 base_free = count_patterns(f, m, sigma).span_count == 0
                 assert base_free == (count_patterns(f, m, rotated).span_count == 0)
                 assert base_free == (count_patterns(f, m, reversed_).span_count == 0)
@@ -775,7 +701,7 @@ def test_planner_prices_scan_against_elimination():
     # one step further the elimination is cheaper
     order = tester._priced(C3.span_coords, 7, 2)
     assert order is not None
-    assert tester._eliminate([BooleanFunction.constant(7, 1).table] * 3, 7,
+    assert tester._eliminate([constant(7, 1).table] * 3, 7,
                              C3.span_coords, (1, 1, 1), 2, order) == 1 << 14
 
 
@@ -799,7 +725,7 @@ def test_planner_eliminates_k4_at_n8():
 def test_int64_bound_is_refused():
     """2^n * S_a * S_b = 2^63 for the constant-1 function at n = 21: the
     correlation is refused, not rerouted to a scan of 2^42 assignments."""
-    one = BooleanFunction.constant(21, 1)
+    one = constant(21, 1)
     with pytest.raises(BudgetExceededError, match="eliminating u_0"):
         eliminated_count([one.table] * 3, 21, C3, (1, 1, 1))
     for run in (count_patterns, find_pattern):
@@ -812,7 +738,7 @@ def test_constant_one_counts_exact_below_the_int64_bound():
     exactly one bit below it (n = 20, 40 bits) and C_5 at n = 11 (44 bits)."""
     c5 = graphic_from_graph(cycle_graph(5))
     for m, n in ((C3, 20), (c5, 11)):
-        f = BooleanFunction.constant(n, 1)
+        f = constant(n, 1)
         sigma = PatternSpec.all_ones(m.k)
         assert count_patterns(f, m, sigma, budget_bits=64).span_count == 1 << (n * m.rank)
         assert witness_index(find_pattern(f, m, sigma, budget_bits=64), n) == 0
@@ -857,7 +783,7 @@ def test_find_pattern_witness_matches_scan_order():
             continue
         assert witness_index(inst, f.n) == t
         assert [p.bits for p in inst.points] == [
-            inst.map.apply(GFVector(m.rank, c)).bits for c in m.span_coords]
+            apply(inst.map, GFVector(m.rank, c)).bits for c in m.span_coords]
         assert all(f.value(p.bits) == s for p, s in zip(inst.points, sigma.sigma))
     assert witness_index(find_pattern(cases[-1][0], C3, PatternSpec.from_string("110")),
                          11) >= 1 << 21
