@@ -1,6 +1,10 @@
 """Boolean functions as complete truth tables, with exact Walsh-Hadamard
 Fourier analysis and toy-scale regularity search.
 
+Spectra of 0/1 tables are int32: after h levels of the butterfly every
+partial sum is a signed sum of 2^h table entries, so its absolute value
+is at most 2^n <= 2^WHT_MAX_N < 2^31 and no level can wrap.
+
 Point-to-index convention (fixed for the whole repo): a point x maps to
 index ix(x) = sum_j x_j 2^j, i.e. coordinate j is bit j of the index.
 
@@ -46,9 +50,6 @@ class BooleanFunction:
         self.n = n
         self.table = arr
 
-    def value(self, x: int) -> int:
-        return int(self.table[x])
-
     def ones(self) -> list[int]:
         return [int(x) for x in np.flatnonzero(self.table)]
 
@@ -78,7 +79,9 @@ def random_function(n: int, rng, density: float = 0.5) -> BooleanFunction:
 class FourierSpectrum:
     """Unnormalized integer spectrum: coeffs[a] = sum_x f(x)(-1)^{a.x}.
 
-    The true Fourier coefficient is coeffs[a] / 2^n.
+    The true Fourier coefficient is coeffs[a] / 2^n. coeffs is int32, exact
+    because |coeffs[a]| <= 2^n <= 2^WHT_MAX_N; power sums leave the array
+    as Python ints.
     """
 
     n: int
@@ -99,6 +102,15 @@ class FourierSpectrum:
         values, counts = np.unique(self.coeffs, return_counts=True)
         return sum(int(v) ** k * int(c) for v, c in zip(values, counts))
 
+    def top(self, count: int) -> list[int]:
+        """The `count` alphas of largest |coeffs|, magnitude descending and
+        ties in ascending alpha: np.argsort(-|coeffs|, kind="stable")[:count],
+        without sorting the whole spectrum."""
+        mags = np.abs(self.coeffs)
+        kth = max(mags.shape[0] - count, 0)
+        cand = np.flatnonzero(mags >= np.partition(mags, kth)[kth])   # ascending alpha
+        return cand[np.argsort(-mags[cand], kind="stable")[:count]].tolist()
+
 
 def _butterfly(values: np.ndarray) -> np.ndarray:
     """In-place unnormalized Walsh-Hadamard transform of a 2^n array, or
@@ -116,10 +128,11 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
 
 
 def wht(f: BooleanFunction) -> FourierSpectrum:
-    """Exact integer spectrum via the standard butterfly."""
+    """Exact integer spectrum via the standard butterfly, in int32: every
+    partial sum is bounded by 2^n in absolute value (module docstring)."""
     if f.n > WHT_MAX_N:
         raise BudgetExceededError(f"n={f.n} exceeds WHT cap {WHT_MAX_N}")
-    coeffs = _butterfly(f.table.astype(np.int64))
+    coeffs = _butterfly(f.table.astype(np.int32))
     coeffs.flags.writeable = False
     return FourierSpectrum(f.n, coeffs)
 

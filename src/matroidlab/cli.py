@@ -246,8 +246,6 @@ def _exp_distance(args):
 def _exp_fourier(args):
     f = load_function(args.function)
     spectrum = wht(f)
-    # a stable sort keeps equal magnitudes in increasing alpha order
-    top = np.argsort(-np.abs(spectrum.coeffs), kind="stable")[:16].tolist()
     return ({"n": f.n},
             {"ones_count": exact(f.ones_count()),
              "parseval_power_sum": exact(spectrum.power_sum(2)),
@@ -255,7 +253,7 @@ def _exp_fourier(args):
              "top_coefficients": [
                  {"alpha": GFVector(f.n, a).to_bits(),
                   "coeff": exact(spectrum.coeff(a))}
-                 for a in top]})
+                 for a in spectrum.top(16)]})
 
 
 def _exp_von_neumann(args):

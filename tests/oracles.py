@@ -23,6 +23,16 @@ def from_ones(n: int, ones) -> BooleanFunction:
     return BooleanFunction(n, table)
 
 
+def walsh_direct(f: BooleanFunction) -> np.ndarray:
+    """coeffs[a] = sum_x f(x) (-1)^{popcount(a & x)} straight from the
+    definition, as int64, through the full 2^n x 2^n sign matrix (n <= 10)."""
+    if f.n > 10:
+        raise InvalidInputError(f"direct Walsh transform is for n <= 10, got n={f.n}")
+    points = np.arange(1 << f.n)
+    parity = np.bitwise_count(points[:, None] & points[None, :]) & 1
+    return (1 - 2 * parity.astype(np.int64)) @ f.table.astype(np.int64)
+
+
 def constant(n: int, value: int) -> BooleanFunction:
     return BooleanFunction(n, np.full(1 << n, 1 if value else 0, dtype=np.uint8))
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from matroidlab import boolfn
-from matroidlab.boolfn import (BooleanFunction, _butterfly, coset_indices, random_function,
-                               regularity_decompose, uniform_coset_fraction, wht)
+from matroidlab.boolfn import (WHT_MAX_N, BooleanFunction, _butterfly, coset_indices,
+                               random_function, regularity_decompose, uniform_coset_fraction,
+                               wht)
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from matroidlab.gf2 import GFVector, enumerate_subspaces, rank_and_basis
-from oracles import constant, from_ones, reduce
+from oracles import constant, from_ones, reduce, walsh_direct
 
 
 def whole(n):
@@ -55,6 +56,50 @@ def test_wht_examples():
 def test_wht_cap():
     with pytest.raises(InvalidInputError):
         BooleanFunction(25, np.zeros(2, dtype=np.uint8))
+
+
+def test_wht_matches_direct_definition():
+    rng = np.random.Generator(np.random.PCG64(19))
+    for n in range(11):
+        for density in (0.1, 0.5, 0.9):
+            f = random_function(n, rng, density)
+            assert np.array_equal(wht(f).coeffs, walsh_direct(f))
+
+
+def test_wht_spectra_are_int32_and_exact_at_n20():
+    n = 20
+    s = wht(constant(n, 1))
+    assert s.coeffs.dtype == np.int32
+    assert s.coeff(0) == 1 << n
+    assert not s.coeffs[1:].any()
+
+
+def test_wht_cap_keeps_int32_exact():
+    # every butterfly partial sum of a 0/1 table is at most 2^n in absolute value
+    assert 1 << WHT_MAX_N < 2 ** 31
+
+
+def inner_product(n):
+    """The bent function x_0 x_1 + x_2 x_3 + ... (n even)."""
+    x = np.arange(1 << n)
+    return BooleanFunction(n, np.bitwise_count(x & x >> 1 & 0x5555_5555) & 1)
+
+
+def test_top_matches_stable_argsort():
+    rng = np.random.Generator(np.random.PCG64(17))
+    # n <= 4 has at most 16 coefficients, so every one is a candidate
+    fs = [random_function(n, rng, density) for n in range(15) for density in (0.2, 0.5)]
+    fs += [constant(n, v) for n in (0, 1, 3, 4, 5, 9) for v in (0, 1)]
+    fs += [inner_product(6), inner_product(8)]
+    for f in fs:
+        s = wht(f)
+        for count in (1, 5, 16):
+            assert s.top(count) == np.argsort(-np.abs(s.coeffs), kind="stable")[:count].tolist()
+    for n in (6, 8):
+        # bent: every nonzero alpha ties, so the tie order is the whole answer
+        s = wht(inner_product(n))
+        assert len(set(np.abs(s.coeffs[1:]).tolist())) == 1
+        assert s.top(16) == list(range(16))
 
 
 def test_parseval_and_inversion():
@@ -137,7 +182,7 @@ def test_restriction_matches_direct_evaluation():
             for i in range(sub.dim):
                 if h >> i & 1:
                     point ^= sub.basis[i].bits
-            assert idx[row, h] == point and values[h] == f.value(point)
+            assert idx[row, h] == point and values[h] == int(f.table[point])
             checks += 1
 
 

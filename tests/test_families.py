@@ -34,7 +34,7 @@ def achieved_patterns(f, k):
     the last point is forced to the running XOR.
     """
     n = f.n
-    values = [f.value(x) for x in range(1 << n)]
+    values = [int(f.table[x]) for x in range(1 << n)]
     level = {x: 1 << values[x] for x in range(1 << n)}
     for j in range(1, k - 1):
         nxt = {}
@@ -71,7 +71,7 @@ def sigma(s):
 # families are held against.
 
 def is_linear_form(f):
-    return any(all(f.value(x) == (a & x).bit_count() & 1 for x in range(1 << f.n))
+    return any(all(int(f.table[x]) == (a & x).bit_count() & 1 for x in range(1 << f.n))
                for a in range(1 << f.n))
 
 
@@ -218,7 +218,7 @@ def test_free_by_weight_against_find_pattern(n, k):
 def test_enumerate_free_examples():
     free = enumerate_free_functions(2, 3, sigma("111"))
     assert constant(2, 0) in free
-    assert all(f.value(0) == 0 for f in free)
+    assert all(int(f.table[0]) == 0 for f in free)
 
     free = enumerate_free_functions(2, 3, sigma("110"))
     assert len(free) == 6

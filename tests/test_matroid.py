@@ -469,7 +469,7 @@ def test_canonical_function_size_cap_before_allocation():
 def test_canonical_function_contains_matroid_at_embedding():
     c3 = graphic_from_graph(cycle_graph(3))
     f = canonical_function(c3, 5)
-    assert all(f.value(v) == 1 for v in c3.ints)
+    assert all(int(f.table[v]) == 1 for v in c3.ints)
 
 
 def test_homomorphism_extraction_from_instances():

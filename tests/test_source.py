@@ -77,8 +77,9 @@ def unreached(sources: dict[str, str], outside=(), allow=()) -> list[str]:
     non-method body with it.
 
     Attributes are matched by name alone, whatever object they are read
-    from, so the walk can only over-count: `BooleanFunction.value`, for
-    one, counts as reached because `families` reads `FamilyId.value`.
+    from, so the walk can only over-count: a method of a reached class
+    counts as reached once any reached code reads an attribute of that
+    name, even on an object of another class.
     """
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defs: dict[str, ast.AST] = {}     # qualified name -> its definition

@@ -28,7 +28,7 @@ def brute_triangle_count(f, sigma):
     count = 0
     for x in range(1 << f.n):
         for y in range(1 << f.n):
-            vals = (f.value(x), f.value(y), f.value(x ^ y))
+            vals = (int(f.table[x]), int(f.table[y]), int(f.table[x ^ y]))
             if vals == sigma.sigma:
                 count += 1
     return count
@@ -73,7 +73,7 @@ def test_find_pattern_canonical_separation():
     assert find_pattern(f, C3, S111) is None
     inst = find_pattern(f, c5, PatternSpec.all_ones(5))
     assert inst is not None
-    assert all(f.value(p.bits) == 1 for p in inst.points)
+    assert all(int(f.table[p.bits]) == 1 for p in inst.points)
 
 
 def test_find_pattern_first_in_order():
@@ -485,7 +485,7 @@ def scan_all_ones_matches(f, vectors):
                 if c >> j & 1:
                     p ^= t >> (j * f.n) & low
             points.append(p)
-        if all(f.value(p) for p in points):
+        if all(int(f.table[p]) for p in points):
             matches.append(points)
     return matches
 
@@ -784,7 +784,7 @@ def test_find_pattern_witness_matches_scan_order():
         assert witness_index(inst, f.n) == t
         assert [p.bits for p in inst.points] == [
             apply(inst.map, GFVector(m.rank, c)).bits for c in m.span_coords]
-        assert all(f.value(p.bits) == s for p, s in zip(inst.points, sigma.sigma))
+        assert all(int(f.table[p.bits]) == s for p, s in zip(inst.points, sigma.sigma))
     assert witness_index(find_pattern(cases[-1][0], C3, PatternSpec.from_string("110")),
                          11) >= 1 << 21
 
