@@ -33,11 +33,15 @@ wherever it lies; on tiny inputs the scan runs up to it.
 
 One kernel, `_match`, evaluates f at L(v_1), ..., L(v_k) for a batch of
 maps L and compares with Sigma, reading the lookups [f = sigma_i] built
-once per call. The exhaustive scan, `_scan_chunks`, feeds it the basis
-images decoded from a chunk of assignment indices; run_tester feeds it
-random images of the presentation basis. The cycle-count oracle
-(brute_force_cycle_count) is the scan on C_k: the zero-sum k-tuples are
-the assignments to its span basis. The scan, the tester and the
+once per call. Once fewer than 1/8 of a batch's maps survive a factor
+with two or more still to come, it reads the remaining factors only at
+the survivors, gathered by index, and writes them back into the same
+bool array, so counts and first matches do not change. The exhaustive
+scan, `_scan_chunks`, feeds it the basis images decoded from a chunk of
+assignment indices; run_tester feeds it random images of the
+presentation basis, the top n bits of raw PCG64 words. The cycle-count
+oracle (brute_force_cycle_count) is the scan on C_k: the zero-sum
+k-tuples are the assignments to its span basis. The scan, the tester and the
 conditioned slices of the elimination all work in blocks of at most
 _CHUNK entries (a tester block of at most 8 * _CHUNK images), sized so
 that a block's few int64 arrays stay in cache.
@@ -72,6 +76,7 @@ PATTERN_BUDGET_BITS = 30
 VON_NEUMANN_BUDGET_BITS = 26
 HITTING_INSTANCE_BUDGET = 10 ** 7
 REPAIR_CHECK_BUDGET = 2 * 10 ** 6
+TESTER_SAMPLE_BUDGET = 1 << 32    # maps per run_tester call; more are refused before any draw
 _CHUNK = 1 << 14       # entries per block: a few such int64 arrays stay in L2 cache
 
 
@@ -198,21 +203,25 @@ def _match(lookups: Sequence[np.ndarray], coords: Sequence[int], column,
     length; it holds the points of each ground vector that combines two
     or more basis columns, and point 0, which a zero ground vector sees
     under every map. Stops early once no map in the batch can match.
+
+    Once fewer than 1/8 of the maps survive a factor and two or more
+    factors are still to come, the rest are evaluated at the survivors
+    alone (see _on_survivors); the returned array is the same.
     """
     cols = {}
+
+    def fetch(j):
+        col = cols.get(j)
+        if col is None:
+            col = cols[j] = column(j)
+        return col
+
     match = None
-    for lookup, cmask in zip(lookups, coords):
+    for i, (lookup, cmask) in enumerate(zip(lookups, coords)):
         pts = None
-        j = 0
-        cm = cmask
-        while cm:
-            if cm & 1:
-                col = cols.get(j)
-                if col is None:
-                    col = cols[j] = column(j)
-                pts = col if pts is None else np.bitwise_xor(pts, col, scratch)
-            cm >>= 1
-            j += 1
+        for j in _bits(cmask):
+            col = fetch(j)
+            pts = col if pts is None else np.bitwise_xor(pts, col, scratch)
         if pts is None:
             scratch.fill(0)
             pts = scratch
@@ -221,8 +230,39 @@ def _match(lookups: Sequence[np.ndarray], coords: Sequence[int], column,
             match = good
         else:
             match &= good
-        if not match.any():
+        if len(lookups) - i < 3:
+            if not match.any():
+                break
+        elif np.count_nonzero(match) * 8 < len(match):
+            return _on_survivors(match, lookups[i + 1:], coords[i + 1:], fetch)
+    return match
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    j = 0
+    while mask:
+        if mask & 1:
+            yield j
+        mask >>= 1
+        j += 1
+
+
+def _on_survivors(match: np.ndarray, lookups: Sequence[np.ndarray], coords: Sequence[int],
+                  column) -> np.ndarray:
+    """_match's remaining factors, read only at the maps where `match`
+    holds: each survivor's column entries are gathered by index, and the
+    survivors left at the end are written back into `match`."""
+    alive = np.flatnonzero(match)
+    for lookup, cmask in zip(lookups, coords):
+        pts = np.zeros_like(alive)
+        for j in _bits(cmask):
+            pts ^= column(j).take(alive)
+        alive = alive[lookup.take(pts)]
+        if not alive.size:
             break
+    match[:] = False
+    match[alive] = True
     return match
 
 
@@ -512,15 +552,24 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
     RNG: numpy PCG64 seeded with `seed` (a nonnegative int); identical
     seeds reproduce the rejection sequence bit for bit, whatever the block
     size. Draw d takes the images of basis vectors 0..m-1 from the next m
-    values of rng.integers(0, 2^n), in order. Shard seeds, when sharding
-    is wanted, must come from derive_seed(seed, shard).
+    values of integers(0, 2^n) on np.random.Generator(PCG64(seed)), in
+    order. Shard seeds, when sharding is wanted, must come from
+    derive_seed(seed, shard).
 
     Samples run in blocks of _CHUNK maps, fewer when m > 8 so that a
     block holds at most 8 * _CHUNK images. A bounded draw from [0, 2^n)
     is the top n bits of one 32-bit word (Lemire's method never rejects
-    for a power-of-two bound; n = 0 draws nothing), so each block draws
-    raw 32-bit words and shifts them into one reused column buffer, one
-    contiguous row per basis vector.
+    for a power-of-two bound; n = 0 draws nothing), and integers' 32-bit
+    words are the raw 64-bit PCG64 outputs read as little-endian pairs,
+    low half first. So each block reads raw words through a '<u8' to
+    '<u4' view (free on a little-endian host, correct on any), shifts
+    them in place and copies them, transposed, into one reused int64
+    column buffer, one contiguous row per basis vector. A block that
+    needs an odd number of 32-bit words carries the unread high half of
+    its last raw word into the next block, as integers does, so the
+    stream above is unchanged. More than TESTER_SAMPLE_BUDGET samples
+    raise BudgetExceededError before any draw. Within a block, _match
+    goes on at the surviving maps alone once fewer than 1/8 remain.
     """
     if sigma.k != m.k:
         raise DimensionMismatchError(
@@ -529,20 +578,27 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
         raise InvalidInputError("samples must be positive")
     if seed < 0:
         raise InvalidInputError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    if samples > TESTER_SAMPLE_BUDGET:
+        raise BudgetExceededError(
+            f"{samples} samples exceed the tester budget of {TESTER_SAMPLE_BUDGET}")
+    bitgen = np.random.PCG64(seed)
     lookups = _lookups([f.table] * m.k, sigma.sigma)
     block = min(samples, _CHUNK, max(1, 8 * _CHUNK // m.m))
     columns = np.zeros((m.m, block), dtype=np.int64)
     scratch = np.empty(block, dtype=np.int64)
+    carry = np.empty(0, dtype="<u4")    # the unread high half of the last raw word
     rejections = 0
     remaining = samples
     while remaining:
         batch = min(remaining, block)
         cols = columns[:, :batch]
         if f.n:
-            words = rng.integers(0, 1 << 32, size=(batch, m.m), dtype=np.uint32)
+            need = batch * m.m - len(carry)
+            raw = bitgen.random_raw(-(-need // 2)).astype("<u8", copy=False).view("<u4")
+            words = np.concatenate((carry, raw[:need])) if len(carry) else raw[:need]
+            carry = raw[need:].copy()
             words >>= 32 - f.n
-            cols[...] = words.T
+            cols[...] = words.reshape(batch, m.m).T
         match = _match(lookups, m.ints, cols.__getitem__, scratch[:batch])
         rejections += int(np.count_nonzero(match))
         remaining -= batch

@@ -364,6 +364,21 @@ def test_calibrate_refuses_before_listing_ones(capsys, monkeypatch, extra, code,
     assert capsys.readouterr().err == message
 
 
+def test_test_refuses_runaway_samples_before_drawing(workdir, capsys):
+    tracemalloc.start()
+    try:
+        code = main(["test", "--function", str(workdir / "canon.boolfn"),
+                     "--matroid", str(workdir / "k3.matroid"), "--sigma", "111",
+                     "--samples", str(10 ** 18)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: 1000000000000000000 samples exceed the tester budget of 4294967296\n")
+    assert peak < 1 << 20
+
+
 def test_writer_rejects_missing_out_before_work(workdir, capsys):
     tracemalloc.start()
     try:

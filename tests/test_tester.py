@@ -202,8 +202,12 @@ def test_run_tester_rate_tracks_density():
 
 
 def test_bounded_draw_is_top_bits_of_a_32_bit_word():
-    """run_tester draws raw 32-bit words in place of integers(0, 2^n): the
-    same values, and the same stream across consecutive calls."""
+    """run_tester's bounded draws are the top n bits of 32-bit words: the
+    same values, and the same stream across consecutive calls. It reads
+    those words as raw PCG64 words viewed as little-endian 32-bit pairs,
+    the stream of consecutive integers(0, 2^32, uint32) calls, whose odd
+    lengths leave a high half-word for the next call (5 + 7 words are 6
+    raw words)."""
     for seed in (0, 7, 2 ** 40 + 3):
         for n in range(1, WHT_MAX_N + 1):
             bounded = np.random.Generator(np.random.PCG64(seed))
@@ -212,6 +216,11 @@ def test_bounded_draw_is_top_bits_of_a_32_bit_word():
                 want = bounded.integers(0, 1 << n, size=shape, dtype=np.int64)
                 got = raw.integers(0, 2 ** 32, size=shape, dtype=np.uint32) >> (32 - n)
                 assert np.array_equal(got, want)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        want = np.concatenate([rng.integers(0, 2 ** 32, size=size, dtype=np.uint32)
+                               for size in (5, 7, 1, 3, 4)])
+        raw = np.random.PCG64(seed).random_raw(10).astype("<u8", copy=False).view("<u4")
+        assert np.array_equal(raw, want)
 
 
 def reference_rejections(f, m, sigma, samples, seed):
@@ -249,6 +258,22 @@ def test_run_tester_matches_one_array_reference(monkeypatch, chunk):
     f = random_function(16, rng)
     assert run_tester(f, C3, S111, 100003, seed=3)[0] == reference_rejections(
         f, C3, S111, 100003, 3)
+    # m = 11: blocks of 8 * _CHUNK // 11 maps, an odd number at the two
+    # smaller chunks, read an odd number of 32-bit words, so a raw word's
+    # high half carries into the next block
+    c11 = graphic_from_graph(cycle_graph(11))
+    f = random_function(5, rng, 0.8)
+    for sigma in (PatternSpec.all_ones(11), PatternSpec.from_string("11011111101")):
+        want = reference_rejections(f, c11, sigma, 24001, 9)
+        assert want > 50
+        assert run_tester(f, c11, sigma, 24001, seed=9)[0] == want
+
+
+def test_run_tester_refuses_samples_past_its_budget(monkeypatch):
+    monkeypatch.setattr(tester, "TESTER_SAMPLE_BUDGET", 100)
+    assert run_tester(constant(2, 1), C3, S111, 100, seed=1) == (100, 1)
+    with pytest.raises(BudgetExceededError, match="101 samples exceed the tester budget of 100"):
+        run_tester(constant(2, 1), C3, S111, 101, seed=1)
 
 
 def test_run_tester_on_a_zero_dimensional_function():
@@ -787,6 +812,96 @@ def test_find_pattern_witness_matches_scan_order():
         assert all(int(f.table[p.bits]) == s for p, s in zip(inst.points, sigma.sigma))
     assert witness_index(find_pattern(cases[-1][0], C3, PatternSpec.from_string("110")),
                          11) >= 1 << 21
+
+
+def full_evaluation(lookups, coords, columns):
+    """_match without early exit or survivors: the AND over every factor
+    of its lookup read at the XOR of its columns."""
+    match = np.ones(columns.shape[1], dtype=bool)
+    for lookup, cmask in zip(lookups, coords):
+        pts = np.zeros(columns.shape[1], dtype=np.int64)
+        for j in range(len(columns)):
+            if cmask >> j & 1:
+                pts ^= columns[j]
+        match &= lookup[pts]
+    return match
+
+
+@pytest.fixture
+def survivor_runs(monkeypatch):
+    """Whether each _on_survivors call _match made left any map matching."""
+    runs = []
+    on_survivors = tester._on_survivors
+
+    def spy(*args):
+        match = on_survivors(*args)
+        runs.append(bool(match.any()))
+        return match
+
+    monkeypatch.setattr(tester, "_on_survivors", spy)
+    return runs
+
+
+def test_match_on_survivors_equals_full_evaluation(survivor_runs):
+    """Random forms over 4 basis columns, zero and repeated forms among
+    them, lookups from sparse to dense, and a lookup that is false
+    everywhere, so batches empty before and after the switch to
+    survivors."""
+    rng = np.random.Generator(np.random.PCG64(167))
+    n, r, batch = 8, 4, 4096
+    empty = 0
+    for trial in range(200):
+        k = int(rng.integers(1, 10))
+        coords = [int(c) for c in rng.integers(0, 1 << r, k)]
+        if trial % 3 == 0:
+            coords[-1] = coords[0]
+        if trial % 7 == 0:
+            coords[k // 2] = 0
+        density = (0.03, 0.1, 0.3, 0.6, 0.95)[trial % 5]
+        lookups = [rng.random(1 << n) < density for _ in range(k)]
+        if trial % 4 == 0:
+            lookups[int(rng.integers(0, k))] = np.zeros(1 << n, dtype=bool)
+        columns = rng.integers(0, 1 << n, size=(r, batch), dtype=np.int64)
+        got = tester._match(lookups, coords, columns.__getitem__,
+                            np.empty(batch, dtype=np.int64))
+        want = full_evaluation(lookups, coords, columns)
+        assert np.array_equal(got, want)
+        empty += not want.any()
+    # some batches empty on survivors, and some before any switch
+    assert True in survivor_runs and False in survivor_runs
+    assert empty > survivor_runs.count(False)
+
+
+def plain_scan_first(f, m, sigma):
+    """The smallest matching assignment index, from every index at once."""
+    n, r = f.n, m.rank
+    t = np.arange(1 << (n * r), dtype=np.int64)
+    match = np.ones(len(t), dtype=bool)
+    for cmask, s in zip(m.span_coords, sigma.sigma):
+        pts = np.zeros_like(t)
+        for j in range(r):
+            if cmask >> j & 1:
+                pts ^= (t >> (j * n)) & ((1 << n) - 1)
+        match &= f.table[pts] == s
+    return int(np.argmax(match)) if match.any() else None
+
+
+def test_scan_route_witness_is_the_first_plain_match(survivor_runs):
+    """On inputs priced at or below _STEP_COST find_pattern scans, and
+    with sparse functions its chunks go on at the survivors; the witness
+    is the first match of a plain scan."""
+    rng = np.random.Generator(np.random.PCG64(173))
+    c5, k4 = graphic_from_graph(cycle_graph(5)), graphic_from_graph(complete_graph(4))
+    for m, n in ((C3, 5), (c5, 2), (k4, 3)):
+        assert tester._priced(m.span_coords, n, m.rank, 1 << (m.rank - 1)) is None
+        for density in (0.05, 0.1, 0.3, 0.6):
+            for _ in range(6):
+                f = random_function(n, rng, density)
+                sigma = PatternSpec(tuple(int(b) for b in rng.integers(0, 2, m.k)))
+                inst = find_pattern(f, m, sigma)
+                want = plain_scan_first(f, m, sigma)
+                assert (None if inst is None else witness_index(inst, n)) == want
+    assert True in survivor_runs
 
 
 def test_descent_matches_scan_on_atlas_graphs():
