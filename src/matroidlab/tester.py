@@ -55,6 +55,20 @@ survivor is checked, so the search makes one find_pattern call per
 violation learned (the implicit hitting set scheme of Moreno-Centeno and
 Karp). REPAIR_CHECK_BUDGET counts flip sets by their position in that
 order, whether checked or ruled out.
+
+enumerate_instances builds the all-ones instances of each prefix of the
+ground set as blocks of int32 rows, one column per element assigned. A
+free element (one that tops no dependency word) extends every row by
+every one of f; a forced element keeps the rows where the XOR of its
+word's other columns is a one. A free element followed directly by a
+forced one is peeked through: the forced XOR is read on the whole
+(rows x ones) grid, and only its survivors become rows. No block holds
+more than _CHUNK grid entries, both axes are split to keep it so, and
+the blocks are walked depth first, so memory holds one block per level.
+Each leaf block is sorted within rows, put in lexical order and cleared
+of equal neighbours before any frozenset is built. pattern_hitting_number
+runs a branch and bound on the resulting sets, bounded by
+HITTING_SET_BUDGET nodes.
 """
 
 from __future__ import annotations
@@ -75,6 +89,7 @@ from .matroid import BinaryMatroid, _forced_by, has_complexity_one
 PATTERN_BUDGET_BITS = 30
 VON_NEUMANN_BUDGET_BITS = 26
 HITTING_INSTANCE_BUDGET = 10 ** 7
+HITTING_SET_BUDGET = 10 ** 5
 REPAIR_CHECK_BUDGET = 2 * 10 ** 6
 TESTER_SAMPLE_BUDGET = 1 << 32    # maps per run_tester call; more are refused before any draw
 _CHUNK = 1 << 14       # entries per block: a few such int64 arrays stay in L2 cache
@@ -701,52 +716,95 @@ def min_repair_distance(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec
     raise AssertionError("unreachable: clearing every 1 always yields a free function")
 
 
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """A block of instances sorted within each row, then put in lexical
+    order with equal neighbours dropped, so that no frozenset is built
+    for a repeat within the block."""
+    rows = np.sort(rows, axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[new]
+
+
 def enumerate_instances(f: BooleanFunction, m: BinaryMatroid,
                         budget: int = HITTING_INSTANCE_BUDGET) -> list[frozenset[int]]:
     """All distinct point sets of all-ones instances of M in f, found by
     assigning ones of f to ground elements in order. An element that
     tops a dependency word takes the one point the word forces, if that
-    point is a one. A node is a point assigned; BudgetExceededError
-    names the deepest element assigned (counted from 1), out of k."""
-    ones = f.ones()
-    one_set = set(ones)
+    point is a one.
+
+    The instances of each prefix of the ground set are built a block of
+    int32 rows at a time, and the blocks are walked depth first. A node
+    is still a point assigned, i.e. an all-ones instance of a prefix, so
+    the total is the point-at-a-time DFS's and the call raises
+    BudgetExceededError iff it exceeds `budget`. A free element's level
+    is counted before it is built. The message names the deepest element
+    (counted from 1, out of k) whose level was counted, the refused one
+    included."""
+    is_one = f.table.astype(bool)
+    ones = np.flatnonzero(is_one).astype(np.int32)
     forced_by = _forced_by(m)
     k = m.k
-    points = [0] * k
     found: set[frozenset[int]] = set()
     nodes = deepest = 0
 
-    def rec(depth: int):
+    def count(added: int, element: int) -> None:
         nonlocal nodes, deepest
-        if depth > deepest:
-            deepest = depth
-        if depth == k:
-            found.add(frozenset(points))
-            return
-        rest = forced_by[depth]
-        if rest is None:
-            choices = ones
-        else:
-            acc = 0
-            for j in rest:
-                acc ^= points[j]
-            choices = (acc,) if acc in one_set else ()
-        for p in choices:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(f"instance enumeration exceeded {budget} nodes; "
-                                          f"deepest element {deepest} of {k}")
-            points[depth] = p
-            rec(depth + 1)
+        nodes += added
+        deepest = max(deepest, element)
+        if nodes > budget:
+            raise BudgetExceededError(f"instance enumeration exceeded {budget} nodes; "
+                                      f"deepest element {deepest} of {k}")
 
-    rec(0)
+    def walk(rows: np.ndarray) -> None:
+        d = rows.shape[1]
+        if d == k:
+            found.update(map(frozenset, _distinct_rows(rows).tolist()))
+            return
+        rest = forced_by[d]
+        if rest is not None:
+            point = np.bitwise_xor.reduce(rows[:, list(rest)], axis=1)
+            keep = np.flatnonzero(is_one[point])
+            count(len(keep), d + 1)
+            if len(keep):
+                walk(np.column_stack((rows[keep], point[keep])))
+            return
+        count(len(rows) * len(ones), d + 1)
+        peek = forced_by[d + 1] if d + 1 < k else None
+        for lo in range(0, len(ones), _CHUNK):
+            part = ones[lo:lo + _CHUNK]
+            step = _CHUNK // len(part)
+            for r in range(0, len(rows), step):
+                block = rows[r:r + step]
+                if peek is None:
+                    child = np.empty((len(block), len(part), d + 1), dtype=np.int32)
+                    child[:, :, :d] = block[:, None, :]
+                    child[:, :, d] = part
+                    walk(child.reshape(-1, d + 1))
+                    continue
+                # the forced element after d, on the (rows x ones) grid:
+                # only the assignments it keeps become rows
+                base = np.bitwise_xor.reduce(block[:, [j for j in peek if j != d]], axis=1)
+                grid = base[:, None] ^ (part if d in peek else np.zeros_like(part))[None, :]
+                hit = np.flatnonzero(is_one[grid])
+                count(len(hit), d + 2)
+                if len(hit):
+                    row, col = np.divmod(hit, len(part))
+                    walk(np.column_stack((block[row], part[col], grid.ravel()[hit])))
+
+    walk(np.zeros((1, 0), dtype=np.int32))
     return sorted(found, key=sorted)
 
 
 def _min_hitting_set(edges: list[frozenset[int]]) -> int:
-    """Exact minimum hitting set size by branch and bound."""
+    """Exact minimum hitting set size by branch and bound. A node is a
+    call of the search; past HITTING_SET_BUDGET of them it raises
+    BudgetExceededError with the best size found so far and the root's
+    lower bound."""
     edges = sorted(set(edges), key=len)
     best = len({x for e in edges for x in e})
+    nodes = 0
 
     def lower_bound(active: list[frozenset[int]]) -> int:
         used: set[int] = set()
@@ -758,7 +816,12 @@ def _min_hitting_set(edges: list[frozenset[int]]) -> int:
         return lb
 
     def rec(active: list[frozenset[int]], chosen: int):
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > HITTING_SET_BUDGET:
+            raise BudgetExceededError(
+                f"hitting-set search exceeded {HITTING_SET_BUDGET} nodes; best hitting set "
+                f"so far {best} points, root lower bound {lower_bound(edges)}")
         if not active:
             best = min(best, chosen)
             return

@@ -7,9 +7,10 @@ from __future__ import annotations
 import numpy as np
 
 from matroidlab.boolfn import BooleanFunction
-from matroidlab.errors import DimensionMismatchError, InvalidInputError
+from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from matroidlab.families import FamilyId, _family_tables, _free_by_weight
 from matroidlab.gf2 import GFVector, LinearMap, Subspace, rank_and_basis
+from matroidlab.matroid import BinaryMatroid, _forced_by
 from matroidlab.tester import PatternSpec
 
 
@@ -121,3 +122,42 @@ def enumerate_free_functions(n: int, k: int, sigma: PatternSpec) -> frozenset[Bo
         raise InvalidInputError(f"sigma length {sigma.k} does not match k={k}")
     free = _free_by_weight(n, k)[sigma.ones_count]
     return frozenset(from_table_int(n, t) for t in np.flatnonzero(free).tolist())
+
+
+def instances_by_dfs(f: BooleanFunction, m: BinaryMatroid,
+                     budget: int) -> tuple[list[frozenset[int]], int]:
+    """All distinct point sets of all-ones instances of M in f and the
+    number of nodes it took, by a point-at-a-time DFS: ones of f are
+    assigned to ground elements in order, and an element that tops a
+    dependency word takes the one point the word forces, if that point
+    is a one. A node is a point assigned; past `budget` nodes it raises
+    BudgetExceededError."""
+    ones = f.ones()
+    one_set = set(ones)
+    forced_by = _forced_by(m)
+    points = [0] * m.k
+    found: set[frozenset[int]] = set()
+    nodes = 0
+
+    def rec(depth: int):
+        nonlocal nodes
+        if depth == m.k:
+            found.add(frozenset(points))
+            return
+        rest = forced_by[depth]
+        if rest is None:
+            choices = ones
+        else:
+            acc = 0
+            for j in rest:
+                acc ^= points[j]
+            choices = (acc,) if acc in one_set else ()
+        for p in choices:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(f"instance DFS exceeded {budget} nodes")
+            points[depth] = p
+            rec(depth + 1)
+
+    rec(0)
+    return sorted(found, key=sorted), nodes

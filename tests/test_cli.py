@@ -205,6 +205,30 @@ def test_clique_hierarchy_checks_n_before_the_search(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: n=5 must be at least ambient dimension 8\n"
 
 
+def test_hierarchy_cycles_argument_grid(monkeypatch, capsys):
+    # every k and n in -1..11 ends in exit 0 or a one-line exit 3 or 4,
+    # and every refusal comes before any instance is enumerated
+    calls = []
+    real = matroidlab.tester.enumerate_instances
+    monkeypatch.setattr(matroidlab.tester, "enumerate_instances",
+                        lambda *args: calls.append(args) or real(*args))
+    codes = []
+    for k in range(-1, 12):
+        for n in range(-1, 12):
+            calls.clear()
+            code = main(["hierarchy", "--kind", "cycles", "-k", str(k), "-n", str(n)])
+            out, err = capsys.readouterr()
+            codes.append(code)
+            if (k, n) in ((3, 5), (3, 6), (3, 7)):
+                assert code == 0 and err == "" and len(calls) == 1, (k, n)
+                assert json.loads(out)["params"] == {"k": k, "n": n}, (k, n)
+            else:
+                assert code in (3, 4) and calls == [] and out == "", (k, n)
+                assert err.startswith(("error: ", "budget exceeded: ")), (k, n)
+                assert err.count("\n") == 1, (k, n)
+    assert (codes.count(0), codes.count(3), codes.count(4)) == (3, 13, 153)
+
+
 @pytest.mark.parametrize("argv", [
     ["fourier", "--check-von-neumann", "-n", "14", "--trials", "1"],
     ["fourier", "--check-von-neumann", "--graph", "k8", "-n", "2", "--trials", "1"],

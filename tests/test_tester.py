@@ -17,7 +17,7 @@ from matroidlab.tester import (PatternSpec, brute_force_cycle_count, count_patte
                                min_repair_distance, pattern_hitting_number, run_tester,
                                von_neumann_gap)
 from oracles import (apply, complement, constant, from_ones, from_table_int, index_int,
-                     pattern_complement, table_int)
+                     instances_by_dfs, pattern_complement, table_int)
 
 C3 = graphic_from_graph(cycle_graph(3))
 S111 = PatternSpec.all_ones(3)
@@ -539,6 +539,116 @@ def test_enumerate_instances_matches_the_scan():
                 assert enumerate_instances(f, m, budget) == expected
             outcomes.add((nodes > budget, bool(expected)))
     assert {(True, True), (False, True), (False, False)} <= outcomes
+
+
+def assert_instances_match_the_dfs(f, m, budget=20_000):
+    """enumerate_instances returns the point-at-a-time DFS's sets at a
+    budget of exactly the DFS's node count and refuses one node fewer;
+    where the DFS runs past `budget`, it refuses that budget too. True
+    when the sets were compared."""
+    try:
+        expected, nodes = instances_by_dfs(f, m, budget)
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError, match=rf"exceeded {budget} nodes; "):
+            enumerate_instances(f, m, budget)
+        return False
+    assert enumerate_instances(f, m, nodes) == expected
+    if nodes:
+        with pytest.raises(BudgetExceededError,
+                           match=rf"exceeded {nodes - 1} nodes; deepest element \d+ of {m.k}$"):
+            enumerate_instances(f, m, nodes - 1)
+    return True
+
+
+def test_enumerate_instances_matches_the_dfs_on_atlas_graphs():
+    # every connected graph on at most 5 vertices, graphic and cographic
+    # (trees give loops), at n = 2..5 and densities 0.1..0.9; cases past
+    # 5,000 DFS nodes are compared by their refusal
+    from test_acceptance import atlas_graphs
+
+    rng = np.random.Generator(np.random.PCG64(71))
+    compared = refused = 0
+    for g in atlas_graphs(5):
+        for m in (graphic_from_graph(g), cographic_from_graph(g)):
+            for n in range(2, 6):
+                for density in np.arange(1, 10) / 10:
+                    f = random_function(n, rng, density=density)
+                    if assert_instances_match_the_dfs(f, m, budget=5_000):
+                        compared += 1
+                    else:
+                        refused += 1
+    assert compared > 1500 and refused > 100
+
+
+@pytest.mark.parametrize("m", [graphic_from_graph(complete_graph(4)),
+                               graphic_from_graph(complete_graph(5)),
+                               cographic_from_graph(complete_graph(4)),
+                               cographic_from_graph(complete_graph(5))],
+                         ids=["k4", "k5", "k4co", "k5co"])
+def test_enumerate_instances_with_forced_elements_between_free_ones(m):
+    # in the cographic presentations forced elements sit between free ones,
+    # so a free level is peeked through at some depths and not at others
+    rng = np.random.Generator(np.random.PCG64(73))
+    for n, density in ((3, 0.3), (3, 0.6), (3, 0.9), (4, 0.3)):
+        assert assert_instances_match_the_dfs(random_function(n, rng, density=density), m,
+                                              budget=300_000)
+
+
+def test_enumerate_instances_with_a_loop_and_a_parallel_pair():
+    # a loop takes the point 0, and a parallel pair one point twice
+    m = BinaryMatroid([GFVector(2, v) for v in (1, 0, 2, 2, 3)])
+    rng = np.random.Generator(np.random.PCG64(79))
+    for n in (2, 3, 4):
+        for _ in range(10):
+            f = random_function(n, rng, density=0.6)
+            assert assert_instances_match_the_dfs(f, m)
+            if f.table[0]:
+                assert all(0 in e and len(e) <= 4 for e in enumerate_instances(f, m))
+            else:
+                assert enumerate_instances(f, m) == []
+
+
+def test_enumerate_instances_on_a_function_with_no_ones():
+    for m in (C3, C5, K4, ZERO_PARALLEL):
+        assert enumerate_instances(constant(4, 0), m, 0) == []
+        assert instances_by_dfs(constant(4, 0), m, 0) == ([], 0)
+
+
+def test_enumerate_instances_splits_rows_and_ones(monkeypatch):
+    # with 2^5 grid entries per block, 40-odd ones split the ones axis
+    # and every level past the first splits the rows
+    monkeypatch.setattr(tester, "_CHUNK", 1 << 5)
+    rng = np.random.Generator(np.random.PCG64(83))
+    for m in (C3, K4, cographic_from_graph(complete_graph(4)),
+              BinaryMatroid([GFVector(2, v) for v in (1, 0, 2, 2, 3)])):
+        f = random_function(6, rng, density=0.6)
+        assert f.ones_count() > 1 << 5
+        assert assert_instances_match_the_dfs(f, m, budget=300_000)
+
+
+def test_enumerate_instances_working_memory():
+    """Memory holds one block per level, so on canonical C_5 at n=8
+    (4,096 sets from 491,520 labelings) the peak is that of the result
+    sets, as it was for the point-at-a-time DFS (3.47 MiB traced)."""
+    f = canonical_function(C5, 8)
+    assert traced_peak(lambda: enumerate_instances(f, C5)) < 3.75 * (1 << 20)
+
+
+def test_min_hitting_set_refusal_says_how_far_it_got(monkeypatch):
+    # canonical C_3 at n=5: 16 triangles over 12 points, hitting number 4,
+    # proved at the 25th node of the branch and bound
+    edges = enumerate_instances(canonical_function(C3, 5), C3)
+    assert len(edges) == 16
+    monkeypatch.setattr(tester, "HITTING_SET_BUDGET", 25)
+    assert tester._min_hitting_set(edges) == 4
+    for budget, best in ((13, 6), (24, 4)):
+        monkeypatch.setattr(tester, "HITTING_SET_BUDGET", budget)
+        with pytest.raises(BudgetExceededError) as err:
+            tester._min_hitting_set(edges)
+        assert str(err.value) == (f"hitting-set search exceeded {budget} nodes; best hitting "
+                                  f"set so far {best} points, root lower bound 4")
+    with pytest.raises(BudgetExceededError, match="hitting-set search exceeded 24 nodes"):
+        pattern_hitting_number(canonical_function(C3, 5), C3)
 
 
 def test_von_neumann_trivial():
