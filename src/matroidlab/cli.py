@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -32,8 +32,8 @@ from .gf2 import GFVector
 from .matroid import (HOM_NODE_BUDGET, canonical_function, circuits,
                       cographic_from_graph, complexity, cycle_space_basis,
                       find_homomorphism, graphic_from_graph, named_graph, odd_girth)
-from .tester import (PATTERN_BUDGET_BITS, PatternSpec, _check_pattern_args,
-                     brute_force_cycle_count, check_von_neumann_args, count_patterns,
+from .tester import (PATTERN_BUDGET_BITS, PatternSpec, brute_force_cycle_count,
+                     check_pattern_args, check_von_neumann_args, count_patterns,
                      cycle_count_fourier, derive_seed, find_pattern, min_repair_distance,
                      pattern_hitting_number, run_tester, von_neumann_gap)
 
@@ -205,7 +205,7 @@ def _exp_tester_calibration(args):
     sigma = PatternSpec.from_string(args.sigma or "1" * m.k)
     # every bucket's exact count makes these checks; make them before the
     # list of ones, which holds 2^n Python ints at worst
-    _check_pattern_args(base, m, sigma, args.budget)
+    check_pattern_args(base, m, sigma, args.budget)
     ones = base.ones()
     rows = []
     size = 1 << base.n
@@ -296,11 +296,10 @@ def _exp_regularity(args):
 
 def _exp_characterize(args):
     rep = verify_characterization(args.n, args.k)
-    doc = rep.to_dict()
     return ({"k": args.k, "n": args.n},
-            {"mismatches": exact(doc["mismatches"]),
-             "containment_failures": doc["containment_failures"],
-             "sigma_verdicts": doc["sigma_verdicts"]})
+            {"mismatches": exact(rep.mismatches),
+             "containment_failures": rep.containment_failures,
+             "sigma_verdicts": [asdict(v) for v in rep.verdicts]})
 
 
 def _exp_hierarchy_cycles(args):

@@ -171,25 +171,6 @@ class CharacterizationReport:
     def mismatches(self) -> int:
         return sum(1 for v in self.verdicts if not v.match) + len(self.containment_failures)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "mismatches": self.mismatches,
-            "containment_failures": list(self.containment_failures),
-            "sigma_verdicts": [
-                {
-                    "sigma": v.sigma,
-                    "family": v.family,
-                    "free_count": v.free_count,
-                    "predicted_count": v.predicted_count,
-                    "match": v.match,
-                    "counterexamples": list(v.counterexamples),
-                }
-                for v in self.verdicts
-            ],
-        }
-
 
 def _all_sigmas(k: int):
     for bits in range(1, (1 << k) - 1):

@@ -269,7 +269,7 @@ def circuits(m: BinaryMatroid) -> list[tuple[int, ...]]:
 
 def cycle_space_basis(m: BinaryMatroid) -> list[tuple[int, ...]]:
     """k - rank subsets forming a basis of the dependency code."""
-    return [tuple(j for j in range(m.k) if w >> j & 1) for w in m.kernel_words]
+    return [tuple(_mask_bits(w)) for w in m.kernel_words]
 
 
 def odd_girth(m: BinaryMatroid) -> Optional[int]:

@@ -10,18 +10,23 @@ users but is what the definition says.
 
 Linear maps are restricted to the span of the ground vectors: an
 assignment gives each vector of the matroid's canonical span basis an
-image u_j in {0,1}^n. Counts (count_patterns, von_neumann_gap, and the
-freeness certificate of find_pattern) sum over all 2^(n*r) assignments
-by GF(2) variable elimination: the factors [f(L(v_i)) = sigma_i] are
-read at linear forms in u_0..u_{r-1}, a variable in one factor sums to a
-row total, one in two factors becomes an XOR-correlation computed with
-the Walsh-Hadamard butterfly, and one in three or more is conditioned on
-along a batch axis. A dry run over the forms prices this against the
-scan's 2^(n*r)*k before any table is built, and each call takes the
-cheaper route alone; tiny inputs stay on the scan. Counts are int64:
-n*r past 62 bits is refused up front, and past 41 bits a correlation
-whose 2^n*S_a*S_b reaches 2^63 is refused when it is met, both with
-BudgetExceededError.
+image u_j in {0,1}^n. Each public entry builds the factor lookups once,
+one array per ground vector (for a pattern, [f = sigma_i], one array per
+distinct value of Sigma; von_neumann_gap passes [f_i = 1]), and the
+scan, the elimination, the descent and the sampler all read that one
+list: nothing below the entries sees Sigma or a truth table. Counts
+(count_patterns, von_neumann_gap, and the freeness certificate of
+find_pattern) sum over all 2^(n*r) assignments by GF(2) variable
+elimination: the factors are read at linear forms in u_0..u_{r-1}, a
+variable in one factor sums to a row total, one in two factors becomes
+an XOR-correlation computed with the Walsh-Hadamard butterfly, and one
+in three or more is conditioned on along a batch axis. A dry run over
+the forms prices this against the scan's 2^(n*r)*k before any factor is
+built, and each call takes the cheaper route alone, running the steps
+the dry run priced, slice widths included; tiny inputs stay on the scan.
+Counts are int64: n*r past 62 bits is refused up front, and past 41 bits
+a correlation whose 2^n*S_a*S_b reaches 2^63 is refused when it is met,
+both with BudgetExceededError.
 
 Enumeration order contract (governs the witnesses of find_pattern):
 assignment index t in [0, 2^(n*r)) gives basis image u_j = bits
@@ -31,9 +36,8 @@ it by descent: u_{r-1} first, each image fixed to the smallest value
 whose conditioned count is positive, so a witness costs r counts
 wherever it lies; on tiny inputs the scan runs up to it.
 
-One kernel, `_match`, evaluates f at L(v_1), ..., L(v_k) for a batch of
-maps L and compares with Sigma, reading the lookups [f = sigma_i] built
-once per call. Once fewer than 1/8 of a batch's maps survive a factor
+One kernel, `_match`, reads the lookups at L(v_1), ..., L(v_k) for a
+batch of maps L. Once fewer than 1/8 of a batch's maps survive a factor
 with two or more still to come, it reads the remaining factors only at
 the survivors, gathered by index, and writes them back into the same
 bool array, so counts and first matches do not change. The exhaustive
@@ -84,7 +88,7 @@ import numpy as np
 from .boolfn import BooleanFunction, _butterfly, wht
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from .gf2 import GFVector, LinearMap
-from .matroid import BinaryMatroid, _forced_by, has_complexity_one
+from .matroid import BinaryMatroid, _forced_by, _mask_bits, has_complexity_one
 
 PATTERN_BUDGET_BITS = 30
 VON_NEUMANN_BUDGET_BITS = 26
@@ -181,8 +185,11 @@ class CountReport:
         return Fraction(self.span_count, self.span_total)
 
 
-def _check_pattern_args(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
-                        budget_bits: int) -> None:
+def check_pattern_args(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
+                       budget_bits: int) -> None:
+    """Refuse (f, M, Sigma) for find_pattern and count_patterns under
+    budget_bits from the arguments alone, so a caller can check before
+    it builds anything."""
     if budget_bits < 0:
         raise InvalidInputError(f"budget must be nonnegative, got {budget_bits}")
     if sigma.k != m.k:
@@ -193,24 +200,17 @@ def _check_pattern_args(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec
             f"n*rank = {f.n * m.rank} exceeds exhaustive budget {budget_bits}")
 
 
-def _lookups(tables: Sequence[np.ndarray], sigma: Sequence[int]) -> list[np.ndarray]:
-    """[tables[i] == sigma[i]] per ground vector, built once per distinct
-    (table, value) pair."""
-    built: dict = {}
-    out = []
-    for table, s in zip(tables, sigma):
-        key = (id(table), s)
-        if key not in built:
-            built[key] = table == s
-        out.append(built[key])
-    return out
+def _lookups(table: np.ndarray, sigma: Sequence[int]) -> list[np.ndarray]:
+    """[table == sigma[i]] per ground vector, built once per distinct
+    value."""
+    built = {s: table == s for s in set(sigma)}
+    return [built[s] for s in sigma]
 
 
 def _match(lookups: Sequence[np.ndarray], coords: Sequence[int], column,
            scratch: np.ndarray) -> np.ndarray:
     """The evaluation kernel: for a batch of linear maps, which ones send
-    every ground vector i to a point where lookups[i] (from _lookups) is
-    true.
+    every ground vector i to a point where lookups[i] is true.
 
     coords[i] is ground vector i as a mask over basis vectors; column(j)
     is the array of images of basis vector j across the batch, fetched
@@ -234,7 +234,7 @@ def _match(lookups: Sequence[np.ndarray], coords: Sequence[int], column,
     match = None
     for i, (lookup, cmask) in enumerate(zip(lookups, coords)):
         pts = None
-        for j in _bits(cmask):
+        for j in _mask_bits(cmask):
             col = fetch(j)
             pts = col if pts is None else np.bitwise_xor(pts, col, scratch)
         if pts is None:
@@ -253,16 +253,6 @@ def _match(lookups: Sequence[np.ndarray], coords: Sequence[int], column,
     return match
 
 
-def _bits(mask: int):
-    """The positions of the set bits of mask, lowest first."""
-    j = 0
-    while mask:
-        if mask & 1:
-            yield j
-        mask >>= 1
-        j += 1
-
-
 def _on_survivors(match: np.ndarray, lookups: Sequence[np.ndarray], coords: Sequence[int],
                   column) -> np.ndarray:
     """_match's remaining factors, read only at the maps where `match`
@@ -271,7 +261,7 @@ def _on_survivors(match: np.ndarray, lookups: Sequence[np.ndarray], coords: Sequ
     alive = np.flatnonzero(match)
     for lookup, cmask in zip(lookups, coords):
         pts = np.zeros_like(alive)
-        for j in _bits(cmask):
+        for j in _mask_bits(cmask):
             pts ^= column(j).take(alive)
         alive = alive[lookup.take(pts)]
         if not alive.size:
@@ -281,20 +271,18 @@ def _on_survivors(match: np.ndarray, lookups: Sequence[np.ndarray], coords: Sequ
     return match
 
 
-def _scan_chunks(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
-                 sigma: Sequence[int], r: int):
+def _scan_chunks(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int], r: int):
     """Yield (start, match_bool_array) over assignment indices, in order.
 
-    tables[i] is the truth table evaluated at point i; coords[i] is the
-    basis mask of ground vector i. Chunks hold min(2^(n*r), _CHUNK)
-    indices each. One index buffer, one buffer per basis column and one
-    XOR scratch buffer of that length are reused from chunk to chunk:
-    small enough to stay in cache from one ground vector to the next.
+    lookups[i] is the factor of ground vector i over {0,1}^n; coords[i]
+    is its basis mask. Chunks hold min(2^(n*r), _CHUNK) indices each.
+    One index buffer, one buffer per basis column and one XOR scratch
+    buffer of that length are reused from chunk to chunk: small enough
+    to stay in cache from one ground vector to the next.
     """
     total = 1 << (n * r)
     mask = (1 << n) - 1
     size = min(total, _CHUNK)
-    lookups = _lookups(tables, sigma)
     idx = np.arange(size, dtype=np.int64)
     scratch = np.empty_like(idx)
     cols = {}
@@ -314,7 +302,7 @@ def _scan_chunks(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
 
 # Variable elimination. The count is
 #     sum over u_0..u_{r-1} in {0,1}^n of prod_i g_i(sum_{j in c_i} u_j)
-# with g_i = [tables[i] == sigma[i]] read at the linear form c_i = coords[i].
+# with g_i = lookups[i] read at the linear form c_i = coords[i].
 # A variable that drops out of every form without being summed out
 # contributes 2^n.
 
@@ -322,15 +310,17 @@ _STEP_COST = 1 << 12     # fixed price of one elimination step, in element opera
 _INT64_LIMIT = 1 << 63
 
 
-def _plan(coords: Sequence[int], n: int, keep: int = 0) -> tuple[list[int], int]:
-    """A dry run over the factor forms alone: the variables in the order
-    they are summed out, and the price in element operations. Variables
-    in the mask `keep` are never summed out. Choices are greedy: the
-    variable in the fewest factors is eliminated; when every variable
-    sits in three or more, the one in the most is conditioned."""
+def _plan(coords: Sequence[int], n: int, keep: int = 0) -> tuple[list[tuple[int, int]], int]:
+    """A dry run over the factor forms alone: the steps, in order, and
+    their price in element operations. A step is (j, width): variable
+    u_j is summed out when width is 0, else conditioned on in slices of
+    `width` points. Variables in the mask `keep` are never summed out.
+    Choices are greedy: the variable in the fewest factors is
+    eliminated; when every variable sits in three or more, the one in
+    the most is conditioned."""
     size = 1 << n
     forms = {c for c in coords if c}
-    order = []
+    steps = []
     cost = _STEP_COST    # setting the factors up
     batch, runs = 1, 1   # rows per slice, slices the remaining steps run on
     while True:
@@ -339,11 +329,12 @@ def _plan(coords: Sequence[int], n: int, keep: int = 0) -> tuple[list[int], int]
         if not occ:
             break
         j = min(occ, key=lambda v: (occ[v], v))
+        width = 0
         if occ[j] > 2:
             j = max(occ, key=lambda v: (occ[v], -v))
-            per = min(size, max(1, _CHUNK // (batch * size)))
-            runs *= -(-size // per)
-            batch *= per
+            width = min(size, max(1, _CHUNK // (batch * size)))
+            runs *= -(-size // width)
+            batch *= width
             forms = {c & ~(1 << j) for c in forms} - {0}
             cost += runs * (_STEP_COST + batch * size * len(forms))
         else:
@@ -354,8 +345,8 @@ def _plan(coords: Sequence[int], n: int, keep: int = 0) -> tuple[list[int], int]
                 # three butterflies of n levels, the product, shift and sums
                 cost += runs * batch * size * (12 * n + 6)
             cost += runs * (_STEP_COST + batch * size)
-        order.append(j)
-    return order, cost
+        steps.append((j, width))
+    return steps, cost
 
 
 def _put(factors: dict, form: int, values: np.ndarray) -> None:
@@ -368,17 +359,17 @@ def _put(factors: dict, form: int, values: np.ndarray) -> None:
     factors[form] = values if old is None else old * values
 
 
-def _replay(factors: dict, order: Sequence[int], n: int) -> np.ndarray:
-    """Sum out the variables in `order`; factors map a form to an int64
+def _replay(factors: dict, steps: Sequence[tuple[int, int]], n: int) -> np.ndarray:
+    """Run _plan's `steps` on the factors, which map a form to an int64
     array of shape (rows, 2^n), or (1, 2^n) for a factor shared by every
     row. What is left reads at most one variable u_j: returns the total
     over all rows for every value of u_j (shape (2^n,)), or of shape (1,)
     when no factor is left on u_j. Raises BudgetExceededError when a
     correlation could leave int64."""
-    for pos, j in enumerate(order):
+    for pos, (j, width) in enumerate(steps):
+        if width:
+            return _condition(factors, j, width, steps[pos + 1:], n)
         mine = [c for c in factors if c >> j & 1]
-        if len(mine) > 2:
-            return _condition(factors, j, order[pos + 1:], n)
         a = factors.pop(mine[0])
         if len(mine) == 1:
             _put(factors, 0, a.sum(axis=1, keepdims=True))
@@ -398,59 +389,50 @@ def _replay(factors: dict, order: Sequence[int], n: int) -> np.ndarray:
     return rest.sum(axis=0)
 
 
-def _condition(factors: dict, j: int, order: Sequence[int], n: int) -> np.ndarray:
-    """Fix variable j to every point, at most _CHUNK table entries per
-    slice, and sum out `order` in each slice."""
+def _condition(factors: dict, j: int, width: int, steps: Sequence[tuple[int, int]],
+               n: int) -> np.ndarray:
+    """Fix variable j to every point, `width` points per slice, and run
+    `steps` in each slice."""
     size = 1 << n
-    rows = max(a.shape[0] for a in factors.values())
-    per = min(size, max(1, _CHUNK // (rows * size)))
     points = np.arange(size, dtype=np.int64)
     total = 0
-    for lo in range(0, size, per):
-        total = total + _replay(_fix(factors, j, points[lo:lo + per], n), order, n)
+    for lo in range(0, size, width):
+        total = total + _replay(_fix(factors, j, points[lo:lo + width], n), steps, n)
     return total
 
 
-def _factors(tables: Sequence[np.ndarray], coords: Sequence[int],
-             sigma: Sequence[int]) -> dict:
-    """The factors [tables[i] == sigma[i]] keyed by form, merged."""
+def _factors(lookups: Sequence[np.ndarray], coords: Sequence[int]) -> dict:
+    """The factors lookups[i] as int64 rows keyed by form, merged."""
     factors = {0: np.ones((1, 1), dtype=np.int64)}
-    for table, s, c in zip(tables, sigma, coords):
-        _put(factors, c, (table == s).astype(np.int64)[None, :])
+    for lookup, c in zip(lookups, coords):
+        _put(factors, c, lookup.astype(np.int64)[None, :])
     return factors
 
 
-def _eliminate(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
-               sigma: Sequence[int], r: int, order: Sequence[int]) -> int:
-    """The exact count, summing the variables out in `order` (from
-    _plan)."""
-    total = _replay(_factors(tables, coords, sigma), order, n)
-    return int(total[0]) << (n * (r - len(order)))
-
-
-def _priced(coords: Sequence[int], n: int, r: int, keep: int = 0) -> Optional[list[int]]:
-    """The route of an exact call over 2^(n*r) assignments: the
-    elimination order when it is priced below the scan's 2^(n*r)*k, else
-    None for the scan. A count of up to 2^(n*r) leaves int64 past 62
-    bits, so such a call is refused here, before any table is built."""
+def _priced(coords: Sequence[int], n: int, r: int,
+            keep: int = 0) -> Optional[list[tuple[int, int]]]:
+    """The route of an exact call over 2^(n*r) assignments: _plan's steps
+    when they are priced below the scan's 2^(n*r)*k, else None for the
+    scan. A count of up to 2^(n*r) leaves int64 past 62 bits, so such a
+    call is refused here, before any factor is built."""
     if 1 << (n * r) >= _INT64_LIMIT:
         raise BudgetExceededError(
             f"n*rank = {n * r}: an exact count past 62 bits could leave int64")
     scan = len(coords) << (n * r)
     if scan <= _STEP_COST:    # no plan costs less
         return None
-    order, cost = _plan(coords, n, keep)
-    return order if cost < scan else None
+    steps, cost = _plan(coords, n, keep)
+    return steps if cost < scan else None
 
 
-def _count(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
-           sigma: Sequence[int], r: int) -> int:
-    """Exact number of span-basis assignments realizing sigma, by the
-    route _priced chooses."""
-    order = _priced(coords, n, r)
-    if order is not None:
-        return _eliminate(tables, n, coords, sigma, r, order)
-    return sum(int(match.sum()) for _, match in _scan_chunks(tables, n, coords, sigma, r))
+def _count(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int], r: int) -> int:
+    """Exact number of span-basis assignments at which every lookups[i]
+    holds, by the route _priced chooses."""
+    steps = _priced(coords, n, r)
+    if steps is None:
+        return sum(int(match.sum()) for _, match in _scan_chunks(lookups, n, coords, r))
+    total = _replay(_factors(lookups, coords), steps, n)
+    return int(total[0]) << (n * (r - len(steps)))
 
 
 def _fix(factors: dict, j: int, values: np.ndarray, n: int) -> dict:
@@ -473,19 +455,19 @@ def _fix(factors: dict, j: int, values: np.ndarray, n: int) -> dict:
     return out
 
 
-def _descend(tables: Sequence[np.ndarray], n: int, coords: Sequence[int],
-             sigma: Sequence[int], r: int) -> Optional[int]:
-    """The smallest assignment index realizing sigma, by elimination
-    (r >= 1): from u_{r-1} down to u_0, count the completions for every
-    value of u_j with the higher images fixed, and fix u_j to the first
-    value that has one. None when no assignment realizes sigma (the
+def _descend(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int],
+             r: int) -> Optional[int]:
+    """The smallest assignment index at which every lookups[i] holds, by
+    elimination (r >= 1): from u_{r-1} down to u_0, count the completions
+    for every value of u_j with the higher images fixed, and fix u_j to
+    the first value that has one. None when no assignment qualifies (the
     first round is the count). The cost is r counts, wherever the
     witness lies."""
-    factors = _factors(tables, coords, sigma)
+    factors = _factors(lookups, coords)
     t = 0
     for j in reversed(range(r)):
-        order, _ = _plan(list(factors), n, 1 << j)
-        hits = np.flatnonzero(_replay(dict(factors), order, n))
+        steps, _ = _plan(list(factors), n, 1 << j)
+        hits = np.flatnonzero(_replay(dict(factors), steps, n))
         if not hits.size:
             return None
         value = int(hits[0])
@@ -500,9 +482,8 @@ def _instance(t: int, n: int, r: int, coords: Sequence[int]) -> PatternInstance:
     points = []
     for cmask in coords:
         bits = 0
-        for j in range(r):
-            if cmask >> j & 1:
-                bits ^= images[j].bits
+        for j in _mask_bits(cmask):
+            bits ^= images[j].bits
         points.append(GFVector(n, bits))
     return PatternInstance(LinearMap(r, images), tuple(points))
 
@@ -514,23 +495,23 @@ def find_pattern(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
     below the scan, the witness is found by descending through the basis
     images, at the price of r counts wherever it lies; on tiny inputs
     the scan runs up to it."""
-    _check_pattern_args(f, m, sigma, budget_bits)
+    check_pattern_args(f, m, sigma, budget_bits)
     n, r = f.n, m.rank
     coords = m.span_coords
-    tables = [f.table] * m.k
+    lookups = _lookups(f.table, sigma.sigma)
     if r and _priced(coords, n, r, 1 << (r - 1)) is not None:
-        t = _descend(tables, n, coords, sigma.sigma, r)
+        t = _descend(lookups, n, coords, r)
     else:
         t = next((start + int(np.argmax(match)) for start, match in
-                  _scan_chunks(tables, n, coords, sigma.sigma, r) if match.any()), None)
+                  _scan_chunks(lookups, n, coords, r) if match.any()), None)
     return None if t is None else _instance(t, n, r, coords)
 
 
 def count_patterns(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
                    budget_bits: int = PATTERN_BUDGET_BITS) -> CountReport:
     """Exact number of span-basis assignments realizing Sigma."""
-    _check_pattern_args(f, m, sigma, budget_bits)
-    count = _count([f.table] * m.k, f.n, m.span_coords, sigma.sigma, m.rank)
+    check_pattern_args(f, m, sigma, budget_bits)
+    count = _count(_lookups(f.table, sigma.sigma), f.n, m.span_coords, m.rank)
     return CountReport(n=f.n, rank=m.rank, ambient_dim=m.m, span_count=count)
 
 
@@ -555,7 +536,7 @@ def brute_force_cycle_count(f: BooleanFunction, k: int) -> int:
         raise BudgetExceededError("tuple enumeration too large")
     coords = [1 << j for j in range(k - 1)] + [(1 << (k - 1)) - 1]
     return sum(int(match.sum()) for _, match in
-               _scan_chunks([f.table] * k, f.n, coords, (1,) * k, k - 1))
+               _scan_chunks(_lookups(f.table, (1,) * k), f.n, coords, k - 1))
 
 
 def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
@@ -597,7 +578,7 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
         raise BudgetExceededError(
             f"{samples} samples exceed the tester budget of {TESTER_SAMPLE_BUDGET}")
     bitgen = np.random.PCG64(seed)
-    lookups = _lookups([f.table] * m.k, sigma.sigma)
+    lookups = _lookups(f.table, sigma.sigma)
     block = min(samples, _CHUNK, max(1, 8 * _CHUNK // m.m))
     columns = np.zeros((m.m, block), dtype=np.int64)
     scratch = np.empty(block, dtype=np.int64)
@@ -642,14 +623,15 @@ def _next_level(level: np.ndarray, width: int, size: int, limit: int) -> np.ndar
     return np.concatenate(parts)[:limit]
 
 
-def _learned(inst: PatternInstance, f: BooleanFunction, sigma: PatternSpec,
+def _learned(inst: PatternInstance, lookups: Sequence[np.ndarray],
              bit: dict[int, int]) -> tuple[int, int]:
     """The (care, want) masks of a violating instance: f ^ S contains it
-    iff S & care == want, where want marks its points with f(p_i) != sigma_i."""
+    iff S & care == want, where want marks its points p_i at which f's
+    lookups[i] is false."""
     care = want = 0
-    for p, s in zip(inst.points, sigma.sigma):
+    for p, lookup in zip(inst.points, lookups):
         care |= bit[p.bits]
-        if f.table[p.bits] != s:
+        if not lookup[p.bits]:
             want |= bit[p.bits]
     return care, want
 
@@ -687,7 +669,8 @@ def min_repair_distance(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec
                 f"2^n = {len(points)} exceeds the general repair cap of 16")
     width = len(points)
     bit = {p: 1 << i for i, p in enumerate(points)}
-    rules = [_learned(inst, f, sigma, bit)]
+    lookups = _lookups(f.table, sigma.sigma)
+    rules = [_learned(inst, lookups, bit)]
     level = np.zeros(1, dtype=np.int64)
     tried = 0
     for size in range(1, width + 1):
@@ -705,7 +688,7 @@ def min_repair_distance(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec
             inst = find_pattern(candidate, m, sigma)
             if inst is None:
                 return RepairReport(size, Fraction(size, 1 << f.n), candidate)
-            care, want = _learned(inst, f, sigma, bit)
+            care, want = _learned(inst, lookups, bit)
             rules.append((care, want))
             alive = alive[1:][(level[alive[1:]] & care) != want]
         if len(level) < total:
@@ -849,7 +832,6 @@ def pattern_hitting_number(f: BooleanFunction, m: BinaryMatroid) -> int:
 class VonNeumannReport:
     lhs: Fraction
     rhs_fourth_power: Fraction
-    rhs: float
     holds: bool
 
 
@@ -865,8 +847,7 @@ def check_von_neumann_args(m: BinaryMatroid, n: int) -> None:
 
 def von_neumann_gap(fs: Sequence[BooleanFunction], m: BinaryMatroid) -> VonNeumannReport:
     """Check E_L[prod f_i(L(v_i))] <= min_i (sum_a f_i^(a)^4)^(1/4) on a
-    complexity-1 matroid. The verdict compares exact fourth powers; the
-    reported rhs is a 12-digit float of the fourth root."""
+    complexity-1 matroid. The verdict compares exact fourth powers."""
     if len(fs) != m.k:
         raise InvalidInputError(f"need {m.k} functions, got {len(fs)}")
     n = fs[0].n
@@ -874,9 +855,7 @@ def von_neumann_gap(fs: Sequence[BooleanFunction], m: BinaryMatroid) -> VonNeuma
         if g.n != n:
             raise DimensionMismatchError("all functions must share one domain")
     check_von_neumann_args(m, n)
-    count = _count([g.table for g in fs], n, m.span_coords, (1,) * m.k, m.rank)
+    count = _count([g.table == 1 for g in fs], n, m.span_coords, m.rank)
     lhs = Fraction(count, 1 << (n * m.rank))
     rhs4 = min(Fraction(wht(g).power_sum(4), 1 << (4 * n)) for g in fs)
-    rhs = round(float(rhs4) ** 0.25, 12)
-    return VonNeumannReport(lhs=lhs, rhs_fourth_power=rhs4, rhs=rhs,
-                            holds=lhs ** 4 <= rhs4)
+    return VonNeumannReport(lhs=lhs, rhs_fourth_power=rhs4, holds=lhs ** 4 <= rhs4)

@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from functools import lru_cache
 
 import pytest
@@ -260,12 +261,20 @@ def test_sigma_permutation_invariance_of_free_sets():
             assert enumerate_free_functions(2, k, rotated) == base
 
 
+def report_doc(rep):
+    """A characterization report as plain data, its verdicts as the
+    `characterize` command writes them."""
+    return {"n": rep.n, "k": rep.k, "mismatches": rep.mismatches,
+            "containment_failures": rep.containment_failures,
+            "sigma_verdicts": [asdict(v) for v in rep.verdicts]}
+
+
 def test_verify_characterization_small():
     rep = verify_characterization(2, 3)
     assert len(rep.verdicts) == 6 and rep.mismatches == 0
     rep = verify_characterization(3, 4)
     assert len(rep.verdicts) == 14 and rep.mismatches == 0
-    doc = rep.to_dict()
+    doc = report_doc(rep)
     assert doc["mismatches"] == 0 and len(doc["sigma_verdicts"]) == 14
 
 
@@ -281,7 +290,7 @@ def reference_characterization(n, k, masks=dp_masks):
         diff = free ^ members[fam]
         verdicts.append({"sigma": str(s), "family": fam.value, "free_count": len(free),
                          "predicted_count": len(members[fam]), "match": not diff,
-                         "counterexamples": sorted(table_int(f) for f in diff)})
+                         "counterexamples": tuple(sorted(table_int(f) for f in diff))})
         for pad in ((0, 0), (1, 1)):
             padded = PatternSpec(s.sigma + pad)
             outside = dp_free(n, k + 2, padded, masks) - free
@@ -295,7 +304,7 @@ def reference_characterization(n, k, masks=dp_masks):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_verify_characterization_matches_reference(n, k):
-    assert verify_characterization(n, k).to_dict() == reference_characterization(n, k)
+    assert report_doc(verify_characterization(n, k)) == reference_characterization(n, k)
 
 
 def test_verify_characterization_reports_disagreements(monkeypatch):
@@ -306,7 +315,7 @@ def test_verify_characterization_reports_disagreements(monkeypatch):
                         lambda s: list(FamilyId)[index_int(s) % len(FamilyId)])
     monkeypatch.setattr(families, "_free_by_weight",
                         lambda n, k: table(n, k) if k == 3 else table(n, k) | True)
-    doc = verify_characterization(2, 3).to_dict()
+    doc = report_doc(verify_characterization(2, 3))
     assert doc["containment_failures"] and any(v["counterexamples"]
                                                 for v in doc["sigma_verdicts"])
 

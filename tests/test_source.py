@@ -45,6 +45,25 @@ def test_top_level_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def private_imports(source: str) -> list[str]:
+    """The `_`-prefixed names a module imports from the package, dunders
+    such as `__version__` aside."""
+    return [a.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "matroidlab")
+            for a in node.names if a.name.startswith("_") and not a.name.endswith("__")]
+
+
+def test_private_imports_detector():
+    source = ("from .tester import PatternSpec, _lookups\nfrom matroidlab.gf2 import _ref\n"
+              "from numpy import _core\nfrom . import _x, __version__\n")
+    assert private_imports(source) == ["_lookups", "_ref", "_x"]
+
+
+def test_cli_imports_only_public_names():
+    """The command line reaches the library through its public names."""
+    assert private_imports((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
 def _reads(nodes) -> tuple[set[str], set[str]]:
     """The names loaded and the attributes accessed anywhere in nodes."""
     names, attrs = set(), set()

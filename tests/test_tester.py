@@ -17,7 +17,7 @@ from matroidlab.tester import (PatternSpec, brute_force_cycle_count, count_patte
                                min_repair_distance, pattern_hitting_number, run_tester,
                                von_neumann_gap)
 from oracles import (apply, complement, constant, from_ones, from_table_int, index_int,
-                     instances_by_dfs, pattern_complement, table_int)
+                     instances_by_dfs, pattern_complement, random_nonsingular_map, table_int)
 
 C3 = graphic_from_graph(cycle_graph(3))
 S111 = PatternSpec.all_ones(3)
@@ -654,7 +654,7 @@ def test_min_hitting_set_refusal_says_how_far_it_got(monkeypatch):
 def test_von_neumann_trivial():
     ones = [constant(2, 1)] * 3
     rep = von_neumann_gap(ones, C3)
-    assert rep.lhs == 1 and rep.rhs == 1.0 and rep.holds
+    assert rep.lhs == 1 and rep.rhs_fourth_power == 1 and rep.holds
     zeros = [constant(2, 0)] * 3
     rep = von_neumann_gap(zeros, C3)
     assert rep.lhs == 0 and rep.holds
@@ -665,6 +665,48 @@ def test_von_neumann_random():
     for _ in range(20):
         fs = [random_function(4, rng) for _ in range(3)]
         assert von_neumann_gap(fs, C3).holds
+
+
+def full_map_mean(fs, m, n):
+    """E_L prod_i f_i(L v_i) over every linear map L: {0,1}^m -> {0,1}^n,
+    each map read as m basis images and applied to the presentation
+    vectors, 2^15 maps at a time."""
+    total, count = 1 << (n * m.m), 0
+    for start in range(0, total, 1 << 15):
+        t = np.arange(start, min(total, start + (1 << 15)), dtype=np.int64)
+        match = np.ones(len(t), dtype=bool)
+        for g, v in zip(fs, m.ints):
+            pts = np.zeros_like(t)
+            for j in range(m.m):
+                if v >> j & 1:
+                    pts ^= (t >> (j * n)) & ((1 << n) - 1)
+            match &= g.table[pts] == 1
+        count += int(np.count_nonzero(match))
+    return Fraction(count, total)
+
+
+@pytest.mark.parametrize("m, n, eliminated", [
+    (C3, 4, False), (C3, 7, True),
+    (graphic_from_graph(complete_graph(4)), 4, False),
+    (graphic_from_graph(complete_graph(4)), 5, True),
+], ids=["c3-scan", "c3-elimination", "k4-scan", "k4-elimination"])
+def test_von_neumann_lhs_is_the_physical_average(m, n, eliminated):
+    """lhs on k distinct tables, one per ground vector, against an
+    average taken without the engine: on C_3 over (x, y, x ^ y), on K_4
+    over every linear map of its presentation. A factor read at the
+    wrong ground vector changes the number."""
+    assert (tester._priced(m.span_coords, n, m.rank) is not None) == eliminated
+    rng = np.random.Generator(np.random.PCG64(179))
+    for density in (0.3, 0.5, 0.8):
+        fs = [random_function(n, rng, density) for _ in range(m.k)]
+        assert len({g.table.tobytes() for g in fs}) == m.k
+        lhs = von_neumann_gap(fs, m).lhs
+        if m is C3:
+            x = np.arange(1 << n)[:, None]
+            y = np.arange(1 << n)[None, :]
+            hits = fs[0].table[x] & fs[1].table[y] & fs[2].table[x ^ y]
+            assert lhs == Fraction(int(hits.sum()), 1 << (2 * n))
+        assert lhs == full_map_mean(fs, m, n)
 
 
 def test_von_neumann_rejects_bad_matroid():
@@ -713,27 +755,99 @@ def test_cycle_sigma_permutation_invariance():
                 assert base_free == (count_patterns(f, m, reversed_).span_count == 0)
 
 
+def random_matroid(rng, rank0=False):
+    """A random binary matroid of 1..7 elements in {0,1}^d, d = 1..4.
+    Small d makes loops and parallel elements common; rank0 draws every
+    element as a loop."""
+    d, k = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+    ints = [0] * k if rank0 else rng.integers(0, 1 << d, size=k).tolist()
+    return BinaryMatroid([GFVector(d, int(v)) for v in ints])
+
+
+def invariance_cases(seed, cases=60):
+    """Seeded (f, M, Sigma) triples with n*rank up to 14, every tenth of
+    rank 0, on both routes of count_patterns."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    routes = set()
+    for i in range(cases):
+        m = random_matroid(rng, rank0=i % 10 == 0)
+        n = int(rng.integers(1, 14 // max(m.rank, 1) + 1))
+        routes.add(tester._priced(m.span_coords, n, m.rank) is None)
+        sigma = PatternSpec(tuple(int(b) for b in rng.integers(0, 2, m.k)))
+        yield random_function(n, rng, rng.choice([0.2, 0.5, 0.8])), m, sigma, rng
+    assert routes == {True, False}
+
+
+def span_count(f, m, sigma):
+    return count_patterns(f, m, sigma).span_count
+
+
+def test_count_is_invariant_under_a_change_of_domain_basis():
+    """f -> f o A for a nonsingular A on {0,1}^n."""
+    for f, m, sigma, rng in invariance_cases(181):
+        a = random_nonsingular_map(f.n, rng)
+        moved = [apply(a, GFVector(f.n, x)).bits for x in range(1 << f.n)]
+        g = BooleanFunction(f.n, f.table[moved])
+        assert span_count(g, m, sigma) == span_count(f, m, sigma)
+
+
+def test_count_is_invariant_under_a_change_of_presentation():
+    """v_i -> B v_i for a nonsingular B on {0,1}^d: the same matroid."""
+    for f, m, sigma, rng in invariance_cases(191):
+        b = random_nonsingular_map(m.m, rng)
+        moved = BinaryMatroid([apply(b, v) for v in m.vectors])
+        assert span_count(f, moved, sigma) == span_count(f, m, sigma)
+
+
+def test_count_is_invariant_under_a_ground_permutation():
+    """The ground set and Sigma permuted alike."""
+    for f, m, sigma, rng in invariance_cases(193):
+        perm = rng.permutation(m.k)
+        moved = BinaryMatroid([m.vectors[i] for i in perm])
+        permuted = PatternSpec(tuple(sigma.sigma[i] for i in perm))
+        assert span_count(f, moved, permuted) == span_count(f, m, sigma)
+
+
+def test_count_is_invariant_under_complement():
+    """f -> 1 - f with Sigma complemented."""
+    for f, m, sigma, _ in invariance_cases(197):
+        assert span_count(complement(f), m, pattern_complement(sigma)) == span_count(f, m, sigma)
+
+
 # ---------------------------------------------------------------------------
 # exact counts by variable elimination, held against the assignment scan
 
 
+def table_lookups(tables, sigma):
+    """The engine's factors for explicit tables: [tables[i] == sigma[i]]."""
+    return [table == s for table, s in zip(tables, sigma)]
+
+
 def scan_count(tables, n, coords, sigma, r):
     """Scan-only reference over explicit tables: the number of matches."""
-    return sum(int(match.sum()) for _, match in tester._scan_chunks(tables, n, coords, sigma, r))
+    return sum(int(match.sum()) for _, match in
+               tester._scan_chunks(table_lookups(tables, sigma), n, coords, r))
 
 
 def scan_first(tables, n, coords, sigma, r):
     """Scan-only reference over explicit tables: the smallest matching index."""
-    for start, match in tester._scan_chunks(tables, n, coords, sigma, r):
+    for start, match in tester._scan_chunks(table_lookups(tables, sigma), n, coords, r):
         if match.any():
             return start + int(np.argmax(match))
     return None
 
 
-def eliminated_count(tables, n, m, sigma):
-    """The elimination counter on its own, whatever the planner's price."""
-    order, _ = tester._plan(m.span_coords, n)
-    return tester._eliminate(tables, n, m.span_coords, sigma, m.rank, order)
+def eliminated_count(tables, n, coords, sigma, r):
+    """The elimination counter on its own, whatever the planner's price:
+    _count with the route forced to _plan's steps."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tester, "_priced", lambda coords, n, r: tester._plan(coords, n)[0])
+        return tester._count(table_lookups(tables, sigma), n, coords, r)
+
+
+def descended(tables, n, coords, sigma, r):
+    """The witness descent on its own, whatever the planner's price."""
+    return tester._descend(table_lookups(tables, sigma), n, coords, r)
 
 
 def vectors(*rows):
@@ -755,7 +869,7 @@ def test_elimination_matches_scan_on_atlas_graphs():
             for bits in range(1 << m.k):
                 sigma = tuple(bits >> i & 1 for i in range(m.k))
                 want = scan_count(tables, n, m.span_coords, sigma, m.rank)
-                assert eliminated_count(tables, n, m, sigma) == want
+                assert eliminated_count(tables, n, m.span_coords, sigma, m.rank) == want
                 checked += 1
     assert checked > 9000
 
@@ -776,7 +890,7 @@ def test_elimination_matches_scan_on_special_presentations(m):
             sigma = tuple(int(b) for b in rng.integers(0, 2, m.k))
             tables = [table] * m.k
             want = scan_count(tables, n, m.span_coords, sigma, m.rank)
-            assert eliminated_count(tables, n, m, sigma) == want
+            assert eliminated_count(tables, n, m.span_coords, sigma, m.rank) == want
 
 
 @pytest.mark.parametrize("m", [C3, graphic_from_graph(complete_graph(4)),
@@ -788,7 +902,7 @@ def test_elimination_matches_scan_per_element_tables(m):
     for n in range(1, 12 // m.rank + 1):
         tables = [random_function(n, rng).table for _ in range(m.k)]
         want = scan_count(tables, n, m.span_coords, ones, m.rank)
-        assert eliminated_count(tables, n, m, ones) == want
+        assert eliminated_count(tables, n, m.span_coords, ones, m.rank) == want
 
 
 def test_elimination_slices_agree(monkeypatch):
@@ -801,7 +915,7 @@ def test_elimination_slices_agree(monkeypatch):
             tables = [random_function(n, rng, 0.7).table for _ in range(m.k)]
             sigma = tuple(int(b) for b in rng.integers(0, 2, m.k))
             want = scan_count(tables, n, m.span_coords, sigma, m.rank)
-            assert eliminated_count(tables, n, m, sigma) == want
+            assert eliminated_count(tables, n, m.span_coords, sigma, m.rank) == want
 
 
 def test_elimination_counts_a_variable_in_no_factor():
@@ -811,9 +925,9 @@ def test_elimination_counts_a_variable_in_no_factor():
         tables = [random_function(n, rng).table for _ in range(3)]
         for coords in ((1, 2, 3), (3, 3, 1)):
             want = scan_count(tables, n, coords, (1, 0, 1), 3)
-            order, _ = tester._plan(coords, n)
-            assert len(order) < 3
-            assert tester._eliminate(tables, n, coords, (1, 0, 1), 3, order) == want
+            steps, _ = tester._plan(coords, n)
+            assert len(steps) < 3
+            assert eliminated_count(tables, n, coords, (1, 0, 1), 3) == want
 
 
 def test_planner_keeps_small_scans():
@@ -834,10 +948,9 @@ def test_planner_prices_scan_against_elimination():
         assert m.k << (n * m.rank) < cost
         assert tester._priced(m.span_coords, n, m.rank) is None
     # one step further the elimination is cheaper
-    order = tester._priced(C3.span_coords, 7, 2)
-    assert order is not None
-    assert tester._eliminate([constant(7, 1).table] * 3, 7,
-                             C3.span_coords, (1, 1, 1), 2, order) == 1 << 14
+    assert tester._priced(C3.span_coords, 7, 2) is not None
+    ones = [np.ones(1 << 7, dtype=bool)] * 3
+    assert tester._count(ones, 7, C3.span_coords, 2) == 1 << 14
 
 
 def test_free_certificate_costs_a_count(monkeypatch):
@@ -850,10 +963,10 @@ def test_free_certificate_costs_a_count(monkeypatch):
 def test_planner_eliminates_k4_at_n8():
     k4 = graphic_from_graph(complete_graph(4))
     f = random_function(8, np.random.Generator(np.random.PCG64(101)), density=0.4)
-    order, cost = tester._plan(k4.span_coords, 8)
-    assert len(order) == 3 and cost < k4.k << 24
-    assert tester._priced(k4.span_coords, 8, 3) == order
-    got = tester._eliminate([f.table] * 6, 8, k4.span_coords, (1,) * 6, 3, order)
+    steps, cost = tester._plan(k4.span_coords, 8)
+    assert len(steps) == 3 and cost < k4.k << 24
+    assert tester._priced(k4.span_coords, 8, 3) == steps
+    got = tester._count(table_lookups([f.table] * 6, (1,) * 6), 8, k4.span_coords, 3)
     assert got == scan_count([f.table] * 6, 8, k4.span_coords, (1,) * 6, 3)
 
 
@@ -862,7 +975,7 @@ def test_int64_bound_is_refused():
     correlation is refused, not rerouted to a scan of 2^42 assignments."""
     one = constant(21, 1)
     with pytest.raises(BudgetExceededError, match="eliminating u_0"):
-        eliminated_count([one.table] * 3, 21, C3, (1, 1, 1))
+        eliminated_count([one.table] * 3, 21, C3.span_coords, (1, 1, 1), 2)
     for run in (count_patterns, find_pattern):
         with pytest.raises(BudgetExceededError, match="int64"):
             run(one, C3, S111, budget_bits=42)
@@ -1029,7 +1142,7 @@ def test_descent_matches_scan_on_atlas_graphs():
             for _ in range(8):
                 sigma = tuple(int(b) for b in rng.integers(0, 2, m.k))
                 want = scan_first(tables, n, m.span_coords, sigma, m.rank)
-                assert tester._descend(tables, n, m.span_coords, sigma, m.rank) == want
+                assert descended(tables, n, m.span_coords, sigma, m.rank) == want
                 checked += 1
     assert checked > 800
 
@@ -1048,7 +1161,7 @@ def test_descent_matches_scan_on_special_presentations(m):
             tables = [random_function(n, rng, density=0.6).table for _ in range(m.k)]
             sigma = tuple(int(b) for b in rng.integers(0, 2, m.k))
             want = scan_first(tables, n, m.span_coords, sigma, m.rank)
-            assert tester._descend(tables, n, m.span_coords, sigma, m.rank) == want
+            assert descended(tables, n, m.span_coords, sigma, m.rank) == want
 
 
 def test_descent_slices_and_unread_variables(monkeypatch):
@@ -1065,7 +1178,7 @@ def test_descent_slices_and_unread_variables(monkeypatch):
                 tables = [random_function(n, rng, 0.7).table for _ in coords]
                 sigma = tuple(int(b) for b in rng.integers(0, 2, len(coords)))
                 want = scan_first(tables, n, coords, sigma, r)
-                assert tester._descend(tables, n, coords, sigma, r) == want
+                assert descended(tables, n, coords, sigma, r) == want
 
 
 def test_late_witness_costs_no_scan(monkeypatch):
