@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from functools import partial
 
@@ -52,27 +52,6 @@ SWEEP_CORPUS = ("c3", "c4", "c5", "c6", "c7", "c8", "k4", "k5", "k5e", "petersen
 
 class PropertyViolation(MatroidLabError):
     """An assertion-style check found a violating pattern."""
-
-
-@dataclass
-class Report:
-    experiment: str
-    params: dict
-    results: dict
-    seed: int
-    runtime_ms: int
-    version: str
-
-    def to_json(self) -> str:
-        doc = {
-            "experiment": self.experiment,
-            "params": self.params,
-            "results": self.results,
-            "runtime_ms": self.runtime_ms,
-            "seed": self.seed,
-            "version": self.version,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _plain(v):
@@ -204,18 +183,17 @@ def _exp_tester_calibration(args):
         m = graphic_from_graph(named_graph("c3"))
     sigma = PatternSpec.from_string(args.sigma or "1" * m.k)
     # every bucket's exact count makes these checks; make them before the
-    # list of ones, which holds 2^n Python ints at worst
+    # index array of ones, which holds 2^n entries at worst
     check_pattern_args(base, m, sigma, args.budget)
-    ones = base.ones()
+    ones = np.flatnonzero(base.table)
     rows = []
     size = 1 << base.n
     for i in range(args.buckets):
         prune_rng = np.random.Generator(np.random.PCG64(derive_seed(args.seed, 1, i)))
         remove = round(len(ones) * i / max(args.buckets - 1, 1))
-        removed = prune_rng.choice(len(ones), size=remove, replace=False) if remove else []
         table = base.table.copy()
-        for idx in removed:
-            table[ones[int(idx)]] = 0
+        if remove:
+            table[ones[prune_rng.choice(len(ones), size=remove, replace=False)]] = 0
         variant = BooleanFunction(base.n, table)
         exact_density = count_patterns(variant, m, sigma, budget_bits=args.budget).density
         _, rate = run_tester(variant, m, sigma, args.samples, derive_seed(args.seed, 2, i))
@@ -325,8 +303,10 @@ def _exp_hierarchy_cliques(args):
     m_a = graphic_from_graph(named_graph(f"k{a}"))
     m_b = graphic_from_graph(named_graph(f"k{b}"))
     f = canonical_function(m_a, n)     # rejects a bad -n before the search
+    sigma = PatternSpec.all_ones(m_b.k)
+    check_pattern_args(f, m_b, sigma, PATTERN_BUDGET_BITS)    # and the n*rank cap
     phi = find_homomorphism(m_b, m_a, node_budget=args.budget)
-    free = find_pattern(f, m_b, PatternSpec.all_ones(m_b.k)) is None
+    free = find_pattern(f, m_b, sigma) is None
     return ({"a": a, "b": b, "n": n},
             {f"hom_k{b}_to_k{a}": "none" if phi is None else list(phi.assignment),
              f"canonical_k{a}_is_k{b}_free": free})
@@ -345,12 +325,12 @@ def _exp_fourier_count(args):
     return {"k": k, "n": f.n}, results
 
 
-def emit_plot_data(report: Report) -> str:
+def emit_plot_data(experiment: str, results: dict) -> str:
     """Tab-separated rows for the report's sampled series."""
-    series = report.results.get("series")
+    series = results.get("series")
     if not isinstance(series, dict) or "columns" not in series:
         raise InvalidInputError(
-            f"report for {report.experiment!r} carries no plottable series")
+            f"report for {experiment!r} carries no plottable series")
     lines = ["\t".join(series["columns"])]
     for row in series.get("rows", []):
         lines.append("\t".join(str(x) for x in row))
@@ -363,17 +343,19 @@ def _report(experiment: str, pipeline, args) -> int:
     start = time.monotonic()
     params, results = pipeline(args)
     runtime_ms = int((time.monotonic() - start) * 1000)
-    report = Report(experiment=experiment, params=params, results=results,
-                    seed=args.seed, runtime_ms=runtime_ms, version=__version__)
-    text = report.to_json()
+    text = json.dumps({"experiment": experiment, "params": params, "results": results,
+                       "runtime_ms": runtime_ms, "seed": args.seed, "version": __version__},
+                      sort_keys=True, indent=2) + "\n"
+    plot_out = getattr(args, "plot_out", None)
+    plot = emit_plot_data(experiment, results) if plot_out else None
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if getattr(args, "plot_out", None):
-        with open(args.plot_out, "w", encoding="ascii") as fh:
-            fh.write(emit_plot_data(report))
+    if plot_out:
+        with open(plot_out, "w", encoding="ascii") as fh:
+            fh.write(plot)
     if getattr(args, "assert_free", False) and not results.get("free", True):
         raise PropertyViolation("function contains the forbidden pattern")
     return EXIT_OK
@@ -393,6 +375,9 @@ def _run_complexity(args) -> int:
 def _run_test(args) -> int:
     if args.calibrate:
         return _report("tester-calibration", _exp_tester_calibration, args)
+    if args.plot_out:
+        raise InvalidInputError("test --plot-out needs --calibrate: only the "
+                                "calibration has a series to plot")
     if not (args.function and args.matroid and args.sigma):
         raise InvalidInputError("test needs --function, --matroid and --sigma")
     return _report("test", _exp_test, args)

@@ -36,12 +36,13 @@ it by descent: u_{r-1} first, each image fixed to the smallest value
 whose conditioned count is positive, so a witness costs r counts
 wherever it lies; on tiny inputs the scan runs up to it.
 
-One kernel, `_match`, reads the lookups at L(v_1), ..., L(v_k) for a
-batch of maps L. Once fewer than 1/8 of a batch's maps survive a factor
-with two or more still to come, it reads the remaining factors only at
-the survivors, gathered by index, and writes them back into the same
-bool array, so counts and first matches do not change. The exhaustive
-scan, `_scan_chunks`, feeds it the basis images decoded from a chunk of
+One loop, `_match`, reads the lookups at L(v_1), ..., L(v_k) for a
+batch of maps L, given as a (basis, batch) array of basis images. Once
+fewer than 1/8 of a batch's maps survive a factor with two or more
+still to come, the survivors' columns become a smaller batch for the
+same loop, whose answer is written back into the same bool array, so
+counts and first matches do not change. The exhaustive scan,
+`_scan_chunks`, feeds it the basis images decoded from a chunk of
 assignment indices; run_tester feeds it random images of the
 presentation basis, the top n bits of raw PCG64 words. The cycle-count
 oracle (brute_force_cycle_count) is the scan on C_k: the zero-sum
@@ -207,36 +208,27 @@ def _lookups(table: np.ndarray, sigma: Sequence[int]) -> list[np.ndarray]:
     return [built[s] for s in sigma]
 
 
-def _match(lookups: Sequence[np.ndarray], coords: Sequence[int], column,
+def _match(lookups: Sequence[np.ndarray], coords: Sequence[int], cols: np.ndarray,
            scratch: np.ndarray) -> np.ndarray:
     """The evaluation kernel: for a batch of linear maps, which ones send
     every ground vector i to a point where lookups[i] is true.
 
-    coords[i] is ground vector i as a mask over basis vectors; column(j)
-    is the array of images of basis vector j across the batch, fetched
-    lazily and at most once. scratch is an int64 buffer of the batch's
+    coords[i] is ground vector i as a mask over basis vectors; cols is an
+    int64 array of shape (basis, batch), cols[j] the images of basis
+    vector j across the batch. scratch is an int64 buffer of the batch's
     length; it holds the points of each ground vector that combines two
     or more basis columns, and point 0, which a zero ground vector sees
     under every map. Stops early once no map in the batch can match.
 
     Once fewer than 1/8 of the maps survive a factor and two or more
-    factors are still to come, the rest are evaluated at the survivors
-    alone (see _on_survivors); the returned array is the same.
+    factors are still to come, this kernel runs again on the survivors'
+    columns and writes its answer back; the returned array is the same.
     """
-    cols = {}
-
-    def fetch(j):
-        col = cols.get(j)
-        if col is None:
-            col = cols[j] = column(j)
-        return col
-
     match = None
     for i, (lookup, cmask) in enumerate(zip(lookups, coords)):
         pts = None
         for j in _mask_bits(cmask):
-            col = fetch(j)
-            pts = col if pts is None else np.bitwise_xor(pts, col, scratch)
+            pts = cols[j] if pts is None else np.bitwise_xor(pts, cols[j], scratch)
         if pts is None:
             scratch.fill(0)
             pts = scratch
@@ -249,25 +241,10 @@ def _match(lookups: Sequence[np.ndarray], coords: Sequence[int], column,
             if not match.any():
                 break
         elif np.count_nonzero(match) * 8 < len(match):
-            return _on_survivors(match, lookups[i + 1:], coords[i + 1:], fetch)
-    return match
-
-
-def _on_survivors(match: np.ndarray, lookups: Sequence[np.ndarray], coords: Sequence[int],
-                  column) -> np.ndarray:
-    """_match's remaining factors, read only at the maps where `match`
-    holds: each survivor's column entries are gathered by index, and the
-    survivors left at the end are written back into `match`."""
-    alive = np.flatnonzero(match)
-    for lookup, cmask in zip(lookups, coords):
-        pts = np.zeros_like(alive)
-        for j in _mask_bits(cmask):
-            pts ^= column(j).take(alive)
-        alive = alive[lookup.take(pts)]
-        if not alive.size:
+            alive = np.flatnonzero(match)
+            match[alive] = _match(lookups[i + 1:], coords[i + 1:], cols.take(alive, axis=1),
+                                  scratch[:len(alive)])
             break
-    match[:] = False
-    match[alive] = True
     return match
 
 
@@ -276,27 +253,21 @@ def _scan_chunks(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int], r
 
     lookups[i] is the factor of ground vector i over {0,1}^n; coords[i]
     is its basis mask. Chunks hold min(2^(n*r), _CHUNK) indices each.
-    One index buffer, one buffer per basis column and one XOR scratch
-    buffer of that length are reused from chunk to chunk: small enough
-    to stay in cache from one ground vector to the next.
+    One index buffer, one (r, chunk) buffer of basis columns decoded by
+    one broadcast shift, and one XOR scratch buffer are reused from chunk
+    to chunk: small enough to stay in cache across ground vectors.
     """
     total = 1 << (n * r)
     mask = (1 << n) - 1
     size = min(total, _CHUNK)
     idx = np.arange(size, dtype=np.int64)
+    shifts = n * np.arange(r, dtype=np.int64)[:, None]
+    cols = np.empty((r, size), dtype=np.int64)
     scratch = np.empty_like(idx)
-    cols = {}
-
-    def column(j):
-        col = cols.get(j)
-        if col is None:
-            col = cols[j] = np.empty_like(idx)
-        np.right_shift(idx, j * n, out=col)
-        col &= mask
-        return col
-
     for start in range(0, total, size):
-        yield start, _match(lookups, coords, column, scratch)
+        np.right_shift(idx, shifts, out=cols)
+        cols &= mask
+        yield start, _match(lookups, coords, cols, scratch)
         idx += size
 
 
@@ -565,7 +536,7 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
     its last raw word into the next block, as integers does, so the
     stream above is unchanged. More than TESTER_SAMPLE_BUDGET samples
     raise BudgetExceededError before any draw. Within a block, _match
-    goes on at the surviving maps alone once fewer than 1/8 remain.
+    runs again on the surviving maps' columns once fewer than 1/8 remain.
     """
     if sigma.k != m.k:
         raise DimensionMismatchError(
@@ -595,7 +566,7 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
             carry = raw[need:].copy()
             words >>= 32 - f.n
             cols[...] = words.reshape(batch, m.m).T
-        match = _match(lookups, m.ints, cols.__getitem__, scratch[:batch])
+        match = _match(lookups, m.ints, cols, scratch[:batch])
         rejections += int(np.count_nonzero(match))
         remaining -= batch
     return rejections, Fraction(rejections, samples)

@@ -13,7 +13,7 @@ import pytest
 import matroidlab.cli
 import matroidlab.tester
 from matroidlab.boolfn import BooleanFunction, random_function
-from matroidlab.cli import Report, build_parser, emit_plot_data, main
+from matroidlab.cli import build_parser, emit_plot_data, main
 from matroidlab.errors import InvalidInputError
 from matroidlab.fileio import save_function, save_graph, save_matroid
 from matroidlab.matroid import (canonical_function, cycle_graph, graphic_from_graph,
@@ -205,6 +205,18 @@ def test_clique_hierarchy_checks_n_before_the_search(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: n=5 must be at least ambient dimension 8\n"
 
 
+def test_clique_hierarchy_checks_the_pattern_cap_before_the_search(capsys, monkeypatch):
+    """n*rank(K_b) over the exhaustive cap exits 3 before any
+    homomorphism search, which could run for 10^8 nodes first."""
+    def search(*args, **kwargs):
+        raise AssertionError("the homomorphism search ran")
+
+    monkeypatch.setattr(matroidlab.cli, "find_homomorphism", search)
+    assert main(["hierarchy", "--kind", "cliques", "-a", "5", "-b", "7", "-n", "8"]) == 3
+    assert capsys.readouterr() == (
+        "", "budget exceeded: n*rank = 48 exceeds exhaustive budget 30\n")
+
+
 def test_hierarchy_cycles_argument_grid(monkeypatch, capsys):
     # every k and n in -1..11 ends in exit 0 or a one-line exit 3 or 4,
     # and every refusal comes before any instance is enumerated
@@ -345,13 +357,24 @@ def test_plot_data(workdir, capsys):
 
 
 def test_plot_data_header_only_and_missing():
-    empty = Report("tester-calibration", {}, {"series": {
-        "columns": ["a", "b"], "exact_columns": [True, True], "rows": []}},
-        0, 0, "0.1.0")
-    assert emit_plot_data(empty) == "a\tb\n"
-    bare = Report("count", {}, {}, 0, 0, "0.1.0")
+    empty = {"series": {"columns": ["a", "b"], "exact_columns": [True, True], "rows": []}}
+    assert emit_plot_data("tester-calibration", empty) == "a\tb\n"
     with pytest.raises(InvalidInputError):
-        emit_plot_data(bare)
+        emit_plot_data("count", {})
+
+
+def test_plot_out_without_calibrate_is_refused_before_the_run(workdir, capsys, monkeypatch):
+    def tester(*args):
+        raise AssertionError("the tester ran")
+
+    monkeypatch.setattr(matroidlab.cli, "run_tester", tester)
+    plot = workdir / "p.tsv"
+    assert main(["test", "--function", str(workdir / "canon.boolfn"),
+                 "--matroid", str(workdir / "k3.matroid"), "--sigma", "111",
+                 "--plot-out", str(plot)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not plot.exists()
 
 
 def test_test_budget_reaches_exact_density(workdir, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -814,6 +815,92 @@ def test_count_is_invariant_under_complement():
         assert span_count(complement(f), m, pattern_complement(sigma)) == span_count(f, m, sigma)
 
 
+def is_violation(points, f, m, sigma):
+    """The point indices read Sigma under f and XOR to zero on every
+    word of M's dependency code, so a linear map sends each v_i to
+    points[i]."""
+    if any(int(f.table[p]) != s for p, s in zip(points, sigma.sigma)):
+        return False
+    for word in m.kernel_words:
+        total = 0
+        for i, p in enumerate(points):
+            if word >> i & 1:
+                total ^= p
+        if total:
+            return False
+    return True
+
+
+def carried(f, m, sigma, rng):
+    """The four maps that keep (M, Sigma)-freeness, each as
+    (name, (f', M', Sigma'), there, back): `there` carries the points of
+    an instance of (f, M, Sigma) to one of (f', M', Sigma'), `back` the
+    other way."""
+    a = random_nonsingular_map(f.n, rng)
+    image = np.array([apply(a, GFVector(f.n, x)).bits for x in range(1 << f.n)])
+    inverse = np.argsort(image)
+    b = random_nonsingular_map(m.m, rng)
+    perm = rng.permutation(m.k)
+    unmoved = list
+    yield ("f o A", (BooleanFunction(f.n, f.table[image]), m, sigma),
+           lambda pts: [int(inverse[p]) for p in pts], lambda pts: [int(image[p]) for p in pts])
+    yield ("B v_i", (f, BinaryMatroid([apply(b, v) for v in m.vectors]), sigma),
+           unmoved, unmoved)
+    yield ("ground permutation",
+           (f, BinaryMatroid([m.vectors[i] for i in perm]),
+            PatternSpec(tuple(sigma.sigma[i] for i in perm))),
+           lambda pts: [pts[i] for i in perm], lambda pts: [pts[i] for i in np.argsort(perm)])
+    yield "complement", (complement(f), m, pattern_complement(sigma)), unmoved, unmoved
+
+
+def test_free_verdict_and_witnesses_carry_across_the_invariances(monkeypatch):
+    """find_pattern's verdict is the same on both sides of each map, and
+    each side's witness, carried across, is a violation on the other
+    side. Witnesses come from both routes, and each call takes the route
+    _priced picks with u_{r-1} kept."""
+    descents = []
+    descend = tester._descend
+    monkeypatch.setattr(tester, "_descend", lambda *args: descents.append(args) or descend(*args))
+    seen = set()
+
+    def witness(f, m, sigma):
+        descents.clear()
+        inst = find_pattern(f, m, sigma)
+        r, route = m.rank, "scan"
+        if r and tester._priced(m.span_coords, f.n, r, 1 << (r - 1)) is not None:
+            route = "descent"
+        assert (route == "descent") == bool(descents)
+        seen.add((route, inst is not None))
+        return None if inst is None else [p.bits for p in inst.points]
+
+    for f, m, sigma, rng in invariance_cases(199):
+        mine = witness(f, m, sigma)
+        for name, other, there, back in carried(f, m, sigma, rng):
+            theirs = witness(*other)
+            assert (mine is None) == (theirs is None), name
+            if mine is not None:
+                assert is_violation(there(mine), *other), name
+                assert is_violation(back(theirs), f, m, sigma), name
+    assert seen == {("scan", True), ("scan", False), ("descent", True), ("descent", False)}
+
+
+def test_repair_and_hitting_number_are_invariant():
+    """min_repair_distance's flips, and the hitting number, under f o A
+    and a ground permutation, at n <= 4."""
+    checked = 0
+    for f, m, sigma, rng in invariance_cases(211):
+        if f.n > 4:
+            continue
+        flips = min_repair_distance(f, m, sigma).flips
+        hits = pattern_hitting_number(f, m)
+        for name, (g, moved, permuted), _, _ in carried(f, m, sigma, rng):
+            if name in ("f o A", "ground permutation"):
+                assert min_repair_distance(g, moved, permuted).flips == flips, name
+                assert pattern_hitting_number(g, moved) == hits, name
+                checked += 1
+    assert checked > 40
+
+
 # ---------------------------------------------------------------------------
 # exact counts by variable elimination, held against the assignment scan
 
@@ -1052,16 +1139,25 @@ def full_evaluation(lookups, coords, columns):
 
 @pytest.fixture
 def survivor_runs(monkeypatch):
-    """Whether each _on_survivors call _match made left any map matching."""
-    runs = []
-    on_survivors = tester._on_survivors
+    """Whether each survivor batch _match ran on left any map matching,
+    by depth: runs[1] holds the survivor batches of the batches callers
+    passed in, runs[2] the survivor batches of those."""
+    runs = defaultdict(list)
+    match = tester._match
+    depth = 0
 
     def spy(*args):
-        match = on_survivors(*args)
-        runs.append(bool(match.any()))
-        return match
+        nonlocal depth
+        depth += 1
+        try:
+            got = match(*args)
+        finally:
+            depth -= 1
+        if depth:
+            runs[depth].append(bool(got.any()))
+        return got
 
-    monkeypatch.setattr(tester, "_on_survivors", spy)
+    monkeypatch.setattr(tester, "_match", spy)
     return runs
 
 
@@ -1069,7 +1165,7 @@ def test_match_on_survivors_equals_full_evaluation(survivor_runs):
     """Random forms over 4 basis columns, zero and repeated forms among
     them, lookups from sparse to dense, and a lookup that is false
     everywhere, so batches empty before and after the switch to
-    survivors."""
+    survivors, and some survivor batches shrink again."""
     rng = np.random.Generator(np.random.PCG64(167))
     n, r, batch = 8, 4, 4096
     empty = 0
@@ -1085,14 +1181,15 @@ def test_match_on_survivors_equals_full_evaluation(survivor_runs):
         if trial % 4 == 0:
             lookups[int(rng.integers(0, k))] = np.zeros(1 << n, dtype=bool)
         columns = rng.integers(0, 1 << n, size=(r, batch), dtype=np.int64)
-        got = tester._match(lookups, coords, columns.__getitem__,
-                            np.empty(batch, dtype=np.int64))
+        got = tester._match(lookups, coords, columns, np.empty(batch, dtype=np.int64))
         want = full_evaluation(lookups, coords, columns)
         assert np.array_equal(got, want)
         empty += not want.any()
     # some batches empty on survivors, and some before any switch
-    assert True in survivor_runs and False in survivor_runs
-    assert empty > survivor_runs.count(False)
+    assert True in survivor_runs[1] and False in survivor_runs[1]
+    assert empty > survivor_runs[1].count(False)
+    # a survivor batch of a survivor batch
+    assert survivor_runs[2]
 
 
 def plain_scan_first(f, m, sigma):
@@ -1124,7 +1221,7 @@ def test_scan_route_witness_is_the_first_plain_match(survivor_runs):
                 inst = find_pattern(f, m, sigma)
                 want = plain_scan_first(f, m, sigma)
                 assert (None if inst is None else witness_index(inst, n)) == want
-    assert True in survivor_runs
+    assert True in survivor_runs[1]
 
 
 def test_descent_matches_scan_on_atlas_graphs():
