@@ -23,10 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from .gf2 import Subspace, _xor_span, enumerate_subspaces
+from .gf2 import SUBSPACE_ENUM_MAX_N, Subspace, _xor_span, enumerate_subspaces
 
 WHT_MAX_N = 24
-REGULARITY_MAX_N = 8
 
 
 class BooleanFunction:
@@ -174,8 +173,8 @@ def regularity_decompose(f: BooleanFunction, eps, max_codim: int | None = None
     """
     if f.n < 1:
         raise InvalidInputError(f"regularity search needs n >= 1, got n={f.n}")
-    if f.n > REGULARITY_MAX_N:
-        raise BudgetExceededError(f"n={f.n} exceeds regularity search cap {REGULARITY_MAX_N}")
+    if f.n > SUBSPACE_ENUM_MAX_N:
+        raise BudgetExceededError(f"n={f.n} exceeds regularity search cap {SUBSPACE_ENUM_MAX_N}")
     if max_codim is None:
         max_codim = f.n
     if not 0 <= max_codim <= f.n:

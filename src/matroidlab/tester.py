@@ -199,6 +199,9 @@ def check_pattern_args(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
     if f.n * m.rank > budget_bits:
         raise BudgetExceededError(
             f"n*rank = {f.n * m.rank} exceeds exhaustive budget {budget_bits}")
+    if f.n * m.rank > 62:     # a count of up to 2^(n*rank) could leave int64
+        raise BudgetExceededError(
+            f"n*rank = {f.n * m.rank}: an exact count past 62 bits could leave int64")
 
 
 def _lookups(table: np.ndarray, sigma: Sequence[int]) -> list[np.ndarray]:
@@ -384,11 +387,7 @@ def _priced(coords: Sequence[int], n: int, r: int,
             keep: int = 0) -> Optional[list[tuple[int, int]]]:
     """The route of an exact call over 2^(n*r) assignments: _plan's steps
     when they are priced below the scan's 2^(n*r)*k, else None for the
-    scan. A count of up to 2^(n*r) leaves int64 past 62 bits, so such a
-    call is refused here, before any factor is built."""
-    if 1 << (n * r) >= _INT64_LIMIT:
-        raise BudgetExceededError(
-            f"n*rank = {n * r}: an exact count past 62 bits could leave int64")
+    scan. Callers have refused n*r past 62 bits (check_pattern_args)."""
     scan = len(coords) << (n * r)
     if scan <= _STEP_COST:    # no plan costs less
         return None

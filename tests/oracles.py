@@ -161,3 +161,22 @@ def instances_by_dfs(f: BooleanFunction, m: BinaryMatroid,
 
     rec(0)
     return sorted(found, key=sorted), nodes
+
+
+def hitting_number_by_milp(edges) -> int:
+    """Minimum hitting set size of a hypergraph as a 0/1 integer program
+    (scipy's HiGHS): minimize the points chosen, subject to every edge
+    holding one of them."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    if not edges:
+        return 0
+    points = sorted(set().union(*edges))
+    column = {p: i for i, p in enumerate(points)}
+    rows = np.zeros((len(edges), len(points)))
+    for i, e in enumerate(edges):
+        rows[i, [column[p] for p in e]] = 1
+    res = milp(np.ones(len(points)), constraints=LinearConstraint(rows, lb=1),
+               integrality=np.ones(len(points)), bounds=Bounds(0, 1))
+    assert res.success, res.message
+    return round(res.fun)

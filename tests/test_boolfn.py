@@ -293,7 +293,7 @@ def test_regularity_minimality_rescan():
 
 
 def test_regularity_caps():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="^n=9 exceeds regularity search cap 8$"):
         regularity_decompose(constant(9, 0), Fraction(1, 2))
     with pytest.raises(InvalidInputError):
         regularity_decompose(constant(0, 1), Fraction(1, 2))

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matroidlab.cli
 import matroidlab.tester
@@ -18,6 +22,7 @@ from matroidlab.errors import InvalidInputError
 from matroidlab.fileio import save_function, save_graph, save_matroid
 from matroidlab.matroid import (canonical_function, cycle_graph, graphic_from_graph,
                                 named_graph)
+from matroidlab.tester import PATTERN_BUDGET_BITS, PatternSpec, find_pattern
 from oracles import constant
 
 SRC = str(Path(matroidlab.__file__).resolve().parents[1])
@@ -218,27 +223,66 @@ def test_clique_hierarchy_checks_the_pattern_cap_before_the_search(capsys, monke
 
 
 def test_hierarchy_cycles_argument_grid(monkeypatch, capsys):
-    # every k and n in -1..11 ends in exit 0 or a one-line exit 3 or 4,
-    # and every refusal comes before any instance is enumerated
+    """Every k and n in -1..11 ends in exit 0 or a one-line exit 3 or 4.
+    Malformed arguments are refused before any instance is enumerated;
+    oversized ones by the enumeration's node budget. Where the exact
+    engine's cap allows, find_pattern recomputes both verdicts."""
     calls = []
     real = matroidlab.tester.enumerate_instances
-    monkeypatch.setattr(matroidlab.tester, "enumerate_instances",
-                        lambda *args: calls.append(args) or real(*args))
-    codes = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matroidlab.tester, "enumerate_instances", spy)
+    monkeypatch.setattr(matroidlab.cli, "enumerate_instances", spy)
+    codes, hits = [], {}
     for k in range(-1, 12):
         for n in range(-1, 12):
             calls.clear()
             code = main(["hierarchy", "--kind", "cycles", "-k", str(k), "-n", str(n)])
             out, err = capsys.readouterr()
             codes.append(code)
-            if (k, n) in ((3, 5), (3, 6), (3, 7)):
-                assert code == 0 and err == "" and len(calls) == 1, (k, n)
-                assert json.loads(out)["params"] == {"k": k, "n": n}, (k, n)
+            if code == 0:
+                assert err == "" and len(calls) == 2, (k, n)
+                doc = json.loads(out)
+                assert doc["params"] == {"k": k, "n": n}, (k, n)
+                res = doc["results"]
+                hits[k, n] = res["hitting_number"]["value"]
+                verdicts = [(k + 2, res[f"c{k + 2}_canonical_contains_c{k + 2}"]),
+                            (k, not res[f"c{k}_free"])]
+                f = canonical_function(graphic_from_graph(cycle_graph(k + 2)), n)
+                for length, contains in verdicts:
+                    if n * (length - 1) <= PATTERN_BUDGET_BITS:
+                        inst = find_pattern(f, graphic_from_graph(cycle_graph(length)),
+                                            PatternSpec.all_ones(length))
+                        assert (inst is not None) == contains, (k, n, length)
+                assert verdicts[0][1] and not verdicts[1][1], (k, n)
+            elif code == 3:
+                assert out == "", (k, n)
+                assert re.fullmatch(r"budget exceeded: instance enumeration exceeded 10000000 "
+                                    r"nodes; deepest element \d+ of \d+\n", err), (k, n)
             else:
-                assert code in (3, 4) and calls == [] and out == "", (k, n)
-                assert err.startswith(("error: ", "budget exceeded: ")), (k, n)
-                assert err.count("\n") == 1, (k, n)
-    assert (codes.count(0), codes.count(3), codes.count(4)) == (3, 13, 153)
+                assert code == 4 and calls == [] and out == "", (k, n)
+                assert err.startswith("error: ") and err.count("\n") == 1, (k, n)
+    assert (codes.count(0), codes.count(3), codes.count(4)) == (6, 10, 153)
+    assert hits == {(3, 5): 1, (3, 6): 2, (3, 7): 4, (3, 8): 8, (5, 7): 1, (5, 8): 2}
+
+
+def test_hierarchy_cycles_runs_no_exact_count(monkeypatch, capsys):
+    """Containment is a positive hitting number and C_k-freeness an
+    empty instance list: neither find_pattern nor count_patterns runs,
+    so n*rank = 32 for C_5 at n = 8 is no obstacle."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact engine ran")
+
+    for module in (matroidlab.cli, matroidlab.tester):
+        monkeypatch.setattr(module, "find_pattern", refuse)
+        monkeypatch.setattr(module, "count_patterns", refuse)
+    assert main(["hierarchy", "--kind", "cycles", "-k", "3", "-n", "8"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["c5_canonical_contains_c5"] is True and res["c3_free"] is True
+    assert res["hitting_number"]["value"] == res["farness_lower_bound_flips"]["value"] == 8
 
 
 @pytest.mark.parametrize("argv", [
@@ -475,3 +519,103 @@ def test_hierarchy_cycles_report_keys(workdir):
     assert res["c5_canonical_contains_c5"] is True
     assert res["c3_free"] is True
     assert res["hitting_number"]["value"] >= 4
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    g = cycle_graph(3)
+    save_graph(d / "c3.graph", g)
+    save_matroid(d / "c3.matroid", graphic_from_graph(g))
+    save_function(d / "f.boolfn", canonical_function(graphic_from_graph(g), 3))
+    (d / "junk.txt").write_text("junk\n")
+    return d
+
+
+def fuzz_values(d):
+    """Candidate values per option dest, each list led by the
+    well-formed value a clean call gives: fixture files, graph names,
+    sigma strings, junk."""
+    f, m, g = str(d / "f.boolfn"), str(d / "c3.matroid"), str(d / "c3.graph")
+    other = [str(d / "junk.txt"), str(d / "missing"), str(d)]
+    return {
+        "function": [f, m] + other,
+        "matroid": [m, f] + other,
+        "graph": [g, "c3", "k4", "cx", "k1"] + other,
+        "sigma": ["111", "110", "000", "1", "11111", "012"],
+        "eps": ["1/4", "0", "1", "-1", "1/0"],
+        "out": [str(d / "out.txt"), str(d / "no" / "out.txt"), str(d)],
+        "graphs": ["c3", "k4", "petersen", "cx", "k3,3"],
+        "junk": ["", "x", "1/0", "0.5"],
+    }
+
+
+# options that name a command's input; in a clean call each is given a
+# well-formed value
+INPUTS = ("function", "matroid", "source", "target", "graph", "sigma", "out")
+SMALL_INTS = ["-2", "-1", "0", "1", "2", "3", "5"]
+
+
+def option_argv(action, values, rnd, clean):
+    """The option and a value drawn with `rnd`, or [] when it is left out."""
+    flag = action.option_strings[0]
+    dest = {"source": "matroid", "target": "matroid", "plot_out": "out"}.get(
+        action.dest, action.dest)
+    if clean and action.dest in INPUTS:
+        return [flag, values[dest][0]]
+    if rnd.random() >= (7 / 8 if action.required else 1 / 3):
+        return []
+    if action.nargs == 0:
+        return [flag]
+    if action.nargs == "*":
+        return [flag] + rnd.choices(values["graphs"], k=rnd.randint(0, 3))
+    if rnd.random() < 1 / 8 and dest != "out":    # junk as --out would land in the cwd
+        return [flag, rnd.choice(values["junk"])]
+    if action.choices:
+        return [flag, rnd.choice(action.choices)]
+    if action.type is int:
+        return [flag, rnd.choice(SMALL_INTS)]
+    return [flag, rnd.choice(values[dest])]
+
+
+(SUBCOMMANDS,) = [a.choices for a in matroidlab.cli._PARSER._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS) + [None])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_arguments_end_in_a_documented_exit(fuzz_dir, command, data):
+    """argv from a subcommand's own options, with small, odd and
+    negative values; in half the calls every input is well formed, so
+    the numbers reach the pipelines (command None: a lone top-level
+    token). Every call exits 0, 2, 3 or 4 without a traceback. An
+    argparse refusal prints its usage and one error line; any other
+    failure prints exactly one error line."""
+    values = fuzz_values(fuzz_dir)
+    rnd = data.draw(st.randoms(use_true_random=True))
+    if command is None:
+        argv = [rnd.choice(["--version", "--help", "nonsense", ""])]
+    else:
+        argv, clean = [command], rnd.random() < 1 / 2
+        for action in SUBCOMMANDS[command]._actions:
+            if action.option_strings and action.dest != "help":
+                argv += option_argv(action, values, rnd, clean)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, parser_exit = main(argv), False
+        except SystemExit as exc:
+            code, parser_exit = exc.code, True
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err, argv
+    if code == 0:
+        assert err == "", argv
+    elif parser_exit:
+        lines = err.splitlines()
+        assert code == 4 and lines[0].startswith("usage: "), (argv, err)
+        assert [line for line in lines if ": error: " in line] == lines[-1:], (argv, err)
+    else:
+        assert err.count("\n") == 1, (argv, err)
+        assert err.startswith(("error: ", "budget exceeded: ", "property violated: ")), argv

@@ -17,8 +17,9 @@ from matroidlab.tester import (PatternSpec, brute_force_cycle_count, count_patte
                                cycle_count_fourier, enumerate_instances, find_pattern,
                                min_repair_distance, pattern_hitting_number, run_tester,
                                von_neumann_gap)
-from oracles import (apply, complement, constant, from_ones, from_table_int, index_int,
-                     instances_by_dfs, pattern_complement, random_nonsingular_map, table_int)
+from oracles import (apply, complement, constant, from_ones, from_table_int,
+                     hitting_number_by_milp, index_int, instances_by_dfs, pattern_complement,
+                     random_nonsingular_map, table_int)
 
 C3 = graphic_from_graph(cycle_graph(3))
 S111 = PatternSpec.all_ones(3)
@@ -372,6 +373,37 @@ def test_hitting_equals_repair_on_random_instances():
         f = random_function(3, rng, density=0.4)
         rep = min_repair_distance(f, C3, S111)
         assert pattern_hitting_number(f, C3) == rep.flips
+
+
+@pytest.mark.parametrize("k, n", [(3, 5), (3, 6), (3, 7), (3, 8), (5, 7), (5, 8)])
+def test_canonical_cycle_hitting_number_against_milp(k, n):
+    """The cycle hierarchy's finishing cells: the branch and bound agrees
+    with an integer program on the same instance sets, and meets the
+    paper's farness bound 2^(n-k-2)."""
+    big = graphic_from_graph(cycle_graph(k + 2))
+    f = canonical_function(big, n)
+    hit = pattern_hitting_number(f, big)
+    assert hit == hitting_number_by_milp(enumerate_instances(f, big))
+    assert hit >= 1 << (n - k - 2)
+
+
+def test_min_hitting_set_against_milp_on_random_hypergraphs():
+    rng = np.random.Generator(np.random.PCG64(67))
+    for _ in range(40):
+        points = int(rng.integers(1, 13))
+        edges = [frozenset(rng.choice(points, size=int(rng.integers(1, min(points, 5) + 1)),
+                                      replace=False).tolist())
+                 for _ in range(int(rng.integers(1, 16)))]
+        assert tester._min_hitting_set(edges) == hitting_number_by_milp(edges)
+
+
+def test_hitting_number_against_milp_on_random_functions():
+    rng = np.random.Generator(np.random.PCG64(71))
+    for m in (C3, graphic_from_graph(cycle_graph(5)), graphic_from_graph(complete_graph(4))):
+        for _ in range(5):
+            f = random_function(4, rng, density=0.3)
+            assert pattern_hitting_number(f, m) == hitting_number_by_milp(
+                enumerate_instances(f, m))
 
 
 def repair_by_subsets(f, m, sigma, budget):
@@ -1080,12 +1112,17 @@ def test_constant_one_counts_exact_below_the_int64_bound():
 
 
 def test_counts_past_62_bits_are_refused_before_any_table():
-    """A count of up to 2^(n*r) leaves int64 past 62 bits, so the route
-    choice refuses it from the forms alone."""
-    k4 = graphic_from_graph(complete_graph(4))
+    """A count of up to 2^(n*r) leaves int64 past 62 bits, so both public
+    entries refuse it from the arguments, whatever the budget, before any
+    factor lookup is built."""
     assert tester._priced(C3.span_coords, 31, 2) is not None      # 62 bits
-    with pytest.raises(BudgetExceededError, match="n\\*rank = 63"):
-        tester._priced(k4.span_coords, 21, 3)
+    k4 = graphic_from_graph(complete_graph(4))
+    f = BooleanFunction(22, np.zeros(1 << 22, dtype=np.uint8))
+    for entry in (count_patterns, find_pattern):
+        def refused():
+            with pytest.raises(BudgetExceededError, match="n\\*rank = 66: an exact count"):
+                entry(f, k4, PatternSpec.all_ones(6), budget_bits=70)
+        assert traced_peak(refused) < 1 << 20
 
 
 def scan_witness_index(f, m, sigma):
