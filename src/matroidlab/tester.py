@@ -16,40 +16,55 @@ distinct value of Sigma; von_neumann_gap passes [f_i = 1]), and the
 scan, the elimination, the descent and the sampler all read that one
 list: nothing below the entries sees Sigma or a truth table. Counts
 (count_patterns, von_neumann_gap, and the freeness certificate of
-find_pattern) sum over all 2^(n*r) assignments by GF(2) variable
-elimination: the factors are read at linear forms in u_0..u_{r-1}, a
-variable in one factor sums to a row total, one in two factors becomes
-an XOR-correlation computed with the Walsh-Hadamard butterfly, and one
-in three or more is conditioned on along a batch axis. A dry run over
-the forms prices this against the scan's 2^(n*r)*k before any factor is
-built, and each call takes the cheaper route alone, running the steps
-the dry run priced, slice widths included; tiny inputs stay on the scan.
-Counts are int64: n*r past 62 bits is refused up front, and past 41 bits
-a correlation whose 2^n*S_a*S_b reaches 2^63 is refused when it is met,
-both with BudgetExceededError.
+find_pattern) sum over all 2^(n*r) assignments by one of two routes.
+GF(2) variable elimination reads the factors at linear forms in
+u_0..u_{r-1}: a variable in one factor sums to a row total, one in two
+factors becomes an XOR-correlation computed with the Walsh-Hadamard
+butterfly, and one in three or more is conditioned on along a batch
+axis. The supported scan applies first every factor read at one basis
+variable alone (a form that is a single bit, which every graphic matroid
+has): parallel ones merge by &, and only the images u_j their merged
+lookup allows, its support S_j, are walked. Before any factor is built,
+a dry run over the forms prices the elimination, and the scan is priced
+at _SCAN_COST * (factors left + 1) * prod_j |S_j|, the supports counted,
+not listed. Each count takes the cheaper route alone, running the steps
+the dry run priced, slice widths included; an empty support answers 0
+before any chunk. Counts are int64: n*r past 62 bits is refused up
+front, and past 41 bits a correlation whose 2^n*S_a*S_b reaches 2^63 is
+refused when it is met, both with BudgetExceededError.
 
 Enumeration order contract (governs the witnesses of find_pattern):
 assignment index t in [0, 2^(n*r)) gives basis image u_j = bits
 [j*n, (j+1)*n) of t. The first violation reported is the one with the
-smallest t. Where elimination is the cheaper route, find_pattern finds
-it by descent: u_{r-1} first, each image fixed to the smallest value
-whose conditioned count is positive, so a witness costs r counts
-wherever it lies; on tiny inputs the scan runs up to it.
+smallest t. The supported scan walks the supported images in mixed
+radix with u_0 fastest, which is the order of t with the unsupported
+assignments left out, so its first match is the smallest t.
+find_pattern always walks the scan's first chunk and stops at a match
+in it. Otherwise the priced route decides the rest, the chunk counted
+as walked: the rest of the scan, or the descent, u_{r-1} first, each
+image fixed to the smallest value whose conditioned count is positive,
+so that a witness costs r counts wherever it lies.
 
 One loop, `_match`, reads the lookups at L(v_1), ..., L(v_k) for a
 batch of maps L, given as a (basis, batch) array of basis images. Once
 fewer than 1/8 of a batch's maps survive a factor with two or more
 still to come, the survivors' columns become a smaller batch for the
 same loop, whose answer is written back into the same bool array, so
-counts and first matches do not change. The exhaustive scan,
-`_scan_chunks`, feeds it the basis images decoded from a chunk of
-assignment indices; run_tester feeds it random images of the
-presentation basis, the top n bits of raw PCG64 words. The cycle-count
-oracle (brute_force_cycle_count) is the scan on C_k: the zero-sum
-k-tuples are the assignments to its span basis. The scan, the tester and the
-conditioned slices of the elimination all work in blocks of at most
-_CHUNK entries (a tester block of at most 8 * _CHUNK images), sized so
-that a block's few int64 arrays stay in cache.
+counts and first matches do not change. The supported scan,
+`_scan_chunks`, feeds it the factors left past the supports and a chunk
+of supported assignments: the low images u_0..u_{l-1} whose support
+sizes multiply to at most _CHUNK form one constant block, built once,
+and each chunk pairs it with a slice of S_l and one image of each higher
+u_j, the only rows rewritten from chunk to chunk. A chunk yields its
+columns, and t is read off a match's column as sum_j u_j << (j*n).
+run_tester feeds _match random images of the presentation basis, the top
+n bits of raw PCG64 words. The cycle-count oracle
+(brute_force_cycle_count) is the scan on C_k: the zero-sum k-tuples are
+the assignments to its span basis, so it walks the (k-1)-tuples of ones
+of f. The scan, the tester and the conditioned slices of the elimination
+all work in blocks of at most _CHUNK entries (a tester block of at most
+8 * _CHUNK images), sized so that a block's few int64 arrays stay in
+cache.
 
 min_repair_distance learns violations instead of checking every flip
 set. Each instance find_pattern returns, on f or on a flipped candidate,
@@ -251,27 +266,71 @@ def _match(lookups: Sequence[np.ndarray], coords: Sequence[int], cols: np.ndarra
     return match
 
 
+def _unary(lookups: Sequence[np.ndarray], coords: Sequence[int],
+           r: int) -> tuple[list[Optional[np.ndarray]], list[int]]:
+    """The factors read at one basis variable alone, merged by & per
+    variable: allowed[j] is what u_j must satisfy, None where no factor
+    reads u_j alone. Also the indices of every other factor."""
+    allowed: list[Optional[np.ndarray]] = [None] * r
+    rest = []
+    for i, (lookup, c) in enumerate(zip(lookups, coords)):
+        if c and not c & (c - 1):
+            j = c.bit_length() - 1
+            allowed[j] = lookup if allowed[j] is None else allowed[j] & lookup
+        else:
+            rest.append(i)
+    return allowed, rest
+
+
 def _scan_chunks(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int], r: int):
-    """Yield (start, match_bool_array) over assignment indices, in order.
+    """Yield (cols, match) over the supported assignments, in index order.
 
     lookups[i] is the factor of ground vector i over {0,1}^n; coords[i]
-    is its basis mask. Chunks hold min(2^(n*r), _CHUNK) indices each.
-    One index buffer, one (r, chunk) buffer of basis columns decoded by
-    one broadcast shift, and one XOR scratch buffer are reused from chunk
-    to chunk: small enough to stay in cache across ground vectors.
+    is its basis mask. Only images u_j that every factor read at u_j
+    alone allows are walked, in mixed radix with u_0 fastest, so the
+    walk is in the order of t. A chunk's cols is an int64 (r, width)
+    array (one row of zeros at rank 0), cols[j] the images of u_j; match
+    marks the columns at which the other factors hold (all of them when
+    there are none), so t = sum_j cols[j] << (j*n). The low images whose
+    product of support sizes fits one _CHUNK form a block built once.
+    Each chunk pairs it with an even slice of the next support and one
+    image of every higher u_j, and only those rows are rewritten, in one
+    reused (r, chunk) buffer with one XOR scratch buffer. An empty
+    support yields no chunk.
     """
-    total = 1 << (n * r)
-    mask = (1 << n) - 1
-    size = min(total, _CHUNK)
-    idx = np.arange(size, dtype=np.int64)
-    shifts = n * np.arange(r, dtype=np.int64)[:, None]
-    cols = np.empty((r, size), dtype=np.int64)
-    scratch = np.empty_like(idx)
-    for start in range(0, total, size):
-        np.right_shift(idx, shifts, out=cols)
-        cols &= mask
-        yield start, _match(lookups, coords, cols, scratch)
-        idx += size
+    allowed, rest = _unary(lookups, coords, r)
+    # rank 0 walks its one assignment as a single image 0 that no form reads
+    supports = [np.arange(1 << n, dtype=np.int64) if a is None else a.nonzero()[0]
+                for a in allowed] or [np.zeros(1, dtype=np.int64)]
+    sizes = [len(s) for s in supports]
+    if 0 in sizes:
+        return
+    low, width = 0, 1    # u_0..u_{low-1} form the constant block
+    while low < len(sizes) - 1 and width * sizes[low] <= _CHUNK:
+        width *= sizes[low]
+        low += 1
+    head = supports[low]    # cut into even slices of at most _CHUNK // width images
+    per = -(-sizes[low] // -(-sizes[low] // (_CHUNK // width)))
+    cols = np.empty((len(sizes), per * width), dtype=np.int64)
+    stride = 1
+    for j in range(low):
+        cols[j].reshape(-1, sizes[j], stride)[...] = supports[j][:, None]
+        stride *= sizes[j]
+    scratch = np.empty(per * width, dtype=np.int64)
+    rest_lookups = [lookups[i] for i in rest]
+    rest_coords = [coords[i] for i in rest]
+    for high in range(math.prod(sizes[low + 1:])):
+        index = high
+        for j in range(low + 1, len(sizes)):    # u_{low+1} fastest
+            index, digit = divmod(index, sizes[j])
+            cols[j].fill(supports[j][digit])
+        for lo in range(0, sizes[low], per):
+            part = head[lo:lo + per]
+            size = len(part) * width
+            cols[low, :size].reshape(-1, width)[...] = part[:, None]
+            chunk = cols[:, :size]
+            yield chunk, (_match(rest_lookups, rest_coords, chunk, scratch[:size]) if rest
+                          else np.ones(size, dtype=bool))
 
 
 # Variable elimination. The count is
@@ -281,6 +340,7 @@ def _scan_chunks(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int], r
 # contributes 2^n.
 
 _STEP_COST = 1 << 12     # fixed price of one elimination step, in element operations
+_SCAN_COST = 3           # per supported assignment per factor read: ~1-2 ns against 0.5-0.8 ns per op
 _INT64_LIMIT = 1 << 63
 
 
@@ -383,12 +443,17 @@ def _factors(lookups: Sequence[np.ndarray], coords: Sequence[int]) -> dict:
     return factors
 
 
-def _priced(coords: Sequence[int], n: int, r: int,
-            keep: int = 0) -> Optional[list[tuple[int, int]]]:
-    """The route of an exact call over 2^(n*r) assignments: _plan's steps
-    when they are priced below the scan's 2^(n*r)*k, else None for the
-    scan. Callers have refused n*r past 62 bits (check_pattern_args)."""
-    scan = len(coords) << (n * r)
+def _priced(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int], r: int,
+            keep: int = 0, walked: int = 0) -> Optional[list[tuple[int, int]]]:
+    """The route of an exact call: _plan's steps when they are priced
+    below the scan, else None for the scan. The scan is priced at
+    _SCAN_COST per supported assignment per factor it still reads, plus
+    one for the walk, over the supported assignments past the first
+    `walked`; the support sizes are counted, not listed. Callers have
+    refused n*r past 62 bits (check_pattern_args)."""
+    allowed, rest = _unary(lookups, coords, r)
+    supported = math.prod(1 << n if a is None else int(np.count_nonzero(a)) for a in allowed)
+    scan = _SCAN_COST * (len(rest) + 1) * (supported - walked)
     if scan <= _STEP_COST:    # no plan costs less
         return None
     steps, cost = _plan(coords, n, keep)
@@ -398,9 +463,10 @@ def _priced(coords: Sequence[int], n: int, r: int,
 def _count(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int], r: int) -> int:
     """Exact number of span-basis assignments at which every lookups[i]
     holds, by the route _priced chooses."""
-    steps = _priced(coords, n, r)
+    steps = _priced(lookups, n, coords, r)
     if steps is None:
-        return sum(int(match.sum()) for _, match in _scan_chunks(lookups, n, coords, r))
+        return sum(int(np.count_nonzero(match))
+                   for _, match in _scan_chunks(lookups, n, coords, r))
     total = _replay(_factors(lookups, coords), steps, n)
     return int(total[0]) << (n * (r - len(steps)))
 
@@ -458,23 +524,31 @@ def _instance(t: int, n: int, r: int, coords: Sequence[int]) -> PatternInstance:
     return PatternInstance(LinearMap(r, images), tuple(points))
 
 
+def _first(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int],
+           r: int) -> Optional[int]:
+    """The smallest assignment index at which every lookups[i] holds, or
+    None. The first chunk of the supported scan is always walked; when it
+    holds no match, _priced, with u_{r-1} kept and that chunk counted as
+    walked, chooses between the descent and the rest of the scan."""
+    for i, (cols, match) in enumerate(_scan_chunks(lookups, n, coords, r)):
+        if match.any():
+            return sum(u << (j * n) for j, u in enumerate(cols[:, match.argmax()].tolist()))
+        if not i and _priced(lookups, n, coords, r, 1 << r >> 1, cols.shape[1]) is not None:
+            return _descend(lookups, n, coords, r)
+    return None
+
+
 def find_pattern(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
                  budget_bits: int = PATTERN_BUDGET_BITS) -> Optional[PatternInstance]:
     """First violating instance in enumeration order, or None when f is
-    (M, Sigma)-free (exhaustive certificate). Where elimination is priced
-    below the scan, the witness is found by descending through the basis
-    images, at the price of r counts wherever it lies; on tiny inputs
-    the scan runs up to it."""
+    (M, Sigma)-free (exhaustive certificate). One chunk of the supported
+    scan runs first; a witness in it ends the call. Otherwise the priced
+    route finishes: the descent through the basis images, at the price
+    of r counts wherever the witness lies, or the rest of the scan."""
     check_pattern_args(f, m, sigma, budget_bits)
-    n, r = f.n, m.rank
     coords = m.span_coords
-    lookups = _lookups(f.table, sigma.sigma)
-    if r and _priced(coords, n, r, 1 << (r - 1)) is not None:
-        t = _descend(lookups, n, coords, r)
-    else:
-        t = next((start + int(np.argmax(match)) for start, match in
-                  _scan_chunks(lookups, n, coords, r) if match.any()), None)
-    return None if t is None else _instance(t, n, r, coords)
+    t = _first(_lookups(f.table, sigma.sigma), f.n, coords, m.rank)
+    return None if t is None else _instance(t, f.n, m.rank, coords)
 
 
 def count_patterns(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
@@ -505,7 +579,7 @@ def brute_force_cycle_count(f: BooleanFunction, k: int) -> int:
     if f.n * (k - 1) > PATTERN_BUDGET_BITS:
         raise BudgetExceededError("tuple enumeration too large")
     coords = [1 << j for j in range(k - 1)] + [(1 << (k - 1)) - 1]
-    return sum(int(match.sum()) for _, match in
+    return sum(int(np.count_nonzero(match)) for _, match in
                _scan_chunks(_lookups(f.table, (1,) * k), f.n, coords, k - 1))
 
 

@@ -4,6 +4,8 @@ package's types."""
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from matroidlab.boolfn import BooleanFunction
@@ -161,6 +163,29 @@ def instances_by_dfs(f: BooleanFunction, m: BinaryMatroid,
 
     rec(0)
     return sorted(found, key=sorted), nodes
+
+
+def plain_scan(tables, n: int, coords, sigma, r: int) -> tuple[int, Optional[int]]:
+    """(count, first) over every assignment index t in [0, 2^(n*r)) in
+    index order: basis image u_j is bits [j*n, (j+1)*n) of t, ground
+    vector i reads tables[i] at the XOR of the images its basis mask
+    coords[i] selects, and t matches when every read equals sigma[i].
+    first is the smallest matching t, or None. Blocks of 2^16 indices."""
+    total, count, first = 1 << (n * r), 0, None
+    for start in range(0, total, 1 << 16):
+        t = np.arange(start, min(total, start + (1 << 16)), dtype=np.int64)
+        images = [(t >> (j * n)) & ((1 << n) - 1) for j in range(r)]
+        match = np.ones(len(t), dtype=bool)
+        for table, cmask, s in zip(tables, coords, sigma):
+            pts = np.zeros_like(t)
+            for j in range(r):
+                if cmask >> j & 1:
+                    pts ^= images[j]
+            match &= table[pts] == s
+        count += int(np.count_nonzero(match))
+        if first is None and match.any():
+            first = start + int(np.argmax(match))
+    return count, first
 
 
 def hitting_number_by_milp(edges) -> int:

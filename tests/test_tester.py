@@ -1,10 +1,13 @@
+import math
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroidlab import tester
 from matroidlab.boolfn import WHT_MAX_N, BooleanFunction, random_function
@@ -19,7 +22,7 @@ from matroidlab.tester import (PatternSpec, brute_force_cycle_count, count_patte
                                von_neumann_gap)
 from oracles import (apply, complement, constant, from_ones, from_table_int,
                      hitting_number_by_milp, index_int, instances_by_dfs, pattern_complement,
-                     random_nonsingular_map, table_int)
+                     plain_scan, random_nonsingular_map, table_int)
 
 C3 = graphic_from_graph(cycle_graph(3))
 S111 = PatternSpec.all_ones(3)
@@ -719,20 +722,23 @@ def full_map_mean(fs, m, n):
 
 
 @pytest.mark.parametrize("m, n, eliminated", [
-    (C3, 4, False), (C3, 7, True),
-    (graphic_from_graph(complete_graph(4)), 4, False),
-    (graphic_from_graph(complete_graph(4)), 5, True),
-], ids=["c3-scan", "c3-elimination", "k4-scan", "k4-elimination"])
+    (C3, 4, (False, False, False)), (C3, 7, (False, True, True)),
+    (graphic_from_graph(complete_graph(4)), 4, (False, False, False)),
+    (graphic_from_graph(complete_graph(4)), 5, (False, False, True)),
+], ids=["c3-scan", "c3-both", "k4-scan", "k4-both"])
 def test_von_neumann_lhs_is_the_physical_average(m, n, eliminated):
     """lhs on k distinct tables, one per ground vector, against an
     average taken without the engine: on C_3 over (x, y, x ^ y), on K_4
     over every linear map of its presentation. A factor read at the
-    wrong ground vector changes the number."""
-    assert (tester._priced(m.span_coords, n, m.rank) is not None) == eliminated
+    wrong ground vector changes the number. `eliminated` is the route
+    at densities 0.3, 0.5 and 0.8: the scan's price follows the
+    supports of the factors read at one basis variable."""
     rng = np.random.Generator(np.random.PCG64(179))
-    for density in (0.3, 0.5, 0.8):
+    for density, route in zip((0.3, 0.5, 0.8), eliminated):
         fs = [random_function(n, rng, density) for _ in range(m.k)]
         assert len({g.table.tobytes() for g in fs}) == m.k
+        lookups = [g.table == 1 for g in fs]
+        assert (tester._priced(lookups, n, m.span_coords, m.rank) is not None) == route
         lhs = von_neumann_gap(fs, m).lhs
         if m is C3:
             x = np.arange(1 << n)[:, None]
@@ -805,9 +811,11 @@ def invariance_cases(seed, cases=60):
     for i in range(cases):
         m = random_matroid(rng, rank0=i % 10 == 0)
         n = int(rng.integers(1, 14 // max(m.rank, 1) + 1))
-        routes.add(tester._priced(m.span_coords, n, m.rank) is None)
         sigma = PatternSpec(tuple(int(b) for b in rng.integers(0, 2, m.k)))
-        yield random_function(n, rng, rng.choice([0.2, 0.5, 0.8])), m, sigma, rng
+        f = random_function(n, rng, rng.choice([0.2, 0.5, 0.8]))
+        lookups = tester._lookups(f.table, sigma.sigma)
+        routes.add(tester._priced(lookups, n, m.span_coords, m.rank) is None)
+        yield f, m, sigma, rng
     assert routes == {True, False}
 
 
@@ -888,8 +896,12 @@ def carried(f, m, sigma, rng):
 def test_free_verdict_and_witnesses_carry_across_the_invariances(monkeypatch):
     """find_pattern's verdict is the same on both sides of each map, and
     each side's witness, carried across, is a violation on the other
-    side. Witnesses come from both routes, and each call takes the route
-    _priced picks with u_{r-1} kept."""
+    side. Witnesses come from every route: a match in the first chunk of
+    the supported scan ends the call ("probe"); otherwise the call
+    descends exactly when _priced, with u_{r-1} kept and that chunk
+    walked, picks elimination, and else scans on. Chunks of 2^6 entries
+    let the first chunk miss on these small inputs."""
+    monkeypatch.setattr(tester, "_CHUNK", 1 << 6)
     descents = []
     descend = tester._descend
     monkeypatch.setattr(tester, "_descend", lambda *args: descents.append(args) or descend(*args))
@@ -898,8 +910,14 @@ def test_free_verdict_and_witnesses_carry_across_the_invariances(monkeypatch):
     def witness(f, m, sigma):
         descents.clear()
         inst = find_pattern(f, m, sigma)
-        r, route = m.rank, "scan"
-        if r and tester._priced(m.span_coords, f.n, r, 1 << (r - 1)) is not None:
+        n, coords, r = f.n, m.span_coords, m.rank
+        lookups = tester._lookups(f.table, sigma.sigma)
+        route = "scan"
+        first = next(tester._scan_chunks(lookups, n, coords, r), None)
+        if first is not None and first[1].any():
+            route = "probe"
+        elif first is not None and tester._priced(lookups, n, coords, r, 1 << r >> 1,
+                                                  first[0].shape[1]) is not None:
             route = "descent"
         assert (route == "descent") == bool(descents)
         seen.add((route, inst is not None))
@@ -913,7 +931,8 @@ def test_free_verdict_and_witnesses_carry_across_the_invariances(monkeypatch):
             if mine is not None:
                 assert is_violation(there(mine), *other), name
                 assert is_violation(back(theirs), f, m, sigma), name
-    assert seen == {("scan", True), ("scan", False), ("descent", True), ("descent", False)}
+    assert seen == {("probe", True), ("scan", True), ("scan", False), ("descent", True),
+                    ("descent", False)}
 
 
 def test_repair_and_hitting_number_are_invariant():
@@ -934,7 +953,9 @@ def test_repair_and_hitting_number_are_invariant():
 
 
 # ---------------------------------------------------------------------------
-# exact counts by variable elimination, held against the assignment scan
+# exact counts by variable elimination and by the supported scan, and
+# witnesses by the descent and the scan, held against the plain scan of
+# tests/oracles.py, which shares no code with the engine
 
 
 def table_lookups(tables, sigma):
@@ -943,24 +964,32 @@ def table_lookups(tables, sigma):
 
 
 def scan_count(tables, n, coords, sigma, r):
-    """Scan-only reference over explicit tables: the number of matches."""
-    return sum(int(match.sum()) for _, match in
-               tester._scan_chunks(table_lookups(tables, sigma), n, coords, r))
+    """The plain scan's number of matches."""
+    return plain_scan(tables, n, coords, sigma, r)[0]
 
 
 def scan_first(tables, n, coords, sigma, r):
-    """Scan-only reference over explicit tables: the smallest matching index."""
-    for start, match in tester._scan_chunks(table_lookups(tables, sigma), n, coords, r):
-        if match.any():
-            return start + int(np.argmax(match))
-    return None
+    """The plain scan's smallest matching index, or None."""
+    return plain_scan(tables, n, coords, sigma, r)[1]
+
+
+def forced(route):
+    """A stand-in for _priced that picks `route` whatever the price: the
+    scan (None), or _plan's steps, so _count eliminates and _first
+    descends after its first chunk. A rank-0 scan is one assignment,
+    so no descent follows its first chunk."""
+    def priced(lookups, n, coords, r, keep=0, walked=0):
+        if route == "scan" or (walked and not r):
+            return None
+        return tester._plan(coords, n, keep)[0]
+    return priced
 
 
 def eliminated_count(tables, n, coords, sigma, r):
     """The elimination counter on its own, whatever the planner's price:
     _count with the route forced to _plan's steps."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tester, "_priced", lambda coords, n, r: tester._plan(coords, n)[0])
+        patch.setattr(tester, "_priced", forced("elimination"))
         return tester._count(table_lookups(tables, sigma), n, coords, r)
 
 
@@ -1050,33 +1079,82 @@ def test_elimination_counts_a_variable_in_no_factor():
 
 
 def test_planner_keeps_small_scans():
-    """n*rank <= 8 stays on the scan: on inputs that small the scan
+    """n*rank <= 8 stays on the scan whatever the function: on inputs
+    that small even the full scan, every image of every u_j supported,
     costs less than the elimination's setup, so a tiny find_pattern or
     count, such as the check of each candidate repair, pays no setup."""
     from test_acceptance import atlas_graphs
 
     for m in [graphic_from_graph(g) for g in atlas_graphs(5)] + [RANK0, ZERO_PARALLEL]:
         for n in range(1, 8 // max(m.rank, 1) + 1):
-            assert tester._priced(m.span_coords, n, m.rank) is None
+            full = [np.ones(1 << n, dtype=bool)] * m.k
+            assert tester._priced(full, n, m.span_coords, m.rank) is None
 
 
 def test_planner_prices_scan_against_elimination():
-    # both under 2^12 element operations of setup: the scan is cheaper
-    for m, n in ((C3, 6), (graphic_from_graph(complete_graph(4)), 4)):
+    """The scan is priced at _SCAN_COST per supported assignment per
+    factor it reads beyond the supports, plus one for the walk."""
+    # every image supported, both under their plans: the scan is cheaper
+    for m, n in ((C3, 5), (graphic_from_graph(complete_graph(4)), 3)):
         order, cost = tester._plan(m.span_coords, n)
-        assert m.k << (n * m.rank) < cost
-        assert tester._priced(m.span_coords, n, m.rank) is None
+        read = sum(1 for c in m.span_coords if c & (c - 1) or not c)
+        assert tester._SCAN_COST * (read + 1) << (n * m.rank) < cost
+        full = [np.ones(1 << n, dtype=bool)] * m.k
+        assert tester._priced(full, n, m.span_coords, m.rank) is None
     # one step further the elimination is cheaper
-    assert tester._priced(C3.span_coords, 7, 2) is not None
+    assert tester._priced([np.ones(1 << 6, dtype=bool)] * 3, 6, C3.span_coords, 2) is not None
     ones = [np.ones(1 << 7, dtype=bool)] * 3
+    assert tester._priced(ones, 7, C3.span_coords, 2) is not None
     assert tester._count(ones, 7, C3.span_coords, 2) == 1 << 14
+    # ... unless the supports are small: 16 images of each u_j keep the scan
+    tables = [(np.arange(1 << 7) < 16).astype(np.uint8)] * 3
+    sparse = table_lookups(tables, (1, 1, 1))
+    assert tester._priced(sparse, 7, C3.span_coords, 2) is None
+    assert tester._count(sparse, 7, C3.span_coords, 2) == scan_count(
+        tables, 7, C3.span_coords, (1, 1, 1), 2)
 
 
-def test_free_certificate_costs_a_count(monkeypatch):
-    """A free function is certified by the count alone: no scan runs."""
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """What the exact engine ran: scans started, chunks they yielded,
+    descents, and counts (outermost _replay calls; a conditioned slice
+    runs _replay within its count)."""
+    calls = Counter()
+    scan, descend, replay = tester._scan_chunks, tester._descend, tester._replay
+    depth = 0
+
+    def scan_spy(*args):
+        calls["scans"] += 1
+        for chunk in scan(*args):
+            calls["chunks"] += 1
+            yield chunk
+
+    def descend_spy(*args):
+        calls["descents"] += 1
+        return descend(*args)
+
+    def replay_spy(*args):
+        nonlocal depth
+        calls["counts"] += not depth
+        depth += 1
+        try:
+            return replay(*args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(tester, "_scan_chunks", scan_spy)
+    monkeypatch.setattr(tester, "_descend", descend_spy)
+    monkeypatch.setattr(tester, "_replay", replay_spy)
+    return calls
+
+
+def test_free_certificate_costs_a_count(engine_calls):
+    """A free function is certified by one count plus at most one chunk
+    of the scan: the first chunk, then the descent's first round."""
     f = canonical_function(graphic_from_graph(cycle_graph(5)), 11)
-    monkeypatch.setattr(tester, "_scan_chunks", None)
     assert find_pattern(f, C3, S111) is None
+    assert engine_calls["chunks"] <= 1
+    assert engine_calls["counts"] == 1
 
 
 def test_planner_eliminates_k4_at_n8():
@@ -1084,20 +1162,28 @@ def test_planner_eliminates_k4_at_n8():
     f = random_function(8, np.random.Generator(np.random.PCG64(101)), density=0.4)
     steps, cost = tester._plan(k4.span_coords, 8)
     assert len(steps) == 3 and cost < k4.k << 24
-    assert tester._priced(k4.span_coords, 8, 3) == steps
-    got = tester._count(table_lookups([f.table] * 6, (1,) * 6), 8, k4.span_coords, 3)
+    lookups = table_lookups([f.table] * 6, (1,) * 6)
+    assert tester._priced(lookups, 8, k4.span_coords, 3) == steps
+    got = tester._count(lookups, 8, k4.span_coords, 3)
     assert got == scan_count([f.table] * 6, 8, k4.span_coords, (1,) * 6, 3)
 
 
 def test_int64_bound_is_refused():
     """2^n * S_a * S_b = 2^63 for the constant-1 function at n = 21: the
-    correlation is refused, not rerouted to a scan of 2^42 assignments."""
+    correlation is refused, not rerouted to a scan of 2^42 assignments.
+    find_pattern answers that input from its first chunk, where the zero
+    map is a witness. On C_5 at n = 14 with f = 1 exactly where x_13 = 1
+    its first chunk holds no match, and the descent meets the refusal."""
     one = constant(21, 1)
     with pytest.raises(BudgetExceededError, match="eliminating u_0"):
         eliminated_count([one.table] * 3, 21, C3.span_coords, (1, 1, 1), 2)
-    for run in (count_patterns, find_pattern):
-        with pytest.raises(BudgetExceededError, match="int64"):
-            run(one, C3, S111, budget_bits=42)
+    with pytest.raises(BudgetExceededError, match="int64"):
+        count_patterns(one, C3, S111, budget_bits=42)
+    assert witness_index(find_pattern(one, C3, S111, budget_bits=42), 21) == 0
+    late = BooleanFunction(14, (np.arange(1 << 14) >> 13).astype(np.uint8))
+    with pytest.raises(BudgetExceededError, match="eliminating u_2: .* could leave int64"):
+        find_pattern(late, graphic_from_graph(cycle_graph(5)), PatternSpec.all_ones(5),
+                     budget_bits=56)
 
 
 def test_constant_one_counts_exact_below_the_int64_bound():
@@ -1115,7 +1201,9 @@ def test_counts_past_62_bits_are_refused_before_any_table():
     """A count of up to 2^(n*r) leaves int64 past 62 bits, so both public
     entries refuse it from the arguments, whatever the budget, before any
     factor lookup is built."""
-    assert tester._priced(C3.span_coords, 31, 2) is not None      # 62 bits
+    # 62 bits priced without a refusal; the one form u_0 ^ u_1 reads no
+    # basis variable alone, so no table is read to price it
+    assert tester._priced([None], 31, (3,), 2) is not None
     k4 = graphic_from_graph(complete_graph(4))
     f = BooleanFunction(22, np.zeros(1 << 22, dtype=np.uint8))
     for entry in (count_patterns, find_pattern):
@@ -1229,20 +1317,6 @@ def test_match_on_survivors_equals_full_evaluation(survivor_runs):
     assert survivor_runs[2]
 
 
-def plain_scan_first(f, m, sigma):
-    """The smallest matching assignment index, from every index at once."""
-    n, r = f.n, m.rank
-    t = np.arange(1 << (n * r), dtype=np.int64)
-    match = np.ones(len(t), dtype=bool)
-    for cmask, s in zip(m.span_coords, sigma.sigma):
-        pts = np.zeros_like(t)
-        for j in range(r):
-            if cmask >> j & 1:
-                pts ^= (t >> (j * n)) & ((1 << n) - 1)
-        match &= f.table[pts] == s
-    return int(np.argmax(match)) if match.any() else None
-
-
 def test_scan_route_witness_is_the_first_plain_match(survivor_runs):
     """On inputs priced at or below _STEP_COST find_pattern scans, and
     with sparse functions its chunks go on at the survivors; the witness
@@ -1250,13 +1324,14 @@ def test_scan_route_witness_is_the_first_plain_match(survivor_runs):
     rng = np.random.Generator(np.random.PCG64(173))
     c5, k4 = graphic_from_graph(cycle_graph(5)), graphic_from_graph(complete_graph(4))
     for m, n in ((C3, 5), (c5, 2), (k4, 3)):
-        assert tester._priced(m.span_coords, n, m.rank, 1 << (m.rank - 1)) is None
+        full = [np.ones(1 << n, dtype=bool)] * m.k
+        assert tester._priced(full, n, m.span_coords, m.rank, 1 << (m.rank - 1)) is None
         for density in (0.05, 0.1, 0.3, 0.6):
             for _ in range(6):
                 f = random_function(n, rng, density)
                 sigma = PatternSpec(tuple(int(b) for b in rng.integers(0, 2, m.k)))
                 inst = find_pattern(f, m, sigma)
-                want = plain_scan_first(f, m, sigma)
+                want = scan_witness_index(f, m, sigma)
                 assert (None if inst is None else witness_index(inst, n)) == want
     assert True in survivor_runs[1]
 
@@ -1315,12 +1390,129 @@ def test_descent_slices_and_unread_variables(monkeypatch):
                 assert descended(tables, n, coords, sigma, r) == want
 
 
-def test_late_witness_costs_no_scan(monkeypatch):
-    """A witness past 2^21 comes from the descent alone, so its price does
-    not depend on where it lies."""
+def test_late_witness_costs_no_scan(engine_calls):
+    """A witness past 2^21 costs at most the descent plus one chunk of
+    the scan, so its price does not depend on where it lies."""
     f = BooleanFunction(11, np.arange(1 << 11) >> 10)
     sigma = PatternSpec.from_string("110")
     want = scan_witness_index(f, C3, sigma)
     assert want >= 1 << 21
-    monkeypatch.setattr(tester, "_scan_chunks", None)
     assert witness_index(find_pattern(f, C3, sigma), 11) == want
+    assert engine_calls["chunks"] <= 1 and engine_calls["descents"] <= 1
+
+
+PINNED_GRAPHS = {"C3": cycle_graph(3), "C5": cycle_graph(5), "K4": complete_graph(4),
+          "K5": complete_graph(5), "Petersen": named_graph("petersen")}
+
+
+@pytest.mark.parametrize("name, cells", [
+    ("C3", [(6, 0.5, "scan", "hit"), (10, 0.1, "scan", "hit"),
+            (10, 0.5, "elimination", "hit"), (12, 0.2, "elimination", "hit"),
+            (10, "C5", "elimination", "scan"), (12, "C5", "elimination", "descent")]),
+    ("C5", [(3, 0.5, "scan", "hit"), (5, 0.2, "scan", "scan"),
+            (6, 0.5, "elimination", "hit")]),
+    ("K4", [(4, 0.5, "scan", "hit"), (8, 0.2, "scan", "hit"), (8, 0.5, "elimination", "hit")]),
+    ("K5", [(3, 0.3, "scan", "scan"), (5, 0.5, "scan", "scan")]),
+    ("Petersen", [(2, 0.5, "elimination", "hit"), (3, 0.2, "scan", "scan"),
+                  (3, 0.5, "elimination", "descent")]),
+], ids=["C3", "C5", "K4", "K5", "Petersen"])
+def test_routes_are_pinned(engine_calls, name, cells):
+    """The route count_patterns and find_pattern take on Sigma = 1^k, per
+    (n, density) cell, on seeded functions with f(0) = 0, or on the
+    canonical function of the named graph. count: the scan or the
+    elimination. free: "hit" when the first chunk holds the witness,
+    "descent" when the descent follows a first chunk without one, "scan"
+    when the scan goes on, or had nothing more to walk. A pricing change
+    shows up here as a diff."""
+    m = graphic_from_graph(PINNED_GRAPHS[name])
+    sigma = PatternSpec.all_ones(m.k)
+    for n, density, count_route, free_route in cells:
+        if isinstance(density, str):
+            f = canonical_function(graphic_from_graph(PINNED_GRAPHS[density]), n)
+        else:
+            table = (np.random.default_rng([n, round(100 * density)]).random(1 << n)
+                     < density).astype(np.uint8)
+            table[0] = 0
+            f = BooleanFunction(n, table)
+        engine_calls.clear()
+        count = count_patterns(f, m, sigma).span_count
+        assert ("scan" if engine_calls["scans"] else "elimination") == count_route, (n, density)
+        engine_calls.clear()
+        inst = find_pattern(f, m, sigma)
+        assert (inst is None) == (count == 0)
+        if engine_calls["descents"]:
+            route = "descent"
+        else:
+            route = "hit" if inst is not None and engine_calls["chunks"] == 1 else "scan"
+        assert route == free_route, (n, density)
+        assert engine_calls["chunks"] <= 1 or route == "scan"
+
+
+@st.composite
+def exact_cases(draw):
+    """(tables, n, coords, sigma, r) on a random binary matroid in
+    {0,1}^d, d <= 4, of 1..7 elements: loops and parallel elements are
+    common, some draws have rank 0 (every element a loop) and some only
+    unit vectors (every form a single basis variable, so no factor is
+    left past the supports). One shared table or one per element, of
+    density 0 to 1, so supports can be empty or full; f(0) = 1 on
+    some draws; n*rank <= 12."""
+    kind = draw(st.sampled_from(["general", "rank0", "singletons"]))
+    d, k = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    ints = {"general": st.integers(0, (1 << d) - 1), "rank0": st.just(0),
+            "singletons": st.integers(0, d - 1).map(lambda j: 1 << j)}[kind]
+    m = BinaryMatroid([GFVector(d, v) for v in draw(st.lists(ints, min_size=k, max_size=k))])
+    n = draw(st.integers(0, 12 // max(m.rank, 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    densities = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), min_size=1,
+                              max_size=1 if draw(st.booleans()) else k))
+    tables = [(rng.random(1 << n) < densities[i % len(densities)]).astype(np.uint8)
+              for i in range(k)]
+    if draw(st.booleans()):
+        for table in tables:
+            table[0] = 1
+    sigma = tuple(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
+    return tables, n, m.span_coords, sigma, m.rank
+
+
+def test_supported_scan_matches_the_plain_scan():
+    """Counts and first witnesses on both routes, forced whatever the
+    price, equal the plain scan's; find_pattern's route is checked with
+    chunks large enough to hold every assignment and with chunks of 2^4,
+    so its first chunk both hits and misses, and a miss is followed by
+    the descent or by the rest of the scan. When no factor is left past
+    the supports, the count is the product of the support sizes."""
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(case=exact_cases())
+    def check(case):
+        tables, n, coords, sigma, r = case
+        count, first = plain_scan(tables, n, coords, sigma, r)
+        lookups = table_lookups(tables, sigma)
+        if all(c and not c & (c - 1) for c in coords):
+            sizes = [1 << n] * r
+            for c in set(coords):
+                allowed = np.all([lk for lk, b in zip(lookups, coords) if b == c], axis=0)
+                sizes[c.bit_length() - 1] = int(np.count_nonzero(allowed))
+            assert count == math.prod(sizes)
+            seen.add("no factor left")
+        with pytest.MonkeyPatch.context() as patch:
+            for route in ("scan", "elimination"):
+                patch.setattr(tester, "_priced", forced(route))
+                assert tester._count(lookups, n, coords, r) == count
+                for chunk in (1 << 14, 1 << 4):
+                    patch.setattr(tester, "_CHUNK", chunk)
+                    chunks = [match.any() for _, match in tester._scan_chunks(lookups, n, coords, r)]
+                    assert tester._first(lookups, n, coords, r) == first
+                    if not chunks:
+                        seen.add("empty support")
+                    elif chunks[0]:
+                        seen.add("hit")
+                    elif len(chunks) > 1:
+                        seen.add(f"miss, then {'descent' if route == 'elimination' else 'scan'}")
+                patch.setattr(tester, "_CHUNK", 1 << 14)
+
+    check()
+    assert seen == {"no factor left", "empty support", "hit", "miss, then descent",
+                    "miss, then scan"}
