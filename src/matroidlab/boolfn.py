@@ -28,6 +28,11 @@ from .gf2 import SUBSPACE_ENUM_MAX_N, Subspace, _xor_span, enumerate_subspaces
 WHT_MAX_N = 24
 
 
+def _check_dim(n: int) -> None:
+    if not 0 <= n <= WHT_MAX_N:
+        raise InvalidInputError(f"domain dimension {n} out of supported range")
+
+
 class BooleanFunction:
     """A function {0,1}^n -> {0,1} stored as a full truth table.
 
@@ -37,8 +42,7 @@ class BooleanFunction:
     __slots__ = ("n", "table")
 
     def __init__(self, n: int, table):
-        if n < 0 or n > WHT_MAX_N:
-            raise InvalidInputError(f"domain dimension {n} out of supported range")
+        _check_dim(n)
         arr = np.asarray(table, dtype=np.uint8)
         if arr.shape != (1 << n,):
             raise InvalidInputError(
@@ -69,8 +73,7 @@ class BooleanFunction:
 
 
 def random_function(n: int, rng, density: float = 0.5) -> BooleanFunction:
-    if not 0 <= n <= WHT_MAX_N:
-        raise InvalidInputError(f"domain dimension {n} out of supported range")
+    _check_dim(n)
     return BooleanFunction(n, (rng.random(1 << n) < density).astype(np.uint8))
 
 
@@ -129,8 +132,6 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
 def wht(f: BooleanFunction) -> FourierSpectrum:
     """Exact integer spectrum via the standard butterfly, in int32: every
     partial sum is bounded by 2^n in absolute value (module docstring)."""
-    if f.n > WHT_MAX_N:
-        raise BudgetExceededError(f"n={f.n} exceeds WHT cap {WHT_MAX_N}")
     coeffs = _butterfly(f.table.astype(np.int32))
     coeffs.flags.writeable = False
     return FourierSpectrum(f.n, coeffs)
@@ -145,7 +146,7 @@ def coset_indices(sub: Subspace) -> np.ndarray:
     """
     pivots = set(sub.pivots)
     reps = _xor_span([1 << j for j in range(sub.ambient_dim) if j not in pivots])
-    return reps[:, None] ^ _xor_span([b.bits for b in sub.basis])
+    return reps[:, None] ^ _xor_span(sub.basis)
 
 
 def uniform_coset_fraction(f: BooleanFunction, sub: Subspace, eps) -> Fraction:
@@ -161,6 +162,16 @@ def uniform_coset_fraction(f: BooleanFunction, sub: Subspace, eps) -> Fraction:
     return Fraction(int(np.count_nonzero(uniform)), uniform.shape[0])
 
 
+def check_regularity_n(n: int) -> None:
+    """Refuse n for regularity_decompose before any table is drawn:
+    outside BooleanFunction's range, below 1, or over the search cap."""
+    _check_dim(n)
+    if n < 1:
+        raise InvalidInputError(f"regularity search needs n >= 1, got n={n}")
+    if n > SUBSPACE_ENUM_MAX_N:
+        raise BudgetExceededError(f"n={n} exceeds regularity search cap {SUBSPACE_ENUM_MAX_N}")
+
+
 def regularity_decompose(f: BooleanFunction, eps, max_codim: int | None = None
                          ) -> tuple[Subspace, Fraction]:
     """Smallest-codimension subspace H such that >= 1-eps of the cosets of
@@ -171,10 +182,7 @@ def regularity_decompose(f: BooleanFunction, eps, max_codim: int | None = None
     always works (singleton cosets are constant), so the search succeeds
     whenever max_codim = n.
     """
-    if f.n < 1:
-        raise InvalidInputError(f"regularity search needs n >= 1, got n={f.n}")
-    if f.n > SUBSPACE_ENUM_MAX_N:
-        raise BudgetExceededError(f"n={f.n} exceeds regularity search cap {SUBSPACE_ENUM_MAX_N}")
+    check_regularity_n(f.n)
     if max_codim is None:
         max_codim = f.n
     if not 0 <= max_codim <= f.n:

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .boolfn import BooleanFunction, random_function, regularity_decompose, wht
+from .boolfn import BooleanFunction, check_regularity_n, random_function, regularity_decompose, wht
 from .errors import BudgetExceededError, InvalidInputError, MatroidLabError
 from .families import verify_characterization
 from .fileio import (load_function, load_graph, load_matroid, save_function,
@@ -260,6 +260,7 @@ def _exp_regularity(args):
     if args.function:
         f = load_function(args.function)
     else:
+        check_regularity_n(args.n)     # before the 2^n draw
         rng = np.random.Generator(np.random.PCG64(derive_seed(args.seed, 0)))
         f = random_function(args.n, rng)
     try:
@@ -270,7 +271,7 @@ def _exp_regularity(args):
     return ({"eps": str(eps), "n": f.n},
             {"codim": exact(sub.codim),
              "uniform_fraction": exact(frac),
-             "subspace_basis": [b.to_bits() for b in sub.basis]})
+             "subspace_basis": [GFVector(f.n, b).to_bits() for b in sub.basis]})
 
 
 def _exp_characterize(args):

@@ -7,8 +7,9 @@ coordinate 0 first ("110" has coordinates 0 and 1 set).
 Two primitives here serve the whole package: `_ref_insert`, the one
 echelon insertion (rank_and_basis, the matroid's span coordinates and
 its dependency code all run on it), and `_xor_span`, the one table of
-every XOR combination of a few vectors (coset tables, circuits and odd
-girth read it).
+every XOR combination of a few vectors (coset tables, circuits, odd
+girth and the rows of enumerate_subspaces read it). Subspace rows are
+ints; GFVector wraps the vectors of files, reports, witnesses and matroids.
 
 A coset v + H of a subspace is named by its canonical representative,
 the one element with every pivot bit of H's RREF basis clear. This
@@ -19,7 +20,7 @@ of H out as one table of point indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -105,12 +106,12 @@ def _xor_span(vectors: Sequence[int]) -> np.ndarray:
 class Subspace:
     """A subspace of {0,1}^ambient_dim with its unique RREF basis.
 
-    The basis is stored in descending pivot order; two equal subspaces
-    always carry identical basis tuples.
+    The basis rows, ints packed like GFVector.bits, are in descending
+    pivot order; two equal subspaces always carry identical basis tuples.
     """
 
     ambient_dim: int
-    basis: tuple[GFVector, ...]
+    basis: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -122,10 +123,7 @@ class Subspace:
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(b.bits.bit_length() - 1 for b in self.basis)
-
-    def __repr__(self):
-        return f"Subspace(n={self.ambient_dim}, basis={[b.to_bits() for b in self.basis]})"
+        return tuple(b.bit_length() - 1 for b in self.basis)
 
 
 def rank_and_basis(vectors: Iterable[GFVector], dim: int | None = None) -> tuple[int, Subspace]:
@@ -144,7 +142,7 @@ def rank_and_basis(vectors: Iterable[GFVector], dim: int | None = None) -> tuple
             if w >> q & 1:
                 w ^= b
         rref[p] = w
-    basis = tuple(GFVector(dim, rref[p]) for p in reversed(rref))
+    basis = tuple(rref[p] for p in reversed(rref))
     return len(basis), Subspace(dim, basis)
 
 
@@ -152,31 +150,19 @@ def enumerate_subspaces(n: int, codim: int) -> Iterator[Subspace]:
     """All subspaces of {0,1}^n of the given codimension, each exactly once.
 
     Enumerates canonical RREF bases directly: pivot sets in descending
-    lexicographic order, free entries in ascending counter order. This
+    lexicographic order, then row 0's free entries fastest; each row runs
+    through the span table of the non-pivot bits below its pivot. This
     yield order is the repo's canonical subspace order.
     """
     if n > SUBSPACE_ENUM_MAX_N:
         raise BudgetExceededError(f"n={n} exceeds subspace enumeration cap {SUBSPACE_ENUM_MAX_N}")
     if not 0 <= codim <= n:
         raise InvalidInputError(f"codim {codim} out of range for n={n}")
-    d = n - codim
-    for pivots in combinations(range(n - 1, -1, -1), d):
-        pivot_set = set(pivots)
-        free_slots = [[b for b in range(p) if b not in pivot_set] for p in pivots]
-        widths = [len(s) for s in free_slots]
-        total = sum(widths)
-        for c in range(1 << total):
-            rows = []
-            shift = 0
-            for p, slots, w in zip(pivots, free_slots, widths):
-                bits = 1 << p
-                chunk = c >> shift & ((1 << w) - 1)
-                for idx, b in enumerate(slots):
-                    if chunk >> idx & 1:
-                        bits |= 1 << b
-                rows.append(GFVector(n, bits))
-                shift += w
-            yield Subspace(n, tuple(rows))
+    for pivots in combinations(range(n - 1, -1, -1), n - codim):
+        rows = [(_xor_span([1 << b for b in range(p) if b not in pivots]) | 1 << p).tolist()
+                for p in reversed(pivots)]
+        for basis in product(*rows):
+            yield Subspace(n, basis[::-1])
 
 
 @dataclass(frozen=True)

@@ -185,8 +185,7 @@ class BinaryMatroid:
     def span_coords(self) -> tuple[int, ...]:
         """Each ground vector, expressed over span_basis.basis as a mask
         (bit j set = basis[j] participates)."""
-        rows = {b.bits.bit_length() - 1: (b.bits, 1 << j)
-                for j, b in enumerate(self.span_basis.basis)}
+        rows = {b.bit_length() - 1: (b, 1 << j) for j, b in enumerate(self.span_basis.basis)}
         return tuple(_ref_insert(rows, v)[1] for v in self.ints)
 
     @cached_property
@@ -201,6 +200,12 @@ class BinaryMatroid:
             if w == 0:
                 words.append(combo)
         return tuple(words)
+
+    @cached_property
+    def has_complexity_one(self) -> bool:
+        """Complexity <= 1, decided once per matroid: every element admits a
+        2-partition of the rest with neither span containing it."""
+        return complexity(self, cap=1) is not None
 
     def __eq__(self, other):
         return isinstance(other, BinaryMatroid) and self.vectors == other.vectors
@@ -380,12 +385,6 @@ def complexity(m: BinaryMatroid, cap: int = 1) -> Optional[int]:
             return None
         worst = max(worst, ci)
     return worst
-
-
-def has_complexity_one(m: BinaryMatroid) -> bool:
-    """The complexity-1 check: every element admits a 2-partition of the
-    rest with neither span containing it (i.e. complexity <= 1)."""
-    return complexity(m, cap=1) is not None
 
 
 def _edge_split_exists(g: Graph, e: tuple[int, int], min_side: int, side_ok) -> bool:

@@ -104,7 +104,7 @@ import numpy as np
 from .boolfn import BooleanFunction, _butterfly, wht
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from .gf2 import GFVector, LinearMap
-from .matroid import BinaryMatroid, _forced_by, _mask_bits, has_complexity_one
+from .matroid import BinaryMatroid, _forced_by, _mask_bits
 
 PATTERN_BUDGET_BITS = 30
 VON_NEUMANN_BUDGET_BITS = 26
@@ -116,8 +116,8 @@ _CHUNK = 1 << 14       # entries per block: a few such int64 arrays stay in L2 c
 
 
 def derive_seed(master: int, *shard: int) -> int:
-    """The repo's fixed rule for per-shard seeds: feed (master, *shard)
-    into a SeedSequence and take one 64-bit word."""
+    """The fixed rule for the CLI's per-trial, per-bucket and regularity
+    seeds: feed (master, *shard) into a SeedSequence, take one 64-bit word."""
     ss = np.random.SeedSequence([master & (2 ** 64 - 1)] + [s & (2 ** 64 - 1) for s in shard])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -593,8 +593,7 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
     seeds reproduce the rejection sequence bit for bit, whatever the block
     size. Draw d takes the images of basis vectors 0..m-1 from the next m
     values of integers(0, 2^n) on np.random.Generator(PCG64(seed)), in
-    order. Shard seeds, when sharding is wanted, must come from
-    derive_seed(seed, shard).
+    order.
 
     Samples run in blocks of _CHUNK maps, fewer when m > 8 so that a
     block holds at most 8 * _CHUNK images. A bounded draw from [0, 2^n)
@@ -882,7 +881,7 @@ class VonNeumannReport:
 def check_von_neumann_args(m: BinaryMatroid, n: int) -> None:
     """Refuse (M, n) for von_neumann_gap from M and n alone, so a caller
     can check before it draws any function."""
-    if not has_complexity_one(m):
+    if not m.has_complexity_one:
         raise InvalidInputError("von Neumann check requires a complexity-1 matroid")
     if n * m.rank > VON_NEUMANN_BUDGET_BITS:
         raise BudgetExceededError(

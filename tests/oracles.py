@@ -4,6 +4,7 @@ package's types."""
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -69,8 +70,8 @@ def reduce(sub: Subspace, v: GFVector) -> GFVector:
         raise DimensionMismatchError(f"dim {v.dim} vs ambient {sub.ambient_dim}")
     w = v.bits
     for b in sub.basis:
-        if w >> (b.bits.bit_length() - 1) & 1:
-            w ^= b.bits
+        if w >> (b.bit_length() - 1) & 1:
+            w ^= b
     return GFVector(sub.ambient_dim, w)
 
 
@@ -99,6 +100,27 @@ def random_nonsingular_map(n: int, rng) -> LinearMap:
         images = tuple(GFVector(n, int(rng.integers(0, 1 << n))) for _ in range(n))
         if rank_and_basis(images, dim=n)[0] == n:
             return LinearMap(n, images)
+
+
+def subspaces_by_bit_loop(n: int, codim: int) -> list[tuple[int, ...]]:
+    """The RREF bases of every subspace of {0,1}^n of the given
+    codimension, each row built bit by bit from one free-entry counter:
+    pivot sets in descending lexicographic order, row 0's free entries
+    in the counter's lowest bits."""
+    out = []
+    for pivots in combinations(range(n - 1, -1, -1), n - codim):
+        free_slots = [[b for b in range(p) if b not in pivots] for p in pivots]
+        for c in range(1 << sum(len(s) for s in free_slots)):
+            rows = []
+            for p, slots in zip(pivots, free_slots):
+                bits = 1 << p
+                for idx, b in enumerate(slots):
+                    if c >> idx & 1:
+                        bits |= 1 << b
+                rows.append(bits)
+                c >>= len(slots)
+            out.append(tuple(rows))
+    return out
 
 
 def gaussian_binomial(n: int, d: int) -> int:

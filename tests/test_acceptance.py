@@ -25,7 +25,7 @@ from matroidlab.matroid import (Graph, canonical_function,
                                 cog_endpoint_partition_criterion,
                                 cog_partition_criterion, cographic_from_graph,
                                 complexity, complexity_at, find_homomorphism,
-                                graphic_from_graph, has_complexity_one, named_graph)
+                                graphic_from_graph, named_graph)
 from matroidlab.tester import (PatternSpec, brute_force_cycle_count, count_patterns,
                                cycle_count_fourier, derive_seed, find_pattern,
                                min_repair_distance, pattern_hitting_number,
@@ -118,7 +118,7 @@ def test_criterion_2b_cographic_k33():
                       "connected-halves criterion", 300)
     g = named_graph("k3,3")
     m = cographic_from_graph(g)
-    result = has_complexity_one(m)
+    result = m.has_complexity_one
     # at each edge e = uv, split the other edges into A = one u-v path and
     # B = the rest, which holds a second, edge-disjoint u-v path; then
     # neither span(A) nor span(B) may contain v_e
@@ -134,7 +134,7 @@ def test_criterion_2b_cographic_k33():
             bad_edges.append(e)
     criterion_edges = [e for e in g.edges if cog_partition_criterion(g, e)]
     ok = result is True and not bad_edges and not criterion_edges
-    chk.finish(ok, f"has_complexity_one(M*(K_3,3)) = {result}; "
+    chk.finish(ok, f"M*(K_3,3).has_complexity_one = {result}; "
                    f"two-path partitions failing the span check at {bad_edges}; "
                    f"connected-halves criterion holding at {criterion_edges} "
                    "(K_3,3 is 3-edge-connected, so by Menger every edge's "
@@ -157,7 +157,7 @@ def test_criterion_2c_partition_criterion_equivalence():
             if cog_endpoint_partition_criterion(g, e) != (complexity_at(m, idx, 1) is not None):
                 edge_mismatches.append(f"V={g.V} edges={g.edges} at {e}")
         crit = all(cog_partition_criterion(g, e) for e in g.edges)
-        c1 = has_complexity_one(m)
+        c1 = m.has_complexity_one
         if crit and not c1:
             unsound.append(f"V={g.V} edges={g.edges}")
         elif c1 and not crit:

@@ -181,7 +181,7 @@ def test_restriction_matches_direct_evaluation():
             point = rep
             for i in range(sub.dim):
                 if h >> i & 1:
-                    point ^= sub.basis[i].bits
+                    point ^= sub.basis[i]
             assert idx[row, h] == point and values[h] == int(f.table[point])
             checks += 1
 
@@ -275,7 +275,7 @@ def test_regularity_parity_indicator():
     f = from_ones(2, [1, 2])  # indicator of x_0 + x_1 = 1
     sub, frac = regularity_decompose(f, Fraction(1, 4))
     assert sub.codim == 1
-    assert [b.to_bits() for b in sub.basis] == ["11"]
+    assert sub.basis == (0b11,)
     assert frac == 1
 
 

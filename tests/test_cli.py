@@ -15,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matroidlab.cli
+import matroidlab.matroid
 import matroidlab.tester
 from matroidlab.boolfn import BooleanFunction, random_function
 from matroidlab.cli import build_parser, emit_plot_data, main
 from matroidlab.errors import InvalidInputError
 from matroidlab.fileio import save_function, save_graph, save_matroid
-from matroidlab.matroid import (canonical_function, cycle_graph, graphic_from_graph,
-                                named_graph)
+from matroidlab.matroid import (canonical_function, complexity, cycle_graph,
+                                graphic_from_graph, named_graph)
 from matroidlab.tester import PATTERN_BUDGET_BITS, PatternSpec, find_pattern
 from oracles import constant
 
@@ -296,6 +297,44 @@ def test_von_neumann_checks_before_drawing(capsys, monkeypatch, argv):
     assert main(argv) == 3
     assert calls == []
     assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
+def test_von_neumann_decides_complexity_one_once(monkeypatch):
+    """Three trials run the complexity-1 coloring search as often as one
+    complexity(M, cap=1) call does: once, not once per trial."""
+    calls = []
+    coloring_exists = matroidlab.matroid._coloring_exists
+
+    def spy(*args):
+        calls.append(args)
+        return coloring_exists(*args)
+
+    monkeypatch.setattr(matroidlab.matroid, "_coloring_exists", spy)
+    assert complexity(graphic_from_graph(named_graph("k4")), cap=1) == 1
+    once = len(calls)
+    assert once > 0
+    calls.clear()
+    assert main(["fourier", "--check-von-neumann", "--graph", "k4", "-n", "2",
+                 "--trials", "3"]) == 0
+    assert len(calls) == once
+
+
+@pytest.mark.parametrize("n, code, line", [
+    (-1, 4, "error: domain dimension -1 out of supported range\n"),
+    (0, 4, "error: regularity search needs n >= 1, got n=0\n"),
+    (9, 3, "budget exceeded: n=9 exceeds regularity search cap 8\n"),
+    (24, 3, "budget exceeded: n=24 exceeds regularity search cap 8\n"),
+    (25, 4, "error: domain dimension 25 out of supported range\n"),
+])
+def test_regularity_refuses_n_before_the_draw(capsys, n, code, line):
+    tracemalloc.start()
+    try:
+        assert main(["regularity", "-n", str(n)]) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20      # no 2^n table was drawn
+    assert capsys.readouterr() == ("", line)
 
 
 @pytest.mark.parametrize("argv, code", [

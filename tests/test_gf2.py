@@ -7,7 +7,7 @@ import pytest
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from matroidlab.gf2 import GFVector, LinearMap, enumerate_subspaces, rank_and_basis
 from oracles import (apply, contains, gaussian_binomial, in_span, random_nonsingular_map,
-                     reduce)
+                     reduce, subspaces_by_bit_loop)
 
 
 def v(s):
@@ -77,7 +77,7 @@ def test_rank_and_basis_is_the_rref_of_the_span():
         for count in range(4):
             for words in product(range(1 << dim), repeat=count):
                 r, sub = rank_and_basis([GFVector(dim, w) for w in words], dim)
-                rows = [b.bits for b in sub.basis]
+                rows = list(sub.basis)
                 pivots = [b.bit_length() - 1 for b in rows]
                 assert r == len(rows) and all(rows)
                 assert pivots == sorted(set(pivots), reverse=True)
@@ -115,7 +115,7 @@ def test_rank_and_basis_idempotent():
         dim = rng.randint(1, 8)
         vecs = [GFVector(dim, rng.randrange(1 << dim)) for _ in range(rng.randint(1, 6))]
         _, sub = rank_and_basis(vecs, dim=dim)
-        _, again = rank_and_basis(sub.basis, dim=dim)
+        _, again = rank_and_basis([GFVector(dim, b) for b in sub.basis], dim=dim)
         assert again == sub
 
 
@@ -154,6 +154,15 @@ def test_enumerate_subspaces_gaussian_binomial():
             assert all(s.codim == codim for s in subs)
 
 
+def test_enumerate_subspaces_order_is_pinned():
+    """The canonical subspace order, row for row, against the bit-loop
+    enumerator for every codimension at n <= 6."""
+    for n in range(7):
+        for codim in range(n + 1):
+            assert [s.basis for s in enumerate_subspaces(n, codim)] \
+                == subspaces_by_bit_loop(n, codim)
+
+
 def test_enumerate_subspaces_caps():
     with pytest.raises(BudgetExceededError):
         list(enumerate_subspaces(9, 1))
@@ -174,7 +183,7 @@ def test_coset_decompose_partitions():
         assert all(rep >> p & 1 == 0 for rep in reps for p in sub.pivots)
         span = [0]
         for b in sub.basis:
-            span += [w ^ b.bits for w in span]
+            span += [w ^ b for w in span]
         points = []
         for rep in reps:
             coset = [GFVector(n, rep ^ w) for w in span]

@@ -14,7 +14,7 @@ from matroidlab.matroid import (BinaryMatroid, Graph, Homomorphism, canonical_fu
                                 complete_bipartite_graph, complete_graph, complexity,
                                 complexity_at, cycle_graph, cycle_space_basis,
                                 find_homomorphism, graphic_from_graph,
-                                has_complexity_one, named_graph, odd_girth, path_graph,
+                                named_graph, odd_girth, path_graph,
                                 petersen_graph, verify_homomorphism)
 from oracles import apply, from_ones, in_span, random_nonsingular_map
 
@@ -220,7 +220,7 @@ def test_complexity_cographic():
     # the edges form a 2-partition leaving v_e outside both spans (v_e lies
     # in span(A) iff the other class fails to join e's endpoints)
     assert complexity(cographic_from_graph(complete_bipartite_graph(3, 3))) == 1
-    assert has_complexity_one(cographic_from_graph(cycle_graph(3))) is False
+    assert cographic_from_graph(cycle_graph(3)).has_complexity_one is False
 
 
 def test_complexity_matches_definitional_oracle():
@@ -262,7 +262,7 @@ def test_span_coords_rebuild_every_ground_vector():
     presentations += [RANK0, ZERO_PARALLEL, parallel,
                       cographic_from_graph(complete_bipartite_graph(3, 3))]
     for m in presentations:
-        rows = [b.bits for b in m.span_basis.basis]
+        rows = list(m.span_basis.basis)
         for v, mask in zip(m.ints, m.span_coords):
             assert mask >> len(rows) == 0
             acc = 0
@@ -299,7 +299,7 @@ def test_criterion_implies_complexity_one():
     for graph in (complete_graph(4), complete_graph(5), cycle_graph(4),
                   complete_bipartite_graph(2, 3), petersen_graph()):
         if all(cog_partition_criterion(graph, e) for e in graph.edges):
-            assert has_complexity_one(cographic_from_graph(graph))
+            assert cographic_from_graph(graph).has_complexity_one
 
 
 def test_endpoint_criterion_is_complexity_one():
