@@ -94,9 +94,7 @@ class FourierSpectrum:
 
     def max_abs_nonzero(self) -> int:
         """max_{a != 0} |coeffs[a]| (0 when n = 0)."""
-        if self.n == 0:
-            return 0
-        return int(np.abs(self.coeffs[1:]).max())
+        return int(np.abs(self.coeffs[1:]).max(initial=0))
 
     def power_sum(self, k: int) -> int:
         """sum_a coeffs[a]^k in exact big-integer arithmetic, taken over

@@ -29,7 +29,7 @@ from .families import verify_characterization
 from .fileio import (load_function, load_graph, load_matroid, save_function,
                      save_matroid)
 from .gf2 import GFVector
-from .matroid import (HOM_NODE_BUDGET, canonical_function, circuits,
+from .matroid import (HOM_NODE_BUDGET, canonical_function, check_canonical_args, circuits,
                       cographic_from_graph, complexity, cycle_space_basis,
                       find_homomorphism, graphic_from_graph, named_graph, odd_girth)
 from .tester import (PATTERN_BUDGET_BITS, PatternSpec, brute_force_cycle_count,
@@ -174,18 +174,20 @@ def _exp_test(args):
 def _exp_tester_calibration(args):
     if args.buckets < 1:
         raise InvalidInputError(f"buckets must be positive, got {args.buckets}")
+    c3 = graphic_from_graph(named_graph("c3"))
     if args.function:
         base = load_function(args.function)
+        n = base.n
     else:
-        base = canonical_function(graphic_from_graph(named_graph("c3")), args.n)
-    if args.matroid:
-        m = load_matroid(args.matroid)
-    else:
-        m = graphic_from_graph(named_graph("c3"))
+        base, n = None, args.n
+        check_canonical_args(c3, n)
+    m = load_matroid(args.matroid) if args.matroid else c3
     sigma = PatternSpec.from_string(args.sigma or "1" * m.k)
     # every bucket's exact count makes these checks; make them before the
-    # index array of ones, which holds 2^n entries at worst
-    check_pattern_args(base, m, sigma, args.budget)
+    # canonical table and the index array of ones, 2^n entries each
+    check_pattern_args(n, m, sigma, args.budget)
+    if base is None:
+        base = canonical_function(c3, n)
     ones = np.flatnonzero(base.table)
     rows = []
     size = 1 << base.n
@@ -302,11 +304,11 @@ def _exp_hierarchy_cliques(args):
     a, b, n = args.a, args.b, args.n
     m_a = graphic_from_graph(named_graph(f"k{a}"))
     m_b = graphic_from_graph(named_graph(f"k{b}"))
-    f = canonical_function(m_a, n)     # rejects a bad -n before the search
+    check_canonical_args(m_a, n)      # rejects a bad -n before the search
     sigma = PatternSpec.all_ones(m_b.k)
-    check_pattern_args(f, m_b, sigma, PATTERN_BUDGET_BITS)    # and the n*rank cap
+    check_pattern_args(n, m_b, sigma, PATTERN_BUDGET_BITS)    # and the n*rank cap
     phi = find_homomorphism(m_b, m_a, node_budget=args.budget)
-    free = find_pattern(f, m_b, sigma) is None
+    free = find_pattern(canonical_function(m_a, n), m_b, sigma) is None
     return ({"a": a, "b": b, "n": n},
             {f"hom_k{b}_to_k{a}": "none" if phi is None else list(phi.assignment),
              f"canonical_k{a}_is_k{b}_free": free})

@@ -527,15 +527,20 @@ def find_homomorphism(source: BinaryMatroid, target: BinaryMatroid,
     return None
 
 
-def canonical_function(m: BinaryMatroid, n: int) -> BooleanFunction:
-    """The indicator of {v_1,...,v_k} x {0,1}^(n-m): 1 at (x,y) iff the
-    low-m part x is a ground vector."""
+def check_canonical_args(m: BinaryMatroid, n: int) -> None:
+    """Refuse (M, n) for canonical_function before its 2^n table is built."""
     if n < m.m:
         raise InvalidInputError(f"n={n} must be at least ambient dimension {m.m}")
     if n > WHT_MAX_N:
         raise InvalidInputError(f"n={n} exceeds the truth-table cap {WHT_MAX_N}")
     if any(v == 0 for v in m.ints):
         raise InvalidInputError("canonical function requires nonzero ground vectors")
+
+
+def canonical_function(m: BinaryMatroid, n: int) -> BooleanFunction:
+    """The indicator of {v_1,...,v_k} x {0,1}^(n-m): 1 at (x,y) iff the
+    low-m part x is a ground vector."""
+    check_canonical_args(m, n)
     ground = np.zeros(1 << m.m, dtype=np.uint8)
     ground[list(m.ints)] = 1
     return BooleanFunction(n, np.tile(ground, 1 << (n - m.m)))

@@ -201,22 +201,22 @@ class CountReport:
         return Fraction(self.span_count, self.span_total)
 
 
-def check_pattern_args(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
+def check_pattern_args(n: int, m: BinaryMatroid, sigma: PatternSpec,
                        budget_bits: int) -> None:
-    """Refuse (f, M, Sigma) for find_pattern and count_patterns under
-    budget_bits from the arguments alone, so a caller can check before
-    it builds anything."""
+    """Refuse (f, M, Sigma) on {0,1}^n for find_pattern and count_patterns
+    under budget_bits from the arguments alone, so a caller can check
+    before it builds f or anything else."""
     if budget_bits < 0:
         raise InvalidInputError(f"budget must be nonnegative, got {budget_bits}")
     if sigma.k != m.k:
         raise DimensionMismatchError(
             f"sigma length {sigma.k} does not match matroid size {m.k}")
-    if f.n * m.rank > budget_bits:
+    if n * m.rank > budget_bits:
         raise BudgetExceededError(
-            f"n*rank = {f.n * m.rank} exceeds exhaustive budget {budget_bits}")
-    if f.n * m.rank > 62:     # a count of up to 2^(n*rank) could leave int64
+            f"n*rank = {n * m.rank} exceeds exhaustive budget {budget_bits}")
+    if n * m.rank > 62:     # a count of up to 2^(n*rank) could leave int64
         raise BudgetExceededError(
-            f"n*rank = {f.n * m.rank}: an exact count past 62 bits could leave int64")
+            f"n*rank = {n * m.rank}: an exact count past 62 bits could leave int64")
 
 
 def _lookups(table: np.ndarray, sigma: Sequence[int]) -> list[np.ndarray]:
@@ -545,7 +545,7 @@ def find_pattern(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
     scan runs first; a witness in it ends the call. Otherwise the priced
     route finishes: the descent through the basis images, at the price
     of r counts wherever the witness lies, or the rest of the scan."""
-    check_pattern_args(f, m, sigma, budget_bits)
+    check_pattern_args(f.n, m, sigma, budget_bits)
     coords = m.span_coords
     t = _first(_lookups(f.table, sigma.sigma), f.n, coords, m.rank)
     return None if t is None else _instance(t, f.n, m.rank, coords)
@@ -554,7 +554,7 @@ def find_pattern(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
 def count_patterns(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
                    budget_bits: int = PATTERN_BUDGET_BITS) -> CountReport:
     """Exact number of span-basis assignments realizing Sigma."""
-    check_pattern_args(f, m, sigma, budget_bits)
+    check_pattern_args(f.n, m, sigma, budget_bits)
     count = _count(_lookups(f.table, sigma.sigma), f.n, m.span_coords, m.rank)
     return CountReport(n=f.n, rank=m.rank, ambient_dim=m.m, span_count=count)
 
@@ -603,9 +603,9 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
     low half first. So each block reads raw words through a '<u8' to
     '<u4' view (free on a little-endian host, correct on any), shifts
     them in place and copies them, transposed, into one reused int64
-    column buffer, one contiguous row per basis vector. A block that
-    needs an odd number of 32-bit words carries the unread high half of
-    its last raw word into the next block, as integers does, so the
+    column buffer, one contiguous row per basis vector. A block holds an
+    even number of maps, at least 2, so every block but the last reads
+    whole raw words: no half-word carries into the next block, and the
     stream above is unchanged. More than TESTER_SAMPLE_BUDGET samples
     raise BudgetExceededError before any draw. Within a block, _match
     runs again on the surviving maps' columns once fewer than 1/8 remain.
@@ -622,20 +622,17 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
             f"{samples} samples exceed the tester budget of {TESTER_SAMPLE_BUDGET}")
     bitgen = np.random.PCG64(seed)
     lookups = _lookups(f.table, sigma.sigma)
-    block = min(samples, _CHUNK, max(1, 8 * _CHUNK // m.m))
+    block = min(samples, max(2, min(_CHUNK, 8 * _CHUNK // m.m) & ~1))
     columns = np.zeros((m.m, block), dtype=np.int64)
     scratch = np.empty(block, dtype=np.int64)
-    carry = np.empty(0, dtype="<u4")    # the unread high half of the last raw word
     rejections = 0
     remaining = samples
     while remaining:
         batch = min(remaining, block)
         cols = columns[:, :batch]
         if f.n:
-            need = batch * m.m - len(carry)
-            raw = bitgen.random_raw(-(-need // 2)).astype("<u8", copy=False).view("<u4")
-            words = np.concatenate((carry, raw[:need])) if len(carry) else raw[:need]
-            carry = raw[need:].copy()
+            need = batch * m.m
+            words = bitgen.random_raw(-(-need // 2)).astype("<u8", copy=False).view("<u4")[:need]
             words >>= 32 - f.n
             cols[...] = words.reshape(batch, m.m).T
         match = _match(lookups, m.ints, cols, scratch[:batch])
@@ -767,9 +764,11 @@ def enumerate_instances(f: BooleanFunction, m: BinaryMatroid,
     BudgetExceededError iff it exceeds `budget`. A free element's level
     is counted before it is built. The message names the deepest element
     (counted from 1, out of k) whose level was counted, the refused one
-    included."""
-    is_one = f.table.astype(bool)
-    ones = np.flatnonzero(is_one).astype(np.int32)
+    included. Every walk builds the free elements before the first
+    forced one in full, |ones|^d nodes at depth d, so those levels are
+    priced first, before f's ones are listed or any block exists; a
+    refusal there may name an earlier element than the walk would reach.
+    f's 0/1 table is read in place."""
     forced_by = _forced_by(m)
     k = m.k
     found: set[frozenset[int]] = set()
@@ -783,6 +782,14 @@ def enumerate_instances(f: BooleanFunction, m: BinaryMatroid,
             raise BudgetExceededError(f"instance enumeration exceeded {budget} nodes; "
                                       f"deepest element {deepest} of {k}")
 
+    size = int(np.count_nonzero(f.table))
+    for d, rest in enumerate(forced_by):
+        if rest is not None:
+            break
+        count(size ** (d + 1), d + 1)
+    nodes = deepest = 0
+    ones = np.flatnonzero(f.table).astype(np.int32)
+
     def walk(rows: np.ndarray) -> None:
         d = rows.shape[1]
         if d == k:
@@ -791,7 +798,7 @@ def enumerate_instances(f: BooleanFunction, m: BinaryMatroid,
         rest = forced_by[d]
         if rest is not None:
             point = np.bitwise_xor.reduce(rows[:, list(rest)], axis=1)
-            keep = np.flatnonzero(is_one[point])
+            keep = np.flatnonzero(f.table[point])
             count(len(keep), d + 1)
             if len(keep):
                 walk(np.column_stack((rows[keep], point[keep])))
@@ -813,7 +820,7 @@ def enumerate_instances(f: BooleanFunction, m: BinaryMatroid,
                 # only the assignments it keeps become rows
                 base = np.bitwise_xor.reduce(block[:, [j for j in peek if j != d]], axis=1)
                 grid = base[:, None] ^ (part if d in peek else np.zeros_like(part))[None, :]
-                hit = np.flatnonzero(is_one[grid])
+                hit = np.flatnonzero(f.table[grid])
                 count(len(hit), d + 2)
                 if len(hit):
                     row, col = np.divmod(hit, len(part))
@@ -865,10 +872,7 @@ def _min_hitting_set(edges: list[frozenset[int]]) -> int:
 def pattern_hitting_number(f: BooleanFunction, m: BinaryMatroid) -> int:
     """Minimum number of ones whose removal destroys every all-ones
     instance; equals min_repair_distance for Sigma = 1^k."""
-    edges = enumerate_instances(f, m)
-    if not edges:
-        return 0
-    return _min_hitting_set(edges)
+    return _min_hitting_set(enumerate_instances(f, m))
 
 
 @dataclass(frozen=True)

@@ -149,24 +149,27 @@ def enumerate_free_functions(n: int, k: int, sigma: PatternSpec) -> frozenset[Bo
 
 
 def instances_by_dfs(f: BooleanFunction, m: BinaryMatroid,
-                     budget: int) -> tuple[list[frozenset[int]], int]:
-    """All distinct point sets of all-ones instances of M in f and the
-    number of nodes it took, by a point-at-a-time DFS: ones of f are
-    assigned to ground elements in order, and an element that tops a
-    dependency word takes the one point the word forces, if that point
-    is a one. A node is a point assigned; past `budget` nodes it raises
-    BudgetExceededError."""
+                     budget: int) -> tuple[list[frozenset[int]], int, int]:
+    """All distinct point sets of all-ones instances of M in f, the
+    number of nodes it took and the number of leaves, by a
+    point-at-a-time DFS: ones of f are assigned to ground elements in
+    order, and an element that tops a dependency word takes the one
+    point the word forces, if that point is a one. A node is a point
+    assigned; past `budget` nodes it raises BudgetExceededError. A leaf
+    is an all-ones labeling, i.e. a linear map on M's span that sends
+    every ground vector to a one."""
     ones = f.ones()
     one_set = set(ones)
     forced_by = _forced_by(m)
     points = [0] * m.k
     found: set[frozenset[int]] = set()
-    nodes = 0
+    nodes = leaves = 0
 
     def rec(depth: int):
-        nonlocal nodes
+        nonlocal nodes, leaves
         if depth == m.k:
             found.add(frozenset(points))
+            leaves += 1
             return
         rest = forced_by[depth]
         if rest is None:
@@ -184,7 +187,7 @@ def instances_by_dfs(f: BooleanFunction, m: BinaryMatroid,
             rec(depth + 1)
 
     rec(0)
-    return sorted(found, key=sorted), nodes
+    return sorted(found, key=sorted), nodes, leaves
 
 
 def plain_scan(tables, n: int, coords, sigma, r: int) -> tuple[int, Optional[int]]:

@@ -9,7 +9,7 @@ from matroidlab.boolfn import (WHT_MAX_N, BooleanFunction, _butterfly, coset_ind
                                wht)
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from matroidlab.gf2 import GFVector, enumerate_subspaces, rank_and_basis
-from oracles import constant, from_ones, reduce, walsh_direct
+from oracles import apply, constant, from_ones, random_nonsingular_map, reduce, walsh_direct
 
 
 def whole(n):
@@ -307,3 +307,24 @@ def test_regularity_respects_max_codim():
     f = from_ones(2, [1, 2])
     with pytest.raises(BudgetExceededError):
         regularity_decompose(f, Fraction(1, 4), max_codim=0)
+
+
+def test_spectrum_and_regularity_under_a_change_of_basis():
+    """g = f o A for a nonsingular A: g^(A^T b) = f^(b), so the
+    coefficients permute by A^-T, the power sums and max_abs_nonzero
+    are fixed, and so is the codimension regularity_decompose finds."""
+    rng = np.random.Generator(np.random.PCG64(223))
+    for i in range(24):
+        n = 1 + i % 5
+        f = random_function(n, rng, rng.choice([0.2, 0.5, 0.8]))
+        a = random_nonsingular_map(n, rng)
+        g = BooleanFunction(n, f.table[[apply(a, GFVector(n, x)).bits for x in range(1 << n)]])
+        points = np.arange(1 << n)
+        transposed = sum(((np.bitwise_count(points & image.bits) & 1) << j).astype(np.int64)
+                         for j, image in enumerate(a.images))
+        sf, sg = wht(f), wht(g)
+        assert np.array_equal(sg.coeffs[transposed], sf.coeffs)
+        assert [sg.power_sum(k) for k in (2, 3, 4)] == [sf.power_sum(k) for k in (2, 3, 4)]
+        assert sg.max_abs_nonzero() == sf.max_abs_nonzero()
+        eps = Fraction(1, 1 << int(rng.integers(2, 5)))
+        assert regularity_decompose(g, eps)[0].codim == regularity_decompose(f, eps)[0].codim

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matroidlab.cli
+import matroidlab.families
 import matroidlab.matroid
 import matroidlab.tester
 from matroidlab.boolfn import BooleanFunction, random_function
@@ -337,6 +338,35 @@ def test_regularity_refuses_n_before_the_draw(capsys, n, code, line):
     assert capsys.readouterr() == ("", line)
 
 
+@pytest.mark.parametrize("argv, code, line, ceiling", [
+    (["test", "--calibrate", "-n", "24"], 3,
+     "budget exceeded: n*rank = 48 exceeds exhaustive budget 30\n", 1 << 20),
+    (["test", "--calibrate", "-n", "25"], 4,
+     "error: n=25 exceeds the truth-table cap 24\n", 1 << 20),
+    (["hierarchy", "--kind", "cliques", "-a", "3", "-b", "4", "-n", "24"], 3,
+     "budget exceeded: n*rank = 72 exceeds exhaustive budget 30\n", 1 << 20),
+    (["hierarchy", "--kind", "cliques", "-a", "3", "-b", "4", "-n", "2"], 4,
+     "error: n=2 must be at least ambient dimension 3\n", 1 << 20),
+    # the pipeline builds the 2^n-byte canonical table before the walk
+    # prices its leading levels
+    (["hierarchy", "--kind", "cycles", "-k", "3", "-n", "24"], 3,
+     "budget exceeded: instance enumeration exceeded 10000000 nodes; "
+     "deepest element 2 of 5\n", (1 << 24) + (1 << 17)),
+], ids=("calibrate-24", "calibrate-25", "cliques-24", "cliques-2", "cycles-24"))
+def test_size_refusals_before_the_canonical_table(capsys, argv, code, line, ceiling):
+    """The argument checks, then the n*rank cap, run before the 2^n
+    canonical table; the cycle hierarchy refuses before it lists the
+    table's ones or builds a block."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ceiling
+    assert capsys.readouterr() == ("", line)
+
+
 @pytest.mark.parametrize("argv, code", [
     (["complexity", "--matroid", "{d}/k3.matroid", "--cap", "0"], 0),
     (["count", "--function", "{d}/canon.boolfn", "--matroid", "{d}/k3.matroid",
@@ -586,6 +616,7 @@ def fuzz_values(d):
         "out": [str(d / "out.txt"), str(d / "no" / "out.txt"), str(d)],
         "graphs": ["c3", "k4", "petersen", "cx", "k3,3"],
         "junk": ["", "x", "1/0", "0.5"],
+        "n": SMALL_INTS + ["24", "25"],
     }
 
 
@@ -613,12 +644,34 @@ def option_argv(action, values, rnd, clean):
     if action.choices:
         return [flag, rnd.choice(action.choices)]
     if action.type is int:
-        return [flag, rnd.choice(SMALL_INTS)]
+        return [flag, rnd.choice(values.get(dest, SMALL_INTS))]
     return [flag, rnd.choice(values[dest])]
 
 
 (SUBCOMMANDS,) = [a.choices for a in matroidlab.cli._PARSER._actions
                   if isinstance(a, argparse._SubParsersAction)]
+
+
+def call_main(argv):
+    """main(argv) with its output captured: the exit code, whether
+    argparse exited, and what it printed to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return main(argv), False, err.getvalue()
+        except SystemExit as exc:
+            return exc.code, True, err.getvalue()
+
+
+def refusal_ceiling(argv):
+    """The traced peak a call that exits other than 0 may reach: a few
+    MiB beyond the small files it reads. The cycle hierarchy is exempt
+    up to its 2^n-byte canonical table (16 MiB at n = 24), which the
+    pipeline builds before the instance walk can price anything."""
+    few = 4 << 20
+    if argv[0] == "hierarchy" and "cliques" not in argv:    # --kind cycles is the default
+        return (1 << 24) + few
+    return few
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS) + [None])
@@ -630,7 +683,8 @@ def test_cli_arguments_end_in_a_documented_exit(fuzz_dir, command, data):
     the numbers reach the pipelines (command None: a lone top-level
     token). Every call exits 0, 2, 3 or 4 without a traceback. An
     argparse refusal prints its usage and one error line; any other
-    failure prints exactly one error line."""
+    failure prints exactly one error line, and every exit other than 0
+    stays under its traced peak ceiling."""
     values = fuzz_values(fuzz_dir)
     rnd = data.draw(st.randoms(use_true_random=True))
     if command is None:
@@ -640,15 +694,18 @@ def test_cli_arguments_end_in_a_documented_exit(fuzz_dir, command, data):
         for action in SUBCOMMANDS[command]._actions:
             if action.option_strings and action.dest != "help":
                 argv += option_argv(action, values, rnd, clean)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code, parser_exit = main(argv), False
-        except SystemExit as exc:
-            code, parser_exit = exc.code, True
-    err = err.getvalue()
+    code, parser_exit, err = call_main(argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
     assert "Traceback" not in err, argv
+    if code:    # run again, traced and uncached; exits 0 do real work and go untraced
+        matroidlab.families._free_by_weight.cache_clear()
+        tracemalloc.start()
+        try:
+            call_main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < refusal_ceiling(argv), (argv, peak, err)
     if code == 0:
         assert err == "", argv
     elif parser_exit:

@@ -263,9 +263,9 @@ def test_run_tester_matches_one_array_reference(monkeypatch, chunk):
     f = random_function(16, rng)
     assert run_tester(f, C3, S111, 100003, seed=3)[0] == reference_rejections(
         f, C3, S111, 100003, 3)
-    # m = 11: blocks of 8 * _CHUNK // 11 maps, an odd number at the two
-    # smaller chunks, read an odd number of 32-bit words, so a raw word's
-    # high half carries into the next block
+    # m = 11: 8 * _CHUNK // 11 maps rounded down to even per block, so at
+    # the two smaller chunks several blocks read whole raw words and only
+    # the last, of an odd number of maps, reads an odd number of 32-bit words
     c11 = graphic_from_graph(cycle_graph(11))
     f = random_function(5, rng, 0.8)
     for sigma in (PatternSpec.all_ones(11), PatternSpec.from_string("11011111101")):
@@ -583,7 +583,7 @@ def assert_instances_match_the_dfs(f, m, budget=20_000):
     where the DFS runs past `budget`, it refuses that budget too. True
     when the sets were compared."""
     try:
-        expected, nodes = instances_by_dfs(f, m, budget)
+        expected, nodes, _ = instances_by_dfs(f, m, budget)
     except BudgetExceededError:
         with pytest.raises(BudgetExceededError, match=rf"exceeded {budget} nodes; "):
             enumerate_instances(f, m, budget)
@@ -614,6 +614,21 @@ def test_enumerate_instances_matches_the_dfs_on_atlas_graphs():
                     else:
                         refused += 1
     assert compared > 1500 and refused > 100
+
+
+def test_all_ones_labelings_are_the_span_count():
+    """For Sigma = 1^k the DFS's leaves are the linear maps on M's span
+    that send every ground vector to a one, so their number is the span
+    count: every atlas graph's M and M* on at most 5 vertices, at the
+    largest n <= 4 with n*rank <= 20."""
+    from test_acceptance import atlas_graphs
+
+    rng = np.random.Generator(np.random.PCG64(211))
+    for g in atlas_graphs(5):
+        for m in (graphic_from_graph(g), cographic_from_graph(g)):
+            f = random_function(min(4, 20 // max(m.rank, 1)), rng, density=0.5)
+            _, _, leaves = instances_by_dfs(f, m, 10 ** 6)
+            assert leaves == count_patterns(f, m, PatternSpec.all_ones(m.k)).span_count
 
 
 @pytest.mark.parametrize("m", [graphic_from_graph(complete_graph(4)),
@@ -647,7 +662,7 @@ def test_enumerate_instances_with_a_loop_and_a_parallel_pair():
 def test_enumerate_instances_on_a_function_with_no_ones():
     for m in (C3, C5, K4, ZERO_PARALLEL):
         assert enumerate_instances(constant(4, 0), m, 0) == []
-        assert instances_by_dfs(constant(4, 0), m, 0) == ([], 0)
+        assert instances_by_dfs(constant(4, 0), m, 0) == ([], 0, 0)
 
 
 def test_enumerate_instances_splits_rows_and_ones(monkeypatch):
@@ -668,6 +683,22 @@ def test_enumerate_instances_working_memory():
     sets, as it was for the point-at-a-time DFS (3.47 MiB traced)."""
     f = canonical_function(C5, 8)
     assert traced_peak(lambda: enumerate_instances(f, C5)) < 3.75 * (1 << 20)
+
+
+def test_enumerate_instances_prices_its_leading_free_levels_first():
+    """Canonical C_5 at n=24 has 2.6 million ones, and its first two free
+    levels alone pass the node budget: the walk refuses before it lists
+    them or builds a block."""
+    f = canonical_function(C5, 24)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match="exceeded 10000000 nodes; deepest element 2 of 5$"):
+            enumerate_instances(f, C5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_min_hitting_set_refusal_says_how_far_it_got(monkeypatch):
