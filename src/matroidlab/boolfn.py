@@ -1,9 +1,19 @@
 """Boolean functions as complete truth tables, with exact Walsh-Hadamard
 Fourier analysis and toy-scale regularity search.
 
-Spectra of 0/1 tables are int32: after h levels of the butterfly every
-partial sum is a signed sum of 2^h table entries, so its absolute value
-is at most 2^n <= 2^WHT_MAX_N < 2^31 and no level can wrap.
+`wht` computes H_{2^n} f as float32 matrix products, one per Kronecker
+factor H_{2^k}, k <= 4, of H_{2^n} = H_{2^k_1} x ... x H_{2^k_t} (Fino and
+Algazi, IEEE Trans. Computers 1976); for n <= 8 one product with H_{2^n}
+does it all. This is exact: after the factors on the lowest b bits every
+value, and every partial sum of a product, is a signed sum of at most 2^b
+entries of a 0/1 table, so an integer of absolute value at most
+2^n <= 2^WHT_MAX_N = 2^24, and float32 holds every such integer. The
+spectrum is then cast to int32. Each BLAS call keeps m*n*k <= 2^17 (one
+stacked item of a batched np.matmul), below OpenBLAS's 2^18 threshold for
+starting its worker threads (the n <= 8 matrix-vector product, at most
+256 x 256, is below the 1024 x 1024 where sgemv was seen to thread): a
+threaded call leaves those workers spinning after it returns, and their
+CPU time lands on whatever numpy work comes next.
 
 Point-to-index convention (fixed for the whole repo): a point x maps to
 index ix(x) = sum_j x_j 2^j, i.e. coordinate j is bit j of the index.
@@ -82,8 +92,9 @@ class FourierSpectrum:
     """Unnormalized integer spectrum: coeffs[a] = sum_x f(x)(-1)^{a.x}.
 
     The true Fourier coefficient is coeffs[a] / 2^n. coeffs is int32, exact
-    because |coeffs[a]| <= 2^n <= 2^WHT_MAX_N; power sums leave the array
-    as Python ints.
+    because |coeffs[a]| <= 2^n <= 2^WHT_MAX_N, and `wht` computes it in
+    float32, exact up to 2^24 (module docstring); power sums leave the
+    array as Python ints.
     """
 
     n: int
@@ -127,12 +138,46 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _hadamard_tables(top: int) -> tuple[np.ndarray, ...]:
+    """H_{2^k}[a, x] = (-1)^{a.x} for k = 0..top, symmetric, in float32,
+    by Sylvester's doubling H_{2^(k+1)} = [[H, H], [H, -H]]."""
+    tables = [np.ones((1, 1), dtype=np.float32)]
+    for _ in range(top):
+        h = tables[-1]
+        tables.append(np.block([[h, h], [h, -h]]))
+    return tuple(tables)
+
+
+_HADAMARD = _hadamard_tables(8)
+_GEMM_MAX_MNK = 1 << 17     # per BLAS call: OpenBLAS starts threads past 2^18
+
+
 def wht(f: BooleanFunction) -> FourierSpectrum:
-    """Exact integer spectrum via the standard butterfly, in int32: every
-    partial sum is bounded by 2^n in absolute value (module docstring)."""
-    coeffs = _butterfly(f.table.astype(np.int32))
+    """Exact integer spectrum as float32 Hadamard products (module
+    docstring): one np.matmul per factor H_{2^k} on bits s..s+k-1, over
+    the (2^(n-s-k), 2^k, 2^s) view of the table, each stacked item capped
+    at _GEMM_MAX_MNK; for n <= 8, H_{2^n} times the table."""
+    n = f.n
+    src = f.table.astype(np.float32)
+    if n <= 8:
+        src = np.matmul(_HADAMARD[n], src)
+    else:
+        dst = np.empty_like(src)
+        for s in range(0, n, 4):
+            k = min(4, n - s)
+            h, a, w = _HADAMARD[k], 1 << (n - s - k), 1 << s
+            if s == 0:      # rows of the (a, 2^k) view times H, r rows per item
+                r = min(a, _GEMM_MAX_MNK >> 2 * k)
+                np.matmul(src.reshape(a // r, r, 1 << k), h, out=dst.reshape(a // r, r, 1 << k))
+            else:           # H times (2^k, c) column blocks of each (2^k, w) slab
+                c = min(w, _GEMM_MAX_MNK >> 2 * k)
+                np.matmul(h, src.reshape(a, 1 << k, w // c, c).transpose(0, 2, 1, 3),
+                          out=dst.reshape(a, 1 << k, w // c, c).transpose(0, 2, 1, 3))
+            src, dst = dst, src
+        del dst     # before the int32 cast: two float32 buffers, not three
+    coeffs = src.astype(np.int32)
     coeffs.flags.writeable = False
-    return FourierSpectrum(f.n, coeffs)
+    return FourierSpectrum(n, coeffs)
 
 
 def coset_indices(sub: Subspace) -> np.ndarray:

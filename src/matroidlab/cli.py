@@ -29,13 +29,14 @@ from .families import verify_characterization
 from .fileio import (load_function, load_graph, load_matroid, save_function,
                      save_matroid)
 from .gf2 import GFVector
-from .matroid import (HOM_NODE_BUDGET, canonical_function, check_canonical_args, circuits,
-                      cographic_from_graph, complexity, cycle_space_basis,
-                      find_homomorphism, graphic_from_graph, named_graph, odd_girth)
+from .matroid import (HOM_NODE_BUDGET, canonical_function, canonical_ones,
+                      check_canonical_args, circuits, cographic_from_graph, complexity,
+                      cycle_space_basis, find_homomorphism, graphic_from_graph, named_graph,
+                      odd_girth)
 from .tester import (PATTERN_BUDGET_BITS, PatternSpec, brute_force_cycle_count,
-                     check_pattern_args, check_von_neumann_args, count_patterns,
-                     cycle_count_fourier, derive_seed, enumerate_instances, find_pattern,
-                     min_repair_distance, pattern_hitting_number, run_tester,
+                     check_instance_walk, check_pattern_args, check_von_neumann_args,
+                     count_patterns, cycle_count_fourier, derive_seed, enumerate_instances,
+                     find_pattern, min_repair_distance, pattern_hitting_number, run_tester,
                      von_neumann_gap)
 
 EXIT_OK = 0
@@ -291,6 +292,8 @@ def _exp_hierarchy_cycles(args):
     big = k + 2
     m_big = graphic_from_graph(named_graph(f"c{big}"))
     m_small = graphic_from_graph(named_graph(f"c{k}"))
+    # C_{k+2}'s walk, the first and the costlier, priced before the 2^n table
+    check_instance_walk(m_big, canonical_ones(m_big, n))
     f = canonical_function(m_big, n)
     hit = pattern_hitting_number(f, m_big)    # positive iff an instance exists
     return ({"k": k, "n": n},

@@ -537,6 +537,13 @@ def check_canonical_args(m: BinaryMatroid, n: int) -> None:
         raise InvalidInputError("canonical function requires nonzero ground vectors")
 
 
+def canonical_ones(m: BinaryMatroid, n: int) -> int:
+    """The number of ones of canonical_function(m, n), from M alone: its
+    distinct ground vectors times 2^(n-m)."""
+    check_canonical_args(m, n)
+    return len(set(m.ints)) << (n - m.m)
+
+
 def canonical_function(m: BinaryMatroid, n: int) -> BooleanFunction:
     """The indicator of {v_1,...,v_k} x {0,1}^(n-m): 1 at (x,y) iff the
     low-m part x is a ground vector."""

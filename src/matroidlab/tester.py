@@ -750,6 +750,23 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     return rows[new]
 
 
+def check_instance_walk(m: BinaryMatroid, ones: int,
+                        budget: int = HITTING_INSTANCE_BUDGET) -> None:
+    """Refuse enumerate_instances of M in a function with `ones` ones
+    from those two alone: the free elements before M's first forced one
+    are built in full, ones^d nodes at depth d, and once their running
+    total passes budget this raises the walk's own BudgetExceededError,
+    naming the element whose level passed it."""
+    nodes = 0
+    for d, rest in enumerate(_forced_by(m)):
+        if rest is not None:
+            break
+        nodes += ones ** (d + 1)
+        if nodes > budget:
+            raise BudgetExceededError(f"instance enumeration exceeded {budget} nodes; "
+                                      f"deepest element {d + 1} of {m.k}")
+
+
 def enumerate_instances(f: BooleanFunction, m: BinaryMatroid,
                         budget: int = HITTING_INSTANCE_BUDGET) -> list[frozenset[int]]:
     """All distinct point sets of all-ones instances of M in f, found by
@@ -765,10 +782,10 @@ def enumerate_instances(f: BooleanFunction, m: BinaryMatroid,
     is counted before it is built. The message names the deepest element
     (counted from 1, out of k) whose level was counted, the refused one
     included. Every walk builds the free elements before the first
-    forced one in full, |ones|^d nodes at depth d, so those levels are
-    priced first, before f's ones are listed or any block exists; a
-    refusal there may name an earlier element than the walk would reach.
-    f's 0/1 table is read in place."""
+    forced one in full, so `check_instance_walk` prices those levels
+    first, before f's ones are listed or any block exists; a refusal
+    there may name an earlier element than the walk would reach. f's 0/1
+    table is read in place."""
     forced_by = _forced_by(m)
     k = m.k
     found: set[frozenset[int]] = set()
@@ -782,12 +799,7 @@ def enumerate_instances(f: BooleanFunction, m: BinaryMatroid,
             raise BudgetExceededError(f"instance enumeration exceeded {budget} nodes; "
                                       f"deepest element {deepest} of {k}")
 
-    size = int(np.count_nonzero(f.table))
-    for d, rest in enumerate(forced_by):
-        if rest is not None:
-            break
-        count(size ** (d + 1), d + 1)
-    nodes = deepest = 0
+    check_instance_walk(m, int(np.count_nonzero(f.table)), budget)
     ones = np.flatnonzero(f.table).astype(np.int32)
 
     def walk(rows: np.ndarray) -> None:

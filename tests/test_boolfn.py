@@ -74,9 +74,54 @@ def test_wht_spectra_are_int32_and_exact_at_n20():
     assert not s.coeffs[1:].any()
 
 
+def test_wht_matches_the_int64_butterfly():
+    rng = np.random.Generator(np.random.PCG64(41))
+    for n in range(11, 21):
+        for density in (0.1, 0.5, 0.9):
+            f = random_function(n, rng, density)
+            assert np.array_equal(wht(f).coeffs, _butterfly(f.table.astype(np.int64)))
+
+
+def test_wht_exact_at_the_cap():
+    # coeff[0] = 2^24 - 1 and every other coefficient -1: the largest
+    # magnitude float32 must hold, next to the smallest
+    table = np.ones(1 << WHT_MAX_N, dtype=np.uint8)
+    table[0] = 0
+    coeffs = wht(BooleanFunction(WHT_MAX_N, table)).coeffs
+    assert coeffs.dtype == np.int32
+    assert coeffs[0] == (1 << WHT_MAX_N) - 1
+    assert (coeffs[1:] == -1).all()
+
+
 def test_wht_cap_keeps_int32_exact():
-    # every butterfly partial sum of a 0/1 table is at most 2^n in absolute value
+    # every partial sum of the transform of a 0/1 table is an integer of
+    # absolute value at most 2^n: int32 holds it, and so does float32,
+    # whose integers are exact up to 2^(nmant + 1)
     assert 1 << WHT_MAX_N < 2 ** 31
+    assert 1 << WHT_MAX_N <= 1 << (np.finfo(np.float32).nmant + 1)
+
+
+def test_wht_products_stay_below_the_blas_thread_threshold(monkeypatch):
+    """Every np.matmul wht issues is float32, one per Kronecker factor of
+    at most 4 bits (one for n <= 8), with m*n*k <= 2^17 per stacked item,
+    so OpenBLAS (threads past 2^18) runs each on the calling thread."""
+    matmul, calls = np.matmul, []
+
+    def spy(a, b, **kwargs):
+        m = a.shape[-2] if a.ndim > 1 else 1
+        cols = b.shape[-1] if b.ndim > 1 else 1
+        calls.append((a.dtype, b.dtype, m * a.shape[-1] * cols))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    rng = np.random.Generator(np.random.PCG64(43))
+    for n in [*range(21), WHT_MAX_N]:
+        calls.clear()
+        f = random_function(n, rng)
+        coeffs = wht(f).coeffs
+        assert len(calls) == (1 if n <= 8 else -(-n // 4)), n
+        assert all(a == b == np.float32 and mnk <= 1 << 17 for a, b, mnk in calls), (n, calls)
+        assert coeffs[0] == f.ones_count()
 
 
 def inner_product(n):

@@ -347,16 +347,13 @@ def test_regularity_refuses_n_before_the_draw(capsys, n, code, line):
      "budget exceeded: n*rank = 72 exceeds exhaustive budget 30\n", 1 << 20),
     (["hierarchy", "--kind", "cliques", "-a", "3", "-b", "4", "-n", "2"], 4,
      "error: n=2 must be at least ambient dimension 3\n", 1 << 20),
-    # the pipeline builds the 2^n-byte canonical table before the walk
-    # prices its leading levels
     (["hierarchy", "--kind", "cycles", "-k", "3", "-n", "24"], 3,
      "budget exceeded: instance enumeration exceeded 10000000 nodes; "
-     "deepest element 2 of 5\n", (1 << 24) + (1 << 17)),
+     "deepest element 2 of 5\n", 1 << 20),
 ], ids=("calibrate-24", "calibrate-25", "cliques-24", "cliques-2", "cycles-24"))
 def test_size_refusals_before_the_canonical_table(capsys, argv, code, line, ceiling):
-    """The argument checks, then the n*rank cap, run before the 2^n
-    canonical table; the cycle hierarchy refuses before it lists the
-    table's ones or builds a block."""
+    """The argument checks, then the n*rank cap or the price of the
+    instance walk's leading levels, run before the 2^n canonical table."""
     tracemalloc.start()
     try:
         assert main(argv) == code
@@ -663,17 +660,6 @@ def call_main(argv):
             return exc.code, True, err.getvalue()
 
 
-def refusal_ceiling(argv):
-    """The traced peak a call that exits other than 0 may reach: a few
-    MiB beyond the small files it reads. The cycle hierarchy is exempt
-    up to its 2^n-byte canonical table (16 MiB at n = 24), which the
-    pipeline builds before the instance walk can price anything."""
-    few = 4 << 20
-    if argv[0] == "hierarchy" and "cliques" not in argv:    # --kind cycles is the default
-        return (1 << 24) + few
-    return few
-
-
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS) + [None])
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(data=st.data())
@@ -684,7 +670,8 @@ def test_cli_arguments_end_in_a_documented_exit(fuzz_dir, command, data):
     token). Every call exits 0, 2, 3 or 4 without a traceback. An
     argparse refusal prints its usage and one error line; any other
     failure prints exactly one error line, and every exit other than 0
-    stays under its traced peak ceiling."""
+    stays under a traced peak of 4 MiB, a few MiB beyond the small files
+    it reads, every command alike."""
     values = fuzz_values(fuzz_dir)
     rnd = data.draw(st.randoms(use_true_random=True))
     if command is None:
@@ -705,7 +692,7 @@ def test_cli_arguments_end_in_a_documented_exit(fuzz_dir, command, data):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < refusal_ceiling(argv), (argv, peak, err)
+        assert peak < 4 << 20, (argv, peak, err)
     if code == 0:
         assert err == "", argv
     elif parser_exit:

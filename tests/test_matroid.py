@@ -9,7 +9,7 @@ import matroidlab.matroid as matroid
 from matroidlab.errors import BudgetExceededError, InvalidInputError
 from matroidlab.gf2 import GFVector
 from matroidlab.matroid import (BinaryMatroid, Graph, Homomorphism, canonical_function,
-                                circuits, cog_endpoint_partition_criterion,
+                                canonical_ones, circuits, cog_endpoint_partition_criterion,
                                 cog_partition_criterion, cographic_from_graph,
                                 complete_bipartite_graph, complete_graph, complexity,
                                 complexity_at, cycle_graph, cycle_space_basis,
@@ -498,6 +498,19 @@ def test_canonical_function_matches_list_definition():
         for n in (m.m, m.m + 1, m.m + 4):
             ones = [v | (y << m.m) for y in range(1 << (n - m.m)) for v in sorted(set(m.ints))]
             assert canonical_function(m, n) == from_ones(n, ones)
+
+
+def test_canonical_ones_counts_the_table():
+    """canonical_ones prices the table from M alone: every connected
+    graph on up to 5 vertices at n = m..m+2, and a matroid with a
+    repeated ground vector."""
+    from test_acceptance import atlas_graphs
+
+    ms = [graphic_from_graph(g) for g in atlas_graphs(5)]
+    ms.append(BinaryMatroid([GFVector(3, v) for v in (1, 2, 1, 3, 2)]))
+    for m in ms:
+        for n in range(m.m, m.m + 3):
+            assert canonical_ones(m, n) == np.count_nonzero(canonical_function(m, n).table)
 
 
 def test_canonical_function_duplicates_collapse():

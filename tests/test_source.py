@@ -45,6 +45,39 @@ def test_top_level_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def environment_access(source: str) -> list[str]:
+    """The os names, as `os.<name>`, through which a module reads or
+    writes the process environment: attributes of `os` (or of a name it
+    is imported as) and names imported from it."""
+    tree = ast.parse(source)
+    aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "os"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT \
+                and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            found.append(f"os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"os.{a.name}" for a in node.names if a.name in ENVIRONMENT]
+    return sorted(found)
+
+
+def test_environment_access_detector():
+    source = ("import os\nimport os as o\nfrom os import getenv, path\n"
+              "os.environ['X']\no.putenv('A', 'b')\nos.path.join('a')\nx.environ\n")
+    assert environment_access(source) == ["os.environ", "os.getenv", "os.putenv"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    """Behaviour, BLAS threading included, follows from arguments and
+    input shapes alone, never from an environment variable."""
+    assert environment_access(path.read_text(encoding="utf-8")) == []
+
+
 def private_imports(source: str) -> list[str]:
     """The `_`-prefixed names a module imports from the package, dunders
     such as `__version__` aside."""
