@@ -1,26 +1,33 @@
 """Boolean functions as complete truth tables, with exact Walsh-Hadamard
 Fourier analysis and toy-scale regularity search.
 
-`wht` computes H_{2^n} f as float32 matrix products, one per Kronecker
-factor H_{2^k}, k <= 4, of H_{2^n} = H_{2^k_1} x ... x H_{2^k_t} (Fino and
-Algazi, IEEE Trans. Computers 1976); for n <= 8 one product with H_{2^n}
-does it all. This is exact: after the factors on the lowest b bits every
-value, and every partial sum of a product, is a signed sum of at most 2^b
-entries of a 0/1 table, so an integer of absolute value at most
-2^n <= 2^WHT_MAX_N = 2^24, and float32 holds every such integer. The
-spectrum is then cast to int32. Each BLAS call keeps m*n*k <= 2^17 (one
-stacked item of a batched np.matmul), below OpenBLAS's 2^18 threshold for
-starting its worker threads (the n <= 8 matrix-vector product, at most
+Every Walsh-Hadamard transform in the package is one kernel,
+`_hadamard`: H_{2^n} applied to each row of a (..., 2^n) array as matrix
+products, one per Kronecker factor H_{2^k}, k <= 4, of H_{2^n} =
+H_{2^k_1} x ... x H_{2^k_t} (Fino and Algazi, IEEE Trans. Computers
+1976), or one product with H_{2^n} itself when that is small. It
+computes in its argument's dtype, and exactness is the caller's
+argument for that dtype: after the factors on the lowest b bits every
+value, and every partial sum of a product, is a signed sum of at most
+2^b entries of a row, so at most the row's sum of absolute values. `wht`,
+`uniform_coset_fraction` and the families' free-set table transform 0/1
+rows in float32, where that is at most 2^n <= 2^WHT_MAX_N = 2^24, and
+float32 holds every such integer; a spectrum is then cast to int32. The
+tester's XOR-correlations choose float64 or int64 from their own bound
+(tester module docstring). Each BLAS call keeps m*n*k <= 2^17 (one
+stacked item of a batched np.matmul), below OpenBLAS's 2^18 threshold
+for starting its worker threads (the one-row n <= 8 product, at most
 256 x 256, is below the 1024 x 1024 where sgemv was seen to thread): a
 threaded call leaves those workers spinning after it returns, and their
-CPU time lands on whatever numpy work comes next.
+CPU time lands on whatever numpy work comes next. numpy's int64 matmul
+calls no BLAS.
 
 Point-to-index convention (fixed for the whole repo): a point x maps to
 index ix(x) = sum_j x_j 2^j, i.e. coordinate j is bit j of the index.
 
 The cosets of a subspace H are read through one index table,
 `coset_indices(H)`: a row per coset, reps ascending, and a column per
-element of H. One row-wise butterfly over f's values at that table gives
+element of H. One row-wise transform of f's values at that table gives
 every coset's spectrum, from which the uniform-coset fraction is read.
 """
 
@@ -29,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -123,61 +131,62 @@ class FourierSpectrum:
         return cand[np.argsort(-mags[cand], kind="stable")[:count]].tolist()
 
 
-def _butterfly(values: np.ndarray) -> np.ndarray:
-    """In-place unnormalized Walsh-Hadamard transform of a 2^n array, or
-    of each row of a C-contiguous (batch, 2^n) array."""
-    size = values.shape[-1]
-    h = 1
-    while h < size:
-        blocks = values.reshape(-1, 2 * h)
-        lo = blocks[:, :h].copy()
-        hi = blocks[:, h:].copy()
-        blocks[:, :h] = lo + hi
-        blocks[:, h:] = lo - hi
-        h *= 2
-    return values
+@cache
+def _sign_matrix(k: int, dtype: np.dtype) -> np.ndarray:
+    """H_{2^k}[a, x] = (-1)^{popcount(a & x)} in `dtype`, symmetric and
+    read-only, for k <= 16 (the points are uint16); built on first use,
+    so only the sizes and dtypes a process transforms in are held."""
+    points = np.arange(1 << k, dtype=np.uint16)
+    h = (np.bitwise_count(points[:, None] & points) & 1).astype(dtype)
+    h *= -2
+    h += 1
+    h.flags.writeable = False
+    return h
 
 
-def _hadamard_tables(top: int) -> tuple[np.ndarray, ...]:
-    """H_{2^k}[a, x] = (-1)^{a.x} for k = 0..top, symmetric, in float32,
-    by Sylvester's doubling H_{2^(k+1)} = [[H, H], [H, -H]]."""
-    tables = [np.ones((1, 1), dtype=np.float32)]
-    for _ in range(top):
-        h = tables[-1]
-        tables.append(np.block([[h, h], [h, -h]]))
-    return tuple(tables)
-
-
-_HADAMARD = _hadamard_tables(8)
 _GEMM_MAX_MNK = 1 << 17     # per BLAS call: OpenBLAS starts threads past 2^18
+_ONE_PRODUCT_MAX_BYTES = 1 << 18    # H_{2^n} used whole: float32 n <= 8, 64-bit n <= 7
+
+
+def _hadamard(values: np.ndarray, dtype: np.dtype | type) -> np.ndarray:
+    """H_{2^n} times every row of the C-contiguous (..., 2^n) array
+    `values`, computed in and returned as a new array of `dtype`, whose
+    exactness is the caller's argument (module docstring). `values` is
+    never written: a (1, 2^n) factor is shared by every row. When rows *
+    4^n <= _GEMM_MAX_MNK and H_{2^n} fits _ONE_PRODUCT_MAX_BYTES, one
+    product with H_{2^n}; else one np.matmul per factor H_{2^k} on bits
+    s..s+k-1, over the (rows * 2^(n-s-k), 2^k, 2^s) view, each stacked
+    item capped at _GEMM_MAX_MNK, between two buffers (the cast of
+    `values` is one of them when it is a copy)."""
+    dtype = np.dtype(dtype)
+    size = values.shape[-1]
+    n = size.bit_length() - 1
+    rows = values.size >> n
+    src, spare = values.astype(dtype, copy=False), None
+    if rows << 2 * n <= _GEMM_MAX_MNK and dtype.itemsize << 2 * n <= _ONE_PRODUCT_MAX_BYTES:
+        return np.matmul(src, _sign_matrix(n, dtype))
+    for s in range(0, n, 4):
+        k = min(4, n - s)
+        h, a, w = _sign_matrix(k, dtype), rows << (n - s - k), 1 << s
+        dst = np.empty_like(src) if spare is None else spare
+        if s == 0:      # rows of the (a, 2^k) view times H, r rows per item
+            r = math.gcd(a, _GEMM_MAX_MNK >> 2 * k)
+            np.matmul(src.reshape(a // r, r, 1 << k), h, out=dst.reshape(a // r, r, 1 << k))
+        else:           # H times (2^k, c) column blocks of each (2^k, w) slab
+            c = min(w, _GEMM_MAX_MNK >> 2 * k)
+            np.matmul(h, src.reshape(a, 1 << k, w // c, c).transpose(0, 2, 1, 3),
+                      out=dst.reshape(a, 1 << k, w // c, c).transpose(0, 2, 1, 3))
+        spare = None if src is values else src
+        src = dst
+    return src
 
 
 def wht(f: BooleanFunction) -> FourierSpectrum:
-    """Exact integer spectrum as float32 Hadamard products (module
-    docstring): one np.matmul per factor H_{2^k} on bits s..s+k-1, over
-    the (2^(n-s-k), 2^k, 2^s) view of the table, each stacked item capped
-    at _GEMM_MAX_MNK; for n <= 8, H_{2^n} times the table."""
-    n = f.n
-    src = f.table.astype(np.float32)
-    if n <= 8:
-        src = np.matmul(_HADAMARD[n], src)
-    else:
-        dst = np.empty_like(src)
-        for s in range(0, n, 4):
-            k = min(4, n - s)
-            h, a, w = _HADAMARD[k], 1 << (n - s - k), 1 << s
-            if s == 0:      # rows of the (a, 2^k) view times H, r rows per item
-                r = min(a, _GEMM_MAX_MNK >> 2 * k)
-                np.matmul(src.reshape(a // r, r, 1 << k), h, out=dst.reshape(a // r, r, 1 << k))
-            else:           # H times (2^k, c) column blocks of each (2^k, w) slab
-                c = min(w, _GEMM_MAX_MNK >> 2 * k)
-                np.matmul(h, src.reshape(a, 1 << k, w // c, c).transpose(0, 2, 1, 3),
-                          out=dst.reshape(a, 1 << k, w // c, c).transpose(0, 2, 1, 3))
-            src, dst = dst, src
-        del dst     # before the int32 cast: two float32 buffers, not three
-    coeffs = src.astype(np.int32)
+    """Exact integer spectrum: `_hadamard` of the table in float32, cast
+    to int32 (module docstring)."""
+    coeffs = _hadamard(f.table, np.float32).astype(np.int32)
     coeffs.flags.writeable = False
-    return FourierSpectrum(n, coeffs)
+    return FourierSpectrum(f.n, coeffs)
 
 
 def coset_indices(sub: Subspace) -> np.ndarray:
@@ -199,7 +208,7 @@ def uniform_coset_fraction(f: BooleanFunction, sub: Subspace, eps) -> Fraction:
         raise DimensionMismatchError(f"subspace ambient {sub.ambient_dim} vs n={f.n}")
     idx = coset_indices(sub)
     size = idx.shape[1]
-    coeffs = _butterfly(f.table[idx].astype(np.int64))
+    coeffs = _hadamard(f.table[idx], np.float32)
     peak = np.abs(coeffs[:, 1:]).max(axis=1, initial=0)
     uniform = peak <= min(math.floor(Fraction(eps) * size), size)
     return Fraction(int(np.count_nonzero(uniform)), uniform.shape[0])

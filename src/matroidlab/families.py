@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolfn import _butterfly, coset_indices
+from .boolfn import _hadamard, coset_indices
 from .errors import InvalidInputError
 from .gf2 import enumerate_subspaces
 from .tester import PatternSpec
@@ -139,12 +139,13 @@ def _free_by_weight(n: int, k: int) -> np.ndarray:
     """Boolean (k + 1, 2^(2^n)) table: entry [o, t] says whether the
     function with table int t is (C_k, Sigma)-free for the Sigmas with o
     ones. Both spectra of every function come from one row-wise
-    butterfly each; the int64 bound is in the module docstring."""
+    float32 `_hadamard` each, exact as every value is within 2^n; the
+    int64 bound of the power sums is in the module docstring."""
     _check_enum_budget(n, k)
     size = 1 << n
-    tables = np.arange(1 << size, dtype=np.int64)[:, None] >> np.arange(size) & 1
-    g_hat = _butterfly(1 - tables)
-    f_hat = _butterfly(tables)
+    tables = np.arange(1 << size)[:, None] >> np.arange(size) & 1
+    g_hat = _hadamard(1 - tables, np.float32).astype(np.int64)
+    f_hat = _hadamard(tables, np.float32).astype(np.int64)
     free = np.array([(f_hat ** o * g_hat ** (k - o)).sum(axis=1) == 0 for o in range(k + 1)])
     free.flags.writeable = False
     return free

@@ -19,19 +19,23 @@ list: nothing below the entries sees Sigma or a truth table. Counts
 find_pattern) sum over all 2^(n*r) assignments by one of two routes.
 GF(2) variable elimination reads the factors at linear forms in
 u_0..u_{r-1}: a variable in one factor sums to a row total, one in two
-factors becomes an XOR-correlation computed with the Walsh-Hadamard
-butterfly, and one in three or more is conditioned on along a batch
-axis. The supported scan applies first every factor read at one basis
-variable alone (a form that is a single bit, which every graphic matroid
-has): parallel ones merge by &, and only the images u_j their merged
-lookup allows, its support S_j, are walked. Before any factor is built,
-a dry run over the forms prices the elimination, and the scan is priced
-at _SCAN_COST * (factors left + 1) * prod_j |S_j|, the supports counted,
-not listed. Each count takes the cheaper route alone, running the steps
-the dry run priced, slice widths included; an empty support answers 0
-before any chunk. Counts are int64: n*r past 62 bits is refused up
-front, and past 41 bits a correlation whose 2^n*S_a*S_b reaches 2^63 is
-refused when it is met, both with BudgetExceededError.
+factors a, b becomes their XOR-correlation H(Ha * Hb) / 2^n, and one in
+three or more is conditioned on along a batch axis. The transforms H are
+boolfn's Hadamard kernel. With S_a the largest sum of |a| over a row,
+every value and partial sum in them is at most 2^n*S_a*S_b, so they run
+in float64 when that is below 2^53 (float64 holds every integer up to
+it) and in int64 otherwise. The supported scan applies first every
+factor read at one basis variable alone (a form that is a single bit,
+which every graphic matroid has): parallel ones merge by &, and only the
+images u_j their merged lookup allows, its support S_j, are walked.
+Before any factor is built, a dry run over the forms prices the
+elimination, and the scan is priced at _SCAN_COST * (factors left + 1) *
+prod_j |S_j|, the supports counted, not listed. Each count takes the
+cheaper route alone, running the steps the dry run priced, slice widths
+included; an empty support answers 0 before any chunk. Counts are int64:
+n*r past 62 bits is refused up front, and past 41 bits a correlation
+whose 2^n*S_a*S_b reaches 2^63 is refused when it is met, both with
+BudgetExceededError.
 
 Enumeration order contract (governs the witnesses of find_pattern):
 assignment index t in [0, 2^(n*r)) gives basis image u_j = bits
@@ -101,7 +105,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolfn import BooleanFunction, _butterfly, wht
+from .boolfn import BooleanFunction, _hadamard, wht
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from .gf2 import GFVector, LinearMap
 from .matroid import BinaryMatroid, _forced_by, _mask_bits
@@ -342,6 +346,7 @@ def _scan_chunks(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int], r
 _STEP_COST = 1 << 12     # fixed price of one elimination step, in element operations
 _SCAN_COST = 3           # per supported assignment per factor read: ~1-2 ns against 0.5-0.8 ns per op
 _INT64_LIMIT = 1 << 63
+_FLOAT64_EXACT = 1 << np.finfo(np.float64).nmant + 1    # float64 holds every integer below it
 
 
 def _plan(coords: Sequence[int], n: int, keep: int = 0) -> tuple[list[tuple[int, int]], int]:
@@ -376,7 +381,7 @@ def _plan(coords: Sequence[int], n: int, keep: int = 0) -> tuple[list[tuple[int,
             forms.difference_update(mine)
             if len(mine) == 2:
                 forms.add(mine[0] ^ mine[1])
-                # three butterflies of n levels, the product, shift and sums
+                # three transforms, priced as n radix-2 levels each, the product, shift and sums
                 cost += runs * batch * size * (12 * n + 6)
             cost += runs * (_STEP_COST + batch * size)
         steps.append((j, width))
@@ -398,8 +403,9 @@ def _replay(factors: dict, steps: Sequence[tuple[int, int]], n: int) -> np.ndarr
     array of shape (rows, 2^n), or (1, 2^n) for a factor shared by every
     row. What is left reads at most one variable u_j: returns the total
     over all rows for every value of u_j (shape (2^n,)), or of shape (1,)
-    when no factor is left on u_j. Raises BudgetExceededError when a
-    correlation could leave int64."""
+    when no factor is left on u_j. A correlation runs in float64 or
+    int64 by its bound 2^n*S_a*S_b (module docstring); raises
+    BudgetExceededError when that bound could leave int64."""
     for pos, (j, width) in enumerate(steps):
         if width:
             return _condition(factors, j, width, steps[pos + 1:], n)
@@ -409,14 +415,15 @@ def _replay(factors: dict, steps: Sequence[tuple[int, int]], n: int) -> np.ndarr
             _put(factors, 0, a.sum(axis=1, keepdims=True))
             continue
         b = factors.pop(mine[1])
-        sa, sb = int(a.sum(axis=1).max()), int(b.sum(axis=1).max())
-        if sa * sb << n >= _INT64_LIMIT:
+        sa, sb = (int(np.abs(x).sum(axis=1).max()) for x in (a, b))
+        bound = sa * sb << n
+        if bound >= _INT64_LIMIT:
             raise BudgetExceededError(
                 f"eliminating u_{j}: its XOR-correlation 2^{n} * {sa} * {sb} "
                 "could leave int64")
-        corr = _butterfly(_butterfly(a.copy()) * _butterfly(b.copy()))
-        corr >>= n
-        _put(factors, mine[0] ^ mine[1], corr)
+        dtype = np.float64 if bound < _FLOAT64_EXACT else np.int64
+        corr = _hadamard(_hadamard(a, dtype) * _hadamard(b, dtype), dtype)
+        _put(factors, mine[0] ^ mine[1], corr.astype(np.int64, copy=False) >> n)
     rest = factors.pop(0)
     for a in factors.values():    # the one form left, on the kept variable
         rest = rest * a

@@ -37,6 +37,38 @@ def walsh_direct(f: BooleanFunction) -> np.ndarray:
     return (1 - 2 * parity.astype(np.int64)) @ f.table.astype(np.int64)
 
 
+def butterfly(values: np.ndarray) -> np.ndarray:
+    """In-place unnormalized Walsh-Hadamard transform of a 2^n array, or
+    of each row of a C-contiguous (batch, 2^n) array."""
+    size = values.shape[-1]
+    h = 1
+    while h < size:
+        blocks = values.reshape(-1, 2 * h)
+        lo = blocks[:, :h].copy()
+        hi = blocks[:, h:].copy()
+        blocks[:, :h] = lo + hi
+        blocks[:, h:] = lo - hi
+        h *= 2
+    return values
+
+
+def matmul_items(patch) -> list:
+    """Spy on np.matmul through the MonkeyPatch `patch`: every call
+    appends (dtype, m * n * k of one stacked item) to the returned list.
+    Both operands share the dtype."""
+    matmul, calls = np.matmul, []
+
+    def spy(a, b, **kwargs):
+        assert a.dtype == b.dtype, (a.dtype, b.dtype)
+        m = a.shape[-2] if a.ndim > 1 else 1
+        cols = b.shape[-1] if b.ndim > 1 else 1
+        calls.append((a.dtype, m * a.shape[-1] * cols))
+        return matmul(a, b, **kwargs)
+
+    patch.setattr(np, "matmul", spy)
+    return calls
+
+
 def constant(n: int, value: int) -> BooleanFunction:
     return BooleanFunction(n, np.full(1 << n, 1 if value else 0, dtype=np.uint8))
 

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from matroidlab.boolfn import BooleanFunction, _butterfly, random_function, wht
+from matroidlab.boolfn import BooleanFunction, random_function, wht
 from matroidlab.families import verify_characterization
 from matroidlab.matroid import (Graph, canonical_function,
                                 cog_endpoint_partition_criterion,
@@ -30,7 +30,8 @@ from matroidlab.tester import (PatternSpec, brute_force_cycle_count, count_patte
                                cycle_count_fourier, derive_seed, find_pattern,
                                min_repair_distance, pattern_hitting_number,
                                run_tester, von_neumann_gap)
-from oracles import complement, enumerate_free_functions, in_span, pattern_complement
+from oracles import (butterfly, complement, enumerate_free_functions, in_span,
+                     pattern_complement)
 
 
 def atlas_graphs(max_vertices):
@@ -288,7 +289,7 @@ def test_criterion_9_spectral_exactness():
         s = wht(f)
         if s.power_sum(2) != (1 << n) * f.ones_count():
             bad += 1
-        twice = _butterfly(_butterfly(f.table.astype(np.int64)))
+        twice = butterfly(butterfly(f.table.astype(np.int64)))
         if not np.array_equal(twice, f.table.astype(np.int64) << n):
             bad += 1
     chk.finish(bad == 0, f"1000 random functions, n <= 10, {bad} failures")

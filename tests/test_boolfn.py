@@ -1,15 +1,17 @@
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from matroidlab import boolfn
-from matroidlab.boolfn import (WHT_MAX_N, BooleanFunction, _butterfly, coset_indices,
+from matroidlab.boolfn import (WHT_MAX_N, BooleanFunction, _hadamard, coset_indices,
                                random_function, regularity_decompose, uniform_coset_fraction,
                                wht)
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from matroidlab.gf2 import GFVector, enumerate_subspaces, rank_and_basis
-from oracles import apply, constant, from_ones, random_nonsingular_map, reduce, walsh_direct
+from oracles import (apply, butterfly, constant, from_ones, matmul_items,
+                     random_nonsingular_map, reduce, walsh_direct)
 
 
 def whole(n):
@@ -79,7 +81,7 @@ def test_wht_matches_the_int64_butterfly():
     for n in range(11, 21):
         for density in (0.1, 0.5, 0.9):
             f = random_function(n, rng, density)
-            assert np.array_equal(wht(f).coeffs, _butterfly(f.table.astype(np.int64)))
+            assert np.array_equal(wht(f).coeffs, butterfly(f.table.astype(np.int64)))
 
 
 def test_wht_exact_at_the_cap():
@@ -105,23 +107,28 @@ def test_wht_products_stay_below_the_blas_thread_threshold(monkeypatch):
     """Every np.matmul wht issues is float32, one per Kronecker factor of
     at most 4 bits (one for n <= 8), with m*n*k <= 2^17 per stacked item,
     so OpenBLAS (threads past 2^18) runs each on the calling thread."""
-    matmul, calls = np.matmul, []
-
-    def spy(a, b, **kwargs):
-        m = a.shape[-2] if a.ndim > 1 else 1
-        cols = b.shape[-1] if b.ndim > 1 else 1
-        calls.append((a.dtype, b.dtype, m * a.shape[-1] * cols))
-        return matmul(a, b, **kwargs)
-
-    monkeypatch.setattr(np, "matmul", spy)
+    calls = matmul_items(monkeypatch)
     rng = np.random.Generator(np.random.PCG64(43))
     for n in [*range(21), WHT_MAX_N]:
         calls.clear()
         f = random_function(n, rng)
         coeffs = wht(f).coeffs
         assert len(calls) == (1 if n <= 8 else -(-n // 4)), n
-        assert all(a == b == np.float32 and mnk <= 1 << 17 for a, b, mnk in calls), (n, calls)
+        assert all(dtype == np.float32 and mnk <= 1 << 17 for dtype, mnk in calls), (n, calls)
         assert coeffs[0] == f.ones_count()
+
+
+def test_coset_spectra_products_stay_below_the_blas_thread_threshold(monkeypatch):
+    """uniform_coset_fraction transforms its coset rows in float32, every
+    stacked item at m*n*k <= 2^17, on the first subspaces of {0,1}^8 of
+    every codimension."""
+    f = random_function(8, np.random.Generator(np.random.PCG64(47)))
+    subs = [sub for codim in range(9) for sub in islice(enumerate_subspaces(8, codim), 4)]
+    calls = matmul_items(monkeypatch)
+    for sub in subs:
+        calls.clear()
+        uniform_coset_fraction(f, sub, Fraction(1, 4))
+        assert calls and all(dtype == np.float32 and mnk <= 1 << 17 for dtype, mnk in calls)
 
 
 def inner_product(n):
@@ -155,7 +162,7 @@ def test_parseval_and_inversion():
         s = wht(f)
         assert s.power_sum(2) == (1 << n) * f.ones_count()
         assert s.coeff(0) == f.ones_count()
-        assert np.array_equal(_butterfly(s.coeffs.copy()), f.table.astype(np.int64) << n)
+        assert np.array_equal(butterfly(s.coeffs.copy()), f.table.astype(np.int64) << n)
 
 
 def test_wht_involution():
@@ -163,15 +170,26 @@ def test_wht_involution():
     for _ in range(50):
         n = int(rng.integers(0, 9))
         f = random_function(n, rng)
-        twice = _butterfly(_butterfly(f.table.astype(np.int64)))
+        twice = butterfly(butterfly(f.table.astype(np.int64)))
         assert np.array_equal(twice, f.table.astype(np.int64) << n)
 
 
-def test_butterfly_row_wise():
+def test_hadamard_row_wise():
+    """Every row of the kernel's answer, in float32, float64 and int64, is
+    the oracle butterfly of that row, on one product and on the factor
+    route, for shapes whose row count is not a power of two, and the
+    int64 argument is left as it was, whether the kernel casts it or
+    reads it as it is."""
     rng = np.random.Generator(np.random.PCG64(31))
-    rows = rng.integers(-5, 6, size=(7, 32)).astype(np.int64)
-    expected = [_butterfly(row.copy()) for row in rows]
-    assert np.array_equal(_butterfly(rows.copy()), np.array(expected))
+    for shape in [(7, 32), (3, 1 << 9), (5, 1 << 10), (6, 1 << 13), (2, 3, 1 << 5), (4, 1)]:
+        values = rng.integers(-5, 6, size=shape)
+        before = values.copy()
+        expected = [butterfly(row.copy()) for row in values.reshape(-1, shape[-1])]
+        for dtype in (np.float32, np.float64, np.int64):
+            got = _hadamard(values, dtype)
+            assert got.dtype == dtype and got.shape == shape
+            assert np.array_equal(got.reshape(-1, shape[-1]), np.array(expected)), (shape, dtype)
+            assert np.array_equal(values, before)
 
 
 def test_power_sum_matches_coefficient_loop():
@@ -290,20 +308,20 @@ def test_coset_table_checks_ambient_dimension():
             uniform_coset_fraction(f, sub, Fraction(1, 4))
 
 
-def test_regularity_one_butterfly_per_subspace(monkeypatch):
+def test_regularity_one_transform_per_subspace(monkeypatch):
     shapes, tried = [], []
-    butterfly, enumerate_all = boolfn._butterfly, boolfn.enumerate_subspaces
+    hadamard, enumerate_all = boolfn._hadamard, boolfn.enumerate_subspaces
 
-    def spy_butterfly(values):
+    def spy_hadamard(values, dtype):
         shapes.append(values.shape)
-        return butterfly(values)
+        return hadamard(values, dtype)
 
     def spy_enumerate(n, codim):
         for sub in enumerate_all(n, codim):
             tried.append(sub)
             yield sub
 
-    monkeypatch.setattr(boolfn, "_butterfly", spy_butterfly)
+    monkeypatch.setattr(boolfn, "_hadamard", spy_hadamard)
     monkeypatch.setattr(boolfn, "enumerate_subspaces", spy_enumerate)
     f = random_function(5, np.random.Generator(np.random.PCG64(59)))
     sub, _ = regularity_decompose(f, Fraction(1, 8))

@@ -1,6 +1,7 @@
 from dataclasses import asdict
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 import matroidlab.families as families
@@ -9,9 +10,9 @@ from matroidlab.errors import InvalidInputError
 from matroidlab.families import COMPLEMENT_PAIR, FamilyId, classify_sigma, verify_characterization
 from matroidlab.matroid import cycle_graph, graphic_from_graph
 from matroidlab.tester import PatternSpec, find_pattern
-from oracles import (complement, constant, enumerate_free_functions, family_members,
-                     from_ones, from_table_int, gaussian_binomial, index_int,
-                     pattern_complement, table_int)
+from oracles import (butterfly, complement, constant, enumerate_free_functions,
+                     family_members, from_ones, from_table_int, gaussian_binomial, index_int,
+                     matmul_items, pattern_complement, table_int)
 
 
 @lru_cache(maxsize=None)
@@ -214,6 +215,19 @@ def test_free_by_weight_against_find_pattern(n, k):
             free = find_pattern(f, m, s) is None
             assert table[s.ones_count, table_int(f)] == free, (f, s)
             assert (not mask >> index_int(s) & 1) == free, (f, s)
+
+
+def test_free_by_weight_on_float32_products(monkeypatch):
+    """At n = 4 both spectra of all 2^16 tables come from float32
+    products, every stacked item at m*n*k <= 2^17, and the table equals
+    the one read off the int64 butterfly's spectra."""
+    tables = np.arange(1 << 16)[:, None] >> np.arange(16) & 1
+    f_hat, g_hat = butterfly(tables.copy()), butterfly(1 - tables)
+    calls = matmul_items(monkeypatch)
+    got = families._free_by_weight.__wrapped__(4, 5)
+    assert calls and all(dtype == np.float32 and mnk <= 1 << 17 for dtype, mnk in calls)
+    want = [(f_hat ** o * g_hat ** (5 - o)).sum(axis=1) == 0 for o in range(6)]
+    assert np.array_equal(got, want)
 
 
 def test_enumerate_free_examples():

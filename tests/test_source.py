@@ -78,6 +78,42 @@ def test_no_module_reads_the_environment(path):
     assert environment_access(path.read_text(encoding="utf-8")) == []
 
 
+PRODUCTS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum", "linalg", "matvec",
+            "vecmat"}
+
+
+def matrix_products(tree: ast.AST) -> list[str]:
+    """The matrix products issued under `tree`: `@` and `@=`, attributes
+    named in PRODUCTS (np.matmul, a.dot, np.linalg, ...) and those names
+    imported from numpy."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append("@")
+        elif isinstance(node, ast.Attribute) and node.attr in PRODUCTS:
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found += [a.name for a in node.names if a.name in PRODUCTS]
+    return sorted(found)
+
+
+def test_matrix_products_detector():
+    source = ("import numpy as np\nfrom numpy import einsum, sum\nx = a @ b\nx @= c\n"
+              "np.matmul(a, b)\na.dot(b)\nnp.linalg.norm(a)\nnp.multiply(a, b)\nx = a * b\n")
+    assert matrix_products(ast.parse(source)) == ["@", "@", "dot", "einsum", "linalg", "matmul"]
+
+
+def test_matrix_products_only_in_the_hadamard_kernel():
+    """Every matrix product goes through boolfn._hadamard, so the one
+    function holds the per-call cap that keeps OpenBLAS on the calling
+    thread."""
+    issuers = [f"{path.stem}.{getattr(node, 'name', node.lineno)}"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if matrix_products(node)]
+    assert issuers == ["boolfn._hadamard"]
+
+
 def private_imports(source: str) -> list[str]:
     """The `_`-prefixed names a module imports from the package, dunders
     such as `__version__` aside."""

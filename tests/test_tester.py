@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from collections import Counter, defaultdict
@@ -21,8 +22,8 @@ from matroidlab.tester import (PatternSpec, brute_force_cycle_count, count_patte
                                min_repair_distance, pattern_hitting_number, run_tester,
                                von_neumann_gap)
 from oracles import (apply, complement, constant, from_ones, from_table_int,
-                     hitting_number_by_milp, index_int, instances_by_dfs, pattern_complement,
-                     plain_scan, random_nonsingular_map, table_int)
+                     hitting_number_by_milp, index_int, instances_by_dfs, matmul_items,
+                     pattern_complement, plain_scan, random_nonsingular_map, table_int)
 
 C3 = graphic_from_graph(cycle_graph(3))
 S111 = PatternSpec.all_ones(3)
@@ -1016,12 +1017,17 @@ def forced(route):
     return priced
 
 
-def eliminated_count(tables, n, coords, sigma, r):
+def eliminated(lookups, n, coords, r):
     """The elimination counter on its own, whatever the planner's price:
-    _count with the route forced to _plan's steps."""
+    _count with the route forced to _plan's steps, on any integer lookups."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tester, "_priced", forced("elimination"))
-        return tester._count(table_lookups(tables, sigma), n, coords, r)
+        return tester._count(lookups, n, coords, r)
+
+
+def eliminated_count(tables, n, coords, sigma, r):
+    """The elimination's count of the assignments realizing sigma."""
+    return eliminated(table_lookups(tables, sigma), n, coords, r)
 
 
 def descended(tables, n, coords, sigma, r):
@@ -1226,6 +1232,122 @@ def test_constant_one_counts_exact_below_the_int64_bound():
         sigma = PatternSpec.all_ones(m.k)
         assert count_patterns(f, m, sigma, budget_bits=64).span_count == 1 << (n * m.rank)
         assert witness_index(find_pattern(f, m, sigma, budget_bits=64), n) == 0
+
+
+def weighted_lookups(tables, weights):
+    """Signed or large factors: lookup i reads weights[i][tables[i][x]]."""
+    return [np.where(table == 1, w[1], w[0]).astype(np.int64) for table, w in zip(tables, weights)]
+
+
+def inclusion_exclusion(tables, n, coords, weights, r):
+    """sum over assignments of prod_i weights[i][tables[i] at form i], as
+    sum over Sigma of prod_i weights[i][sigma_i] * count(Sigma), each count
+    by the plain scan; weights (-1, 1) give sum (-1)^zeros(Sigma) count(Sigma)."""
+    total = 0
+    for sigma in itertools.product((0, 1), repeat=len(tables)):
+        w = math.prod(weights[i][b] for i, b in enumerate(sigma))
+        if w:
+            total += w * scan_count(tables, n, coords, sigma, r)
+    return total
+
+
+@pytest.mark.parametrize("m, n", [(C3, 6), (graphic_from_graph(cycle_graph(5)), 3),
+                                  (graphic_from_graph(complete_graph(4)), 4)],
+                         ids=["C3", "C5", "K4"])
+def test_signed_and_large_factors_count_exactly(m, n):
+    """The elimination counts signed and large integer factors exactly:
+    +-1 lookups give the signed count sum (-1)^zeros(Sigma) count(Sigma),
+    and odd magnitudes below 2^b its weighted form, b the largest (at most
+    12) that keeps (2^b)^k * 2^(n*r) within 2^62: 12 on C_3, 10 on C_5, 8
+    on K_4."""
+    rng = np.random.default_rng([m.k, n])
+    big = 1 << min(12, (62 - n * m.rank) // m.k)
+    for weights in ([(-1, 1)] * m.k, rng.integers(-big, big, size=(m.k, 2)) | 1):
+        weights = [tuple(int(v) for v in w) for w in weights]
+        for density in (0.2, 0.5, 0.9):
+            tables = [(rng.random(1 << n) < density).astype(np.uint8) for _ in range(m.k)]
+            want = inclusion_exclusion(tables, n, m.span_coords, weights, m.rank)
+            lookups = weighted_lookups(tables, weights)
+            assert eliminated(lookups, n, m.span_coords, m.rank) == want
+
+
+def weighted_scan(lookups, n, coords, r):
+    """sum over every assignment of prod_i lookups[i] at form i, in
+    Python ints, straight from the definition."""
+    t = np.arange(1 << (n * r))
+    images = [(t >> (j * n)) & ((1 << n) - 1) for j in range(r)]
+    total = np.ones(len(t), dtype=object)
+    for lookup, c in zip(lookups, coords):
+        points = np.zeros_like(t)
+        for j in range(r):
+            if c >> j & 1:
+                points ^= images[j]
+        total = total * lookup.astype(object)[points]
+    return int(total.sum())
+
+
+def test_correlation_guard_reads_absolute_sums():
+    """C_3 at n = 8 whose correlated factors are +-1 noise plus spikes +A
+    and -A, A = 2^26 + 1: each row sums to about 0, but S = sum |a| ~ 2^27,
+    and 2^n * S_a * S_b ~ 2^62 is what bounds the correlation's partial
+    sums. The count runs in int64 and is exact on four draws (float64,
+    which a guard on sum a would choose, is off by 6 on the first). At
+    A = 2^27 that bound passes 2^63 and the count is refused."""
+    n, rng = 8, np.random.default_rng(13)
+    for spike in [(1 << 26) + 1] * 4 + [1 << 27]:
+        lookups = [np.where(rng.random(1 << n) < 0.5, 1, -1) for _ in range(3)]
+        for i in (1, 2):
+            p, q = rng.choice(1 << n, 2, replace=False)
+            lookups[i] = rng.integers(-1, 2, 1 << n)
+            lookups[i][p] += spike
+            lookups[i][q] -= spike
+            assert abs(lookups[i].sum()) < 1 << n
+        if spike >> 27:
+            with pytest.raises(BudgetExceededError, match="could leave int64"):
+                eliminated(lookups, n, C3.span_coords, 2)
+        else:
+            assert eliminated(lookups, n, C3.span_coords, 2) == weighted_scan(
+                lookups, n, C3.span_coords, 2)
+
+
+@pytest.mark.parametrize("low, route", [((1 << 13) - 1, np.float64), (1 << 13, np.int64)])
+def test_correlation_dtype_at_the_float64_bound(monkeypatch, low, route):
+    """C_3 at n = 9 with factors 2^13 except `low` at point 0: S_a = S_b =
+    2^22 - 1 puts 2^n * S_a * S_b just below 2^53, so the correlation runs
+    in float64; at S = 2^22 it is exactly 2^53 and runs in int64. Both
+    counts equal the scan's."""
+    n = 9
+    tables = [(np.arange(1 << n) > 0).astype(np.uint8)] * 3
+    weights = [(low, 1 << 13)] * 3
+    lookups = weighted_lookups(tables, weights)
+    s = int(np.abs(lookups[0]).sum())
+    assert (s * s << n < 1 << 53) == (route == np.float64)
+    calls = matmul_items(monkeypatch)
+    got = eliminated(lookups, n, C3.span_coords, 2)
+    assert calls and {dtype for dtype, _ in calls} == {np.dtype(route)}
+    assert got == inclusion_exclusion(tables, n, C3.span_coords, weights, 2)
+
+
+def test_correlation_products_stay_below_the_blas_thread_threshold():
+    """On the elimination's cells of the benchmark (C_3 at n = 12, C_5 at
+    n = 6, K_4 at n = 8 with its conditioned slices) and on K_4 at n = 6,
+    whose slices of 64 rows take the factor route, every product is
+    float64, every stacked item at m*n*k <= 2^17, so OpenBLAS runs each on
+    the calling thread; the counts equal the scan's."""
+    c5, k4 = graphic_from_graph(cycle_graph(5)), graphic_from_graph(complete_graph(4))
+    rng = np.random.default_rng(11)
+    for m, n, in_benchmark in ((C3, 12, True), (c5, 6, True), (k4, 8, True), (k4, 6, False)):
+        table = (rng.random(1 << n) < 0.5).astype(np.uint8)
+        lookups = table_lookups([table] * m.k, (1,) * m.k)
+        if in_benchmark:    # priced for the elimination there
+            assert tester._priced(lookups, n, m.span_coords, m.rank) is not None
+        steps, _ = tester._plan(m.span_coords, n)
+        assert any(width for _, width in steps) == (m is k4)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = matmul_items(patch)
+            got = eliminated(lookups, n, m.span_coords, m.rank)
+        assert calls and all(dtype == np.float64 and mnk <= 1 << 17 for dtype, mnk in calls)
+        assert got == scan_count([table] * m.k, n, m.span_coords, (1,) * m.k, m.rank)
 
 
 def test_counts_past_62_bits_are_refused_before_any_table():
