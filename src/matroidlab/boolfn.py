@@ -149,20 +149,20 @@ _ONE_PRODUCT_MAX_BYTES = 1 << 18    # H_{2^n} used whole: float32 n <= 8, 64-bit
 
 
 def _hadamard(values: np.ndarray, dtype: np.dtype | type) -> np.ndarray:
-    """H_{2^n} times every row of the C-contiguous (..., 2^n) array
-    `values`, computed in and returned as a new array of `dtype`, whose
+    """H_{2^n} times every row of the (..., 2^n) array `values`, in any
+    layout, computed in and returned as a new array of `dtype`, whose
     exactness is the caller's argument (module docstring). `values` is
-    never written: a (1, 2^n) factor is shared by every row. When rows *
-    4^n <= _GEMM_MAX_MNK and H_{2^n} fits _ONE_PRODUCT_MAX_BYTES, one
-    product with H_{2^n}; else one np.matmul per factor H_{2^k} on bits
-    s..s+k-1, over the (rows * 2^(n-s-k), 2^k, 2^s) view, each stacked
-    item capped at _GEMM_MAX_MNK, between two buffers (the cast of
-    `values` is one of them when it is a copy)."""
+    never written: the tester shares its factors between slices. When
+    rows * 4^n <= _GEMM_MAX_MNK and H_{2^n} fits _ONE_PRODUCT_MAX_BYTES,
+    one product with H_{2^n}; else one np.matmul per factor H_{2^k} on
+    bits s..s+k-1, over the (rows * 2^(n-s-k), 2^k, 2^s) view, each
+    stacked item capped at _GEMM_MAX_MNK, between two buffers (the
+    C-ordered cast of `values` is one of them when it is a copy)."""
     dtype = np.dtype(dtype)
     size = values.shape[-1]
     n = size.bit_length() - 1
     rows = values.size >> n
-    src, spare = values.astype(dtype, copy=False), None
+    src, spare = values.astype(dtype, order="C", copy=False), None
     if rows << 2 * n <= _GEMM_MAX_MNK and dtype.itemsize << 2 * n <= _ONE_PRODUCT_MAX_BYTES:
         return np.matmul(src, _sign_matrix(n, dtype))
     for s in range(0, n, 4):

@@ -20,9 +20,10 @@ find_pattern) sum over all 2^(n*r) assignments by one of two routes.
 GF(2) variable elimination reads the factors at linear forms in
 u_0..u_{r-1}: a variable in one factor sums to a row total, one in two
 factors a, b becomes their XOR-correlation H(Ha * Hb) / 2^n, and one in
-three or more is conditioned on along a batch axis. The transforms H are
-boolfn's Hadamard kernel. With S_a the largest sum of |a| over a row,
-every value and partial sum in them is at most 2^n*S_a*S_b, so they run
+three or more is conditioned on, one broadcast axis in front of the
+points per conditioned variable. The transforms H are boolfn's Hadamard
+kernel. With S_a the largest sum of |a| over a row of points, every
+value and partial sum in them is at most 2^n*S_a*S_b, so they run
 in float64 when that is below 2^53 (float64 holds every integer up to
 it) and in int64 otherwise. The supported scan applies first every
 factor read at one basis variable alone (a form that is a single bit,
@@ -389,33 +390,41 @@ def _plan(coords: Sequence[int], n: int, keep: int = 0) -> tuple[list[tuple[int,
 
 
 def _put(factors: dict, form: int, values: np.ndarray) -> None:
-    """Add a factor; one on a form already present merges pointwise.
-    Form 0 holds the per-row scalar, shape (rows, 1): a factor read at
+    """Add a factor; one on a form already present merges pointwise,
+    broadcasting over the conditioned axes. Form 0 holds the scalar of
+    each conditioned point, the last axis of extent 1: a factor read at
     the zero form contributes its value at point 0."""
     if not form:
-        values = values[:, :1]
+        values = values[..., :1]
     old = factors.get(form)
     factors[form] = values if old is None else old * values
 
 
 def _replay(factors: dict, steps: Sequence[tuple[int, int]], n: int) -> np.ndarray:
     """Run _plan's `steps` on the factors, which map a form to an int64
-    array of shape (rows, 2^n), or (1, 2^n) for a factor shared by every
-    row. What is left reads at most one variable u_j: returns the total
-    over all rows for every value of u_j (shape (2^n,)), or of shape (1,)
-    when no factor is left on u_j. A correlation runs in float64 or
-    int64 by its bound 2^n*S_a*S_b (module docstring); raises
-    BudgetExceededError when that bound could leave int64."""
+    array of shape (..., 2^n): one leading axis per conditioned variable,
+    of extent 1 where the factor does not read it, and the points last.
+    What is left reads at most one variable u_j: returns the total over
+    the conditioned axes for every value of u_j (shape (2^n,)), or of
+    shape (1,) when no factor is left on u_j. A correlation runs in
+    float64 or int64 by its bound 2^n*S_a*S_b (module docstring); raises
+    BudgetExceededError when that bound could leave int64. Only the
+    correlation is guarded: the sum-outs, the merges and the guard's own
+    sums run in unchecked int64, which holds every total of 0/1 lookups,
+    at most 2^(n*r) <= 2^62 (check_pattern_args); signed or larger
+    factors need a guard of their own first."""
     for pos, (j, width) in enumerate(steps):
-        if width:
-            return _condition(factors, j, width, steps[pos + 1:], n)
+        if width:     # u_j fixed to every point, `width` points per slice
+            points = np.arange(1 << n, dtype=np.int64)
+            return sum(_replay(_fix(factors, j, points[lo:lo + width], n), steps[pos + 1:], n)
+                       for lo in range(0, len(points), width))
         mine = [c for c in factors if c >> j & 1]
         a = factors.pop(mine[0])
         if len(mine) == 1:
-            _put(factors, 0, a.sum(axis=1, keepdims=True))
+            _put(factors, 0, a.sum(axis=-1, keepdims=True))
             continue
         b = factors.pop(mine[1])
-        sa, sb = (int(np.abs(x).sum(axis=1).max()) for x in (a, b))
+        sa, sb = (int(np.abs(x).sum(axis=-1).max()) for x in (a, b))
         bound = sa * sb << n
         if bound >= _INT64_LIMIT:
             raise BudgetExceededError(
@@ -424,29 +433,20 @@ def _replay(factors: dict, steps: Sequence[tuple[int, int]], n: int) -> np.ndarr
         dtype = np.float64 if bound < _FLOAT64_EXACT else np.int64
         corr = _hadamard(_hadamard(a, dtype) * _hadamard(b, dtype), dtype)
         _put(factors, mine[0] ^ mine[1], corr.astype(np.int64, copy=False) >> n)
+    # _plan conditions only variables that sit in three or more factors, so
+    # every conditioned axis survives, at full extent, into this product.
     rest = factors.pop(0)
     for a in factors.values():    # the one form left, on the kept variable
         rest = rest * a
-    return rest.sum(axis=0)
-
-
-def _condition(factors: dict, j: int, width: int, steps: Sequence[tuple[int, int]],
-               n: int) -> np.ndarray:
-    """Fix variable j to every point, `width` points per slice, and run
-    `steps` in each slice."""
-    size = 1 << n
-    points = np.arange(size, dtype=np.int64)
-    total = 0
-    for lo in range(0, size, width):
-        total = total + _replay(_fix(factors, j, points[lo:lo + width], n), steps, n)
-    return total
+    return rest.reshape(-1, rest.shape[-1]).sum(axis=0)
 
 
 def _factors(lookups: Sequence[np.ndarray], coords: Sequence[int]) -> dict:
-    """The factors lookups[i] as int64 rows keyed by form, merged."""
-    factors = {0: np.ones((1, 1), dtype=np.int64)}
+    """The factors lookups[i] as int64 arrays over the 2^n points, keyed
+    by form, merged."""
+    factors = {0: np.ones(1, dtype=np.int64)}
     for lookup, c in zip(lookups, coords):
-        _put(factors, c, lookup.astype(np.int64)[None, :])
+        _put(factors, c, lookup.astype(np.int64))
     return factors
 
 
@@ -480,21 +480,13 @@ def _count(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int], r: int)
 
 def _fix(factors: dict, j: int, values: np.ndarray, n: int) -> dict:
     """The factors with variable u_j set to each entry of the int64 array
-    `values`: each row becomes one row per value, and a factor that reads
-    u_j is shifted by that value."""
-    size = 1 << n
-    rows = max(a.shape[0] for a in factors.values())
-    width = len(values)
-    shift = np.arange(size, dtype=np.int64)[None, :] ^ values[:, None]
+    `values`, on one new axis in front of the points: a factor that reads
+    u_j is shifted by each value, extent len(values), and any other
+    gains the axis at extent 1."""
+    shift = np.arange(1 << n, dtype=np.int64) ^ values[:, None]
     out: dict = {}
     for form, a in factors.items():
-        if form >> j & 1:
-            a = a[:, shift].reshape(-1, size)
-            if a.shape[0] < rows * width:
-                a = np.tile(a, (rows, 1))
-        elif a.shape[0] > 1:
-            a = np.repeat(a, width, axis=0)
-        _put(out, form & ~(1 << j), a)
+        _put(out, form & ~(1 << j), a[..., shift] if form >> j & 1 else a[..., None, :])
     return out
 
 

@@ -179,17 +179,23 @@ def test_hadamard_row_wise():
     the oracle butterfly of that row, on one product and on the factor
     route, for shapes whose row count is not a power of two, and the
     int64 argument is left as it was, whether the kernel casts it or
-    reads it as it is."""
+    reads it as it is. The argument may come in any layout: C order,
+    Fortran order, or the swapped view of a C-ordered copy with its last
+    two axes swapped, as a fancy-indexed elimination factor can be."""
     rng = np.random.Generator(np.random.PCG64(31))
-    for shape in [(7, 32), (3, 1 << 9), (5, 1 << 10), (6, 1 << 13), (2, 3, 1 << 5), (4, 1)]:
+    for shape in [(7, 32), (3, 1 << 9), (5, 1 << 10), (6, 1 << 13), (2, 3, 1 << 5), (4, 1),
+                  (64, 1 << 6), (4, 1 << 10), (3, 1 << 12), (2, 5, 1 << 8)]:
         values = rng.integers(-5, 6, size=shape)
-        before = values.copy()
         expected = [butterfly(row.copy()) for row in values.reshape(-1, shape[-1])]
-        for dtype in (np.float32, np.float64, np.int64):
-            got = _hadamard(values, dtype)
-            assert got.dtype == dtype and got.shape == shape
-            assert np.array_equal(got.reshape(-1, shape[-1]), np.array(expected)), (shape, dtype)
-            assert np.array_equal(values, before)
+        swapped = np.ascontiguousarray(np.swapaxes(values, -1, -2)).swapaxes(-1, -2)
+        for layout in (values, np.asfortranarray(values), swapped):
+            before = layout.copy()
+            for dtype in (np.float32, np.float64, np.int64):
+                got = _hadamard(layout, dtype)
+                assert got.dtype == dtype and got.shape == shape
+                assert np.array_equal(got.reshape(-1, shape[-1]), np.array(expected)), (
+                    shape, dtype, layout.strides)
+                assert np.array_equal(layout, before)
 
 
 def test_power_sum_matches_coefficient_loop():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroidlab import tester
+from matroidlab import boolfn, tester
 from matroidlab.boolfn import WHT_MAX_N, BooleanFunction, random_function
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from matroidlab.gf2 import GFVector
@@ -1091,16 +1091,51 @@ def test_elimination_matches_scan_per_element_tables(m):
 
 
 def test_elimination_slices_agree(monkeypatch):
-    """Conditioning in slices of a few rows gives the same counts."""
-    monkeypatch.setattr(tester, "_CHUNK", 1 << 5)
+    """Conditioning in slices of a few rows gives the same counts: at one
+    or two conditioned variables, at three on M*(K_5), and at n = 5 with
+    every transform on the kernel's factor route, which reads each
+    conditioned factor in whatever layout its gather left it."""
     rng = np.random.Generator(np.random.PCG64(107))
-    for m in (graphic_from_graph(complete_graph(4)), graphic_from_graph(complete_graph(5)),
-              cographic_from_graph(complete_bipartite_graph(3, 3))):
+    k4, k5 = graphic_from_graph(complete_graph(4)), graphic_from_graph(complete_graph(5))
+    cog_k33 = cographic_from_graph(complete_bipartite_graph(3, 3))
+
+    def check(m, n):
+        tables = [random_function(n, rng, 0.7).table for _ in range(m.k)]
+        sigma = tuple(int(b) for b in rng.integers(0, 2, m.k))
+        want = scan_count(tables, n, m.span_coords, sigma, m.rank)
+        assert eliminated_count(tables, n, m.span_coords, sigma, m.rank) == want
+
+    monkeypatch.setattr(tester, "_CHUNK", 1 << 5)
+    for m in (k4, k5, cog_k33, cographic_from_graph(complete_graph(5))):
         for n in (2, 3):
-            tables = [random_function(n, rng, 0.7).table for _ in range(m.k)]
-            sigma = tuple(int(b) for b in rng.integers(0, 2, m.k))
-            want = scan_count(tables, n, m.span_coords, sigma, m.rank)
-            assert eliminated_count(tables, n, m.span_coords, sigma, m.rank) == want
+            check(m, n)
+    monkeypatch.setattr(tester, "_CHUNK", 1 << 8)
+    monkeypatch.setattr(boolfn, "_ONE_PRODUCT_MAX_BYTES", 0)
+    for m in (k4, k5, cog_k33):
+        for _ in range(2):
+            check(m, 5)
+
+
+def test_fix_adds_one_broadcast_axis():
+    """Each _fix puts one axis in front of the points: a factor that reads
+    the fixed variable has it at the slice's width, any other at extent
+    1, so no factor is copied for the values of a variable it does not
+    read. Forms u_0+u_2, u_1+u_3 and u_0+u_1, with u_0 then u_1 fixed."""
+    n = 3
+    rng = np.random.Generator(np.random.PCG64(113))
+    lookups = [rng.integers(0, 5, 1 << n) for _ in range(3)]
+    first, second = np.array([0, 3, 5, 6]), np.array([1, 7])
+    factors = tester._fix(tester._factors(lookups, (5, 10, 3)), 0, first, n)
+    factors = tester._fix(factors, 1, second, n)
+    assert {form: a.shape for form, a in factors.items()} == {
+        0: (4, 2, 1), 4: (4, 1, 1 << n), 8: (1, 2, 1 << n)}
+    assert factors[4].size == len(first) << n
+    x = np.arange(1 << n)
+    for i, a in enumerate(first):
+        assert np.array_equal(factors[4][i, 0], lookups[0][a ^ x])
+        for k, b in enumerate(second):
+            assert np.array_equal(factors[8][0, k], lookups[1][b ^ x])
+            assert factors[0][i, k, 0] == lookups[2][a ^ b]
 
 
 def test_elimination_counts_a_variable_in_no_factor():
@@ -1527,12 +1562,14 @@ def test_descent_matches_scan_on_special_presentations(m):
 
 
 def test_descent_slices_and_unread_variables(monkeypatch):
-    """Conditioning in slices of a few rows, and a basis variable that no
-    ground vector reads, leave the descent's witness unchanged."""
+    """Conditioning in slices of a few rows, three variables deep on
+    M*(K_5), and a basis variable that no ground vector reads, leave the
+    descent's witness unchanged."""
     rng = np.random.Generator(np.random.PCG64(131))
     cases = [(graphic_from_graph(complete_graph(4)).span_coords, 3, (2, 3)),
              (graphic_from_graph(complete_graph(5)).span_coords, 4, (2,)),
-             ((1, 2, 3), 3, (1, 2, 3)), ((3, 3, 1), 3, (1, 2, 3)), ((2, 4, 6), 3, (1, 2))]
+             ((1, 2, 3), 3, (1, 2, 3)), ((3, 3, 1), 3, (1, 2, 3)), ((2, 4, 6), 3, (1, 2)),
+             (cographic_from_graph(complete_graph(5)).span_coords, 6, (2, 3))]
     monkeypatch.setattr(tester, "_CHUNK", 1 << 5)
     for coords, r, ns in cases:
         for n in ns:
