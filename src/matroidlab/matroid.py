@@ -369,6 +369,35 @@ def _forced_by(m: BinaryMatroid) -> tuple[Optional[tuple[int, ...]], ...]:
     return tuple(forced)
 
 
+def _interchangeable(m: BinaryMatroid) -> tuple[Optional[int], ...]:
+    """Per ground element j, the previous element of j's class, or None
+    when j is the first. Elements i and j share a class when their
+    transposition is an automorphism of M, i.e. maps the dependency code
+    onto itself: each kernel word with its bits i and j swapped reduces
+    to 0 against kernel_words, one word per top element. Conjugating
+    (i j) by (j l) gives (i l), so the relation is transitive and the
+    classes are its equivalence classes: C_k is one class, a series or
+    parallel class or a set of loops is one, and K_4, K_5 and the
+    Petersen graph are singletons."""
+    words = m.kernel_words
+    by_top = {w.bit_length() - 1: w for w in words}
+
+    def in_code(w: int) -> bool:
+        while w:
+            row = by_top.get(w.bit_length() - 1)
+            if row is None:
+                return False
+            w ^= row
+        return True
+
+    def swaps(i: int, j: int) -> bool:
+        pair = 1 << i | 1 << j
+        return all(in_code(w ^ pair) for w in words if (w >> i ^ w >> j) & 1)
+
+    return tuple(next((i for i in reversed(range(j)) if swaps(i, j)), None)
+                 for j in range(m.k))
+
+
 def complexity(m: BinaryMatroid, cap: int = 1) -> Optional[int]:
     """The matroid's partition complexity: max over elements of the
     per-element minimum; None when any element exceeds cap."""

@@ -85,19 +85,27 @@ enumerate_instances builds the all-ones instances of each prefix of the
 ground set as blocks of int32 rows, one column per element assigned. A
 free element (one that tops no dependency word) extends every row by
 every one of f; a forced element keeps the rows where the XOR of its
-word's other columns is a one. A free element followed directly by a
-forced one is peeked through: the forced XOR is read on the whole
-(rows x ones) grid, and only its survivors become rows. No block holds
-more than _CHUNK grid entries, both axes are split to keep it so, and
-the blocks are walked depth first, so memory holds one block per level.
-Each leaf block is sorted within rows, put in lexical order and cleared
-of equal neighbours before any frozenset is built. pattern_hitting_number
-runs a branch and bound on the resulting sets, bounded by
-HITTING_SET_BUDGET nodes.
+word's other columns is a one. Elements whose transposition is an
+automorphism of M form a class (matroid._interchangeable), and a row is
+kept only when its points are sorted within every class: one labeling
+per within-class order, one leaf row per instance set on C_k. A free
+element followed directly by a forced one is peeked through: the forced
+XOR is read on the whole (rows x ones) grid, and only its survivors
+become rows. No block holds more than _CHUNK grid entries, both axes
+are split to keep it so, and the blocks are walked depth first, so
+memory holds one block per level. Each leaf block is sorted within
+rows, put in lexical order and cleared of equal neighbours before any
+frozenset is built. The node budget counts the all-ones instances of
+every prefix, pruned or not, and is priced before the walk: by the
+bound from f's number of ones, and where that passes it by exact prefix
+counts, a free level being the one before times the ones and a forced
+one a count. pattern_hitting_number runs a branch and bound on the
+resulting sets, bounded by HITTING_SET_BUDGET nodes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -109,7 +117,7 @@ import numpy as np
 from .boolfn import BooleanFunction, _hadamard, wht
 from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from .gf2 import GFVector, LinearMap
-from .matroid import BinaryMatroid, _forced_by, _mask_bits
+from .matroid import BinaryMatroid, _forced_by, _interchangeable, _mask_bits
 
 PATTERN_BUDGET_BITS = 30
 VON_NEUMANN_BUDGET_BITS = 26
@@ -749,21 +757,51 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     return rows[new]
 
 
+def _price_levels(m: BinaryMatroid, ones: int, budget: int, forced_count=None) -> None:
+    """Raise the walk's BudgetExceededError at the first prefix
+    v_0..v_{d-1} at which N_1 + ... + N_d passes budget, N_d being the
+    prefix's number of all-ones instances; the message names element d,
+    counted from 1, out of k. A free element is independent of the ones
+    before it, so it multiplies N by `ones`; a forced one's N_d is
+    forced_count(d), and without forced_count the levels stop at the
+    first forced element. Once some N_d is 0, every later one is."""
+    level, total = 1, 0
+    for d, rest in enumerate(_forced_by(m), 1):
+        if rest is None:
+            level *= ones
+        elif forced_count is None:
+            return
+        else:
+            level = forced_count(d)
+        total += level
+        if total > budget:
+            raise BudgetExceededError(f"instance enumeration exceeded {budget} nodes; "
+                                      f"deepest element {d} of {m.k}")
+        if not level:
+            return
+
+
 def check_instance_walk(m: BinaryMatroid, ones: int,
                         budget: int = HITTING_INSTANCE_BUDGET) -> None:
     """Refuse enumerate_instances of M in a function with `ones` ones
-    from those two alone: the free elements before M's first forced one
-    are built in full, ones^d nodes at depth d, and once their running
-    total passes budget this raises the walk's own BudgetExceededError,
+    from those two alone: the levels of the free elements before M's
+    first forced one are exact, since a prefix of free elements has
+    N_d = ones^d all-ones instances, and once their running total passes
+    budget this raises enumerate_instances' own BudgetExceededError,
     naming the element whose level passed it."""
-    nodes = 0
-    for d, rest in enumerate(_forced_by(m)):
-        if rest is not None:
-            break
-        nodes += ones ** (d + 1)
-        if nodes > budget:
-            raise BudgetExceededError(f"instance enumeration exceeded {budget} nodes; "
-                                      f"deepest element {d + 1} of {m.k}")
+    _price_levels(m, ones, budget)
+
+
+def _prefix_count(f: BooleanFunction, m: BinaryMatroid, d: int) -> int:
+    """The number of all-ones instances of M's first d elements in f,
+    counted by _count on the prefix's own span coords. Like every count,
+    it refuses a prefix whose n*rank passes 62 bits."""
+    prefix = BinaryMatroid(m.vectors[:d])
+    if f.n * prefix.rank > 62:
+        raise BudgetExceededError(
+            f"pricing the instance enumeration: the first {d} elements have n*rank = "
+            f"{f.n * prefix.rank}, and an exact count past 62 bits could leave int64")
+    return _count(_lookups(f.table, (1,) * d), f.n, prefix.span_coords, prefix.rank)
 
 
 def enumerate_instances(f: BooleanFunction, m: BinaryMatroid,
@@ -773,33 +811,35 @@ def enumerate_instances(f: BooleanFunction, m: BinaryMatroid,
     tops a dependency word takes the one point the word forces, if that
     point is a one.
 
-    The instances of each prefix of the ground set are built a block of
-    int32 rows at a time, and the blocks are walked depth first. A node
-    is still a point assigned, i.e. an all-ones instance of a prefix, so
-    the total is the point-at-a-time DFS's and the call raises
-    BudgetExceededError iff it exceeds `budget`. A free element's level
-    is counted before it is built. The message names the deepest element
-    (counted from 1, out of k) whose level was counted, the refused one
-    included. Every walk builds the free elements before the first
-    forced one in full, so `check_instance_walk` prices those levels
-    first, before f's ones are listed or any block exists; a refusal
-    there may name an earlier element than the walk would reach. f's 0/1
-    table is read in place."""
+    Only one labeling per within-class order is walked: where
+    _interchangeable(M) gives j a previous element i of its class, a
+    labeling is kept only when p_j >= p_i. Those transpositions generate
+    a product of symmetric groups inside Aut(M), which maps labelings to
+    labelings and keeps their point sets, and each orbit holds exactly
+    one labeling sorted within every class, so the sets are those of the
+    full walk. The instances of each prefix of the ground set are built a
+    block of int32 rows at a time, and the blocks are walked depth first.
+
+    The call raises BudgetExceededError iff N_1 + ... + N_k exceeds
+    `budget`, where N_d counts the all-ones instances of the prefix
+    v_0..v_{d-1}, pruned or not: the nodes of the point-at-a-time DFS.
+    The total is priced before the walk, f's ones counted but not
+    listed. When the cheap bound, sum_d ones^(free elements among the
+    first d), is within budget, nothing is refused; otherwise each prefix
+    is counted exactly, a free level as ones * N_{d-1} and a forced one by
+    _prefix_count, and the first level whose running total passes budget
+    is named (counted from 1, out of k). Like count_patterns, that count
+    refuses a prefix whose n*rank passes 62 bits, whatever its total; no
+    CLI command reaches one. f's 0/1 table is read in place."""
     forced_by = _forced_by(m)
     k = m.k
+    ones_count = int(np.count_nonzero(f.table))
+    if sum(ones_count ** d for d in itertools.accumulate(r is None for r in forced_by)) > budget:
+        _price_levels(m, ones_count, budget, lambda d: _prefix_count(f, m, d))
+    prev = _interchangeable(m)
+    is_one = f.table.view(bool)
+    ones = np.flatnonzero(is_one).astype(np.int32)
     found: set[frozenset[int]] = set()
-    nodes = deepest = 0
-
-    def count(added: int, element: int) -> None:
-        nonlocal nodes, deepest
-        nodes += added
-        deepest = max(deepest, element)
-        if nodes > budget:
-            raise BudgetExceededError(f"instance enumeration exceeded {budget} nodes; "
-                                      f"deepest element {deepest} of {k}")
-
-    check_instance_walk(m, int(np.count_nonzero(f.table)), budget)
-    ones = np.flatnonzero(f.table).astype(np.int32)
 
     def walk(rows: np.ndarray) -> None:
         d = rows.shape[1]
@@ -809,33 +849,38 @@ def enumerate_instances(f: BooleanFunction, m: BinaryMatroid,
         rest = forced_by[d]
         if rest is not None:
             point = np.bitwise_xor.reduce(rows[:, list(rest)], axis=1)
-            keep = np.flatnonzero(f.table[point])
-            count(len(keep), d + 1)
+            keep = is_one[point]
+            if prev[d] is not None:
+                keep &= point >= rows[:, prev[d]]
+            keep = np.flatnonzero(keep)
             if len(keep):
                 walk(np.column_stack((rows[keep], point[keep])))
             return
-        count(len(rows) * len(ones), d + 1)
         peek = forced_by[d + 1] if d + 1 < k else None
         for lo in range(0, len(ones), _CHUNK):
             part = ones[lo:lo + _CHUNK]
             step = _CHUNK // len(part)
             for r in range(0, len(rows), step):
                 block = rows[r:r + step]
-                if peek is None:
-                    child = np.empty((len(block), len(part), d + 1), dtype=np.int32)
-                    child[:, :, :d] = block[:, None, :]
-                    child[:, :, d] = part
-                    walk(child.reshape(-1, d + 1))
-                    continue
-                # the forced element after d, on the (rows x ones) grid:
-                # only the assignments it keeps become rows
-                base = np.bitwise_xor.reduce(block[:, [j for j in peek if j != d]], axis=1)
-                grid = base[:, None] ^ (part if d in peek else np.zeros_like(part))[None, :]
-                hit = np.flatnonzero(f.table[grid])
-                count(len(hit), d + 2)
+                # keep[i, c]: row i extended by part[c], and by the forced
+                # element after d when it is peeked through, is walked
+                keep = np.ones((len(block), len(part)), dtype=bool)
+                if prev[d] is not None:
+                    keep &= part[None, :] >= block[:, prev[d], None]
+                if peek is not None:
+                    base = np.bitwise_xor.reduce(block[:, [j for j in peek if j != d]], axis=1)
+                    grid = base[:, None] ^ (part if d in peek else np.zeros_like(part))[None, :]
+                    keep &= is_one[grid]
+                    low = prev[d + 1]
+                    if low is not None:
+                        keep &= grid >= (part[None, :] if low == d else block[:, low, None])
+                hit = np.flatnonzero(keep)
                 if len(hit):
                     row, col = np.divmod(hit, len(part))
-                    walk(np.column_stack((block[row], part[col], grid.ravel()[hit])))
+                    cols = [block[row], part[col]]
+                    if peek is not None:
+                        cols.append(grid.ravel()[hit])
+                    walk(np.column_stack(cols))
 
     walk(np.zeros((1, 0), dtype=np.int32))
     return sorted(found, key=sorted)

@@ -14,7 +14,7 @@ from matroidlab.errors import BudgetExceededError, DimensionMismatchError, Inval
 from matroidlab.families import FamilyId, _family_tables, _free_by_weight
 from matroidlab.gf2 import GFVector, LinearMap, Subspace, rank_and_basis
 from matroidlab.matroid import BinaryMatroid, _forced_by
-from matroidlab.tester import PatternSpec
+from matroidlab.tester import PatternSpec, _lookups, _scan_chunks
 
 
 def from_ones(n: int, ones) -> BooleanFunction:
@@ -262,3 +262,37 @@ def hitting_number_by_milp(edges) -> int:
                integrality=np.ones(len(points)), bounds=Bounds(0, 1))
     assert res.success, res.message
     return round(res.fun)
+
+
+
+def ground_basis_coords(vectors) -> tuple[list[int], int]:
+    """Each int vector as a mask over a greedy basis of the vectors
+    themselves, each taken the first time it is outside the span of the
+    ones before it, and the number r of basis vectors."""
+    span, coords, r = {0: 0}, [], 0
+    for v in vectors:
+        if v not in span:
+            span.update({x ^ v: c | 1 << r for x, c in list(span.items())})
+            r += 1
+        coords.append(span[v])
+    return coords, r
+
+
+def instances_by_scan(f: BooleanFunction, m: BinaryMatroid) -> list[frozenset[int]]:
+    """All distinct point sets of all-ones instances of M in f, read off
+    the matches of the supported scan over a basis of M's own ground
+    vectors, each taken the first time it is independent of the ones
+    before it: that element reads its basis image alone, so only the ones
+    of f are walked there. Ground vector i sits at the XOR of the basis
+    images its coords select."""
+    coords, r = ground_basis_coords(m.ints)
+    found: set[frozenset[int]] = set()
+    for cols, match in _scan_chunks(_lookups(f.table, (1,) * m.k), f.n, coords, r):
+        images = cols[:, match]
+        points = np.zeros((m.k, images.shape[1]), dtype=np.int64)
+        for i, c in enumerate(coords):
+            for j in range(r):
+                if c >> j & 1:
+                    points[i] ^= images[j]
+        found.update(map(frozenset, points.T.tolist()))
+    return sorted(found, key=sorted)

@@ -25,7 +25,7 @@ from matroidlab.fileio import save_function, save_graph, save_matroid
 from matroidlab.matroid import (canonical_function, complexity, cycle_graph,
                                 graphic_from_graph, named_graph)
 from matroidlab.tester import PATTERN_BUDGET_BITS, PatternSpec, find_pattern
-from oracles import constant
+from oracles import constant, hitting_number_by_milp, instances_by_scan
 
 SRC = str(Path(matroidlab.__file__).resolve().parents[1])
 
@@ -285,6 +285,20 @@ def test_hierarchy_cycles_runs_no_exact_count(monkeypatch, capsys):
     res = json.loads(capsys.readouterr().out)["results"]
     assert res["c5_canonical_contains_c5"] is True and res["c3_free"] is True
     assert res["hitting_number"]["value"] == res["farness_lower_bound_flips"]["value"] == 8
+
+
+
+def test_hierarchy_cycles_frontier_against_milp(capsys):
+    """-k 5 -n 8, the largest cell that finishes: canonical C_7 at n=8,
+    whose 64 instance sets the walk reaches one labeling each. The
+    hitting number equals an integer program's on the scan's sets."""
+    assert main(["hierarchy", "--kind", "cycles", "-k", "5", "-n", "8"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    c7 = graphic_from_graph(cycle_graph(7))
+    sets = instances_by_scan(canonical_function(c7, 8), c7)
+    assert len(sets) == 64
+    assert res["hitting_number"]["value"] == hitting_number_by_milp(sets) == 2
+    assert res["c7_canonical_contains_c7"] is True and res["c5_free"] is True
 
 
 @pytest.mark.parametrize("argv", [

@@ -424,6 +424,60 @@ def test_homomorphism_budget_message_names_the_depth():
     assert str(exc.value).endswith(" of 15")
 
 
+
+def interchangeable_classes(m: BinaryMatroid) -> list[list[int]]:
+    """The classes _interchangeable links, each in ground order."""
+    head = list(range(m.k))
+    for j, i in enumerate(matroid._interchangeable(m)):
+        if i is not None:
+            assert i < j
+            head[j] = head[i]
+    classes: dict[int, list[int]] = {}
+    for j, h in enumerate(head):
+        classes.setdefault(h, []).append(j)
+    return sorted(classes.values())
+
+
+def test_interchangeable_classes_of_named_matroids():
+    for k in range(3, 8):
+        assert matroid._interchangeable(graphic_from_graph(cycle_graph(k))) == (
+            None, *range(k - 1))
+    for g in (complete_graph(4), complete_graph(5), petersen_graph()):
+        assert matroid._interchangeable(graphic_from_graph(g)) == (None,) * len(g.edges)
+    # loops 1 and 5, the parallel pair 2 and 3, and 0 and 4, which sit
+    # together in the two triangles {0, 2, 4} and {0, 3, 4}
+    m = BinaryMatroid([GFVector(2, v) for v in (1, 0, 2, 2, 3, 0)])
+    assert matroid._interchangeable(m) == (None, None, None, 2, 0, 1)
+    # a theta graph: paths of 1, 2 and 3 edges between vertices 0 and 1;
+    # the edges of each longer path are in series
+    theta = Graph.from_edges(5, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1)])
+    assert theta.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4))
+    assert interchangeable_classes(graphic_from_graph(theta)) == [[0], [1, 3], [2, 4, 5]]
+
+
+def test_interchangeable_pairs_are_the_circuit_preserving_transpositions():
+    """Two elements share a class exactly when swapping them maps the
+    circuits, scanned from every subset, onto themselves: random binary
+    matroids with loops and repeated vectors."""
+    rng = random.Random(89)
+    grouped = 0
+    for _ in range(150):
+        m_dim = rng.randint(1, 4)
+        bits = [rng.randrange(1 << m_dim) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.5:
+            bits += [0, rng.choice(bits)]
+            rng.shuffle(bits)
+        m = BinaryMatroid([GFVector(m_dim, b) for b in bits])
+        circs = {frozenset(c) for c in brute_circuits(m)}
+        same = {j: c for c in interchangeable_classes(m) for j in c}
+        for i, j in combinations(range(m.k), 2):
+            swap = {i: j, j: i}
+            kept = {frozenset(swap.get(x, x) for x in c) for c in circs} == circs
+            assert kept == (i in same[j]), (bits, i, j)
+            grouped += kept
+    assert grouped > 100
+
+
 def test_odd_girth_necessity():
     rng = random.Random(43)
     tried = 0

@@ -14,16 +14,17 @@ from matroidlab import boolfn, tester
 from matroidlab.boolfn import WHT_MAX_N, BooleanFunction, random_function
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from matroidlab.gf2 import GFVector
-from matroidlab.matroid import (BinaryMatroid, canonical_function, cographic_from_graph,
-                                complete_bipartite_graph, complete_graph, cycle_graph,
-                                graphic_from_graph, named_graph)
+from matroidlab.matroid import (BinaryMatroid, _interchangeable, canonical_function,
+                                cographic_from_graph, complete_bipartite_graph,
+                                complete_graph, cycle_graph, graphic_from_graph, named_graph)
 from matroidlab.tester import (PatternSpec, brute_force_cycle_count, count_patterns,
                                cycle_count_fourier, enumerate_instances, find_pattern,
                                min_repair_distance, pattern_hitting_number, run_tester,
                                von_neumann_gap)
 from oracles import (apply, complement, constant, from_ones, from_table_int,
-                     hitting_number_by_milp, index_int, instances_by_dfs, matmul_items,
-                     pattern_complement, plain_scan, random_nonsingular_map, table_int)
+                     ground_basis_coords, hitting_number_by_milp, index_int, instances_by_dfs,
+                     instances_by_scan, matmul_items, pattern_complement, plain_scan,
+                     random_nonsingular_map, table_int)
 
 C3 = graphic_from_graph(cycle_graph(3))
 S111 = PatternSpec.all_ones(3)
@@ -531,12 +532,7 @@ def scan_all_ones_matches(f, vectors):
     """Independent oracle: every linear map on the span of `vectors`,
     scanned through the images of a greedy basis; returns the point
     tuples of the maps that send every vector to a one of f."""
-    span, coords, r = {0: 0}, [], 0
-    for v in vectors:
-        if v not in span:
-            span.update({x ^ v: c | 1 << r for x, c in list(span.items())})
-            r += 1
-        coords.append(span[v])
+    coords, r = ground_basis_coords(vectors)
     low = (1 << f.n) - 1
     matches = []
     for t in range(1 << (f.n * r)):
@@ -700,6 +696,131 @@ def test_enumerate_instances_prices_its_leading_free_levels_first():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_in_class_swaps_keep_the_all_ones_labelings():
+    """Every transposition within a class of _interchangeable maps the
+    scan's all-ones labelings onto themselves: random binary matroids
+    with loops and repeated vectors, in random functions."""
+    rng = np.random.Generator(np.random.PCG64(97))
+    swaps = 0
+    for _ in range(60):
+        m_dim = int(rng.integers(1, 4))
+        vectors = [int(v) for v in rng.integers(0, 1 << m_dim, int(rng.integers(1, 5)))]
+        vectors += [0, vectors[0]]
+        rng.shuffle(vectors)
+        m = BinaryMatroid([GFVector(m_dim, v) for v in vectors])
+        f = random_function(int(rng.integers(1, 4)), rng, density=0.6)
+        labelings = set(map(tuple, scan_all_ones_matches(f, vectors)))
+        for j, i in enumerate(_interchangeable(m)):
+            if i is not None:
+                swapped = {p[:i] + (p[j],) + p[i + 1:j] + (p[i],) + p[j + 1:] for p in labelings}
+                assert swapped == labelings, (vectors, i, j)
+                swaps += 1
+    assert swaps > 60
+
+
+@st.composite
+def instance_cases(draw):
+    """(vectors, dim, n, seed, perm): a binary matroid of 1..6 vectors in
+    {0,1}^dim, dim <= 3, so loops and repeated vectors are common, a
+    function dimension n <= 4, a seed for f and the map A, and a
+    permutation of the ground set."""
+    dim, k = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    vectors = draw(st.lists(st.integers(0, (1 << dim) - 1), min_size=k, max_size=k))
+    return (vectors, dim, draw(st.integers(1, 4)), draw(st.integers(0, 2 ** 32 - 1)),
+            draw(st.permutations(range(k))))
+
+
+def test_enumerate_instances_is_equivariant():
+    """Permuting M's ground set leaves the instance sets unchanged, so
+    classes that are not runs of the ground order are pruned soundly;
+    and the sets of f∘A, A an invertible map of {0,1}^n, are those of f
+    moved by A^-1."""
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(case=instance_cases())
+    def check(case):
+        vectors, dim, n, seed, perm = case
+        rng = np.random.default_rng(seed)
+        f = random_function(n, rng, density=float(rng.choice([0.3, 0.6, 0.9])))
+        m = BinaryMatroid([GFVector(dim, v) for v in vectors])
+        sets = enumerate_instances(f, m)
+        permuted = BinaryMatroid([m.vectors[i] for i in perm])
+        assert enumerate_instances(f, permuted) == sets
+        prev = _interchangeable(permuted)
+        if any(i is not None and i != j - 1 for j, i in enumerate(prev)):
+            seen.add("class not a run")
+        a = random_nonsingular_map(n, rng)
+        image = np.array([apply(a, GFVector(n, x)).bits for x in range(1 << n)])
+        inverse = np.argsort(image)     # inverse[A x] = x
+        moved = sorted({frozenset(int(inverse[p]) for p in e) for e in sets}, key=sorted)
+        assert enumerate_instances(BooleanFunction(n, f.table[image]), m) == moved
+        seen.add(bool(sets))
+
+    check()
+    assert seen == {"class not a run", True, False}
+
+
+def leaf_rows(monkeypatch):
+    """Spy on _distinct_rows: the returned list gets the length of every
+    leaf block the walk builds."""
+    real, sizes = tester._distinct_rows, []
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(tester, "_distinct_rows", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("k, n, rows", [(5, 7, 256), (7, 8, 64)])
+def test_enumerate_instances_walks_one_labeling_per_set(monkeypatch, k, n, rows):
+    """C_k is one class, so only labelings sorted in ground order are
+    walked: one leaf row per instance set, where every labeling of each
+    set (30,720 and 322,560 rows) was built before."""
+    m = graphic_from_graph(cycle_graph(k))
+    f = canonical_function(m, n)
+    sizes = leaf_rows(monkeypatch)
+    sets = enumerate_instances(f, m)
+    assert sum(sizes) == len(sets) == rows
+    assert sets == instances_by_scan(f, m)
+
+
+def test_enumerate_instances_prices_exact_prefix_counts_before_the_walk(monkeypatch):
+    """Canonical C_5 at n=7: its cheap bound, 328,420 nodes, passes a
+    budget of the exact total 199,140, so the prefixes are counted; one
+    node fewer is refused at the forced fifth element before any block
+    is built, and the exact total itself returns the scan's sets."""
+    f = canonical_function(C5, 7)
+    expected, nodes, _ = instances_by_dfs(f, C5, 10 ** 6)
+    assert nodes == 199_140 and expected == instances_by_scan(f, C5)
+    counted, built = [], leaf_rows(monkeypatch)    # leaf blocks and column_stack calls
+    real_count, real_stack = tester._prefix_count, np.column_stack
+    monkeypatch.setattr(tester, "_prefix_count", lambda *a: counted.append(a[2]) or real_count(*a))
+    monkeypatch.setattr(np, "column_stack", lambda *a: built.append(a) or real_stack(*a))
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_instances(f, C5, nodes - 1)
+    assert str(err.value) == "instance enumeration exceeded 199139 nodes; deepest element 5 of 5"
+    assert counted == [5] and built == []
+    assert enumerate_instances(f, C5, nodes) == expected
+    assert counted == [5, 5] and built
+
+
+def test_enumerate_instances_refuses_a_prefix_count_past_62_bits():
+    """The prefix counts are _count's, so a forced prefix whose n*rank
+    passes 62 bits is refused as count_patterns refuses it, and only
+    when the cheap bound sends the pricing there. C_5 on unit vectors in
+    a function with one point x != 0 has N_d = 1, 1, 1, 1, 0: within a
+    budget of 5 the cheap bound (5) answers, and at 4 the fifth prefix,
+    of rank 4 at n = 16, is refused."""
+    m = BinaryMatroid([GFVector(4, v) for v in (1, 2, 4, 8, 15)])
+    f = from_ones(16, [5])
+    assert enumerate_instances(f, m, 5) == []
+    with pytest.raises(BudgetExceededError, match=r"the first 5 elements have n\*rank = 64"):
+        enumerate_instances(f, m, 4)
 
 
 def test_min_hitting_set_refusal_says_how_far_it_got(monkeypatch):
