@@ -7,6 +7,8 @@ ground elements is dependent exactly when some nonempty sub-subset XORs
 to zero. Its dependency code, `kernel_words`, comes from gf2's one
 echelon insertion. The cycle space of a graph is the dependency code of
 its graphic matroid, so the cographic matroid reads its rows from there.
+Connectivity is the graphic rank too: a graph on V vertices with c
+components has a graphic matroid of rank V - c.
 """
 
 from __future__ import annotations
@@ -58,41 +60,16 @@ class Graph:
         return cls(V, tuple(sorted(tuple(sorted(e)) for e in edges)))
 
     def is_connected(self) -> bool:
-        return _connected_with_edges(self.V, self.edges)
+        """The graphic matroid of G has rank V - c(G), so G is connected
+        exactly when its edge vectors e_u + e_v span rank V - 1."""
+        vectors = [GFVector(self.V, (1 << u) | (1 << v)) for u, v in self.edges]
+        return rank_and_basis(vectors, self.V)[0] == self.V - 1
 
     def without_edge(self, e: tuple[int, int]) -> "Graph":
         e = tuple(sorted(e))
         if e not in self.edges:
             raise InvalidInputError(f"edge {e} not in graph")
         return Graph(self.V, tuple(x for x in self.edges if x != e))
-
-
-def _union_find(V: int, edges: Sequence[tuple[int, int]]):
-    """Union-find over vertices 0..V-1 fed `edges` in order. Returns the
-    final find function and the number of edges that merged two
-    components (the size of a spanning forest)."""
-    parent = list(range(V))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merges = 0
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            merges += 1
-    return find, merges
-
-
-def _connected_with_edges(V: int, edges: Sequence[tuple[int, int]]) -> bool:
-    """Whether the edges connect all V vertices. Fewer than V - 1 edges
-    never do, so that case is answered before the union-find builds its
-    table of V entries."""
-    return len(edges) >= V - 1 and _union_find(V, edges)[1] == V - 1
 
 
 def cycle_graph(k: int) -> Graph:
@@ -291,18 +268,12 @@ def odd_girth(m: BinaryMatroid) -> Optional[int]:
     return int(odd.min()) if odd.size else None
 
 
-def complexity_at(m: BinaryMatroid, i: int, cap: int) -> Optional[int]:
-    """Minimum c <= cap such that the other elements split into c+1
-    classes none of whose spans contains v_i; None when cap is exceeded
-    (or no finite c exists, e.g. v_i = 0 or v_i has a parallel copy)."""
-    if not 0 <= i < m.k:
-        raise InvalidInputError(f"element index {i} out of range")
-    return _complexity_at(_circuit_words(m), i, cap)
-
-
 def _complexity_at(circuit_words: list[int], i: int, cap: int) -> Optional[int]:
-    """complexity_at over the matroid's circuits. The hyperedges are the
-    supports C \\ {i} of circuits C through i: v_i lies in span(S) exactly
+    """Minimum c <= cap such that the elements other than i split into
+    c+1 classes none of whose spans contains v_i; None when cap is
+    exceeded (or no finite c exists, e.g. v_i = 0 or v_i has a parallel
+    copy). The hyperedges are the supports C \\ {i} of the circuits C
+    through i among `circuit_words`: v_i lies in span(S) exactly
     when some hyperedge is a subset of S, so a class avoids v_i in its
     span iff it contains no hyperedge. A hyperedge of at most one element
     (v_i = 0, or a parallel copy) defeats every c; without one, c+1 = the
@@ -414,54 +385,6 @@ def complexity(m: BinaryMatroid, cap: int = 1) -> Optional[int]:
             return None
         worst = max(worst, ci)
     return worst
-
-
-def _edge_split_exists(g: Graph, e: tuple[int, int], min_side: int, side_ok) -> bool:
-    """True iff E \\ {e} splits into A, B of at least min_side edges each
-    with side_ok(A) and side_ok(B). Exhaustive over the splits, with the
-    first remaining edge pinned to A (splits are unordered)."""
-    if not g.is_connected():
-        raise InvalidInputError("criterion defined for connected graphs")
-    e = tuple(sorted(e))
-    if e not in g.edges:
-        raise InvalidInputError(f"edge {e} not in graph")
-    rest = [x for x in g.edges if x != e]
-    if len(rest) < 2 * min_side:
-        return False
-    free = rest[1:]
-    for a in range(1 << len(free)):
-        side_a = [rest[0]]
-        side_b = []
-        for idx, x in enumerate(free):
-            (side_a if a >> idx & 1 else side_b).append(x)
-        if len(side_a) < min_side or len(side_b) < min_side:
-            continue
-        if side_ok(side_a) and side_ok(side_b):
-            return True
-    return False
-
-
-def cog_partition_criterion(g: Graph, e: tuple[int, int]) -> bool:
-    """True iff the edges other than e split into two parts that each
-    span a connected subgraph on all of V(G). Exhaustive over partitions
-    with edge-count (each part needs V - 1 edges) and symmetry pruning.
-
-    Holding at every edge is sufficient but not necessary for complexity
-    1 of M*(G): K_4 and K_3,3 fail it at every edge yet have complexity
-    1. The exact per-edge condition is `cog_endpoint_partition_criterion`."""
-    return _edge_split_exists(g, e, g.V - 1, lambda side: _connected_with_edges(g.V, side))
-
-
-def cog_endpoint_partition_criterion(g: Graph, e: tuple[int, int]) -> bool:
-    """True iff E \\ {e} splits into A, B that EACH connect the endpoints
-    of e. This, not the global-connectivity criterion above, is exactly
-    complexity-1 of M*(G) at e: v_e lies in span(A) iff e bridges
-    B + e, i.e. iff B fails to join e's endpoints."""
-    def joins(side):
-        find = _union_find(g.V, side)[0]
-        return find(e[0]) == find(e[1])
-
-    return _edge_split_exists(g, e, 1, joins)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from matroidlab.boolfn import BooleanFunction
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from matroidlab.families import FamilyId, _family_tables, _free_by_weight
 from matroidlab.gf2 import GFVector, LinearMap, Subspace, rank_and_basis
-from matroidlab.matroid import BinaryMatroid, _forced_by
+from matroidlab.matroid import BinaryMatroid, Graph, _circuit_words, _complexity_at, _forced_by
 from matroidlab.tester import PatternSpec, _lookups, _scan_chunks
 
 
@@ -113,6 +113,63 @@ def contains(sub: Subspace, v: GFVector) -> bool:
 
 def in_span(v: GFVector, vectors) -> bool:
     return contains(rank_and_basis(vectors, v.dim)[1], v)
+
+
+def complexity_at(m: BinaryMatroid, i: int, cap: int) -> Optional[int]:
+    """The partition complexity at element i: the minimum c <= cap such
+    that the other elements split into c+1 classes none of whose spans
+    contains v_i, or None past cap."""
+    if not 0 <= i < m.k:
+        raise InvalidInputError(f"element index {i} out of range")
+    return _complexity_at(_circuit_words(m), i, cap)
+
+
+def _edge_split_exists(g: Graph, e: tuple[int, int], min_side: int, side_ok) -> bool:
+    """True iff E \\ {e} splits into A, B of at least min_side edges each
+    with side_ok(A) and side_ok(B). Exhaustive over the splits, with the
+    first remaining edge pinned to A (splits are unordered)."""
+    if not g.is_connected():
+        raise InvalidInputError("criterion defined for connected graphs")
+    e = tuple(sorted(e))
+    if e not in g.edges:
+        raise InvalidInputError(f"edge {e} not in graph")
+    rest = [x for x in g.edges if x != e]
+    if len(rest) < 2 * min_side:
+        return False
+    free = rest[1:]
+    for a in range(1 << len(free)):
+        side_a = [rest[0]]
+        side_b = []
+        for idx, x in enumerate(free):
+            (side_a if a >> idx & 1 else side_b).append(x)
+        if len(side_a) < min_side or len(side_b) < min_side:
+            continue
+        if side_ok(side_a) and side_ok(side_b):
+            return True
+    return False
+
+
+def cog_partition_criterion(g: Graph, e: tuple[int, int]) -> bool:
+    """True iff the edges other than e split into two parts that each
+    span a connected subgraph on all of V(G).
+
+    Holding at every edge is sufficient but not necessary for complexity
+    1 of M*(G): K_4 and K_3,3 fail it at every edge yet have complexity
+    1. The exact per-edge condition is `cog_endpoint_partition_criterion`."""
+    return _edge_split_exists(g, e, g.V - 1, lambda side: Graph(g.V, tuple(side)).is_connected())
+
+
+def cog_endpoint_partition_criterion(g: Graph, e: tuple[int, int]) -> bool:
+    """True iff E \\ {e} splits into A, B that EACH connect the endpoints
+    of e, i.e. whose graphic vectors each span e_u + e_v. This, not the
+    global-connectivity criterion above, is exactly complexity 1 of
+    M*(G) at e: v_e lies in span(A) iff e bridges B + e, i.e. iff B
+    fails to join e's endpoints."""
+    def joins(side):
+        target, *vectors = (GFVector(g.V, (1 << u) | (1 << v)) for u, v in [e, *side])
+        return in_span(target, vectors)
+
+    return _edge_split_exists(g, e, 1, joins)
 
 
 def apply(lmap: LinearMap, x: GFVector) -> GFVector:

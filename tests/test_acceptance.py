@@ -2,7 +2,10 @@
 line with its elapsed time.
 
 Criterion 2 is split into three assertions about cographic matroids
-under the partition-complexity definition (`matroid.complexity_at`).
+under the partition-complexity definition. The per-element complexity
+and the two graph criteria are test oracles (`oracles.complexity_at`,
+`oracles.cog_partition_criterion`, `oracles.cog_endpoint_partition_criterion`):
+no command runs them, so they live with the tests.
 In M*(G), v_e lies in span(A) exactly when e is a bridge of the graph on
 E \\ A, i.e. when the other class B fails to join e's endpoints; so
 complexity 1 at e means E \\ {e} splits into two classes that each join
@@ -21,16 +24,15 @@ import numpy as np
 
 from matroidlab.boolfn import BooleanFunction, random_function, wht
 from matroidlab.families import verify_characterization
-from matroidlab.matroid import (Graph, canonical_function,
-                                cog_endpoint_partition_criterion,
-                                cog_partition_criterion, cographic_from_graph,
-                                complexity, complexity_at, find_homomorphism,
-                                graphic_from_graph, named_graph)
+from matroidlab.matroid import (Graph, canonical_function, cographic_from_graph,
+                                complexity, find_homomorphism, graphic_from_graph,
+                                named_graph)
 from matroidlab.tester import (PatternSpec, brute_force_cycle_count, count_patterns,
                                cycle_count_fourier, derive_seed, find_pattern,
                                min_repair_distance, pattern_hitting_number,
                                run_tester, von_neumann_gap)
-from oracles import (butterfly, complement, enumerate_free_functions, in_span,
+from oracles import (butterfly, cog_endpoint_partition_criterion, cog_partition_criterion,
+                     complement, complexity_at, enumerate_free_functions, in_span,
                      pattern_complement)
 
 

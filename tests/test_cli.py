@@ -122,6 +122,25 @@ def test_distance_budget_exit_3_says_how_far_it_got(workdir, capsys, monkeypatch
                         r"flip-set size 1: 3 of the \d+ sets of that size ruled out\n", err)
 
 
+@pytest.mark.parametrize("name, field, argv", [
+    ("pattern_hitting_number", "hitting_matches_repair",
+     ["distance", "--function", "{d}/canon.boolfn", "--matroid", "{d}/k3.matroid",
+      "--sigma", "111"]),
+    ("brute_force_cycle_count", "oracle_match",
+     ["fourier", "--cycle-count", "4", "--function", "{d}/canon.boolfn"]),
+])
+def test_agreement_fields_report_a_disagreement(workdir, capsys, monkeypatch, name, field, argv):
+    """An agreement field compares two computations: it reads true as
+    they stand and false once one of them is off by one."""
+    argv = [a.format(d=workdir) for a in argv]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["results"][field] is True
+    computed = getattr(matroidlab.cli, name)
+    monkeypatch.setattr(matroidlab.cli, name, lambda *args: computed(*args) + 1)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["results"][field] is False
+
+
 def test_malformed_input_exit_code(workdir):
     bad = workdir / "bad.graph"
     bad.write_text("graph v2\nV=3\n")

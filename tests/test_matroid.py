@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -9,14 +10,13 @@ import matroidlab.matroid as matroid
 from matroidlab.errors import BudgetExceededError, InvalidInputError
 from matroidlab.gf2 import GFVector
 from matroidlab.matroid import (BinaryMatroid, Graph, Homomorphism, canonical_function,
-                                canonical_ones, circuits, cog_endpoint_partition_criterion,
-                                cog_partition_criterion, cographic_from_graph,
+                                canonical_ones, circuits, cographic_from_graph,
                                 complete_bipartite_graph, complete_graph, complexity,
-                                complexity_at, cycle_graph, cycle_space_basis,
-                                find_homomorphism, graphic_from_graph,
-                                named_graph, odd_girth, path_graph,
+                                cycle_graph, cycle_space_basis, find_homomorphism,
+                                graphic_from_graph, named_graph, odd_girth, path_graph,
                                 petersen_graph, verify_homomorphism)
-from oracles import apply, from_ones, in_span, random_nonsingular_map
+from oracles import (apply, cog_endpoint_partition_criterion, cog_partition_criterion,
+                     complexity_at, from_ones, in_span, random_nonsingular_map)
 
 
 def brute_circuits(m: BinaryMatroid):
@@ -63,6 +63,24 @@ def test_graph_validation():
         Graph(3, ((0, 1), (0, 1)))
     with pytest.raises(InvalidInputError):
         Graph.from_edges(2, [(0, 5)])
+
+
+def test_is_connected_matches_networkx():
+    """Every atlas graph on 1..6 vertices, disconnected ones and isolated
+    vertices included, and one or two vertices with no edges."""
+    import networkx as nx
+    from networkx.generators.atlas import graph_atlas_g
+
+    verdicts = set()
+    for ag in graph_atlas_g():
+        if 1 <= ag.number_of_nodes() <= 6:
+            ag = nx.convert_node_labels_to_integers(ag, ordering="sorted")
+            g = Graph.from_edges(ag.number_of_nodes(), ag.edges())
+            assert g.is_connected() == nx.is_connected(ag), g
+            verdicts.add((g.is_connected(), min(d for _, d in ag.degree()) == 0))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+    assert Graph(1, ()).is_connected()
+    assert not Graph(2, ()).is_connected()
 
 
 def test_graphic_examples():
@@ -294,6 +312,16 @@ def test_cog_partition_criterion_examples():
     assert all(not cog_partition_criterion(c3, e) for e in c3.edges)
 
 
+def test_oracle_arguments_refused():
+    c3 = graphic_from_graph(cycle_graph(3))
+    with pytest.raises(InvalidInputError, match="element index 3 out of range"):
+        complexity_at(c3, 3, 1)
+    with pytest.raises(InvalidInputError, match="criterion defined for connected graphs"):
+        cog_partition_criterion(Graph(4, ((0, 1), (2, 3))), (0, 1))
+    with pytest.raises(InvalidInputError, match=re.escape("edge (0, 4) not in graph")):
+        cog_endpoint_partition_criterion(complete_graph(4), (0, 4))
+
+
 def test_criterion_implies_complexity_one():
     # the sound direction of the appendix claim, on small graphs
     for graph in (complete_graph(4), complete_graph(5), cycle_graph(4),
@@ -334,6 +362,17 @@ def test_homomorphism_examples():
 
     assert find_homomorphism(c3, c5) is None
     assert find_homomorphism(k5, k3) is None
+
+
+def test_verify_homomorphism_says_no():
+    c3 = graphic_from_graph(cycle_graph(3))
+    c5 = graphic_from_graph(cycle_graph(5))
+    assert verify_homomorphism(Homomorphism((0, 0, 0, 1, 2)), c5, c3)
+    assert not verify_homomorphism(Homomorphism((0, 0, 0, 1)), c5, c3)
+    assert not verify_homomorphism(Homomorphism((0, 0, 0, 1, 2, 0)), c5, c3)
+    # the fifth element reassigned: the images of C_5's one circuit XOR
+    # to 110, not 0
+    assert not verify_homomorphism(Homomorphism((0, 0, 0, 1, 1)), c5, c3)
 
 
 def test_homomorphism_budget():

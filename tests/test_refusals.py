@@ -13,9 +13,9 @@ from matroidlab.errors import (BudgetExceededError, DimensionMismatchError, Form
                                InvalidInputError)
 from matroidlab.fileio import load_function, load_graph, load_matroid, save_function, save_matroid
 from matroidlab.gf2 import GFVector, LinearMap, rank_and_basis
-from matroidlab.matroid import (BinaryMatroid, Graph, cog_partition_criterion,
-                                cographic_from_graph, complete_graph, complexity, complexity_at,
-                                cycle_graph, graphic_from_graph, named_graph, odd_girth)
+from matroidlab.matroid import (BinaryMatroid, Graph, cographic_from_graph, complete_graph,
+                                complexity, cycle_graph, graphic_from_graph, named_graph,
+                                odd_girth)
 from matroidlab.tester import (PatternSpec, brute_force_cycle_count, min_repair_distance,
                                run_tester, von_neumann_gap)
 from oracles import constant
@@ -79,6 +79,10 @@ REFUSALS = {
         lambda d: cographic_from_graph(load_graph(d / "point.graph")),
         InvalidInputError, "cographic matroid needs at least one edge",
         ["cographic", "--graph", "{d}/point.graph", "--out", "{d}/out.matroid"], 4),
+    "cographic of a disconnected graph": (
+        lambda d: cographic_from_graph(load_graph(d / "split.graph")),
+        InvalidInputError, "cographic construction requires a connected graph",
+        ["cographic", "--graph", "{d}/split.graph", "--out", "{d}/out.matroid"], 4),
     "cycle length": (
         lambda d: named_graph("c2"),
         InvalidInputError, "a cycle needs at least 3 vertices",
@@ -101,15 +105,6 @@ REFUSALS = {
     "mixed matroid dimensions": (
         lambda d: BinaryMatroid([GFVector(2, 1), GFVector(3, 1)]),
         DimensionMismatchError, "mixed dimensions 2 and 3", None, None),
-    "complexity element index": (
-        lambda d: complexity_at(C3, 3, 1),
-        InvalidInputError, "element index 3 out of range", None, None),
-    "criterion on a disconnected graph": (
-        lambda d: cog_partition_criterion(Graph(4, ((0, 1), (2, 3))), (0, 1)),
-        InvalidInputError, "criterion defined for connected graphs", None, None),
-    "criterion edge": (
-        lambda d: cog_partition_criterion(complete_graph(4), (0, 4)),
-        InvalidInputError, "edge (0, 4) not in graph", None, None),
     # gf2
     "XOR dimensions": (
         lambda d: GFVector(2, 1) ^ GFVector(3, 1),
@@ -152,6 +147,7 @@ def files(tmp_path_factory):
     save_matroid(d / "k7.matroid", graphic_from_graph(complete_graph(7)))
     (d / "edgeless.graph").write_text("graph v1\nV=3\n")
     (d / "point.graph").write_text("graph v1\nV=1\n")
+    (d / "split.graph").write_text("graph v1\nV=4\ne 0 1\ne 2 3\n")
     (d / "hex.boolfn").write_text("boolfn v1\nn=3\ntable=zz\n")
     (d / "extra.boolfn").write_text("boolfn v1\nn=3\ntable=0f\nmore\n")
     (d / "cut.matroid").write_text("matroid v1")

@@ -9,15 +9,6 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "matroidlab"
 PERFBENCH = TESTS.parent / "perfbench"
 
-# Definitions no command reaches that stay in the library, each with its
-# reason. They are roots of the reachability walk, so the private helpers
-# they read are reached through them.
-REACH_ALLOWLIST = {
-    "matroid.complexity_at": "acceptance criteria 2b/2c, README",
-    "matroid.cog_partition_criterion": "acceptance criteria 2b/2c, README",
-    "matroid.cog_endpoint_partition_criterion": "acceptance criteria 2b/2c, README",
-}
-
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by the module's top-level imports that the module
@@ -145,17 +136,17 @@ def _reads(nodes) -> tuple[set[str], set[str]]:
     return names, attrs
 
 
-def unreached(sources: dict[str, str], outside=(), allow=()) -> list[str]:
+def unreached(sources: dict[str, str], outside=()) -> list[str]:
     """Qualified names of the top-level functions, classes, methods and
     module constants of the package modules `sources` (module name ->
     source) that no root reaches.
 
     The roots are `cli.main`, the top-level statements of `cli` other
     than function and class definitions (constants, the parser table,
-    the `__main__` guard), the qualified names in `allow`, and what the
-    programs `outside` read: the sources of code that uses the package
-    from outside, such as the benchmark. A name or attribute they read
-    reaches a top-level definition of that name in any module.
+    the `__main__` guard), and what the programs `outside` read: the
+    sources of code that uses the package from outside, such as the
+    benchmark. A name or attribute they read reaches a top-level
+    definition of that name in any module.
 
     From each reached definition the walk follows what its body reads:
     a name loaded resolves to the module's own top-level definition or,
@@ -197,8 +188,7 @@ def unreached(sources: dict[str, str], outside=(), allow=()) -> list[str]:
         attrs |= read
         used |= names | read | {a.name for n in ast.walk(tree)
                                 if isinstance(n, ast.ImportFrom) for a in n.names}
-    todo = ["cli.main", *allow, *(q for q in defs if q.count(".") == 1
-                                  and q.split(".")[1] in used)]
+    todo = ["cli.main", *(q for q in defs if q.count(".") == 1 and q.split(".")[1] in used)]
 
     def visit(module: str, nodes) -> None:
         names, read = _reads(nodes)
@@ -232,7 +222,6 @@ def test_unreached_detector():
     read = cli.replace("rank", "enumerate_span")
     assert unreached({"cli": read, "gf2": gf2}) == ["gf2.rank"]
     assert unreached({"cli": cli, "gf2": gf2}, outside=["enumerate_span\n"]) == []
-    assert unreached({"cli": cli, "gf2": gf2}, allow=["gf2.enumerate_span"]) == []
 
 
 def test_unreached_detector_methods():
@@ -248,4 +237,42 @@ def test_unreached_detector_methods():
 def test_library_is_reached_from_the_cli_and_the_benchmark():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     outside = [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.glob("*.py"))]
-    assert unreached(sources, outside, REACH_ALLOWLIST) == []
+    assert unreached(sources, outside) == []
+
+
+# Each public check of the package, with a test in which it says no:
+# returns False, reports a disagreement, or raises.
+NEGATIVE_TESTS = {
+    "boolfn.check_regularity_n": "test_cli.py::test_regularity_refuses_n_before_the_draw",
+    "families.verify_characterization":
+        "test_families.py::test_verify_characterization_reports_disagreements",
+    "matroid.check_canonical_args":
+        "test_cli.py::test_size_refusals_before_the_canonical_table",
+    "matroid.verify_homomorphism": "test_matroid.py::test_verify_homomorphism_says_no",
+    "tester.check_instance_walk": "test_cli.py::test_size_refusals_before_the_canonical_table",
+    "tester.check_pattern_args": "test_cli.py::test_size_refusals_before_the_canonical_table",
+    "tester.check_von_neumann_args": "test_cli.py::test_von_neumann_checks_before_drawing",
+}
+
+
+def public_checks(source: str) -> list[str]:
+    """The module's top-level functions named verify_* or check_*."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith(("verify_", "check_"))]
+
+
+def test_public_checks_detector():
+    source = ("def check_a():\n    pass\n\ndef _check_b():\n    pass\n\n"
+              "def verify_c():\n    def check_d():\n        pass\n\nclass E:\n"
+              "    def verify_f(self):\n        pass\n\ndef rechecks():\n    pass\n")
+    assert public_checks(source) == ["check_a", "verify_c"]
+
+
+def test_every_public_check_has_a_test_that_sees_it_say_no():
+    found = sorted(f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+                   for name in public_checks(path.read_text(encoding="utf-8")))
+    assert found == sorted(NEGATIVE_TESTS)
+    for test in NEGATIVE_TESTS.values():
+        file, name = test.split("::")
+        tree = ast.parse((TESTS / file).read_text(encoding="utf-8"))
+        assert name in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}, test

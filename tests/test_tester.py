@@ -1024,6 +1024,16 @@ def is_violation(points, f, m, sigma):
     return True
 
 
+def test_is_violation_says_no():
+    """The canonical function of C_3 is 1 where the low three bits are
+    011, 101 or 110. A triangle of ones is a witness; points that XOR to
+    0 with a zero among them, and ones that do not XOR to 0, are not."""
+    f = canonical_function(C3, 4)
+    assert is_violation([3, 5, 6], f, C3, S111)
+    assert not is_violation([3, 11, 8], f, C3, S111)
+    assert not is_violation([3, 5, 13], f, C3, S111)
+
+
 def carried(f, m, sigma, rng):
     """The four maps that keep (M, Sigma)-freeness, each as
     (name, (f', M', Sigma'), there, back): `there` carries the points of
