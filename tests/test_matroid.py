@@ -312,12 +312,7 @@ def test_cog_partition_criterion_examples():
     assert all(not cog_partition_criterion(c3, e) for e in c3.edges)
 
 
-def test_oracle_arguments_refused():
-    c3 = graphic_from_graph(cycle_graph(3))
-    with pytest.raises(InvalidInputError, match="element index 3 out of range"):
-        complexity_at(c3, 3, 1)
-    with pytest.raises(InvalidInputError, match="criterion defined for connected graphs"):
-        cog_partition_criterion(Graph(4, ((0, 1), (2, 3))), (0, 1))
+def test_endpoint_criterion_edge_refused():
     with pytest.raises(InvalidInputError, match=re.escape("edge (0, 4) not in graph")):
         cog_endpoint_partition_criterion(complete_graph(4), (0, 4))
 

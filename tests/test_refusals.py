@@ -18,7 +18,7 @@ from matroidlab.matroid import (BinaryMatroid, Graph, cographic_from_graph, comp
                                 odd_girth)
 from matroidlab.tester import (PatternSpec, brute_force_cycle_count, min_repair_distance,
                                run_tester, von_neumann_gap)
-from oracles import constant
+from oracles import cog_partition_criterion, complexity_at, constant
 
 C3 = graphic_from_graph(cycle_graph(3))
 
@@ -105,6 +105,16 @@ REFUSALS = {
     "mixed matroid dimensions": (
         lambda d: BinaryMatroid([GFVector(2, 1), GFVector(3, 1)]),
         DimensionMismatchError, "mixed dimensions 2 and 3", None, None),
+    # test oracles
+    "complexity element index": (
+        lambda d: complexity_at(C3, 3, 1),
+        InvalidInputError, "element index 3 out of range", None, None),
+    "criterion on a disconnected graph": (
+        lambda d: cog_partition_criterion(Graph(4, ((0, 1), (2, 3))), (0, 1)),
+        InvalidInputError, "criterion defined for connected graphs", None, None),
+    "criterion edge": (
+        lambda d: cog_partition_criterion(complete_graph(4), (0, 4)),
+        InvalidInputError, "edge (0, 4) not in graph", None, None),
     # gf2
     "XOR dimensions": (
         lambda d: GFVector(2, 1) ^ GFVector(3, 1),
