@@ -48,6 +48,10 @@ EXIT_MALFORMED = 4
 # 14,284 bits); a result that could pass this many bits exits 3 before
 # the work starts
 REPORT_INT_MAX_BITS = 14_000
+# a cycle-count report adds the physical-side scan over the 2^(n*(K-1))
+# zero-sum tuples as a second computation only up to this many bits:
+# ~0.06 s there on 2 vCPUs, against ~2.5 s at the scan's 30-bit cap
+CYCLE_ORACLE_MAX_BITS = 24
 
 SWEEP_CORPUS = ("c3", "c4", "c5", "c6", "c7", "c8", "k4", "k5", "k5e", "petersen")
 
@@ -323,7 +327,7 @@ def _exp_fourier_count(args):
     _check_report_bits(f.n * (k - 1), "n*(k-1)")
     fast = cycle_count_fourier(f, k)
     results = {"cycle_count": exact(fast)}
-    if f.n * (k - 1) <= 24:
+    if f.n * (k - 1) <= CYCLE_ORACLE_MAX_BITS:
         brute = brute_force_cycle_count(f, k)
         results["brute_force_count"] = exact(brute)
         results["oracle_match"] = brute == fast

@@ -10,11 +10,14 @@ users but is what the definition says.
 
 Linear maps are restricted to the span of the ground vectors: an
 assignment gives each vector of the matroid's canonical span basis an
-image u_j in {0,1}^n. Each public entry builds the factor lookups once,
-one array per ground vector (for a pattern, [f = sigma_i], one array per
-distinct value of Sigma; von_neumann_gap passes [f_i = 1]), and the
-scan, the elimination, the descent and the sampler all read that one
-list: nothing below the entries sees Sigma or a truth table. Counts
+image u_j in {0,1}^n. Ground vectors at the same linear form read f at
+the same point, so the product over the ground set is a product over its
+distinct forms. Each public entry builds one factor table once,
+`_factors`: each form mapped to the AND of the lookups of its ground
+vectors (for a pattern, [f = sigma_i], one array per distinct value of
+Sigma; von_neumann_gap passes [f_i = 1]). The scan, the elimination, the
+descent and the sampler all read that one table: nothing below the
+entries sees Sigma, a truth table or a ground vector. Counts
 (count_patterns, von_neumann_gap, and the freeness certificate of
 find_pattern) sum over all 2^(n*r) assignments by one of two routes.
 GF(2) variable elimination reads the factors at linear forms in
@@ -23,20 +26,19 @@ factors a, b becomes their XOR-correlation H(Ha * Hb) / 2^n, and one in
 three or more is conditioned on, one broadcast axis in front of the
 points per conditioned variable. The transforms H are boolfn's Hadamard
 kernel. With S_a the largest sum of |a| over a row of points, every
-value and partial sum in them is at most 2^n*S_a*S_b, so they run
-in float64 when that is below 2^53 (float64 holds every integer up to
-it) and in int64 otherwise. The supported scan applies first every
-factor read at one basis variable alone (a form that is a single bit,
-which every graphic matroid has): parallel ones merge by &, and only the
-images u_j their merged lookup allows, its support S_j, are walked.
-Before any factor is built, a dry run over the forms prices the
-elimination, and the scan is priced at _SCAN_COST * (factors left + 1) *
-prod_j |S_j|, the supports counted, not listed. Each count takes the
-cheaper route alone, running the steps the dry run priced, slice widths
-included; an empty support answers 0 before any chunk. Counts are int64:
-n*r past 62 bits is refused up front, and past 41 bits a correlation
-whose 2^n*S_a*S_b reaches 2^63 is refused when it is met, both with
-BudgetExceededError.
+value and partial sum in them is at most 2^n*S_a*S_b, so they run in
+float64 when that is below 2^53 (float64 holds every integer up to it)
+and in int64 otherwise. The supported scan applies first the factor of
+each form that is one basis variable alone (a single bit, which every
+graphic matroid has): only the images u_j its lookup allows, its support
+S_j, are walked. Before any int64 factor is built, a dry run over the
+forms prices the elimination, and the scan is priced at _SCAN_COST *
+(factors left + 1) * prod_j |S_j|, the supports counted, not listed.
+Each count takes the cheaper route alone, running the steps the dry run
+priced, slice widths included; an empty support answers 0 before any
+chunk. Counts are int64: n*r past 62 bits is refused up front, and past
+41 bits a correlation whose 2^n*S_a*S_b reaches 2^63 is refused when it
+is met, both with BudgetExceededError.
 
 Enumeration order contract (governs the witnesses of find_pattern):
 assignment index t in [0, 2^(n*r)) gives basis image u_j = bits
@@ -50,20 +52,21 @@ as walked: the rest of the scan, or the descent, u_{r-1} first, each
 image fixed to the smallest value whose conditioned count is positive,
 so that a witness costs r counts wherever it lies.
 
-One loop, `_match`, reads the lookups at L(v_1), ..., L(v_k) for a
-batch of maps L, given as a (basis, batch) array of basis images. Once
-fewer than 1/8 of a batch's maps survive a factor with two or more
-still to come, the survivors' columns become a smaller batch for the
-same loop, whose answer is written back into the same bool array, so
-counts and first matches do not change. The supported scan,
-`_scan_chunks`, feeds it the factors left past the supports and a chunk
-of supported assignments: the low images u_0..u_{l-1} whose support
-sizes multiply to at most _CHUNK form one constant block, built once,
-and each chunk pairs it with a slice of S_l and one image of each higher
-u_j, the only rows rewritten from chunk to chunk. A chunk yields its
-columns, and t is read off a match's column as sum_j u_j << (j*n).
-run_tester feeds _match random images of the presentation basis, the top
-n bits of raw PCG64 words. The cycle-count oracle
+One loop, `_match`, reads each factor at its form's point, so f at
+L(v_1), ..., L(v_k), for a batch of maps L, given as a (basis, batch)
+array of basis images. Once fewer than 1/8 of a batch's maps survive a
+factor with two or more still to come, the survivors' columns become a
+smaller batch for the same loop, whose answer is written back into the
+same bool array, so counts and first matches do not change. The
+supported scan, `_scan_chunks`, feeds it the factors left past the
+supports and a chunk of supported assignments: the low images
+u_0..u_{l-1} whose support sizes multiply to at most _CHUNK form one
+constant block, built once, and each chunk pairs it with a slice of S_l
+and one image of each higher u_j, the only rows rewritten from chunk to
+chunk. A chunk yields its columns, and t is read off a match's column as
+sum_j u_j << (j*n). run_tester feeds _match random images of the
+presentation basis, the top n bits of raw PCG64 words, and a factor
+table keyed by presentation forms. The cycle-count oracle
 (brute_force_cycle_count) is the scan on C_k: the zero-sum k-tuples are
 the assignments to its span basis, so it walks the (k-1)-tuples of ones
 of f. The scan, the tester and the conditioned slices of the elimination
@@ -239,26 +242,36 @@ def _lookups(table: np.ndarray, sigma: Sequence[int]) -> list[np.ndarray]:
     return [built[s] for s in sigma]
 
 
-def _match(lookups: Sequence[np.ndarray], coords: Sequence[int], cols: np.ndarray,
-           scratch: np.ndarray) -> np.ndarray:
-    """The evaluation kernel: for a batch of linear maps, which ones send
-    every ground vector i to a point where lookups[i] is true.
+def _factors(lookups: Sequence[np.ndarray], coords: Sequence[int]) -> dict:
+    """The factor table: each form coords[i], a mask over basis vectors,
+    mapped to the AND of lookups[i] over the ground vectors at it, in
+    order of first occurrence."""
+    factors: dict = {}
+    for lookup, form in zip(lookups, coords):
+        old = factors.get(form)
+        factors[form] = lookup if old is None else old & lookup
+    return factors
 
-    coords[i] is ground vector i as a mask over basis vectors; cols is an
-    int64 array of shape (basis, batch), cols[j] the images of basis
-    vector j across the batch. scratch is an int64 buffer of the batch's
-    length; it holds the points of each ground vector that combines two
-    or more basis columns, and point 0, which a zero ground vector sees
-    under every map. Stops early once no map in the batch can match.
+
+def _match(factors: dict, cols: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The evaluation kernel: for a batch of linear maps, which ones send
+    every form of the factor table to a point where its lookup is true.
+
+    cols is an int64 array of shape (basis, batch), cols[j] the images of
+    basis vector j across the batch. scratch is an int64 buffer of the
+    batch's length; it holds the points of each form that combines two or
+    more basis columns, and point 0, which form 0 reads under every map.
+    Stops early once no map in the batch can match.
 
     Once fewer than 1/8 of the maps survive a factor and two or more
     factors are still to come, this kernel runs again on the survivors'
     columns and writes its answer back; the returned array is the same.
     """
+    items = list(factors.items())
     match = None
-    for i, (lookup, cmask) in enumerate(zip(lookups, coords)):
+    for i, (form, lookup) in enumerate(items):
         pts = None
-        for j in _mask_bits(cmask):
+        for j in _mask_bits(form):
             pts = cols[j] if pts is None else np.bitwise_xor(pts, cols[j], scratch)
         if pts is None:
             scratch.fill(0)
@@ -268,53 +281,36 @@ def _match(lookups: Sequence[np.ndarray], coords: Sequence[int], cols: np.ndarra
             match = good
         else:
             match &= good
-        if len(lookups) - i < 3:
+        if len(items) - i < 3:
             if not match.any():
                 break
         elif np.count_nonzero(match) * 8 < len(match):
             alive = np.flatnonzero(match)
-            match[alive] = _match(lookups[i + 1:], coords[i + 1:], cols.take(alive, axis=1),
+            match[alive] = _match(dict(items[i + 1:]), cols.take(alive, axis=1),
                                   scratch[:len(alive)])
             break
     return match
 
 
-def _unary(lookups: Sequence[np.ndarray], coords: Sequence[int],
-           r: int) -> tuple[list[Optional[np.ndarray]], list[int]]:
-    """The factors read at one basis variable alone, merged by & per
-    variable: allowed[j] is what u_j must satisfy, None where no factor
-    reads u_j alone. Also the indices of every other factor."""
-    allowed: list[Optional[np.ndarray]] = [None] * r
-    rest = []
-    for i, (lookup, c) in enumerate(zip(lookups, coords)):
-        if c and not c & (c - 1):
-            j = c.bit_length() - 1
-            allowed[j] = lookup if allowed[j] is None else allowed[j] & lookup
-        else:
-            rest.append(i)
-    return allowed, rest
-
-
-def _scan_chunks(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int], r: int):
+def _scan_chunks(factors: dict, n: int, r: int):
     """Yield (cols, match) over the supported assignments, in index order.
 
-    lookups[i] is the factor of ground vector i over {0,1}^n; coords[i]
-    is its basis mask. Only images u_j that every factor read at u_j
-    alone allows are walked, in mixed radix with u_0 fastest, so the
-    walk is in the order of t. A chunk's cols is an int64 (r, width)
-    array (one row of zeros at rank 0), cols[j] the images of u_j; match
-    marks the columns at which the other factors hold (all of them when
-    there are none), so t = sum_j cols[j] << (j*n). The low images whose
-    product of support sizes fits one _CHUNK form a block built once.
-    Each chunk pairs it with an even slice of the next support and one
-    image of every higher u_j, and only those rows are rewritten, in one
-    reused (r, chunk) buffer with one XOR scratch buffer. An empty
-    support yields no chunk.
+    factors is the factor table over {0,1}^n. Only images u_j that the
+    factor of the form u_j allows are walked, in mixed radix with u_0
+    fastest, so the walk is in the order of t. A chunk's cols is an int64
+    (r, width) array (one row of zeros at rank 0), cols[j] the images of
+    u_j; match marks the columns at which the other factors, form 0
+    included, hold (all of them when there are none), so t = sum_j
+    cols[j] << (j*n). The low images whose product of support sizes fits
+    one _CHUNK form a block built once. Each chunk pairs it with an even
+    slice of the next support and one image of every higher u_j, and
+    only those rows are rewritten, in one reused (r, chunk) buffer with
+    one XOR scratch buffer. An empty support yields no chunk.
     """
-    allowed, rest = _unary(lookups, coords, r)
     # rank 0 walks its one assignment as a single image 0 that no form reads
     supports = [np.arange(1 << n, dtype=np.int64) if a is None else a.nonzero()[0]
-                for a in allowed] or [np.zeros(1, dtype=np.int64)]
+                for a in (factors.get(1 << j) for j in range(r))] or [np.zeros(1, dtype=np.int64)]
+    rest = {form: a for form, a in factors.items() if form & (form - 1) or not form}
     sizes = [len(s) for s in supports]
     if 0 in sizes:
         return
@@ -330,8 +326,6 @@ def _scan_chunks(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int], r
         cols[j].reshape(-1, sizes[j], stride)[...] = supports[j][:, None]
         stride *= sizes[j]
     scratch = np.empty(per * width, dtype=np.int64)
-    rest_lookups = [lookups[i] for i in rest]
-    rest_coords = [coords[i] for i in rest]
     for high in range(math.prod(sizes[low + 1:])):
         index = high
         for j in range(low + 1, len(sizes)):    # u_{low+1} fastest
@@ -342,13 +336,13 @@ def _scan_chunks(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int], r
             size = len(part) * width
             cols[low, :size].reshape(-1, width)[...] = part[:, None]
             chunk = cols[:, :size]
-            yield chunk, (_match(rest_lookups, rest_coords, chunk, scratch[:size]) if rest
+            yield chunk, (_match(rest, chunk, scratch[:size]) if rest
                           else np.ones(size, dtype=bool))
 
 
 # Variable elimination. The count is
-#     sum over u_0..u_{r-1} in {0,1}^n of prod_i g_i(sum_{j in c_i} u_j)
-# with g_i = lookups[i] read at the linear form c_i = coords[i].
+#     sum over u_0..u_{r-1} in {0,1}^n of prod_c g_c(sum_{j in c} u_j)
+# over the forms c of the factor table, g_c their lookups.
 # A variable that drops out of every form without being summed out
 # contributes 2^n.
 
@@ -358,7 +352,7 @@ _INT64_LIMIT = 1 << 63
 _FLOAT64_EXACT = 1 << np.finfo(np.float64).nmant + 1    # float64 holds every integer below it
 
 
-def _plan(coords: Sequence[int], n: int, keep: int = 0) -> tuple[list[tuple[int, int]], int]:
+def _plan(forms: Sequence[int], n: int, keep: int = 0) -> tuple[list[tuple[int, int]], int]:
     """A dry run over the factor forms alone: the steps, in order, and
     their price in element operations. A step is (j, width): variable
     u_j is summed out when width is 0, else conditioned on in slices of
@@ -367,7 +361,7 @@ def _plan(coords: Sequence[int], n: int, keep: int = 0) -> tuple[list[tuple[int,
     eliminated; when every variable sits in three or more, the one in
     the most is conditioned."""
     size = 1 << n
-    forms = {c for c in coords if c}
+    forms = {c for c in forms if c}
     steps = []
     cost = _STEP_COST    # setting the factors up
     batch, runs = 1, 1   # rows per slice, slices the remaining steps run on
@@ -449,40 +443,40 @@ def _replay(factors: dict, steps: Sequence[tuple[int, int]], n: int) -> np.ndarr
     return rest.reshape(-1, rest.shape[-1]).sum(axis=0)
 
 
-def _factors(lookups: Sequence[np.ndarray], coords: Sequence[int]) -> dict:
-    """The factors lookups[i] as int64 arrays over the 2^n points, keyed
-    by form, merged."""
-    factors = {0: np.ones(1, dtype=np.int64)}
-    for lookup, c in zip(lookups, coords):
-        _put(factors, c, lookup.astype(np.int64))
-    return factors
+def _int64(factors: dict) -> dict:
+    """The factor table as int64 arrays over the 2^n points, for _replay:
+    form 0 is always present, its value at point 0."""
+    out = {0: np.ones(1, dtype=np.int64)}
+    for form, lookup in factors.items():
+        _put(out, form, lookup.astype(np.int64))
+    return out
 
 
-def _priced(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int], r: int,
-            keep: int = 0, walked: int = 0) -> Optional[list[tuple[int, int]]]:
+def _priced(factors: dict, n: int, r: int, keep: int = 0,
+            walked: int = 0) -> Optional[list[tuple[int, int]]]:
     """The route of an exact call: _plan's steps when they are priced
     below the scan, else None for the scan. The scan is priced at
     _SCAN_COST per supported assignment per factor it still reads, plus
     one for the walk, over the supported assignments past the first
     `walked`; the support sizes are counted, not listed. Callers have
     refused n*r past 62 bits (check_pattern_args)."""
-    allowed, rest = _unary(lookups, coords, r)
-    supported = math.prod(1 << n if a is None else int(np.count_nonzero(a)) for a in allowed)
-    scan = _SCAN_COST * (len(rest) + 1) * (supported - walked)
+    unary = [factors.get(1 << j) for j in range(r)]
+    supported = math.prod(1 << n if a is None else int(np.count_nonzero(a)) for a in unary)
+    read = len(factors) - sum(a is not None for a in unary)
+    scan = _SCAN_COST * (read + 1) * (supported - walked)
     if scan <= _STEP_COST:    # no plan costs less
         return None
-    steps, cost = _plan(coords, n, keep)
+    steps, cost = _plan(factors, n, keep)
     return steps if cost < scan else None
 
 
-def _count(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int], r: int) -> int:
-    """Exact number of span-basis assignments at which every lookups[i]
+def _count(factors: dict, n: int, r: int) -> int:
+    """Exact number of span-basis assignments at which every factor
     holds, by the route _priced chooses."""
-    steps = _priced(lookups, n, coords, r)
+    steps = _priced(factors, n, r)
     if steps is None:
-        return sum(int(np.count_nonzero(match))
-                   for _, match in _scan_chunks(lookups, n, coords, r))
-    total = _replay(_factors(lookups, coords), steps, n)
+        return sum(int(np.count_nonzero(match)) for _, match in _scan_chunks(factors, n, r))
+    total = _replay(_int64(factors), steps, n)
     return int(total[0]) << (n * (r - len(steps)))
 
 
@@ -498,18 +492,17 @@ def _fix(factors: dict, j: int, values: np.ndarray, n: int) -> dict:
     return out
 
 
-def _descend(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int],
-             r: int) -> Optional[int]:
-    """The smallest assignment index at which every lookups[i] holds, by
+def _descend(factors: dict, n: int, r: int) -> Optional[int]:
+    """The smallest assignment index at which every factor holds, by
     elimination (r >= 1): from u_{r-1} down to u_0, count the completions
     for every value of u_j with the higher images fixed, and fix u_j to
     the first value that has one. None when no assignment qualifies (the
     first round is the count). The cost is r counts, wherever the
     witness lies."""
-    factors = _factors(lookups, coords)
+    factors = _int64(factors)
     t = 0
     for j in reversed(range(r)):
-        steps, _ = _plan(list(factors), n, 1 << j)
+        steps, _ = _plan(factors, n, 1 << j)
         hits = np.flatnonzero(_replay(dict(factors), steps, n))
         if not hits.size:
             return None
@@ -531,17 +524,16 @@ def _instance(t: int, n: int, r: int, coords: Sequence[int]) -> PatternInstance:
     return PatternInstance(LinearMap(r, images), tuple(points))
 
 
-def _first(lookups: Sequence[np.ndarray], n: int, coords: Sequence[int],
-           r: int) -> Optional[int]:
-    """The smallest assignment index at which every lookups[i] holds, or
+def _first(factors: dict, n: int, r: int) -> Optional[int]:
+    """The smallest assignment index at which every factor holds, or
     None. The first chunk of the supported scan is always walked; when it
     holds no match, _priced, with u_{r-1} kept and that chunk counted as
     walked, chooses between the descent and the rest of the scan."""
-    for i, (cols, match) in enumerate(_scan_chunks(lookups, n, coords, r)):
+    for i, (cols, match) in enumerate(_scan_chunks(factors, n, r)):
         if match.any():
             return sum(u << (j * n) for j, u in enumerate(cols[:, match.argmax()].tolist()))
-        if not i and _priced(lookups, n, coords, r, 1 << r >> 1, cols.shape[1]) is not None:
-            return _descend(lookups, n, coords, r)
+        if not i and _priced(factors, n, r, 1 << r >> 1, cols.shape[1]) is not None:
+            return _descend(factors, n, r)
     return None
 
 
@@ -554,7 +546,7 @@ def find_pattern(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
     of r counts wherever the witness lies, or the rest of the scan."""
     check_pattern_args(f.n, m, sigma, budget_bits)
     coords = m.span_coords
-    t = _first(_lookups(f.table, sigma.sigma), f.n, coords, m.rank)
+    t = _first(_factors(_lookups(f.table, sigma.sigma), coords), f.n, m.rank)
     return None if t is None else _instance(t, f.n, m.rank, coords)
 
 
@@ -562,7 +554,7 @@ def count_patterns(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
                    budget_bits: int = PATTERN_BUDGET_BITS) -> CountReport:
     """Exact number of span-basis assignments realizing Sigma."""
     check_pattern_args(f.n, m, sigma, budget_bits)
-    count = _count(_lookups(f.table, sigma.sigma), f.n, m.span_coords, m.rank)
+    count = _count(_factors(_lookups(f.table, sigma.sigma), m.span_coords), f.n, m.rank)
     return CountReport(n=f.n, rank=m.rank, ambient_dim=m.m, span_count=count)
 
 
@@ -587,7 +579,7 @@ def brute_force_cycle_count(f: BooleanFunction, k: int) -> int:
         raise BudgetExceededError("tuple enumeration too large")
     coords = [1 << j for j in range(k - 1)] + [(1 << (k - 1)) - 1]
     return sum(int(np.count_nonzero(match)) for _, match in
-               _scan_chunks(_lookups(f.table, (1,) * k), f.n, coords, k - 1))
+               _scan_chunks(_factors(_lookups(f.table, (1,) * k), coords), f.n, k - 1))
 
 
 def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
@@ -628,7 +620,7 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
         raise BudgetExceededError(
             f"{samples} samples exceed the tester budget of {TESTER_SAMPLE_BUDGET}")
     bitgen = np.random.PCG64(seed)
-    lookups = _lookups(f.table, sigma.sigma)
+    factors = _factors(_lookups(f.table, sigma.sigma), m.ints)
     block = min(samples, max(2, min(_CHUNK, 8 * _CHUNK // m.m) & ~1))
     columns = np.zeros((m.m, block), dtype=np.int64)
     scratch = np.empty(block, dtype=np.int64)
@@ -642,7 +634,7 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
             words = bitgen.random_raw(-(-need // 2)).astype("<u8", copy=False).view("<u4")[:need]
             words >>= 32 - f.n
             cols[...] = words.reshape(batch, m.m).T
-        match = _match(lookups, m.ints, cols, scratch[:batch])
+        match = _match(factors, cols, scratch[:batch])
         rejections += int(np.count_nonzero(match))
         remaining -= batch
     return rejections, Fraction(rejections, samples)
@@ -757,14 +749,17 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     return rows[new]
 
 
-def _price_levels(m: BinaryMatroid, ones: int, budget: int, forced_count=None) -> None:
-    """Raise the walk's BudgetExceededError at the first prefix
-    v_0..v_{d-1} at which N_1 + ... + N_d passes budget, N_d being the
-    prefix's number of all-ones instances; the message names element d,
-    counted from 1, out of k. A free element is independent of the ones
-    before it, so it multiplies N by `ones`; a forced one's N_d is
-    forced_count(d), and without forced_count the levels stop at the
-    first forced element. Once some N_d is 0, every later one is."""
+def check_instance_walk(m: BinaryMatroid, ones: int, budget: int = HITTING_INSTANCE_BUDGET,
+                        forced_count=None) -> None:
+    """Refuse enumerate_instances of M in a function with `ones` ones:
+    raise its BudgetExceededError at the first prefix v_0..v_{d-1} at
+    which N_1 + ... + N_d passes budget, N_d being the prefix's number of
+    all-ones instances; the message names element d, counted from 1, out
+    of k. A free element is independent of the ones before it, so it
+    multiplies N by `ones`; a forced one's N_d is forced_count(d). Without
+    forced_count the levels stop at M's first forced element, so M and
+    `ones` alone refuse exactly the walks whose leading free levels pass
+    budget. Once some N_d is 0, every later one is."""
     level, total = 1, 0
     for d, rest in enumerate(_forced_by(m), 1):
         if rest is None:
@@ -781,17 +776,6 @@ def _price_levels(m: BinaryMatroid, ones: int, budget: int, forced_count=None) -
             return
 
 
-def check_instance_walk(m: BinaryMatroid, ones: int,
-                        budget: int = HITTING_INSTANCE_BUDGET) -> None:
-    """Refuse enumerate_instances of M in a function with `ones` ones
-    from those two alone: the levels of the free elements before M's
-    first forced one are exact, since a prefix of free elements has
-    N_d = ones^d all-ones instances, and once their running total passes
-    budget this raises enumerate_instances' own BudgetExceededError,
-    naming the element whose level passed it."""
-    _price_levels(m, ones, budget)
-
-
 def _prefix_count(f: BooleanFunction, m: BinaryMatroid, d: int) -> int:
     """The number of all-ones instances of M's first d elements in f,
     counted by _count on the prefix's own span coords. Like every count,
@@ -801,7 +785,7 @@ def _prefix_count(f: BooleanFunction, m: BinaryMatroid, d: int) -> int:
         raise BudgetExceededError(
             f"pricing the instance enumeration: the first {d} elements have n*rank = "
             f"{f.n * prefix.rank}, and an exact count past 62 bits could leave int64")
-    return _count(_lookups(f.table, (1,) * d), f.n, prefix.span_coords, prefix.rank)
+    return _count(_factors(_lookups(f.table, (1,) * d), prefix.span_coords), f.n, prefix.rank)
 
 
 def enumerate_instances(f: BooleanFunction, m: BinaryMatroid,
@@ -835,7 +819,7 @@ def enumerate_instances(f: BooleanFunction, m: BinaryMatroid,
     k = m.k
     ones_count = int(np.count_nonzero(f.table))
     if sum(ones_count ** d for d in itertools.accumulate(r is None for r in forced_by)) > budget:
-        _price_levels(m, ones_count, budget, lambda d: _prefix_count(f, m, d))
+        check_instance_walk(m, ones_count, budget, lambda d: _prefix_count(f, m, d))
     prev = _interchangeable(m)
     is_one = f.table.view(bool)
     ones = np.flatnonzero(is_one).astype(np.int32)
@@ -958,7 +942,7 @@ def von_neumann_gap(fs: Sequence[BooleanFunction], m: BinaryMatroid) -> VonNeuma
         if g.n != n:
             raise DimensionMismatchError("all functions must share one domain")
     check_von_neumann_args(m, n)
-    count = _count([g.table == 1 for g in fs], n, m.span_coords, m.rank)
+    count = _count(_factors([g.table == 1 for g in fs], m.span_coords), n, m.rank)
     lhs = Fraction(count, 1 << (n * m.rank))
     rhs4 = min(Fraction(wht(g).power_sum(4), 1 << (4 * n)) for g in fs)
     return VonNeumannReport(lhs=lhs, rhs_fourth_power=rhs4, holds=lhs ** 4 <= rhs4)

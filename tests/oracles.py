@@ -14,7 +14,7 @@ from matroidlab.errors import BudgetExceededError, DimensionMismatchError, Inval
 from matroidlab.families import FamilyId, _family_tables, _free_by_weight
 from matroidlab.gf2 import GFVector, LinearMap, Subspace, rank_and_basis
 from matroidlab.matroid import BinaryMatroid, Graph, _circuit_words, _complexity_at, _forced_by
-from matroidlab.tester import PatternSpec, _lookups, _scan_chunks
+from matroidlab.tester import PatternSpec, _factors, _lookups, _scan_chunks
 
 
 def from_ones(n: int, ones) -> BooleanFunction:
@@ -344,7 +344,7 @@ def instances_by_scan(f: BooleanFunction, m: BinaryMatroid) -> list[frozenset[in
     images its coords select."""
     coords, r = ground_basis_coords(m.ints)
     found: set[frozenset[int]] = set()
-    for cols, match in _scan_chunks(_lookups(f.table, (1,) * m.k), f.n, coords, r):
+    for cols, match in _scan_chunks(_factors(_lookups(f.table, (1,) * m.k), coords), f.n, r):
         images = cols[:, match]
         points = np.zeros((m.k, images.shape[1]), dtype=np.int64)
         for i, c in enumerate(coords):

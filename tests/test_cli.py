@@ -656,12 +656,31 @@ INPUTS = ("function", "matroid", "source", "target", "graph", "sigma", "out")
 SMALL_INTS = ["-2", "-1", "0", "1", "2", "3", "5"]
 
 
-def option_argv(action, values, rnd, clean):
-    """The option and a value drawn with `rnd`, or [] when it is left out."""
+FRONTIER_N = ["24", "25"]    # the truth-table cap and one past it
+
+
+def option_argv(action, values, rnd, kind):
+    """The option and a value drawn with `rnd`, or [] when it is left out.
+    kind "clean" gives every input its well-formed value; "frontier"
+    gives -n a value of FRONTIER_N, every flag, each option with choices
+    one of them, each required input its well-formed value and --out
+    its own half the time, and leaves every other option at its
+    default, so that -n is read (an optional --function, say, would
+    take its place); "junk" draws everything."""
     flag = action.option_strings[0]
     dest = {"source": "matroid", "target": "matroid", "plot_out": "out"}.get(
         action.dest, action.dest)
-    if clean and action.dest in INPUTS:
+    if kind == "frontier":
+        if action.dest == "n":
+            return [flag, rnd.choice(FRONTIER_N)]
+        if action.nargs == 0:
+            return [flag]
+        if action.choices:
+            return [flag, rnd.choice(action.choices)]
+        if action.required or (action.dest == "out" and rnd.random() < 1 / 2):
+            return [flag, values[dest][0]]
+        return []
+    if kind == "clean" and action.dest in INPUTS:
         return [flag, values[dest][0]]
     if rnd.random() >= (7 / 8 if action.required else 1 / 3):
         return []
@@ -694,26 +713,45 @@ def call_main(argv):
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS) + [None])
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(data=st.data())
-def test_cli_arguments_end_in_a_documented_exit(fuzz_dir, command, data):
+def test_cli_arguments_end_in_a_documented_exit(fuzz_dir, command):
     """argv from a subcommand's own options, with small, odd and
-    negative values; in half the calls every input is well formed, so
-    the numbers reach the pipelines (command None: a lone top-level
-    token). Every call exits 0, 2, 3 or 4 without a traceback. An
-    argparse refusal prints its usage and one error line; any other
-    failure prints exactly one error line, and every exit other than 0
-    stays under a traced peak of 4 MiB, a few MiB beyond the small files
-    it reads, every command alike."""
+    negative values; in a share of the calls every input is well formed,
+    so the numbers reach the pipelines (command None: a lone top-level
+    token). A command that takes -n gets a third of its calls at the
+    frontier (option_argv), so it meets n = 24 and n = 25 with its other
+    arguments valid, and the test fails if either never comes up. Every
+    call exits 0, 2, 3 or 4 without a traceback. An argparse refusal
+    prints its usage and one error line; any other failure prints
+    exactly one error line, and every exit other than 0 stays under a
+    traced peak of 4 MiB, a few MiB beyond the small files it reads,
+    every command alike."""
     values = fuzz_values(fuzz_dir)
-    rnd = data.draw(st.randoms(use_true_random=True))
-    if command is None:
-        argv = [rnd.choice(["--version", "--help", "nonsense", ""])]
-    else:
-        argv, clean = [command], rnd.random() < 1 / 2
-        for action in SUBCOMMANDS[command]._actions:
-            if action.option_strings and action.dest != "help":
-                argv += option_argv(action, values, rnd, clean)
+    actions = [] if command is None else [
+        a for a in SUBCOMMANDS[command]._actions if a.option_strings and a.dest != "help"]
+    kinds = ["clean", "junk"] + ["frontier"] * any(a.dest == "n" for a in actions)
+    frontier = set()
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        rnd = data.draw(st.randoms(use_true_random=True))
+        if command is None:
+            argv = [rnd.choice(["--version", "--help", "nonsense", ""])]
+        else:
+            argv, kind = [command], rnd.choice(kinds)
+            for action in actions:
+                argv += option_argv(action, values, rnd, kind)
+            if kind == "frontier":
+                frontier.add(argv[argv.index("-n") + 1])
+        run_and_check(argv)
+
+    check()
+    assert sorted(frontier) == (FRONTIER_N if "frontier" in kinds else [])
+
+
+def run_and_check(argv):
+    """One fuzz call: a documented exit, and the output and traced peak
+    that exit allows."""
     code, parser_exit, err = call_main(argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
     assert "Traceback" not in err, argv

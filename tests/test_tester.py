@@ -890,8 +890,8 @@ def test_von_neumann_lhs_is_the_physical_average(m, n, eliminated):
     for density, route in zip((0.3, 0.5, 0.8), eliminated):
         fs = [random_function(n, rng, density) for _ in range(m.k)]
         assert len({g.table.tobytes() for g in fs}) == m.k
-        lookups = [g.table == 1 for g in fs]
-        assert (tester._priced(lookups, n, m.span_coords, m.rank) is not None) == route
+        factors = tester._factors([g.table == 1 for g in fs], m.span_coords)
+        assert (tester._priced(factors, n, m.rank) is not None) == route
         lhs = von_neumann_gap(fs, m).lhs
         if m is C3:
             x = np.arange(1 << n)[:, None]
@@ -966,8 +966,8 @@ def invariance_cases(seed, cases=60):
         n = int(rng.integers(1, 14 // max(m.rank, 1) + 1))
         sigma = PatternSpec(tuple(int(b) for b in rng.integers(0, 2, m.k)))
         f = random_function(n, rng, rng.choice([0.2, 0.5, 0.8]))
-        lookups = tester._lookups(f.table, sigma.sigma)
-        routes.add(tester._priced(lookups, n, m.span_coords, m.rank) is None)
+        factors = tester._factors(tester._lookups(f.table, sigma.sigma), m.span_coords)
+        routes.add(tester._priced(factors, n, m.rank) is None)
         yield f, m, sigma, rng
     assert routes == {True, False}
 
@@ -1074,12 +1074,12 @@ def test_free_verdict_and_witnesses_carry_across_the_invariances(monkeypatch):
         descents.clear()
         inst = find_pattern(f, m, sigma)
         n, coords, r = f.n, m.span_coords, m.rank
-        lookups = tester._lookups(f.table, sigma.sigma)
+        factors = tester._factors(tester._lookups(f.table, sigma.sigma), coords)
         route = "scan"
-        first = next(tester._scan_chunks(lookups, n, coords, r), None)
+        first = next(tester._scan_chunks(factors, n, r), None)
         if first is not None and first[1].any():
             route = "probe"
-        elif first is not None and tester._priced(lookups, n, coords, r, 1 << r >> 1,
+        elif first is not None and tester._priced(factors, n, r, 1 << r >> 1,
                                                   first[0].shape[1]) is not None:
             route = "descent"
         assert (route == "descent") == bool(descents)
@@ -1122,8 +1122,13 @@ def test_repair_and_hitting_number_are_invariant():
 
 
 def table_lookups(tables, sigma):
-    """The engine's factors for explicit tables: [tables[i] == sigma[i]]."""
+    """The per-element lookups of explicit tables: [tables[i] == sigma[i]]."""
     return [table == s for table, s in zip(tables, sigma)]
+
+
+def table_factors(tables, coords, sigma):
+    """The engine's factor table for explicit tables."""
+    return tester._factors(table_lookups(tables, sigma), coords)
 
 
 def scan_count(tables, n, coords, sigma, r):
@@ -1141,19 +1146,20 @@ def forced(route):
     scan (None), or _plan's steps, so _count eliminates and _first
     descends after its first chunk. A rank-0 scan is one assignment,
     so no descent follows its first chunk."""
-    def priced(lookups, n, coords, r, keep=0, walked=0):
+    def priced(factors, n, r, keep=0, walked=0):
         if route == "scan" or (walked and not r):
             return None
-        return tester._plan(coords, n, keep)[0]
+        return tester._plan(factors, n, keep)[0]
     return priced
 
 
 def eliminated(lookups, n, coords, r):
     """The elimination counter on its own, whatever the planner's price:
-    _count with the route forced to _plan's steps, on any integer lookups."""
+    _count with the route forced to _plan's steps, on any integer lookups
+    at distinct forms (the table ANDs the lookups of a repeated form)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tester, "_priced", forced("elimination"))
-        return tester._count(lookups, n, coords, r)
+        return tester._count(tester._factors(lookups, coords), n, r)
 
 
 def eliminated_count(tables, n, coords, sigma, r):
@@ -1163,7 +1169,7 @@ def eliminated_count(tables, n, coords, sigma, r):
 
 def descended(tables, n, coords, sigma, r):
     """The witness descent on its own, whatever the planner's price."""
-    return tester._descend(table_lookups(tables, sigma), n, coords, r)
+    return tester._descend(table_factors(tables, coords, sigma), n, r)
 
 
 def vectors(*rows):
@@ -1256,7 +1262,7 @@ def test_fix_adds_one_broadcast_axis():
     rng = np.random.Generator(np.random.PCG64(113))
     lookups = [rng.integers(0, 5, 1 << n) for _ in range(3)]
     first, second = np.array([0, 3, 5, 6]), np.array([1, 7])
-    factors = tester._fix(tester._factors(lookups, (5, 10, 3)), 0, first, n)
+    factors = tester._fix(tester._int64(tester._factors(lookups, (5, 10, 3))), 0, first, n)
     factors = tester._fix(factors, 1, second, n)
     assert {form: a.shape for form, a in factors.items()} == {
         0: (4, 2, 1), 4: (4, 1, 1 << n), 8: (1, 2, 1 << n)}
@@ -1290,8 +1296,8 @@ def test_planner_keeps_small_scans():
 
     for m in [graphic_from_graph(g) for g in atlas_graphs(5)] + [RANK0, ZERO_PARALLEL]:
         for n in range(1, 8 // max(m.rank, 1) + 1):
-            full = [np.ones(1 << n, dtype=bool)] * m.k
-            assert tester._priced(full, n, m.span_coords, m.rank) is None
+            full = tester._factors([np.ones(1 << n, dtype=bool)] * m.k, m.span_coords)
+            assert tester._priced(full, n, m.rank) is None
 
 
 def test_planner_prices_scan_against_elimination():
@@ -1302,18 +1308,19 @@ def test_planner_prices_scan_against_elimination():
         order, cost = tester._plan(m.span_coords, n)
         read = sum(1 for c in m.span_coords if c & (c - 1) or not c)
         assert tester._SCAN_COST * (read + 1) << (n * m.rank) < cost
-        full = [np.ones(1 << n, dtype=bool)] * m.k
-        assert tester._priced(full, n, m.span_coords, m.rank) is None
+        full = tester._factors([np.ones(1 << n, dtype=bool)] * m.k, m.span_coords)
+        assert tester._priced(full, n, m.rank) is None
     # one step further the elimination is cheaper
-    assert tester._priced([np.ones(1 << 6, dtype=bool)] * 3, 6, C3.span_coords, 2) is not None
-    ones = [np.ones(1 << 7, dtype=bool)] * 3
-    assert tester._priced(ones, 7, C3.span_coords, 2) is not None
-    assert tester._count(ones, 7, C3.span_coords, 2) == 1 << 14
+    ones = tester._factors([np.ones(1 << 6, dtype=bool)] * 3, C3.span_coords)
+    assert tester._priced(ones, 6, 2) is not None
+    ones = tester._factors([np.ones(1 << 7, dtype=bool)] * 3, C3.span_coords)
+    assert tester._priced(ones, 7, 2) is not None
+    assert tester._count(ones, 7, 2) == 1 << 14
     # ... unless the supports are small: 16 images of each u_j keep the scan
     tables = [(np.arange(1 << 7) < 16).astype(np.uint8)] * 3
-    sparse = table_lookups(tables, (1, 1, 1))
-    assert tester._priced(sparse, 7, C3.span_coords, 2) is None
-    assert tester._count(sparse, 7, C3.span_coords, 2) == scan_count(
+    sparse = table_factors(tables, C3.span_coords, (1, 1, 1))
+    assert tester._priced(sparse, 7, 2) is None
+    assert tester._count(sparse, 7, 2) == scan_count(
         tables, 7, C3.span_coords, (1, 1, 1), 2)
 
 
@@ -1365,9 +1372,9 @@ def test_planner_eliminates_k4_at_n8():
     f = random_function(8, np.random.Generator(np.random.PCG64(101)), density=0.4)
     steps, cost = tester._plan(k4.span_coords, 8)
     assert len(steps) == 3 and cost < k4.k << 24
-    lookups = table_lookups([f.table] * 6, (1,) * 6)
-    assert tester._priced(lookups, 8, k4.span_coords, 3) == steps
-    got = tester._count(lookups, 8, k4.span_coords, 3)
+    factors = table_factors([f.table] * 6, k4.span_coords, (1,) * 6)
+    assert tester._priced(factors, 8, 3) == steps
+    got = tester._count(factors, 8, 3)
     assert got == scan_count([f.table] * 6, 8, k4.span_coords, (1,) * 6, 3)
 
 
@@ -1506,7 +1513,8 @@ def test_correlation_products_stay_below_the_blas_thread_threshold():
         table = (rng.random(1 << n) < 0.5).astype(np.uint8)
         lookups = table_lookups([table] * m.k, (1,) * m.k)
         if in_benchmark:    # priced for the elimination there
-            assert tester._priced(lookups, n, m.span_coords, m.rank) is not None
+            factors = tester._factors(lookups, m.span_coords)
+            assert tester._priced(factors, n, m.rank) is not None
         steps, _ = tester._plan(m.span_coords, n)
         assert any(width for _, width in steps) == (m is k4)
         with pytest.MonkeyPatch.context() as patch:
@@ -1522,7 +1530,7 @@ def test_counts_past_62_bits_are_refused_before_any_table():
     factor lookup is built."""
     # 62 bits priced without a refusal; the one form u_0 ^ u_1 reads no
     # basis variable alone, so no table is read to price it
-    assert tester._priced([None], 31, (3,), 2) is not None
+    assert tester._priced({3: None}, 31, 2) is not None
     k4 = graphic_from_graph(complete_graph(4))
     f = BooleanFunction(22, np.zeros(1 << 22, dtype=np.uint8))
     for entry in (count_patterns, find_pattern):
@@ -1625,7 +1633,8 @@ def test_match_on_survivors_equals_full_evaluation(survivor_runs):
         if trial % 4 == 0:
             lookups[int(rng.integers(0, k))] = np.zeros(1 << n, dtype=bool)
         columns = rng.integers(0, 1 << n, size=(r, batch), dtype=np.int64)
-        got = tester._match(lookups, coords, columns, np.empty(batch, dtype=np.int64))
+        got = tester._match(tester._factors(lookups, coords), columns,
+                            np.empty(batch, dtype=np.int64))
         want = full_evaluation(lookups, coords, columns)
         assert np.array_equal(got, want)
         empty += not want.any()
@@ -1643,8 +1652,8 @@ def test_scan_route_witness_is_the_first_plain_match(survivor_runs):
     rng = np.random.Generator(np.random.PCG64(173))
     c5, k4 = graphic_from_graph(cycle_graph(5)), graphic_from_graph(complete_graph(4))
     for m, n in ((C3, 5), (c5, 2), (k4, 3)):
-        full = [np.ones(1 << n, dtype=bool)] * m.k
-        assert tester._priced(full, n, m.span_coords, m.rank, 1 << (m.rank - 1)) is None
+        full = tester._factors([np.ones(1 << n, dtype=bool)] * m.k, m.span_coords)
+        assert tester._priced(full, n, m.rank, 1 << (m.rank - 1)) is None
         for density in (0.05, 0.1, 0.3, 0.6):
             for _ in range(6):
                 f = random_function(n, rng, density)
@@ -1811,6 +1820,7 @@ def test_supported_scan_matches_the_plain_scan():
         tables, n, coords, sigma, r = case
         count, first = plain_scan(tables, n, coords, sigma, r)
         lookups = table_lookups(tables, sigma)
+        factors = tester._factors(lookups, coords)
         if all(c and not c & (c - 1) for c in coords):
             sizes = [1 << n] * r
             for c in set(coords):
@@ -1821,11 +1831,11 @@ def test_supported_scan_matches_the_plain_scan():
         with pytest.MonkeyPatch.context() as patch:
             for route in ("scan", "elimination"):
                 patch.setattr(tester, "_priced", forced(route))
-                assert tester._count(lookups, n, coords, r) == count
+                assert tester._count(factors, n, r) == count
                 for chunk in (1 << 14, 1 << 4):
                     patch.setattr(tester, "_CHUNK", chunk)
-                    chunks = [match.any() for _, match in tester._scan_chunks(lookups, n, coords, r)]
-                    assert tester._first(lookups, n, coords, r) == first
+                    chunks = [match.any() for _, match in tester._scan_chunks(factors, n, r)]
+                    assert tester._first(factors, n, r) == first
                     if not chunks:
                         seen.add("empty support")
                     elif chunks[0]:
@@ -1837,3 +1847,47 @@ def test_supported_scan_matches_the_plain_scan():
     check()
     assert seen == {"no factor left", "empty support", "hit", "miss, then descent",
                     "miss, then scan"}
+
+
+@pytest.mark.parametrize("m, sigma", [
+    (ZERO_PARALLEL, "110"),                                    # the pair at a basis variable
+    (vectors("00", "10", "01", "11", "11"), "11110"),          # the pair at u_0 + u_1
+], ids=["unary-pair", "sum-pair"])
+def test_parallel_pair_with_different_bits_has_no_instance(m, sigma):
+    """A loop and a parallel pair whose Sigma bits differ: the pair reads
+    f at one point, which cannot be both 1 and 0, so every route sees no
+    instance even where f(0) = 1 satisfies the loop. Merging the pair's
+    lookups by | (all true) or keeping the last one would find some."""
+    sigma = PatternSpec.from_string(sigma)
+    rng = np.random.Generator(np.random.PCG64(223))
+    for n in (1, 3, 6):
+        table = random_function(n, rng, 0.5).table.copy()
+        table[0] = 1
+        f = BooleanFunction(n, table)
+        factors = tester._factors(tester._lookups(f.table, sigma.sigma), m.span_coords)
+        with pytest.MonkeyPatch.context() as patch:
+            for route in ("scan", "elimination"):
+                patch.setattr(tester, "_priced", forced(route))
+                assert count_patterns(f, m, sigma).span_count == 0, route
+                assert find_pattern(f, m, sigma) is None, route
+        assert tester._descend(factors, n, m.rank) is None
+        assert reference_rejections(f, m, sigma, 2000, n) == 0
+        assert run_tester(f, m, sigma, 2000, seed=n) == (0, 0)
+
+
+def test_factor_table_is_the_and_of_the_element_lookups():
+    """On random presentations with repeated forms and loops, the factor
+    table has one entry per distinct form, and each entry, read at every
+    point, is the AND of the lookups of the ground vectors at that form."""
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(case=exact_cases())
+    def check(case):
+        tables, n, coords, sigma, r = case
+        lookups = table_lookups(tables, sigma)
+        factors = tester._factors(lookups, coords)
+        assert sorted(factors) == sorted(set(coords))
+        for form, lookup in factors.items():
+            want = np.all([lk for lk, c in zip(lookups, coords) if c == form], axis=0)
+            assert np.array_equal(lookup, want), form
+
+    check()
