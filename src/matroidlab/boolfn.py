@@ -10,25 +10,38 @@ computes in its argument's dtype, and exactness is the caller's
 argument for that dtype: after the factors on the lowest b bits every
 value, and every partial sum of a product, is a signed sum of at most
 2^b entries of a row, so at most the row's sum of absolute values. `wht`,
-`uniform_coset_fraction` and the families' free-set table transform 0/1
-rows in float32, where that is at most 2^n <= 2^WHT_MAX_N = 2^24, and
-float32 holds every such integer; a spectrum is then cast to int32. The
-tester's XOR-correlations choose float64 or int64 from their own bound
-(tester module docstring). Each BLAS call keeps m*n*k <= 2^17 (one
-stacked item of a batched np.matmul), below OpenBLAS's 2^18 threshold
-for starting its worker threads (the one-row n <= 8 product, at most
-256 x 256, is below the 1024 x 1024 where sgemv was seen to thread): a
-threaded call leaves those workers spinning after it returns, and their
-CPU time lands on whatever numpy work comes next. numpy's int64 matmul
-calls no BLAS.
+the regularity search's coset tables and the families' free-set table
+transform 0/1 rows in float32, where that is at most
+2^n <= 2^WHT_MAX_N = 2^24, and float32 holds every such integer; a
+spectrum is then cast to int32. The tester's XOR-correlations choose
+float64 or int64 from their own bound (tester module docstring). Each
+BLAS call keeps m*n*k <= 2^17 (one stacked item of a batched
+np.matmul), below OpenBLAS's 2^18 threshold for starting its worker
+threads (the one-row n <= 8 product, at most 256 x 256, is below the
+1024 x 1024 where sgemv was seen to thread): a threaded call leaves
+those workers spinning after it returns, and their CPU time lands on
+whatever numpy work comes next. numpy's int64 matmul calls no BLAS.
 
 Point-to-index convention (fixed for the whole repo): a point x maps to
 index ix(x) = sum_j x_j 2^j, i.e. coordinate j is bit j of the index.
 
-The cosets of a subspace H are read through one index table,
-`coset_indices(H)`: a row per coset, reps ascending, and a column per
-element of H. One row-wise transform of f's values at that table gives
-every coset's spectrum, from which the uniform-coset fraction is read.
+The cosets of a subspace H are read through one index table: a row per
+coset, reps ascending, and a column per element of H. `_coset_tables`
+lays it out for a batch of bases that share one pivot set (the batches
+of `gf2.subspace_batches`), and `coset_indices(H)` is its one-basis
+case. One row-wise transform of f's values at the tables gives every
+coset's spectrum, from which each basis's uniform-coset count is read.
+The regularity search walks each pivot set's batch in chunks of at most
+_CHUNK_ENTRIES = 2^16 table entries (2^16 >> n bases), one `_hadamard`
+call per chunk, so a chunk's indices, values and transform take under
+1 MiB beside the batch (at most 2^16 bases of 4 rows, 2 MiB, at n = 8).
+
+`FourierSpectrum.power_sum(k)` has two routes. While n*k <= 62 it is one
+int64 sum: by Parseval sum_a c_a^2 = 2^n |f| <= 2^(2n) and |c_a| <= 2^n,
+so for k >= 2 sum_a |c_a|^k <= 2^(n(k-2)) * 2^(2n) = 2^(nk) <= 2^62
+bounds every partial sum (for k <= 1, 2^n terms of at most 2^n give
+2^(2n) <= 2^48). Past that bound (the fourth power at n = 20, say) it
+sums Python ints over the histogram of distinct coefficient values.
 """
 
 from __future__ import annotations
@@ -40,8 +53,8 @@ from functools import cache
 
 import numpy as np
 
-from .errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from .gf2 import SUBSPACE_ENUM_MAX_N, Subspace, _xor_span, enumerate_subspaces
+from .errors import BudgetExceededError, InvalidInputError
+from .gf2 import SUBSPACE_ENUM_MAX_N, Subspace, _xor_span, subspace_batches
 
 WHT_MAX_N = 24
 
@@ -101,8 +114,8 @@ class FourierSpectrum:
 
     The true Fourier coefficient is coeffs[a] / 2^n. coeffs is int32, exact
     because |coeffs[a]| <= 2^n <= 2^WHT_MAX_N, and `wht` computes it in
-    float32, exact up to 2^24 (module docstring); power sums leave the
-    array as Python ints.
+    float32, exact up to 2^24 (module docstring); `power_sum` picks int64
+    or Python ints from its own bound.
     """
 
     n: int
@@ -116,8 +129,14 @@ class FourierSpectrum:
         return int(np.abs(self.coeffs[1:]).max(initial=0))
 
     def power_sum(self, k: int) -> int:
-        """sum_a coeffs[a]^k in exact big-integer arithmetic, taken over
-        the histogram of distinct coefficient values."""
+        """sum_a coeffs[a]^k, exact: one int64 sum when n*k <= 62, where
+        the Parseval bound keeps every partial sum in int64 (module
+        docstring), else Python ints over the histogram of distinct
+        coefficient values."""
+        if self.n * k <= 62:
+            powers = self.coeffs.astype(np.int64)
+            powers **= k
+            return int(powers.sum())
         values, counts = np.unique(self.coeffs, return_counts=True)
         return sum(int(v) ** k * int(c) for v, c in zip(values, counts))
 
@@ -189,29 +208,38 @@ def wht(f: BooleanFunction) -> FourierSpectrum:
     return FourierSpectrum(f.n, coeffs)
 
 
-def coset_indices(sub: Subspace) -> np.ndarray:
-    """Table indices of every coset of sub, shape (2^codim, 2^dim).
+_CHUNK_ENTRIES = 1 << 16    # coset-table entries per regularity transform
 
-    Row c is the coset whose canonical representative (every pivot bit
-    clear) is the c-th smallest; column h holds that representative XOR
-    the basis vectors b_i over the set bits i of h.
+
+def _coset_tables(n: int, bases: np.ndarray) -> np.ndarray:
+    """Table indices of every coset of each subspace of a batch, shape
+    (B, 2^codim, 2^dim), from a (B, dim) int64 array of RREF bases of
+    {0,1}^n that share one pivot set (B >= 1).
+
+    Row c of a table is the coset whose canonical representative (every
+    pivot bit clear) is the c-th smallest; column h holds that
+    representative XOR the basis vectors b_i over the set bits i of h.
     """
-    pivots = set(sub.pivots)
-    reps = _xor_span([1 << j for j in range(sub.ambient_dim) if j not in pivots])
-    return reps[:, None] ^ _xor_span(sub.basis)
+    pivots = {b.bit_length() - 1 for b in bases[0].tolist()}
+    reps = _xor_span([1 << j for j in range(n) if j not in pivots])
+    return reps[:, None] ^ _xor_span(bases)[:, None, :]
 
 
-def uniform_coset_fraction(f: BooleanFunction, sub: Subspace, eps) -> Fraction:
-    """Fraction of cosets of H on which f restricts eps-uniformly: every
-    nonzero-frequency coefficient of the restriction has |f^(a)| <= eps."""
-    if sub.ambient_dim != f.n:
-        raise DimensionMismatchError(f"subspace ambient {sub.ambient_dim} vs n={f.n}")
-    idx = coset_indices(sub)
-    size = idx.shape[1]
-    coeffs = _hadamard(f.table[idx], np.float32)
-    peak = np.abs(coeffs[:, 1:]).max(axis=1, initial=0)
-    uniform = peak <= min(math.floor(Fraction(eps) * size), size)
-    return Fraction(int(np.count_nonzero(uniform)), uniform.shape[0])
+def coset_indices(sub: Subspace) -> np.ndarray:
+    """The coset table of one subspace, shape (2^codim, 2^dim): the
+    one-basis case of `_coset_tables`."""
+    return _coset_tables(sub.ambient_dim, np.array([sub.basis], dtype=np.int64))[0]
+
+
+def _uniform_counts(f: BooleanFunction, bases: np.ndarray, eps: Fraction) -> np.ndarray:
+    """For each basis of a `_coset_tables` batch, the number of its cosets
+    on which f restricts eps-uniformly: every nonzero-frequency
+    coefficient of the restriction has |f^(a)| <= eps. One transform
+    of f's values at the batch's tables."""
+    size = 1 << bases.shape[1]
+    coeffs = _hadamard(f.table[_coset_tables(f.n, bases)], np.float32)
+    peak = np.abs(coeffs[..., 1:]).max(axis=-1, initial=0)
+    return np.count_nonzero(peak <= min(math.floor(eps * size), size), axis=-1)
 
 
 def check_regularity_n(n: int) -> None:
@@ -229,10 +257,13 @@ def regularity_decompose(f: BooleanFunction, eps, max_codim: int | None = None
     """Smallest-codimension subspace H such that >= 1-eps of the cosets of
     H carry an eps-uniform restriction of f.
 
-    Exhaustive search in canonical subspace order, codim ascending; only
-    realizes the regularity statement at toy scale (n <= 8). codim = n
-    always works (singleton cosets are constant), so the search succeeds
-    whenever max_codim = n.
+    Exhaustive search in canonical subspace order, codim ascending, one
+    transform per chunk of at most _CHUNK_ENTRIES table entries of a
+    pivot set's batch; the first basis with at least
+    ceil((1 - eps) * 2^codim) uniform cosets wins. It only realizes the
+    regularity statement at toy scale (n <= 8). codim = n always works
+    (singleton cosets are constant), so the search succeeds whenever
+    max_codim = n.
     """
     check_regularity_n(f.n)
     if max_codim is None:
@@ -242,11 +273,16 @@ def regularity_decompose(f: BooleanFunction, eps, max_codim: int | None = None
     eps = Fraction(eps)
     if not 0 <= eps <= 1:
         raise InvalidInputError(f"eps {eps} is outside [0, 1]")
-    threshold = 1 - eps
+    chunk = _CHUNK_ENTRIES >> f.n     # bases per transform; each table has 2^n entries
     for codim in range(max_codim + 1):
-        for sub in enumerate_subspaces(f.n, codim):
-            frac = uniform_coset_fraction(f, sub, eps)
-            if frac >= threshold:
-                return sub, frac
+        need = math.ceil((1 - eps) * (1 << codim))
+        for batch in subspace_batches(f.n, codim):
+            for start in range(0, len(batch), chunk):
+                counts = _uniform_counts(f, batch[start:start + chunk], eps)
+                hits = np.flatnonzero(counts >= need)
+                if hits.size:
+                    i = int(hits[0])
+                    return (Subspace(f.n, tuple(batch[start + i].tolist())),
+                            Fraction(int(counts[i]), 1 << codim))
     raise BudgetExceededError(
         f"no subspace of codimension <= {max_codim} is ({eps})-regular for this function")

@@ -7,20 +7,29 @@ coordinate 0 first ("110" has coordinates 0 and 1 set).
 Two primitives here serve the whole package: `_ref_insert`, the one
 echelon insertion (rank_and_basis, the matroid's span coordinates and
 its dependency code all run on it), and `_xor_span`, the one table of
-every XOR combination of a few vectors (coset tables, circuits, odd
-girth and the rows of enumerate_subspaces read it). Subspace rows are
-ints; GFVector wraps the vectors of files, reports, witnesses and matroids.
+every XOR combination of a few vectors, or of each row of a batch of
+them (coset tables, circuits, odd girth and the rows of each enumerated
+basis read it). Subspace rows are ints; GFVector wraps the vectors of
+files, reports, witnesses and matroids.
+
+The canonical subspace order is batched: `subspace_batches` yields,
+pivot set by pivot set, every RREF basis with those pivots as one
+(B, dim) int64 array, and `enumerate_subspaces` is the per-row Subspace
+view of the same arrays. The bases of one batch share their pivots, so
+they share the coset representatives below; the regularity search
+transforms the coset tables of many of them at once.
 
 A coset v + H of a subspace is named by its canonical representative,
 the one element with every pivot bit of H's RREF basis clear. This
-module keeps no coset objects: `boolfn.coset_indices` lays all cosets
-of H out as one table of point indices.
+module keeps no coset objects: `boolfn` lays all cosets of H out as one
+table of point indices, for one basis or for a batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -93,12 +102,15 @@ def _ref_insert(rows: dict[int, tuple[int, int]], w: int, combo: int = 0) -> tup
     return w, combo
 
 
-def _xor_span(vectors: Sequence[int]) -> np.ndarray:
-    """The span table: element c is the XOR of vectors[i] over the set
-    bits i of c. Every word must fit int64."""
-    out = np.zeros(1 << len(vectors), dtype=np.int64)
-    for i, w in enumerate(vectors):
-        out[1 << i:2 << i] = out[:1 << i] ^ w
+def _xor_span(vectors) -> np.ndarray:
+    """The span table of the last axis of `vectors` (a sequence of ints
+    or a (..., d) int64 array): element c is the XOR of vectors[..., i]
+    over the set bits i of c, so the shape is (..., 2^d). Every word
+    must fit int64."""
+    vectors = np.asarray(vectors, dtype=np.int64)
+    out = np.zeros((*vectors.shape[:-1], 1 << vectors.shape[-1]), dtype=np.int64)
+    for i in range(vectors.shape[-1]):
+        out[..., 1 << i:2 << i] = out[..., :1 << i] ^ vectors[..., i, None]
     return out
 
 
@@ -121,10 +133,6 @@ class Subspace:
     def codim(self) -> int:
         return self.ambient_dim - len(self.basis)
 
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(b.bit_length() - 1 for b in self.basis)
-
 
 def rank_and_basis(vectors: Iterable[GFVector], dim: int | None = None) -> tuple[int, Subspace]:
     """Rank of the span together with its canonical RREF basis: the
@@ -146,23 +154,40 @@ def rank_and_basis(vectors: Iterable[GFVector], dim: int | None = None) -> tuple
     return len(basis), Subspace(dim, basis)
 
 
-def enumerate_subspaces(n: int, codim: int) -> Iterator[Subspace]:
-    """All subspaces of {0,1}^n of the given codimension, each exactly once.
+def subspace_batches(n: int, codim: int) -> Iterator[np.ndarray]:
+    """The RREF bases of all subspaces of {0,1}^n of the given
+    codimension, one (B, n - codim) int64 array per pivot set.
 
-    Enumerates canonical RREF bases directly: pivot sets in descending
-    lexicographic order, then row 0's free entries fastest; each row runs
-    through the span table of the non-pivot bits below its pivot. This
-    yield order is the repo's canonical subspace order.
+    Pivot sets come in descending lexicographic order. Row j of a basis
+    (descending pivots, as in Subspace.basis) runs through the span
+    table of the non-pivot bits below its pivot, and within a batch row
+    0's free entries change fastest, then row 1's, and so on. This
+    order is the repo's canonical subspace order.
     """
     if n > SUBSPACE_ENUM_MAX_N:
         raise BudgetExceededError(f"n={n} exceeds subspace enumeration cap {SUBSPACE_ENUM_MAX_N}")
     if not 0 <= codim <= n:
         raise InvalidInputError(f"codim {codim} out of range for n={n}")
-    for pivots in combinations(range(n - 1, -1, -1), n - codim):
-        rows = [(_xor_span([1 << b for b in range(p) if b not in pivots]) | 1 << p).tolist()
-                for p in reversed(pivots)]
-        for basis in product(*rows):
-            yield Subspace(n, basis[::-1])
+    dim = n - codim
+    for pivots in combinations(range(n - 1, -1, -1), dim):
+        # row j's table is the prefix of the non-pivot span over the
+        # p_j - (dim - 1 - j) non-pivot bits below its pivot p_j
+        span = _xor_span([1 << b for b in range(n) if b not in pivots])
+        sizes = [1 << p - (dim - 1 - j) for j, p in enumerate(pivots)]
+        batch = np.empty((math.prod(sizes), dim), dtype=np.int64)
+        stride = 1
+        for j, (p, size) in enumerate(zip(pivots, sizes)):
+            batch.reshape(-1, size, stride, dim)[..., j] = span[:size, None] | 1 << p
+            stride *= size
+        yield batch
+
+
+def enumerate_subspaces(n: int, codim: int) -> Iterator[Subspace]:
+    """All subspaces of {0,1}^n of the given codimension, each exactly
+    once, in canonical order: the rows of `subspace_batches`."""
+    for batch in subspace_batches(n, codim):
+        for basis in batch.tolist():
+            yield Subspace(n, tuple(basis))
 
 
 @dataclass(frozen=True)

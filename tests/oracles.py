@@ -7,12 +7,15 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
-from matroidlab.boolfn import BooleanFunction
+from matroidlab.boolfn import BooleanFunction, _hadamard, coset_indices
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from matroidlab.families import FamilyId, _family_tables, _free_by_weight
-from matroidlab.gf2 import GFVector, LinearMap, Subspace, rank_and_basis
+from matroidlab.gf2 import GFVector, LinearMap, Subspace, enumerate_subspaces, rank_and_basis
 from matroidlab.matroid import BinaryMatroid, Graph, _circuit_words, _complexity_at, _forced_by
 from matroidlab.tester import PatternSpec, _factors, _lookups, _scan_chunks
 
@@ -96,6 +99,11 @@ def index_int(sigma: PatternSpec) -> int:
     return sum(b << i for i, b in enumerate(sigma.sigma))
 
 
+def pivots(sub: Subspace) -> tuple[int, ...]:
+    """The pivot (highest set bit) of each RREF basis row, descending."""
+    return tuple(b.bit_length() - 1 for b in sub.basis)
+
+
 def reduce(sub: Subspace, v: GFVector) -> GFVector:
     """Canonical coset representative of v (all pivot bits of sub cleared)."""
     if v.dim != sub.ambient_dim:
@@ -105,6 +113,35 @@ def reduce(sub: Subspace, v: GFVector) -> GFVector:
         if w >> (b.bit_length() - 1) & 1:
             w ^= b
     return GFVector(sub.ambient_dim, w)
+
+
+def uniform_coset_fraction(f: BooleanFunction, sub: Subspace, eps) -> Fraction:
+    """Fraction of cosets of H on which f restricts eps-uniformly, one
+    subspace at a time: one transform of f's values at coset_indices(H),
+    every nonzero-frequency coefficient of a row at most eps in
+    magnitude."""
+    if sub.ambient_dim != f.n:
+        raise DimensionMismatchError(f"subspace ambient {sub.ambient_dim} vs n={f.n}")
+    idx = coset_indices(sub)
+    size = idx.shape[1]
+    coeffs = _hadamard(f.table[idx], np.float32)
+    peak = np.abs(coeffs[:, 1:]).max(axis=1, initial=0)
+    uniform = peak <= min(math.floor(Fraction(eps) * size), size)
+    return Fraction(int(np.count_nonzero(uniform)), uniform.shape[0])
+
+
+def regularity_by_subspace(f: BooleanFunction, eps, max_codim: Optional[int] = None
+                           ) -> tuple[Subspace, Fraction]:
+    """The regularity search one subspace at a time: the first subspace in
+    canonical order, codim ascending, with uniform_coset_fraction at
+    least 1 - eps."""
+    eps = Fraction(eps)
+    for codim in range(f.n + 1 if max_codim is None else max_codim + 1):
+        for sub in enumerate_subspaces(f.n, codim):
+            frac = uniform_coset_fraction(f, sub, eps)
+            if frac >= 1 - eps:
+                return sub, frac
+    raise BudgetExceededError(f"no subspace of codimension <= {max_codim} is ({eps})-regular")
 
 
 def contains(sub: Subspace, v: GFVector) -> bool:

@@ -1,17 +1,18 @@
+import tracemalloc
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 import pytest
 
 from matroidlab import boolfn
-from matroidlab.boolfn import (WHT_MAX_N, BooleanFunction, _hadamard, coset_indices,
-                               random_function, regularity_decompose, uniform_coset_fraction,
-                               wht)
+from matroidlab.boolfn import (WHT_MAX_N, BooleanFunction, FourierSpectrum, _hadamard,
+                               _uniform_counts, coset_indices, random_function,
+                               regularity_decompose, wht)
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from matroidlab.gf2 import GFVector, enumerate_subspaces, rank_and_basis
-from oracles import (apply, butterfly, constant, from_ones, matmul_items,
-                     random_nonsingular_map, reduce, walsh_direct)
+from matroidlab.gf2 import GFVector, Subspace, enumerate_subspaces, rank_and_basis, subspace_batches
+from oracles import (apply, butterfly, constant, from_ones, from_table_int, matmul_items,
+                     pivots, random_nonsingular_map, reduce, regularity_by_subspace,
+                     uniform_coset_fraction, walsh_direct)
 
 
 def whole(n):
@@ -31,7 +32,7 @@ def reference_uniform_fraction(f, sub, eps):
     classes = {}
     for x in range(1 << f.n):
         rep = reduce(sub, GFVector(f.n, x)).bits
-        h = sum((x >> p & 1) << i for i, p in enumerate(sub.pivots))
+        h = sum((x >> p & 1) << i for i, p in enumerate(pivots(sub)))
         classes.setdefault(rep, [None] * (1 << sub.dim))[h] = x
     size = 1 << sub.dim
     uniform = [Fraction(wht(BooleanFunction(sub.dim, f.table[points])).max_abs_nonzero(), size)
@@ -119,15 +120,16 @@ def test_wht_products_stay_below_the_blas_thread_threshold(monkeypatch):
 
 
 def test_coset_spectra_products_stay_below_the_blas_thread_threshold(monkeypatch):
-    """uniform_coset_fraction transforms its coset rows in float32, every
-    stacked item at m*n*k <= 2^17, on the first subspaces of {0,1}^8 of
-    every codimension."""
+    """The regularity search transforms its coset tables in float32,
+    every stacked item at m*n*k <= 2^17, on the first chunk of the first
+    pivot set of every codimension of {0,1}^8."""
     f = random_function(8, np.random.Generator(np.random.PCG64(47)))
-    subs = [sub for codim in range(9) for sub in islice(enumerate_subspaces(8, codim), 4)]
+    chunks = [next(subspace_batches(8, codim))[:boolfn._CHUNK_ENTRIES >> 8]
+              for codim in range(9)]
     calls = matmul_items(monkeypatch)
-    for sub in subs:
+    for bases in chunks:
         calls.clear()
-        uniform_coset_fraction(f, sub, Fraction(1, 4))
+        _uniform_counts(f, bases, Fraction(1, 4))
         assert calls and all(dtype == np.float32 and mnk <= 1 << 17 for dtype, mnk in calls)
 
 
@@ -207,6 +209,24 @@ def test_power_sum_matches_coefficient_loop():
             assert s.power_sum(k) == sum(int(c) ** k for c in s.coeffs.tolist())
 
 
+def test_power_sum_routes_at_the_int64_bound():
+    """power_sum sums in int64 while n*k <= 62 and over the histogram in
+    Python ints past it. f = 1, whose spectrum is 2^n at alpha 0, puts
+    the whole Parseval bound 2^(nk) in one coefficient: at the largest
+    n <= 24 with n*k <= 62 it fits int64, and one n further (k = 3, 4) it
+    would not. Random f on both sides of n*k = 62 agree with the
+    Python-int loop."""
+    for k in (2, 3, 4):
+        for n in range(62 // k, min(62 // k + 1, WHT_MAX_N) + 1):
+            coeffs = np.zeros(1 << n, dtype=np.int32)
+            coeffs[0] = 1 << n
+            assert FourierSpectrum(n, coeffs).power_sum(k) == 1 << n * k, (n, k)
+    rng = np.random.Generator(np.random.PCG64(53))
+    for n, k in [(15, 4), (16, 4), (12, 5), (13, 5), (8, 7), (9, 7)]:
+        s = wht(random_function(n, rng, float(rng.choice([0.1, 0.5, 0.9]))))
+        assert s.power_sum(k) == sum(int(c) ** k for c in s.coeffs.tolist()), (n, k)
+
+
 def test_random_function_rejects_bad_n_before_drawing():
     rng = np.random.Generator(np.random.PCG64(41))
     for n in (-1, 25):
@@ -281,7 +301,7 @@ def test_coset_indices_partition():
         starts = idx[:, 0].tolist()
         assert starts == sorted(starts)
         for start, row in zip(starts, idx.tolist()):
-            assert all(start >> p & 1 == 0 for p in sub.pivots)
+            assert all(start >> p & 1 == 0 for p in pivots(sub))
             assert {reduce(sub, GFVector(n, x)).bits for x in row} == {start}
 
 
@@ -314,25 +334,113 @@ def test_coset_table_checks_ambient_dimension():
             uniform_coset_fraction(f, sub, Fraction(1, 4))
 
 
-def test_regularity_one_transform_per_subspace(monkeypatch):
-    shapes, tried = [], []
-    hadamard, enumerate_all = boolfn._hadamard, boolfn.enumerate_subspaces
+def affine_indicator(n, rng):
+    """The indicator of a random affine subspace of {0,1}^n."""
+    sub = random_subspace(n, rng)
+    shift = int(rng.integers(0, 1 << n))
+    return from_ones(n, [x ^ shift for x in coset_indices(sub)[0].tolist()])
+
+
+def structured(n, rng):
+    return inner_product(n) if n % 2 == 0 else affine_indicator(n, rng)
+
+
+def test_uniform_counts_match_reference_every_small_subspace():
+    """At n <= 6 every batch of every codimension, for a random and a
+    structured f: each basis's uniform-coset count is the reference's."""
+    rng = np.random.Generator(np.random.PCG64(67))
+    epss = (0, Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1)
+    for n in range(1, 7):
+        for f in (random_function(n, rng, float(rng.random())), structured(n, rng)):
+            for codim in range(n + 1):
+                for i, bases in enumerate(subspace_batches(n, codim)):
+                    eps = epss[(i + codim) % len(epss)]
+                    counts = _uniform_counts(f, bases, eps).tolist()
+                    assert counts == [reference_uniform_fraction(f, Subspace(n, tuple(b)), eps)
+                                      * (1 << codim) for b in bases.tolist()], (n, codim, eps)
+
+
+def test_uniform_counts_match_reference_random_subspaces():
+    """At n = 7-8, random slices of random pivot-set batches."""
+    rng = np.random.Generator(np.random.PCG64(71))
+    for n in (7, 8):
+        for _ in range(8):
+            f = random_function(n, rng, float(rng.random()))
+            codim = int(rng.integers(0, n + 1))
+            batches = list(subspace_batches(n, codim))
+            bases = batches[int(rng.integers(0, len(batches)))]
+            start = int(rng.integers(0, len(bases)))
+            bases = bases[start:start + 3]
+            for eps in (0, Fraction(1, 16), Fraction(1, 3), Fraction(1, 2)):
+                assert _uniform_counts(f, bases, eps).tolist() == [
+                    reference_uniform_fraction(f, Subspace(n, tuple(b)), eps) * (1 << codim)
+                    for b in bases.tolist()], (n, codim, eps)
+
+
+def test_regularity_matches_the_per_subspace_loop(monkeypatch):
+    """The batched search returns the per-subspace loop's (subspace,
+    fraction), with the chunk cap as shipped and shrunk to 1 and 8 bases,
+    so that hits land in the middle and in later chunks of a pivot set."""
+    rng = np.random.Generator(np.random.PCG64(73))
+    cap = boolfn._CHUNK_ENTRIES
+    for n in range(1, 7):
+        fs = [random_function(n, rng, float(rng.random())), structured(n, rng)]
+        if n == 4:      # at eps = 1/4, ten regular subspaces in one pivot set, the first at 1
+            fs.append(from_table_int(4, 0x18a1))
+        for f in fs:
+            for eps in (0, Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
+                want = regularity_by_subspace(f, eps)
+                for entries in (cap, 8 << n, 1 << n):
+                    monkeypatch.setattr(boolfn, "_CHUNK_ENTRIES", entries)
+                    assert regularity_decompose(f, eps) == want, (n, eps, entries)
+
+
+def test_regularity_one_transform_per_chunk(monkeypatch):
+    """One _hadamard per chunk, with the cap as shipped and at 4 bases:
+    the chunks, each within the cap and one pivot set, hold the coset
+    tables of the subspaces walked in canonical order, and the last one
+    holds the subspace found."""
+    seen = []
+    hadamard = boolfn._hadamard
 
     def spy_hadamard(values, dtype):
-        shapes.append(values.shape)
+        seen.append(values)
         return hadamard(values, dtype)
 
-    def spy_enumerate(n, codim):
-        for sub in enumerate_all(n, codim):
-            tried.append(sub)
-            yield sub
-
     monkeypatch.setattr(boolfn, "_hadamard", spy_hadamard)
-    monkeypatch.setattr(boolfn, "enumerate_subspaces", spy_enumerate)
     f = random_function(5, np.random.Generator(np.random.PCG64(59)))
-    sub, _ = regularity_decompose(f, Fraction(1, 8))
-    assert tried[-1] == sub and len(tried) > 1
-    assert shapes == [(1 << s.codim, 1 << s.dim) for s in tried]
+    for entries in (boolfn._CHUNK_ENTRIES, 4 << 5):
+        monkeypatch.setattr(boolfn, "_CHUNK_ENTRIES", entries)
+        seen.clear()
+        sub, _ = regularity_decompose(f, Fraction(1, 8))
+        walked = [s for codim in range(sub.codim + 1) for s in enumerate_subspaces(5, codim)]
+        assert len(seen) > 1
+        start = 0
+        for values in seen:
+            assert values.size <= entries
+            chunk = walked[start:start + len(values)]
+            assert len({pivots(s) for s in chunk}) == 1
+            assert np.array_equal(values, [f.table[coset_indices(s)] for s in chunk])
+            start += len(values)
+        assert start - len(seen[-1]) <= walked.index(sub) < start
+
+
+def test_regularity_walk_memory_is_capped_by_the_chunk():
+    """A walk through every subspace of {0,1}^8 of codimension <= 3 (f
+    the AND of the top three coordinates, regular first on the last
+    pivot set of codimension 3) stays under a traced peak of 2.25 MiB: the largest
+    batch, 2^15 bases of 5 rows in int64 (1.25 MiB), plus one chunk of
+    _CHUNK_ENTRIES table entries, whose int64 indices, float32 values
+    and transform take about 0.7 MiB. Twice the cap gives 2.5 MiB."""
+    f = BooleanFunction(8, (np.arange(256) >> 5 == 7).astype(np.uint8))
+    tracemalloc.start()
+    try:
+        sub, frac = regularity_decompose(f, Fraction(1, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sub.codim, sub.basis, frac) == (3, (0b10000, 0b1000, 0b100, 0b10, 0b1), 1)
+    assert peak < 2.25 * (1 << 20), peak
 
 
 def test_regularity_constant():

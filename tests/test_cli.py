@@ -631,16 +631,24 @@ def fuzz_dir(tmp_path_factory):
     return d
 
 
-def fuzz_values(d):
+# commands whose --graph is a graph name; the others read a graph file
+GRAPH_BY_NAME = {"fourier"}
+# a flag whose pipeline some clean call of the command must finish (exit 0)
+MUST_FINISH = {"fourier": "--check-von-neumann"}
+
+
+def fuzz_values(d, command):
     """Candidate values per option dest, each list led by the
-    well-formed value a clean call gives: fixture files, graph names,
-    sigma strings, junk."""
+    well-formed value a clean call of `command` gives: fixture files,
+    graph names, sigma strings, junk. --graph is led by the form the
+    command reads, a graph file or a graph name."""
     f, m, g = str(d / "f.boolfn"), str(d / "c3.matroid"), str(d / "c3.graph")
     other = [str(d / "junk.txt"), str(d / "missing"), str(d)]
+    names = ["c3", "k4", "cx", "k1"]
     return {
         "function": [f, m] + other,
         "matroid": [m, f] + other,
-        "graph": [g, "c3", "k4", "cx", "k1"] + other,
+        "graph": (names + [g] if command in GRAPH_BY_NAME else [g] + names) + other,
         "sigma": ["111", "110", "000", "1", "11111", "012"],
         "eps": ["1/4", "0", "1", "-1", "1/0"],
         "out": [str(d / "out.txt"), str(d / "no" / "out.txt"), str(d)],
@@ -725,11 +733,11 @@ def test_cli_arguments_end_in_a_documented_exit(fuzz_dir, command):
     exactly one error line, and every exit other than 0 stays under a
     traced peak of 4 MiB, a few MiB beyond the small files it reads,
     every command alike."""
-    values = fuzz_values(fuzz_dir)
+    values = fuzz_values(fuzz_dir, command)
     actions = [] if command is None else [
         a for a in SUBCOMMANDS[command]._actions if a.option_strings and a.dest != "help"]
     kinds = ["clean", "junk"] + ["frontier"] * any(a.dest == "n" for a in actions)
-    frontier = set()
+    frontier, finished = set(), []
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(data=st.data())
@@ -743,15 +751,18 @@ def test_cli_arguments_end_in_a_documented_exit(fuzz_dir, command):
                 argv += option_argv(action, values, rnd, kind)
             if kind == "frontier":
                 frontier.add(argv[argv.index("-n") + 1])
-        run_and_check(argv)
+        if run_and_check(argv) == 0 and command is not None and kind == "clean":
+            finished.append(argv)
 
     check()
     assert sorted(frontier) == (FRONTIER_N if "frontier" in kinds else [])
+    if command in MUST_FINISH:
+        assert any(MUST_FINISH[command] in argv for argv in finished), finished
 
 
 def run_and_check(argv):
     """One fuzz call: a documented exit, and the output and traced peak
-    that exit allows."""
+    that exit allows. Returns the exit code."""
     code, parser_exit, err = call_main(argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
     assert "Traceback" not in err, argv
@@ -773,3 +784,4 @@ def run_and_check(argv):
     else:
         assert err.count("\n") == 1, (argv, err)
         assert err.startswith(("error: ", "budget exceeded: ", "property violated: ")), argv
+    return code

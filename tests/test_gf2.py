@@ -6,7 +6,7 @@ import pytest
 
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from matroidlab.gf2 import GFVector, LinearMap, enumerate_subspaces, rank_and_basis
-from oracles import (apply, contains, gaussian_binomial, in_span, random_nonsingular_map,
+from oracles import (apply, contains, gaussian_binomial, in_span, pivots, random_nonsingular_map,
                      reduce, subspaces_by_bit_loop)
 
 
@@ -78,10 +78,10 @@ def test_rank_and_basis_is_the_rref_of_the_span():
             for words in product(range(1 << dim), repeat=count):
                 r, sub = rank_and_basis([GFVector(dim, w) for w in words], dim)
                 rows = list(sub.basis)
-                pivots = [b.bit_length() - 1 for b in rows]
+                tops = [b.bit_length() - 1 for b in rows]
                 assert r == len(rows) and all(rows)
-                assert pivots == sorted(set(pivots), reverse=True)
-                assert all(sum(row >> p & 1 for row in rows) == 1 for p in pivots)
+                assert tops == sorted(set(tops), reverse=True)
+                assert all(sum(row >> p & 1 for row in rows) == 1 for p in tops)
                 span = xor_closure(words)
                 assert xor_closure(rows) == span
                 assert all(contains(sub, GFVector(dim, x)) == (x in span)
@@ -180,7 +180,7 @@ def test_coset_decompose_partitions():
         _, sub = rank_and_basis(vecs, dim=n)
         reps = sorted({reduce(sub, GFVector(n, x)).bits for x in range(1 << n)})
         assert len(reps) == 1 << sub.codim
-        assert all(rep >> p & 1 == 0 for rep in reps for p in sub.pivots)
+        assert all(rep >> p & 1 == 0 for rep in reps for p in pivots(sub))
         span = [0]
         for b in sub.basis:
             span += [w ^ b for w in span]
