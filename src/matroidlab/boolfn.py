@@ -27,10 +27,10 @@ index ix(x) = sum_j x_j 2^j, i.e. coordinate j is bit j of the index.
 
 The cosets of a subspace H are read through one index table: a row per
 coset, reps ascending, and a column per element of H. `_coset_tables`
-lays it out for a batch of bases that share one pivot set (the batches
-of `gf2.subspace_batches`), and `coset_indices(H)` is its one-basis
-case. One row-wise transform of f's values at the tables gives every
-coset's spectrum, from which each basis's uniform-coset count is read.
+lays it out for each basis of a `gf2.subspace_batches` batch from the
+representatives the batch carries; the families read the same tables.
+One row-wise transform of f's values at the tables gives every coset's
+spectrum, from which each basis's uniform-coset count is read.
 The regularity search walks each pivot set's batch in chunks of at most
 _CHUNK_ENTRIES = 2^16 table entries (2^16 >> n bases), one `_hadamard`
 call per chunk, so a chunk's indices, values and transform take under
@@ -211,33 +211,23 @@ def wht(f: BooleanFunction) -> FourierSpectrum:
 _CHUNK_ENTRIES = 1 << 16    # coset-table entries per regularity transform
 
 
-def _coset_tables(n: int, bases: np.ndarray) -> np.ndarray:
-    """Table indices of every coset of each subspace of a batch, shape
-    (B, 2^codim, 2^dim), from a (B, dim) int64 array of RREF bases of
-    {0,1}^n that share one pivot set (B >= 1).
-
-    Row c of a table is the coset whose canonical representative (every
-    pivot bit clear) is the c-th smallest; column h holds that
-    representative XOR the basis vectors b_i over the set bits i of h.
-    """
-    pivots = {b.bit_length() - 1 for b in bases[0].tolist()}
-    reps = _xor_span([1 << j for j in range(n) if j not in pivots])
+def _coset_tables(reps: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Table indices of every coset of each subspace of a
+    `gf2.subspace_batches` batch (reps, bases), shape
+    (B, 2^codim, 2^dim): row c is the coset of the c-th smallest
+    canonical representative, reps[c], and column h holds reps[c] XOR
+    the basis vectors b_i over the set bits i of h."""
     return reps[:, None] ^ _xor_span(bases)[:, None, :]
 
 
-def coset_indices(sub: Subspace) -> np.ndarray:
-    """The coset table of one subspace, shape (2^codim, 2^dim): the
-    one-basis case of `_coset_tables`."""
-    return _coset_tables(sub.ambient_dim, np.array([sub.basis], dtype=np.int64))[0]
-
-
-def _uniform_counts(f: BooleanFunction, bases: np.ndarray, eps: Fraction) -> np.ndarray:
+def _uniform_counts(f: BooleanFunction, reps: np.ndarray, bases: np.ndarray,
+                    eps: Fraction) -> np.ndarray:
     """For each basis of a `_coset_tables` batch, the number of its cosets
     on which f restricts eps-uniformly: every nonzero-frequency
     coefficient of the restriction has |f^(a)| <= eps. One transform
     of f's values at the batch's tables."""
     size = 1 << bases.shape[1]
-    coeffs = _hadamard(f.table[_coset_tables(f.n, bases)], np.float32)
+    coeffs = _hadamard(f.table[_coset_tables(reps, bases)], np.float32)
     peak = np.abs(coeffs[..., 1:]).max(axis=-1, initial=0)
     return np.count_nonzero(peak <= min(math.floor(eps * size), size), axis=-1)
 
@@ -276,9 +266,9 @@ def regularity_decompose(f: BooleanFunction, eps, max_codim: int | None = None
     chunk = _CHUNK_ENTRIES >> f.n     # bases per transform; each table has 2^n entries
     for codim in range(max_codim + 1):
         need = math.ceil((1 - eps) * (1 << codim))
-        for batch in subspace_batches(f.n, codim):
+        for reps, batch in subspace_batches(f.n, codim):
             for start in range(0, len(batch), chunk):
-                counts = _uniform_counts(f, batch[start:start + chunk], eps)
+                counts = _uniform_counts(f, reps, batch[start:start + chunk], eps)
                 hits = np.flatnonzero(counts >= need)
                 if hits.size:
                     i = int(hits[0])

@@ -34,10 +34,10 @@ from .matroid import (HOM_NODE_BUDGET, canonical_function, canonical_ones,
                       cycle_space_basis, find_homomorphism, graphic_from_graph, named_graph,
                       odd_girth)
 from .tester import (PATTERN_BUDGET_BITS, PatternSpec, brute_force_cycle_count,
-                     check_instance_walk, check_pattern_args, check_von_neumann_args,
-                     count_patterns, cycle_count_fourier, derive_seed, enumerate_instances,
-                     find_pattern, min_repair_distance, pattern_hitting_number, run_tester,
-                     von_neumann_gap)
+                     check_instance_walk, check_pattern_args, check_tester_args,
+                     check_von_neumann_args, count_patterns, cycle_count_fourier, derive_seed,
+                     enumerate_instances, find_pattern, min_repair_distance,
+                     pattern_hitting_number, run_tester, von_neumann_gap)
 
 EXIT_OK = 0
 EXIT_PROPERTY_VIOLATED = 2
@@ -161,6 +161,7 @@ def _exp_count(args):
 
 
 def _exp_test(args):
+    check_tester_args(args.samples, args.seed)
     f, m, sigma = _freeness_args(args)
     rejections, rate = run_tester(f, m, sigma, args.samples, args.seed)
     results = {
@@ -188,9 +189,10 @@ def _exp_tester_calibration(args):
         check_canonical_args(c3, n)
     m = load_matroid(args.matroid) if args.matroid else c3
     sigma = PatternSpec.from_string(args.sigma or "1" * m.k)
-    # every bucket's exact count makes these checks; make them before the
-    # canonical table and the index array of ones, 2^n entries each
+    # each bucket's count and tester run make these checks (its seed is derived,
+    # never negative); make them before the 2^n canonical table and index of ones
     check_pattern_args(n, m, sigma, args.budget)
+    check_tester_args(args.samples)
     if base is None:
         base = canonical_function(c3, n)
     ones = np.flatnonzero(base.table)

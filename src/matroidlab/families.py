@@ -3,10 +3,10 @@ classifier, and exhaustive verification that the free sets of all
 2^(2^n) functions match the classifier's prediction.
 
 A function is handled here as its table int: bit x is f(x), with point
-x at index sum_j x_j 2^j. The families are generated, not swept for:
-the linear forms directly, and the subspace and affine subspace
-indicators from `gf2.enumerate_subspaces` and the coset tables of
-`boolfn.coset_indices`.
+x at index sum_j x_j 2^j. The families are generated, not swept for,
+from the coset tables of `gf2.subspace_batches`' batches: the subspace
+and affine subspace indicators are their rows, and the linear forms
+the complements of the hyperplanes.
 
 The free sets come from the Fourier side. With F and G the unnormalized
 spectra of f and g = 1 - f, the number of zero-sum k-tuples
@@ -26,9 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolfn import _hadamard, coset_indices
+from .boolfn import _coset_tables, _hadamard
 from .errors import InvalidInputError
-from .gf2 import enumerate_subspaces
+from .gf2 import subspace_batches
 from .tester import PatternSpec
 
 FREE_ENUM_MAX_N = 4
@@ -64,25 +64,30 @@ COMPLEMENT_PAIR = {
 def _family_tables(n: int) -> dict[FamilyId, frozenset[int]]:
     """Every family on {0,1}^n as a set of table ints (bit x is f(x)).
 
-    The linear forms x -> <a, x> and the subspace indicators are built
-    directly: row 0 of `coset_indices(H)` is H itself and its other rows
-    are the cosets of H, so the subspaces of every codimension give Flin
-    and all their rows give Faff. A bar family holds the complements of
-    its COMPLEMENT_PAIR partner.
+    Each batch's coset tables become table ints in one numpy sum (every
+    point is below 2^n <= 16). Row 0 of a table is the subspace itself
+    and the other rows are its cosets, so the subspaces give Flin and
+    all rows Faff; a nonzero form x -> <a, x> is 1 exactly off its
+    kernel, so the forms are row 1 of the codimension-1 tables. A bar
+    family holds the complements of its COMPLEMENT_PAIR partner.
     """
     if not 0 <= n <= FREE_ENUM_MAX_N:
         raise InvalidInputError(f"function enumeration capped at n <= {FREE_ENUM_MAX_N}")
-    size = 1 << n
-    full = (1 << size) - 1
-    forms = {sum(((a & x).bit_count() & 1) << x for x in range(size)) for a in range(size)}
-    flats = [[sum(1 << int(x) for x in row) for row in coset_indices(sub)]
-             for codim in range(n + 1) for sub in enumerate_subspaces(n, codim)]
+    full = (1 << (1 << n)) - 1
+    forms, flin, faff = {0}, {0}, {0}
+    for codim in range(n + 1):
+        for reps, bases in subspace_batches(n, codim):
+            rows = np.left_shift(1, _coset_tables(reps, bases)).sum(axis=-1)
+            flin.update(rows[:, 0].tolist())
+            faff.update(rows.ravel().tolist())
+            if codim == 1:
+                forms.update(rows[:, 1].tolist())
     tables = {
         FamilyId.CONST: {0, full},
         FamilyId.LIN: forms | {full},
         FamilyId.AFF: forms | {full ^ t for t in forms},
-        FamilyId.FLIN: {0} | {rows[0] for rows in flats},
-        FamilyId.FAFF: {0} | {t for rows in flats for t in rows},
+        FamilyId.FLIN: flin,
+        FamilyId.FAFF: faff,
     }
     for fam, partner in COMPLEMENT_PAIR.items():
         if fam not in tables:

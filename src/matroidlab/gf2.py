@@ -14,15 +14,13 @@ files, reports, witnesses and matroids.
 
 The canonical subspace order is batched: `subspace_batches` yields,
 pivot set by pivot set, every RREF basis with those pivots as one
-(B, dim) int64 array, and `enumerate_subspaces` is the per-row Subspace
-view of the same arrays. The bases of one batch share their pivots, so
-they share the coset representatives below; the regularity search
-transforms the coset tables of many of them at once.
+(B, dim) int64 array, beside the coset representatives they share; the
+families and the regularity search both read the batches.
 
 A coset v + H of a subspace is named by its canonical representative,
 the one element with every pivot bit of H's RREF basis clear. This
-module keeps no coset objects: `boolfn` lays all cosets of H out as one
-table of point indices, for one basis or for a batch.
+module keeps no coset objects: `boolfn` lays all cosets of each basis
+of a batch out as one table of point indices.
 """
 
 from __future__ import annotations
@@ -154,9 +152,11 @@ def rank_and_basis(vectors: Iterable[GFVector], dim: int | None = None) -> tuple
     return len(basis), Subspace(dim, basis)
 
 
-def subspace_batches(n: int, codim: int) -> Iterator[np.ndarray]:
+def subspace_batches(n: int, codim: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The RREF bases of all subspaces of {0,1}^n of the given
-    codimension, one (B, n - codim) int64 array per pivot set.
+    codimension, one (reps, bases) pair per pivot set: bases is a
+    (B, n - codim) int64 array, and reps (the span table of the
+    non-pivot bits) their 2^codim coset representatives, ascending.
 
     Pivot sets come in descending lexicographic order. Row j of a basis
     (descending pivots, as in Subspace.basis) runs through the span
@@ -179,15 +179,7 @@ def subspace_batches(n: int, codim: int) -> Iterator[np.ndarray]:
         for j, (p, size) in enumerate(zip(pivots, sizes)):
             batch.reshape(-1, size, stride, dim)[..., j] = span[:size, None] | 1 << p
             stride *= size
-        yield batch
-
-
-def enumerate_subspaces(n: int, codim: int) -> Iterator[Subspace]:
-    """All subspaces of {0,1}^n of the given codimension, each exactly
-    once, in canonical order: the rows of `subspace_batches`."""
-    for batch in subspace_batches(n, codim):
-        for basis in batch.tolist():
-            yield Subspace(n, tuple(basis))
+        yield span, batch
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,7 @@ def named_graph(name: str) -> Graph:
 class BinaryMatroid:
     """k labeled GF(2) vectors in ambient dimension m (a multiset)."""
 
-    def __init__(self, vectors: Sequence[GFVector], label: str | None = None):
+    def __init__(self, vectors: Sequence[GFVector]):
         vectors = tuple(vectors)
         if not vectors:
             raise InvalidInputError("a matroid needs at least one element")
@@ -144,7 +144,6 @@ class BinaryMatroid:
         self.vectors = vectors
         self.k = len(vectors)
         self.m = m
-        self.label = label
 
     @cached_property
     def ints(self) -> tuple[int, ...]:
@@ -191,8 +190,7 @@ class BinaryMatroid:
         return hash(self.vectors)
 
     def __repr__(self):
-        name = self.label or f"k={self.k},m={self.m}"
-        return f"BinaryMatroid({name})"
+        return f"BinaryMatroid(k={self.k},m={self.m})"
 
 
 def graphic_from_graph(g: Graph) -> BinaryMatroid:
@@ -201,7 +199,7 @@ def graphic_from_graph(g: Graph) -> BinaryMatroid:
     if not g.edges:
         raise InvalidInputError("graphic matroid needs at least one edge")
     vectors = [GFVector(g.V, (1 << u) | (1 << v)) for u, v in g.edges]
-    return BinaryMatroid(vectors, label=f"graphic(V={g.V},E={len(g.edges)})")
+    return BinaryMatroid(vectors)
 
 
 def cographic_from_graph(g: Graph) -> BinaryMatroid:
@@ -226,7 +224,7 @@ def cographic_from_graph(g: Graph) -> BinaryMatroid:
             if row >> j & 1:
                 bits |= 1 << i
         vectors.append(GFVector(m, bits))
-    return BinaryMatroid(vectors, label=f"cographic(V={g.V},E={len(g.edges)})")
+    return BinaryMatroid(vectors)
 
 
 def _circuit_words(m: BinaryMatroid) -> list[int]:

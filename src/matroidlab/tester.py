@@ -582,6 +582,19 @@ def brute_force_cycle_count(f: BooleanFunction, k: int) -> int:
                _scan_chunks(_factors(_lookups(f.table, (1,) * k), coords), f.n, k - 1))
 
 
+def check_tester_args(samples: int, seed: int = 0) -> None:
+    """Refuse run_tester's samples and seed from the numbers alone, so a
+    caller can check before it builds f or anything else: samples below
+    1 or a negative seed, and more than TESTER_SAMPLE_BUDGET samples."""
+    if samples < 1:
+        raise InvalidInputError("samples must be positive")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+    if samples > TESTER_SAMPLE_BUDGET:
+        raise BudgetExceededError(
+            f"{samples} samples exceed the tester budget of {TESTER_SAMPLE_BUDGET}")
+
+
 def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
                samples: int, seed: int) -> tuple[int, Fraction]:
     """The k-query tester: draw uniformly random linear maps (independent
@@ -605,20 +618,14 @@ def run_tester(f: BooleanFunction, m: BinaryMatroid, sigma: PatternSpec,
     column buffer, one contiguous row per basis vector. A block holds an
     even number of maps, at least 2, so every block but the last reads
     whole raw words: no half-word carries into the next block, and the
-    stream above is unchanged. More than TESTER_SAMPLE_BUDGET samples
-    raise BudgetExceededError before any draw. Within a block, _match
-    runs again on the surviving maps' columns once fewer than 1/8 remain.
+    stream above is unchanged. check_tester_args refuses the samples and
+    the seed before any draw. Within a block, _match runs again on the
+    surviving maps' columns once fewer than 1/8 remain.
     """
     if sigma.k != m.k:
         raise DimensionMismatchError(
             f"sigma length {sigma.k} does not match matroid size {m.k}")
-    if samples < 1:
-        raise InvalidInputError("samples must be positive")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
-    if samples > TESTER_SAMPLE_BUDGET:
-        raise BudgetExceededError(
-            f"{samples} samples exceed the tester budget of {TESTER_SAMPLE_BUDGET}")
+    check_tester_args(samples, seed)
     bitgen = np.random.PCG64(seed)
     factors = _factors(_lookups(f.table, sigma.sigma), m.ints)
     block = min(samples, max(2, min(_CHUNK, 8 * _CHUNK // m.m) & ~1))

@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from matroidlab.boolfn import BooleanFunction, _hadamard, coset_indices
+from matroidlab.boolfn import BooleanFunction, _hadamard
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
 from matroidlab.families import FamilyId, _family_tables, _free_by_weight
-from matroidlab.gf2 import GFVector, LinearMap, Subspace, enumerate_subspaces, rank_and_basis
+from matroidlab.gf2 import GFVector, LinearMap, Subspace, rank_and_basis, subspace_batches
 from matroidlab.matroid import BinaryMatroid, Graph, _circuit_words, _complexity_at, _forced_by
 from matroidlab.tester import PatternSpec, _factors, _lookups, _scan_chunks
 
@@ -115,14 +115,38 @@ def reduce(sub: Subspace, v: GFVector) -> GFVector:
     return GFVector(sub.ambient_dim, w)
 
 
+def subspace_rows(n: int, codim: int) -> list[Subspace]:
+    """The rows of `subspace_batches(n, codim)`, one Subspace each, in
+    canonical order."""
+    return [Subspace(n, tuple(basis)) for _, bases in subspace_batches(n, codim)
+            for basis in bases.tolist()]
+
+
+def coset_table(sub: Subspace) -> np.ndarray:
+    """The coset table of one subspace, shape (2^codim, 2^dim), built by
+    clearing pivot bits rather than by `boolfn._coset_tables`: point x
+    goes to the row of its canonical representative, reps ascending, and
+    to column h = sum_i x_{pivot_i} 2^i, its coordinates over the RREF
+    basis (the other rows have pivot_i clear)."""
+    points = np.arange(1 << sub.ambient_dim)
+    reps, cols = points.copy(), np.zeros_like(points)
+    for i, b in enumerate(sub.basis):
+        bit = points >> (b.bit_length() - 1) & 1
+        reps ^= bit * b
+        cols |= bit << i
+    table = np.empty((1 << sub.codim, 1 << sub.dim), dtype=np.int64)
+    table[np.unique(reps, return_inverse=True)[1], cols] = points
+    return table
+
+
 def uniform_coset_fraction(f: BooleanFunction, sub: Subspace, eps) -> Fraction:
     """Fraction of cosets of H on which f restricts eps-uniformly, one
-    subspace at a time: one transform of f's values at coset_indices(H),
+    subspace at a time: one transform of f's values at coset_table(H),
     every nonzero-frequency coefficient of a row at most eps in
     magnitude."""
     if sub.ambient_dim != f.n:
         raise DimensionMismatchError(f"subspace ambient {sub.ambient_dim} vs n={f.n}")
-    idx = coset_indices(sub)
+    idx = coset_table(sub)
     size = idx.shape[1]
     coeffs = _hadamard(f.table[idx], np.float32)
     peak = np.abs(coeffs[:, 1:]).max(axis=1, initial=0)
@@ -137,7 +161,7 @@ def regularity_by_subspace(f: BooleanFunction, eps, max_codim: Optional[int] = N
     least 1 - eps."""
     eps = Fraction(eps)
     for codim in range(f.n + 1 if max_codim is None else max_codim + 1):
-        for sub in enumerate_subspaces(f.n, codim):
+        for sub in subspace_rows(f.n, codim):
             frac = uniform_coset_fraction(f, sub, eps)
             if frac >= 1 - eps:
                 return sub, frac

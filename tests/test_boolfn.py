@@ -5,18 +5,29 @@ import numpy as np
 import pytest
 
 from matroidlab import boolfn
-from matroidlab.boolfn import (WHT_MAX_N, BooleanFunction, FourierSpectrum, _hadamard,
-                               _uniform_counts, coset_indices, random_function,
+from matroidlab.boolfn import (WHT_MAX_N, BooleanFunction, FourierSpectrum, _coset_tables,
+                               _hadamard, _uniform_counts, random_function,
                                regularity_decompose, wht)
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from matroidlab.gf2 import GFVector, Subspace, enumerate_subspaces, rank_and_basis, subspace_batches
-from oracles import (apply, butterfly, constant, from_ones, from_table_int, matmul_items,
-                     pivots, random_nonsingular_map, reduce, regularity_by_subspace,
-                     uniform_coset_fraction, walsh_direct)
+from matroidlab.gf2 import GFVector, Subspace, rank_and_basis, subspace_batches
+from oracles import (apply, butterfly, coset_table, constant, from_ones, from_table_int,
+                     matmul_items, pivots, random_nonsingular_map, reduce, regularity_by_subspace,
+                     subspace_rows, uniform_coset_fraction, walsh_direct)
 
 
 def whole(n):
-    return next(enumerate_subspaces(n, 0))
+    return subspace_rows(n, 0)[0]
+
+
+def batch_coset_table(sub):
+    """The `_coset_tables` table of one subspace, shape (2^codim, 2^dim),
+    from the batch of its pivot set, which must hold its basis."""
+    basis = np.array(sub.basis, dtype=np.int64).reshape(1, sub.dim)
+    for reps, bases in subspace_batches(sub.ambient_dim, sub.codim):
+        hit = np.flatnonzero((bases == basis).all(axis=1))
+        if hit.size:
+            return _coset_tables(reps, bases[hit])[0]
+    raise AssertionError(f"{sub} is in no batch")
 
 
 def random_subspace(n, rng):
@@ -124,12 +135,12 @@ def test_coset_spectra_products_stay_below_the_blas_thread_threshold(monkeypatch
     every stacked item at m*n*k <= 2^17, on the first chunk of the first
     pivot set of every codimension of {0,1}^8."""
     f = random_function(8, np.random.Generator(np.random.PCG64(47)))
-    chunks = [next(subspace_batches(8, codim))[:boolfn._CHUNK_ENTRIES >> 8]
-              for codim in range(9)]
+    chunks = [(reps, bases[:boolfn._CHUNK_ENTRIES >> 8])
+              for reps, bases in (next(subspace_batches(8, codim)) for codim in range(9))]
     calls = matmul_items(monkeypatch)
-    for bases in chunks:
+    for reps, bases in chunks:
         calls.clear()
-        _uniform_counts(f, bases, Fraction(1, 4))
+        _uniform_counts(f, reps, bases, Fraction(1, 4))
         assert calls and all(dtype == np.float32 and mnk <= 1 << 17 for dtype, mnk in calls)
 
 
@@ -244,13 +255,13 @@ def test_is_uniform_examples():
 
 def test_restriction_examples():
     f = from_ones(2, [1, 2])
-    assert np.array_equal(f.table[coset_indices(whole(2))], [f.table])
+    assert np.array_equal(f.table[batch_coset_table(whole(2))], [f.table])
 
     _, point = rank_and_basis([], dim=2)
-    assert f.table[coset_indices(point)][GFVector.from_bits("01").bits].tolist() == [1]
+    assert f.table[batch_coset_table(point)][GFVector.from_bits("01").bits].tolist() == [1]
 
     _, diag = rank_and_basis([GFVector.from_bits("11")])
-    assert f.table[coset_indices(diag)].tolist() == [[0, 0], [1, 1]]
+    assert f.table[batch_coset_table(diag)].tolist() == [[0, 0], [1, 1]]
 
 
 def test_restriction_matches_direct_evaluation():
@@ -261,7 +272,7 @@ def test_restriction_matches_direct_evaluation():
         n = int(rng.integers(1, 9))
         f = random_function(n, rng)
         sub = random_subspace(n, rng)
-        idx = coset_indices(sub)
+        idx = batch_coset_table(sub)
         rep = reduce(sub, GFVector(n, int(rng.integers(0, 1 << n)))).bits
         row = int(np.searchsorted(idx[:, 0], rep))
         assert idx[row, 0] == rep
@@ -277,17 +288,17 @@ def test_restriction_matches_direct_evaluation():
 
 def test_coset_point_indices_partition():
     _, sub = rank_and_basis([GFVector.from_bits("110"), GFVector.from_bits("011")])
-    seen = coset_indices(sub).ravel().tolist()
+    seen = batch_coset_table(sub).ravel().tolist()
     assert sorted(seen) == list(range(8))
 
 
 def test_coset_indices_examples():
     # columns follow the RREF basis, descending pivots: "01", then "10"
-    assert coset_indices(whole(2)).tolist() == [[0, 2, 1, 3]]
+    assert batch_coset_table(whole(2)).tolist() == [[0, 2, 1, 3]]
     _, trivial = rank_and_basis([], dim=2)
-    assert coset_indices(trivial).tolist() == [[0], [1], [2], [3]]
+    assert batch_coset_table(trivial).tolist() == [[0], [1], [2], [3]]
     _, diag = rank_and_basis([GFVector.from_bits("11")])
-    assert [set(row) for row in coset_indices(diag).tolist()] == [{0, 3}, {1, 2}]
+    assert [set(row) for row in batch_coset_table(diag).tolist()] == [{0, 3}, {1, 2}]
 
 
 def test_coset_indices_partition():
@@ -295,7 +306,8 @@ def test_coset_indices_partition():
     for _ in range(60):
         n = int(rng.integers(1, 8))
         sub = random_subspace(n, rng)
-        idx = coset_indices(sub)
+        idx = batch_coset_table(sub)
+        assert np.array_equal(idx, coset_table(sub))
         assert idx.shape == (1 << sub.codim, 1 << sub.dim)
         assert sorted(idx.ravel().tolist()) == list(range(1 << n))
         starts = idx[:, 0].tolist()
@@ -309,7 +321,7 @@ def test_uniform_fraction_matches_reference_every_small_subspace():
     rng = np.random.Generator(np.random.PCG64(43))
     for n in range(1, 5):
         for codim in range(n + 1):
-            for sub in enumerate_subspaces(n, codim):
+            for sub in subspace_rows(n, codim):
                 f = random_function(n, rng, density=float(rng.random()))
                 for eps in (0, Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), 1):
                     want = reference_uniform_fraction(f, sub, eps)
@@ -338,7 +350,7 @@ def affine_indicator(n, rng):
     """The indicator of a random affine subspace of {0,1}^n."""
     sub = random_subspace(n, rng)
     shift = int(rng.integers(0, 1 << n))
-    return from_ones(n, [x ^ shift for x in coset_indices(sub)[0].tolist()])
+    return from_ones(n, [x ^ shift for x in batch_coset_table(sub)[0].tolist()])
 
 
 def structured(n, rng):
@@ -353,9 +365,9 @@ def test_uniform_counts_match_reference_every_small_subspace():
     for n in range(1, 7):
         for f in (random_function(n, rng, float(rng.random())), structured(n, rng)):
             for codim in range(n + 1):
-                for i, bases in enumerate(subspace_batches(n, codim)):
+                for i, (reps, bases) in enumerate(subspace_batches(n, codim)):
                     eps = epss[(i + codim) % len(epss)]
-                    counts = _uniform_counts(f, bases, eps).tolist()
+                    counts = _uniform_counts(f, reps, bases, eps).tolist()
                     assert counts == [reference_uniform_fraction(f, Subspace(n, tuple(b)), eps)
                                       * (1 << codim) for b in bases.tolist()], (n, codim, eps)
 
@@ -368,11 +380,11 @@ def test_uniform_counts_match_reference_random_subspaces():
             f = random_function(n, rng, float(rng.random()))
             codim = int(rng.integers(0, n + 1))
             batches = list(subspace_batches(n, codim))
-            bases = batches[int(rng.integers(0, len(batches)))]
+            reps, bases = batches[int(rng.integers(0, len(batches)))]
             start = int(rng.integers(0, len(bases)))
             bases = bases[start:start + 3]
             for eps in (0, Fraction(1, 16), Fraction(1, 3), Fraction(1, 2)):
-                assert _uniform_counts(f, bases, eps).tolist() == [
+                assert _uniform_counts(f, reps, bases, eps).tolist() == [
                     reference_uniform_fraction(f, Subspace(n, tuple(b)), eps) * (1 << codim)
                     for b in bases.tolist()], (n, codim, eps)
 
@@ -413,14 +425,14 @@ def test_regularity_one_transform_per_chunk(monkeypatch):
         monkeypatch.setattr(boolfn, "_CHUNK_ENTRIES", entries)
         seen.clear()
         sub, _ = regularity_decompose(f, Fraction(1, 8))
-        walked = [s for codim in range(sub.codim + 1) for s in enumerate_subspaces(5, codim)]
+        walked = [s for codim in range(sub.codim + 1) for s in subspace_rows(5, codim)]
         assert len(seen) > 1
         start = 0
         for values in seen:
             assert values.size <= entries
             chunk = walked[start:start + len(values)]
             assert len({pivots(s) for s in chunk}) == 1
-            assert np.array_equal(values, [f.table[coset_indices(s)] for s in chunk])
+            assert np.array_equal(values, [f.table[batch_coset_table(s)] for s in chunk])
             start += len(values)
         assert start - len(seen[-1]) <= walked.index(sub) < start
 
@@ -465,7 +477,7 @@ def test_regularity_minimality_rescan():
         assert frac >= 1 - eps
         assert uniform_coset_fraction(f, sub, eps) == frac
         for codim in range(sub.codim):
-            for other in enumerate_subspaces(4, codim):
+            for other in subspace_rows(4, codim):
                 assert uniform_coset_fraction(f, other, eps) < 1 - eps
 
 

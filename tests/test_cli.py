@@ -376,6 +376,11 @@ def test_regularity_refuses_n_before_the_draw(capsys, n, code, line):
      "budget exceeded: n*rank = 48 exceeds exhaustive budget 30\n", 1 << 20),
     (["test", "--calibrate", "-n", "25"], 4,
      "error: n=25 exceeds the truth-table cap 24\n", 1 << 20),
+    (["test", "--calibrate", "-n", "15", "--samples", "0"], 4,
+     "error: samples must be positive\n", 1 << 20),
+    (["test", "--calibrate", "-n", "15", "--samples", str(10 ** 18)], 3,
+     "budget exceeded: 1000000000000000000 samples exceed the tester budget of 4294967296\n",
+     1 << 20),
     (["hierarchy", "--kind", "cliques", "-a", "3", "-b", "4", "-n", "24"], 3,
      "budget exceeded: n*rank = 72 exceeds exhaustive budget 30\n", 1 << 20),
     (["hierarchy", "--kind", "cliques", "-a", "3", "-b", "4", "-n", "2"], 4,
@@ -383,10 +388,12 @@ def test_regularity_refuses_n_before_the_draw(capsys, n, code, line):
     (["hierarchy", "--kind", "cycles", "-k", "3", "-n", "24"], 3,
      "budget exceeded: instance enumeration exceeded 10000000 nodes; "
      "deepest element 2 of 5\n", 1 << 20),
-], ids=("calibrate-24", "calibrate-25", "cliques-24", "cliques-2", "cycles-24"))
+], ids=("calibrate-24", "calibrate-25", "calibrate-samples-0", "calibrate-samples-1e18",
+        "cliques-24", "cliques-2", "cycles-24"))
 def test_size_refusals_before_the_canonical_table(capsys, argv, code, line, ceiling):
-    """The argument checks, then the n*rank cap or the price of the
-    instance walk's leading levels, run before the 2^n canonical table."""
+    """The argument checks, then the n*rank cap, the tester's sample
+    count or the price of the instance walk's leading levels, run before
+    the 2^n canonical table."""
     tracemalloc.start()
     try:
         assert main(argv) == code

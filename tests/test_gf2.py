@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from matroidlab.errors import BudgetExceededError, DimensionMismatchError, InvalidInputError
-from matroidlab.gf2 import GFVector, LinearMap, enumerate_subspaces, rank_and_basis
+from matroidlab.gf2 import GFVector, LinearMap, Subspace, rank_and_basis, subspace_batches
 from oracles import (apply, contains, gaussian_binomial, in_span, pivots, random_nonsingular_map,
-                     reduce, subspaces_by_bit_loop)
+                     reduce, subspace_rows, subspaces_by_bit_loop)
 
 
 def v(s):
@@ -132,9 +132,10 @@ def test_subspace_reduce_idempotent():
 
 
 def test_enumerate_subspaces_counts():
-    assert sum(1 for _ in enumerate_subspaces(2, 1)) == 3
-    assert sum(1 for _ in enumerate_subspaces(3, 1)) == 7
-    assert sum(1 for _ in enumerate_subspaces(4, 2)) == 35
+    """The rows of subspace_batches, counted."""
+    assert sum(len(bases) for _, bases in subspace_batches(2, 1)) == 3
+    assert sum(len(bases) for _, bases in subspace_batches(3, 1)) == 7
+    assert sum(len(bases) for _, bases in subspace_batches(4, 2)) == 35
 
 
 def test_enumerate_subspaces_gaussian_binomial():
@@ -148,26 +149,37 @@ def test_enumerate_subspaces_gaussian_binomial():
 
     for n in range(1, 7):
         for codim in range(n + 1):
-            subs = list(enumerate_subspaces(n, codim))
+            subs = subspace_rows(n, codim)
             assert len(subs) == gauss(n, n - codim) == gaussian_binomial(n, n - codim)
             assert len(set(subs)) == len(subs)
             assert all(s.codim == codim for s in subs)
 
 
 def test_enumerate_subspaces_order_is_pinned():
-    """The canonical subspace order, row for row, against the bit-loop
-    enumerator for every codimension at n <= 6."""
+    """The canonical subspace order, row for row over subspace_batches,
+    against the bit-loop enumerator for every codimension at n <= 6."""
     for n in range(7):
         for codim in range(n + 1):
-            assert [s.basis for s in enumerate_subspaces(n, codim)] \
-                == subspaces_by_bit_loop(n, codim)
+            assert [s.basis for s in subspace_rows(n, codim)] == subspaces_by_bit_loop(n, codim)
+
+
+def test_batch_reps_are_the_canonical_coset_representatives():
+    """Each batch's reps are the sorted reduce(H, x) over {0,1}^n, for
+    every subspace H of the batch, at n <= 5."""
+    for n in range(6):
+        for codim in range(n + 1):
+            for reps, bases in subspace_batches(n, codim):
+                for basis in bases.tolist():
+                    sub = Subspace(n, tuple(basis))
+                    want = sorted({reduce(sub, GFVector(n, x)).bits for x in range(1 << n)})
+                    assert reps.tolist() == want, (n, basis)
 
 
 def test_enumerate_subspaces_caps():
     with pytest.raises(BudgetExceededError):
-        list(enumerate_subspaces(9, 1))
+        list(subspace_batches(9, 1))
     with pytest.raises(InvalidInputError):
-        list(enumerate_subspaces(4, 5))
+        list(subspace_batches(4, 5))
 
 
 def test_coset_decompose_partitions():

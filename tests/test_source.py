@@ -251,6 +251,7 @@ NEGATIVE_TESTS = {
     "matroid.verify_homomorphism": "test_matroid.py::test_verify_homomorphism_says_no",
     "tester.check_instance_walk": "test_cli.py::test_size_refusals_before_the_canonical_table",
     "tester.check_pattern_args": "test_cli.py::test_size_refusals_before_the_canonical_table",
+    "tester.check_tester_args": "test_cli.py::test_size_refusals_before_the_canonical_table",
     "tester.check_von_neumann_args": "test_cli.py::test_von_neumann_checks_before_drawing",
 }
 

@@ -976,36 +976,83 @@ def span_count(f, m, sigma):
     return count_patterns(f, m, sigma).span_count
 
 
+@st.composite
+def invariance_draws(draw):
+    """(f, M, Sigma, rng): a random binary matroid of 1..7 elements in
+    {0,1}^d, d <= 4, so parallel elements are common, with up to two
+    loops, or of rank 0 (every element a loop) on one draw in five;
+    Sigma; f on {0,1}^n with n*rank <= 14, n drawn down from its cap,
+    of density 0.2, 0.5 or 0.8; and an rng seeded from the draw for the
+    map the test applies."""
+    d, k = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    ints = draw(st.lists(st.integers(1, (1 << d) - 1), min_size=k, max_size=k))
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=2)):
+        ints[i] = 0
+    if draw(st.integers(0, 4)) == 4:
+        ints = [0] * k
+    m = BinaryMatroid([GFVector(d, v) for v in ints])
+    cap = 14 // max(m.rank, 1)
+    n = cap - draw(st.integers(0, cap - 1))
+    sigma = PatternSpec(tuple(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_function(n, rng, draw(st.sampled_from([0.2, 0.5, 0.8]))), m, sigma, rng
+
+
+def check_invariance(check):
+    """Run check(f, m, sigma, rng) on 60 derandomized invariance_draws,
+    which must reach both routes of count_patterns."""
+    routes = set()
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(case=invariance_draws())
+    def run(case):
+        f, m, sigma, rng = case
+        factors = tester._factors(tester._lookups(f.table, sigma.sigma), m.span_coords)
+        routes.add(tester._priced(factors, f.n, m.rank) is None)
+        check(f, m, sigma, rng)
+
+    run()
+    assert routes == {True, False}
+
+
 def test_count_is_invariant_under_a_change_of_domain_basis():
     """f -> f o A for a nonsingular A on {0,1}^n."""
-    for f, m, sigma, rng in invariance_cases(181):
+    def check(f, m, sigma, rng):
         a = random_nonsingular_map(f.n, rng)
         moved = [apply(a, GFVector(f.n, x)).bits for x in range(1 << f.n)]
         g = BooleanFunction(f.n, f.table[moved])
         assert span_count(g, m, sigma) == span_count(f, m, sigma)
 
+    check_invariance(check)
+
 
 def test_count_is_invariant_under_a_change_of_presentation():
     """v_i -> B v_i for a nonsingular B on {0,1}^d: the same matroid."""
-    for f, m, sigma, rng in invariance_cases(191):
+    def check(f, m, sigma, rng):
         b = random_nonsingular_map(m.m, rng)
         moved = BinaryMatroid([apply(b, v) for v in m.vectors])
         assert span_count(f, moved, sigma) == span_count(f, m, sigma)
 
+    check_invariance(check)
+
 
 def test_count_is_invariant_under_a_ground_permutation():
     """The ground set and Sigma permuted alike."""
-    for f, m, sigma, rng in invariance_cases(193):
+    def check(f, m, sigma, rng):
         perm = rng.permutation(m.k)
         moved = BinaryMatroid([m.vectors[i] for i in perm])
         permuted = PatternSpec(tuple(sigma.sigma[i] for i in perm))
         assert span_count(f, moved, permuted) == span_count(f, m, sigma)
 
+    check_invariance(check)
+
 
 def test_count_is_invariant_under_complement():
     """f -> 1 - f with Sigma complemented."""
-    for f, m, sigma, _ in invariance_cases(197):
+    def check(f, m, sigma, rng):
         assert span_count(complement(f), m, pattern_complement(sigma)) == span_count(f, m, sigma)
+
+    check_invariance(check)
 
 
 def is_violation(points, f, m, sigma):
